@@ -195,14 +195,14 @@ def find_bifurcation_alpha(
     eps: float,
     k: int,
     bracket: tuple[float, float] | None = None,
-    tol: float = 1e-6,
     n_points: int = N_POINTS_DEFAULT,
     cache: SolverCache | None = None,
 ) -> BifurcationPoint:
     """Locate α_k^ε in the bracket (default 2(k-1) ± 0.9).
 
     A 32-point scan finds sign-change intervals of f(α) = Λ₁^ε(α) + σ_k; each
-    is refined by bracketed root iteration until |f| < tol.  The same scan is
+    is refined by Brent's method until the root is pinned in α to within
+    1e-10 + 8.9e-16·|α|, and `residual` reports |f| there.  The same scan is
     reused to verify that no crossing with a different sphere eigenvalue σ_l
     occurs inside the bracket (`exclusion_ok`)."""
     if k < 2:
@@ -425,7 +425,8 @@ def convergence_study(
     n_points: int = N_POINTS_DEFAULT,
     cache: SolverCache | None = None,
 ) -> ConvergenceStudy:
-    """Solve Λ₁^ε(α) = -σ_k for each ε in a decreasing list."""
+    """Solve Λ₁^ε(α) = -σ_k for each ε in a decreasing list.  `tol` is the
+    residual tolerance behind the study's α noise floor (alpha_resolution)."""
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps_list) or any(
         b >= a for a, b in zip(eps_list, eps_list[1:])
@@ -434,7 +435,7 @@ def convergence_study(
     rows = []
     for eps in eps_list:
         bp = find_bifurcation_alpha(
-            n_dim, eps, k, bracket=bracket, tol=tol, n_points=n_points, cache=cache
+            n_dim, eps, k, bracket=bracket, n_points=n_points, cache=cache
         )
         rows.append((eps, bp.alpha_k_eps, bp.error_vs_limit))
     return ConvergenceStudy(n_dim=n_dim, k=k, rows=tuple(rows), tol=tol)

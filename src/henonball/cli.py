@@ -189,7 +189,6 @@ def cmd_bifurcate(args) -> int:
     if eps_text is None:
         raise DomainError("need --eps or --eps-list")
     eps_list = parse_float_list(str(eps_text))
-    tol = st.get("tol", float, 1e-6)
     bracket = None
     if st.get("bracket", str):
         lo, hi = (float(x) for x in st.get("bracket", str).split(":"))
@@ -199,9 +198,7 @@ def cmd_bifurcate(args) -> int:
     rows, failures = [], 0
     for eps in eps_list:
         try:
-            bp = bif.find_bifurcation_alpha(
-                n_dim, eps, k, bracket=bracket, tol=tol, cache=cache
-            )
+            bp = bif.find_bifurcation_alpha(n_dim, eps, k, bracket=bracket, cache=cache)
             rows.append(
                 [
                     n_dim, k, eps, bp.alpha_k_eps, bp.residual,
@@ -320,7 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value config file (flags override)")
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=["csv", "json"], default=None)
-    common.add_argument("--tol", type=float, default=None)
+    common.add_argument(
+        "--tol", type=float, default=None,
+        help="radial integrator tolerance (solve, rescale, spectrum)",
+    )
     common.add_argument("--grid-points", dest="grid_points", type=int, default=None)
     common.add_argument("--no-cache", dest="no_cache", action="store_true")
     common.add_argument("--cache-dir", dest="cache_dir", default=None)

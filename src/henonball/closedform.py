@@ -1,8 +1,8 @@
 """Closed-form quantities for the Henon problem -Δu = |x|^α u^(p_α - ε) on the
 unit ball.
 
-Everything in this module is exact arithmetic on top of a scalar Gamma
-implementation: the threshold exponent p_α, the constant C_{N,α} of the
+Everything in this module is exact arithmetic on top of the stdlib Gamma
+function: the threshold exponent p_α, the constant C_{N,α} of the
 entire-space problem, the sup-norm limit M(N,α), the concentration scale λ of
 the limit bubble, the explicit bubble profile U_{λ,α}, the first eigenvalue
 Λ₁(α) of the limit linearization, the sphere eigenvalues σ_k with their
@@ -36,56 +36,13 @@ __all__ = [
 ]
 
 
-# Lanczos coefficients (g = 607/128, 15 terms, Godfrey).  Relative error of
-# the resulting Gamma is below 1e-14 on the positive real axis, comfortably
-# inside the 1e-13 budget needed by sup_norm_constant.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
 def gamma(x: float) -> float:
-    """Gamma function for real x > 0.
-
-    Integer arguments are routed through the exact factorial; everything else
-    goes through a fixed 15-term Lanczos sum.  Arguments in (0, 0.5) use the
-    recurrence Γ(x) = Γ(x+1)/x so the Lanczos sum is only ever evaluated on
-    its well-conditioned range.
-    """
+    """Gamma function for real x > 0 (`math.gamma`, with a DomainError
+    outside its positive half-line)."""
     x = float(x)
     if not x > 0.0:
         raise DomainError(f"gamma requires x > 0, got {x!r}")
-    if x.is_integer() and x <= 171:
-        return float(math.factorial(int(x) - 1))
-    if x < 0.5:
-        return _lanczos(x + 1.0) / x
-    return _lanczos(x)
-
-
-def _lanczos(x: float) -> float:
-    # valid for x >= 0.5
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (x - 1.0 + i)
-    t = x - 0.5 + _LANCZOS_G
-    return _SQRT_TWO_PI * t ** (x - 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def threshold_exponent(n_dim: int, alpha: float) -> float:

@@ -53,12 +53,18 @@ def dumps_json(obj) -> str:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write text through a temporary sibling and an atomic rename.  The file
+    gets the mode a plain open() would give (0o666 less the umask),
+    not mkstemp's 0o600."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -13,7 +13,7 @@ __all__ = [
     "extrapolate_to_zero",
     "richardson_pair",
     "log_grid",
-    "log_derivatives",
+    "log_grid_derivative",
     "radial_defect",
     "empirical_rate",
 ]
@@ -53,34 +53,11 @@ def log_grid(r_lo: float, r_hi: float, n: int) -> np.ndarray:
     return r
 
 
-def log_derivatives(r: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First and second r-derivatives of samples on a log-uniform grid.
-
-    Uses 5-point central differences in t = log r (4th order), so the grid
-    must be geometric.  Returns (r_in, f', f'') on the interior points where
-    the full stencil fits.
-    """
-    t = np.log(r)
-    dt = np.diff(t)
-    if not np.allclose(dt, dt[0], rtol=1e-8):
-        raise DomainError("log_derivatives requires a geometric grid")
-    h = dt[0]
-    ft = _central5_first(f, h)
-    ftt = _central5_second(f, h)
-    rin = r[2:-2]
-    df = ft / rin
-    d2f = (ftt - ft) / rin**2
-    return rin, df, d2f
-
-
-def _central5_first(f: np.ndarray, h: float) -> np.ndarray:
-    return (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
-
-
-def _central5_second(f: np.ndarray, h: float) -> np.ndarray:
-    return (
-        -f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]
-    ) / (12.0 * h * h)
+def log_grid_derivative(r: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """df/dr at the interior nodes r[2:-2] of a geometric grid: the 4th-order
+    5-point central difference in t = log r, divided by r."""
+    h = math.log(r[1] / r[0])
+    return (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h) / r[2:-2]
 
 
 def radial_defect(r, terms) -> float:

@@ -336,16 +336,10 @@ def fowler_check(profile: RadialProfile, n_points: int = 2000) -> float:
     # one finite differencing is needed for v''
     dv = cfac * du * (2.0 / (2.0 + alpha)) * s / r
 
-    # v'' = d(v')/dr = (1/r) d(v')/dt on the geometric grid, t = log r
-    t_step = math.log(r[1] / r[0])
-    d2v = _central5(dv, t_step) / r[2:-2]
+    d2v = numerics.log_grid_derivative(r, dv)
     rin = r[2:-2]
     vin = np.clip(v[2:-2], 0.0, None)
     return numerics.radial_defect(rin, [d2v, (m - 1.0) / rin * dv[2:-2], vin**p])
-
-
-def _central5(f: np.ndarray, h: float) -> np.ndarray:
-    return (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
 
 
 @dataclass(frozen=True)

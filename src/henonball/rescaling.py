@@ -101,19 +101,13 @@ def pde_residual(rescaled: RescaledProfile, n_points: int = 2000) -> float:
     r = numerics.log_grid(r_lo, rho, n_points)
     w, dw = rescaled.evaluate(r, derivative=True)
 
-    # w'' = d(w')/dr = (1/r) d(w')/dt on the geometric grid, t = log r
-    t_step = math.log(r[1] / r[0])
-    d2w = _central5(dw, t_step) / r[2:-2]
+    d2w = numerics.log_grid_derivative(r, dw)
     rin = r[2:-2]
     win = np.clip(w[2:-2], 0.0, None)
     return numerics.radial_defect(
         rin,
         [d2w, (pr.n_dim - 1.0) / rin * dw[2:-2], pr.henon_c * rin**pr.alpha * win**pr.p],
     )
-
-
-def _central5(f: np.ndarray, h: float) -> np.ndarray:
-    return (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
 
 
 def limit_distance(rescaled: RescaledProfile, tail_points: int = 200) -> float:

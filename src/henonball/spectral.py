@@ -8,7 +8,8 @@ discretized in the self-adjoint form -(r^(N-1) z')' - r^(N-1) q z = Λ r^(N-3) z
 by a conservative three-point scheme on a graded grid.  Both pencil matrices
 are symmetric tridiagonal (the weight matrix diagonal), so eigenvalues come
 from Sturm-sequence bisection with inertia certificates, eigenvectors from
-inverse iteration, and node counts are checked against the eigenvalue index.
+LAPACK's tridiagonal solver (`eigh_tridiagonal`), and node counts are checked
+against the eigenvalue index.
 
 A Prüfer-angle shooting method on the same truncated domain provides an
 independent oracle, and the truncated entire-space limit problem reproduces
@@ -24,7 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 from scipy.optimize import brentq
 
 from . import numerics
@@ -52,6 +54,8 @@ __all__ = [
 ]
 
 R_MIN_DEFAULT = 1e-6
+# stebz tolerance that skips bisection: Sturm counts only
+_COUNT_ONLY_TOL = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -118,8 +122,10 @@ def default_spectral_grid(
 @dataclass
 class Pencil:
     """Symmetric tridiagonal generalized eigenproblem A z = Λ B z (B diagonal,
-    positive).  `count(x)` is the number of eigenvalues below x via the LDLᵀ
-    inertia of A - xB, vectorized over shifts."""
+    positive).  `count(x)` is the number of eigenvalues at or below x: LAPACK
+    stebz's Sturm count on the pencil's own A - xB (Sylvester's law, B > 0).
+    The fast eigenvalue path runs stebz on T = B^-1/2 A B^-1/2 instead, so
+    the count certifies it independently."""
 
     grid: np.ndarray
     a_diag: np.ndarray
@@ -132,18 +138,21 @@ class Pencil:
 
     def count(self, shifts) -> np.ndarray | int:
         x = np.asarray(shifts, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
-        dxb = self.a_diag[:, None] - x[None, :] * self.b_diag[:, None]
-        e2 = self.a_off**2
-        pivmin = 1e-290 * max(1.0, float(np.max(np.abs(self.a_diag))))
-        q = dxb[0].copy()
-        cnt = (q < 0).astype(np.int64)
-        for i in range(1, self.n):
-            denom = np.where(np.abs(q) < pivmin, np.where(q < 0, -pivmin, pivmin), q)
-            q = dxb[i] - e2[i - 1] / denom
-            cnt += q < 0
-        return int(cnt[0]) if scalar else cnt
+        out = np.empty(x.shape, dtype=np.int64)
+        for i, shift in np.ndenumerate(x):
+            # range 1 selects by value, here (-inf, 0]; a tolerance this coarse
+            # stops stebz after the Sturm counts at the interval ends, so m is
+            # the exact count of nonpositive eigenvalues of A - xB
+            m, _, _, _, info = dstebz(
+                self.a_diag - shift * self.b_diag, self.a_off,
+                1, -np.inf, 0.0, 0, 0, _COUNT_ONLY_TOL, b"B",
+            )
+            if info:
+                raise NumericsError(
+                    f"stebz inertia count failed at shift {shift:.9g} (info={info})"
+                )
+            out[i] = m
+        return int(out) if x.ndim == 0 else out
 
     def gershgorin(self) -> tuple[float, float]:
         b = self.b_diag
@@ -159,7 +168,7 @@ class Pencil:
         sqrt_b = np.sqrt(self.b_diag)
         return self.a_diag / self.b_diag, self.a_off / (sqrt_b[:-1] * sqrt_b[1:])
 
-    def eigenvalue_batch(self, js: Sequence[int], certify: bool = True) -> np.ndarray:
+    def eigenvalue_batch(self, js: Sequence[int]) -> np.ndarray:
         """The js-th smallest eigenvalues (1-based) by Sturm-sequence
         bisection (LAPACK stebz on the similarity-transformed tridiagonal),
         each certified against this pencil's own inertia count."""
@@ -173,7 +182,9 @@ class Pencil:
             t_diag, t_off, eigvals_only=True, select="i", select_range=(0, js[-1] - 1)
         )
         out = np.array([vals[j - 1] for j in js])
-        if certify and not self._certified(js, out):
+        try:
+            self._certify(js, out)
+        except NumericsError:
             # the transformed matrix can span too many scales for the fast
             # path (absolute LAPACK tolerance); redo on this pencil's own
             # shift-robust inertia count
@@ -181,19 +192,13 @@ class Pencil:
             self._certify(js, out)
         return out
 
-    def _certified(self, js: Sequence[int], vals: np.ndarray) -> bool:
-        gap = 1e-10 * np.maximum(1.0, np.abs(vals))
-        low = self.count(vals - gap)
-        high = self.count(vals + gap)
-        return all(
-            c_lo <= j - 1 and c_hi >= j for j, c_lo, c_hi in zip(js, low, high)
-        )
-
     def _certify(self, js: Sequence[int], vals: np.ndarray) -> None:
+        """Inertia certificate: for each j = js[i], at most j-1 eigenvalues
+        lie at or below vals[i] - gap and at least j at or below vals[i] + gap;
+        NumericsError otherwise."""
         gap = 1e-10 * np.maximum(1.0, np.abs(vals))
-        low = self.count(vals - gap)
-        high = self.count(vals + gap)
-        for j, v, c_lo, c_hi in zip(js, vals, low, high):
+        counts = self.count(np.concatenate([vals - gap, vals + gap]))
+        for j, v, c_lo, c_hi in zip(js, vals, counts[: len(js)], counts[len(js):]):
             if not (c_lo <= j - 1 and c_hi >= j):
                 raise NumericsError(
                     f"inertia certificate failed for eigenvalue {j} at {v:.9g}: "
@@ -218,28 +223,6 @@ class Pencil:
 
     def eigenvalue(self, j: int) -> float:
         return float(self.eigenvalue_batch([j])[0])
-
-    def eigenvector(self, lam: float, iterations: int = 3) -> np.ndarray:
-        """Inverse iteration on the standard form T = B^-1/2 A B^-1/2,
-        mapped back to eigenfunction values (sup-norm 1, first hump positive)."""
-        sqrt_b = np.sqrt(self.b_diag)
-        t_diag = self.a_diag / self.b_diag
-        t_off = self.a_off / (sqrt_b[:-1] * sqrt_b[1:])
-        n = self.n
-        ab = np.zeros((3, n))
-        ab[0, 1:] = t_off
-        ab[1, :] = t_diag - lam
-        ab[2, :-1] = t_off
-        # keep the shifted matrix invertible at machine precision
-        ab[1, :] += 1e-13 * max(1.0, abs(lam))
-        y = np.ones(n) / math.sqrt(n)
-        for _ in range(iterations):
-            y = solve_banded((1, 1), ab, y)
-            y /= np.linalg.norm(y)
-        z = y / sqrt_b
-        z /= np.max(np.abs(z))
-        z *= _first_hump_sign(z)
-        return z
 
 
 def _first_hump_sign(z: np.ndarray) -> float:
@@ -378,22 +361,20 @@ def solve_eigen(
     count: int = 1,
     n_points: int = 2000,
     r_min: float = R_MIN_DEFAULT,
-    refine: bool = True,
     with_vectors: bool = True,
 ) -> list[EigenResult]:
     """Eigenvalues of an SLProblem with two-grid Richardson extrapolation.
 
     The scheme converges at second order in the geometric step, so the
     extrapolated value uses (4 λ_fine - λ_coarse)/3; the error estimate is the
-    extrapolation increment |λ_fine - λ_coarse|/3.
+    extrapolation increment |λ_fine - λ_coarse|/3.  Eigenvectors, if asked
+    for, come from the fine grid.
     """
     coarse = eigenvalues(
         assemble_pencil(problem, default_spectral_grid(problem.r_end, n_points, r_min)),
         count,
-        with_vectors=with_vectors and not refine,
+        with_vectors=False,
     )
-    if not refine:
-        return coarse
     fine = eigenvalues(
         assemble_pencil(
             problem, default_spectral_grid(problem.r_end, 2 * n_points, r_min)

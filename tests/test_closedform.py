@@ -51,7 +51,7 @@ class TestGamma:
         assert cf.gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
     def test_against_high_precision(self):
-        for x in np.geomspace(0.5, 50.0, 200):
+        for x in [*np.geomspace(0.5, 50.0, 200), 150.5]:
             assert cf.gamma(x) == pytest.approx(mp_gamma(x), rel=1e-13)
 
     def test_small_arguments(self):

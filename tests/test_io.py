@@ -1,0 +1,33 @@
+import os
+import stat
+
+import pytest
+
+from henonball.io import atomic_write_text
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+def test_written_file_honors_umask(tmp_path, umask_022):
+    path = tmp_path / "artifact.json"
+    atomic_write_text(path, '{"a": 1}\n')
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+
+def test_same_text_gives_identical_bytes(tmp_path):
+    text = "alpha,eps,j,lambda\n2.0,0.01,1,-6.0000813\n"
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    atomic_write_text(first, text)
+    atomic_write_text(second, text)
+    assert first.read_bytes() == second.read_bytes() == text.encode()
+    atomic_write_text(first, text)  # overwrite in place
+    assert first.read_bytes() == second.read_bytes()
+    # no temporary sibling is left behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.csv", "second.csv"]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from henonball.closedform import ProblemParams, lambda1_closed
-from henonball.errors import BracketError, DomainError
+from henonball import spectral
+from henonball.errors import BracketError, DomainError, NumericsError
 from henonball.radial import solve_dirichlet_ball
 from henonball.rescaling import rescale
 from henonball.spectral import (
@@ -117,6 +118,76 @@ class TestEigenvalues:
         for j, v in enumerate(vals, start=1):
             assert pen.count(v - 1e-8 * max(1, abs(v))) <= j - 1
             assert pen.count(v + 1e-8 * max(1, abs(v))) >= j
+
+
+def ldlt_count(pen, shifts):
+    """Reference inertia count: the LDLᵀ pivot recurrence of A - xB written
+    out row by row, vectorized over shifts."""
+    x = np.atleast_1d(np.asarray(shifts, dtype=float))
+    dxb = pen.a_diag[:, None] - x[None, :] * pen.b_diag[:, None]
+    e2 = pen.a_off**2
+    pivmin = 1e-290 * max(1.0, float(np.max(np.abs(pen.a_diag))))
+    q = dxb[0].copy()
+    cnt = (q < 0).astype(np.int64)
+    for i in range(1, pen.n):
+        denom = np.where(np.abs(q) < pivmin, np.where(q < 0, -pivmin, pivmin), q)
+        q = dxb[i] - e2[i - 1] / denom
+        cnt += q < 0
+    return cnt
+
+
+class TestInertiaCount:
+    @pytest.fixture(scope="class")
+    def pencils(self, ball_problem, profile_3_2_005):
+        pens = [
+            assemble_pencil(ball_problem, default_spectral_grid(1.0, n))
+            for n in (1500, 3000)
+        ]
+        pens.append(radial_pencil(profile_3_2_005))
+        for r_trunc in (1e3, 2e3):
+            prob = limit_problem(3, 2.0, r_trunc)
+            pens.append(assemble_pencil(prob, default_spectral_grid(r_trunc, 3000)))
+        return pens
+
+    def test_matches_ldlt_reference(self, pencils):
+        rng = np.random.default_rng(17089112)
+        mismatches = 0
+        for pen in pencils:
+            lam = pen.eigenvalue_batch([1, 2, 3, 4, 10])
+            gap = 1e-10 * np.maximum(1.0, np.abs(lam[:4]))
+            lo, hi = pen.gershgorin()
+            shifts = np.concatenate([
+                lam[:4] - gap,
+                lam[:4] + gap,
+                rng.uniform(lam[0] - 1.0 - abs(lam[0]), lam[4], 60),
+                rng.uniform(lo, hi, 20),
+            ])
+            counts = pen.count(shifts)
+            assert counts.dtype == np.int64 and counts.shape == shifts.shape
+            assert list(counts[:8]) == [0, 1, 2, 3, 1, 2, 3, 4]
+            mismatches += int(np.sum(counts != ldlt_count(pen, shifts)))
+        assert mismatches == 0
+
+    def test_scalar_shift_gives_int(self, pencils):
+        c = pencils[0].count(0.0)
+        assert type(c) is int and c == int(ldlt_count(pencils[0], 0.0)[0])
+
+    def test_failed_certificate_raises(self, ball_problem, monkeypatch):
+        pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 300))
+        # a count that never sees an eigenvalue fails the fast path's
+        # certificate and the bisection fallback's alike
+        monkeypatch.setattr(pen, "count", lambda shifts: np.zeros(np.shape(shifts), int))
+        with pytest.raises(NumericsError, match="inertia certificate failed"):
+            pen.eigenvalue_batch([1, 2])
+
+    def test_wrong_fast_path_falls_back_to_bisection(self, ball_problem, monkeypatch):
+        pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 300))
+        exact = [pen.eigenvalue_bisect(1), pen.eigenvalue_bisect(2)]
+        lapack = spectral.eigh_tridiagonal
+        monkeypatch.setattr(
+            spectral, "eigh_tridiagonal", lambda *a, **k: lapack(*a, **k) + 0.1
+        )
+        assert np.allclose(pen.eigenvalue_batch([1, 2]), exact, rtol=1e-10, atol=1e-10)
 
 
 class TestLimitProblem:
