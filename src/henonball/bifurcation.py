@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from . import numerics
 from .closedform import (
     ProblemParams,
     bifurcation_alpha,
@@ -63,12 +62,10 @@ class SolverCache:
         self._profiles: dict = {}
         self._lambdas: dict = {}
 
-    def profile(self, n_dim: int, alpha: float, eps: float, tol: float = 1e-10) -> RadialProfile:
-        key = (n_dim, alpha, eps, tol)
+    def profile(self, n_dim: int, alpha: float, eps: float) -> RadialProfile:
+        key = (n_dim, alpha, eps)
         if key not in self._profiles:
-            self._profiles[key] = solve_dirichlet_ball(
-                ProblemParams(n_dim, alpha, eps), tol=tol
-            )
+            self._profiles[key] = solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps))
         return self._profiles[key]
 
     def lambdas(
@@ -406,10 +403,6 @@ class ConvergenceStudy:
             noise_floor = alpha_resolution(self.n_dim, self.k, self.tol)
         e = self.errors
         return all(b <= a + noise_floor for a, b in zip(e, e[1:]))
-
-    @property
-    def empirical_rate(self) -> float:
-        return numerics.empirical_rate([r[0] for r in self.rows], self.errors)
 
     @property
     def max_error(self) -> float:

@@ -303,6 +303,42 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAILED
 
 
+# option name -> add_argument keywords; each subcommand declares only the
+# options its cmd_* reads, so argparse rejects the rest
+OPTIONS = {
+    "N": {"type": int},
+    "alpha": {"type": float},
+    "eps": {"type": float},
+    "tol": {"type": float, "help": "radial integrator tolerance"},
+    "amplitude": {"type": float},
+    "no_cache": {"action": "store_true"},
+    "cache_dir": {},
+    "grid_points": {"type": int},
+    "count": {"type": int},
+    "format": {"choices": ["csv", "json"]},
+    "k": {"type": int},
+    "eps_list": {},
+    "bracket": {"help": "lo:hi"},
+    "alpha_grid": {"help": "lo:hi:n"},
+    "jobs": {"type": int},
+    "criteria": {"help": "comma-separated ids, e.g. C1,C4"},
+}
+
+SUBCOMMANDS = (
+    ("solve", cmd_solve, "radial Dirichlet solution as a JSON artifact",
+     ("N", "alpha", "eps", "tol", "amplitude", "no_cache", "cache_dir")),
+    ("rescale", cmd_rescale, "expanding-ball rescaling and bubble distance",
+     ("N", "alpha", "eps", "tol")),
+    ("spectrum", cmd_spectrum, "lowest eigenvalues of the linearization",
+     ("N", "alpha", "eps", "tol", "grid_points", "count", "format")),
+    ("bifurcate", cmd_bifurcate, "bifurcation values alpha_k for an eps list",
+     ("N", "eps", "k", "eps_list", "bracket", "format")),
+    ("sweep", cmd_sweep, "lambda1/lambda2 table over an (alpha, eps) grid",
+     ("N", "alpha_grid", "eps_list", "grid_points", "jobs", "format")),
+    ("verify", cmd_verify, "run the acceptance criteria suite", ("criteria",)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="henonball",
@@ -316,53 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file (flags override)")
     common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--format", choices=["csv", "json"], default=None)
-    common.add_argument(
-        "--tol", type=float, default=None,
-        help="radial integrator tolerance (solve, rescale, spectrum)",
-    )
-    common.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-    common.add_argument("--no-cache", dest="no_cache", action="store_true")
-    common.add_argument("--cache-dir", dest="cache_dir", default=None)
 
-    problem = argparse.ArgumentParser(add_help=False)
-    problem.add_argument("--N", dest="N", type=int, default=None)
-    problem.add_argument("--alpha", type=float, default=None)
-    problem.add_argument("--eps", type=float, default=None)
-
-    p = sub.add_parser("solve", parents=[common, problem],
-                       help="radial Dirichlet solution as a JSON artifact")
-    p.add_argument("--amplitude", type=float, default=None)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("rescale", parents=[common, problem],
-                       help="expanding-ball rescaling and bubble distance")
-    p.set_defaults(func=cmd_rescale)
-
-    p = sub.add_parser("spectrum", parents=[common, problem],
-                       help="lowest eigenvalues of the linearization")
-    p.add_argument("--count", type=int, default=None)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("bifurcate", parents=[common, problem],
-                       help="bifurcation values alpha_k for an eps list")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--eps-list", dest="eps_list", default=None)
-    p.add_argument("--bracket", default=None, help="lo:hi")
-    p.set_defaults(func=cmd_bifurcate)
-
-    p = sub.add_parser("sweep", parents=[common, problem],
-                       help="lambda1/lambda2 table over an (alpha, eps) grid")
-    p.add_argument("--alpha-grid", dest="alpha_grid", default=None, help="lo:hi:n")
-    p.add_argument("--eps-list", dest="eps_list", default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the acceptance criteria suite")
-    p.add_argument("--criteria", default=None, help="comma-separated ids, e.g. C1,C4")
-    p.set_defaults(func=cmd_verify)
-
+    for name, func, help_text, options in SUBCOMMANDS:
+        # no abbreviations: sweep would take --eps for --eps-list
+        p = sub.add_parser(name, parents=[common], help=help_text, allow_abbrev=False)
+        for opt in options:
+            p.add_argument("--" + opt.replace("_", "-"), dest=opt, default=None,
+                           **OPTIONS[opt])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -13,9 +13,7 @@ __all__ = [
     "extrapolate_to_zero",
     "richardson_pair",
     "log_grid",
-    "log_grid_derivative",
     "radial_defect",
-    "empirical_rate",
 ]
 
 
@@ -53,38 +51,22 @@ def log_grid(r_lo: float, r_hi: float, n: int) -> np.ndarray:
     return r
 
 
-def log_grid_derivative(r: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """df/dr at the interior nodes r[2:-2] of a geometric grid: the 4th-order
-    5-point central difference in t = log r, divided by r."""
-    h = math.log(r[1] / r[0])
-    return (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h) / r[2:-2]
+def radial_defect(r, y, dy, dim, source) -> float:
+    """Max normalized defect of y'' + (dim-1)/r y' + source(r, y) = 0 on a
+    geometric grid r, given y and its exact derivative dy there.
 
-
-def radial_defect(r, terms) -> float:
-    """Max normalized defect of a radial equation written as sum(terms) = 0.
-
-    Each entry of `terms` is an array over the same grid.  The pointwise
-    defect is |Σ terms| divided by the largest term magnitude at that point
-    (with a floor at the global scale), so regions where the equation's
-    terms reach 1e10 do not drown out the informative moderate-r region.
+    y'' is the 4th-order 5-point central difference of dy in t = log r
+    (divided by r), so the defect lives on the interior nodes r[2:-2] and only
+    one finite differencing enters.  The pointwise defect is the |sum| of the
+    three terms divided by the largest term magnitude at that point (with a
+    floor at the global scale), so regions where the terms reach 1e10 do not
+    drown out the informative moderate-r region.
     """
-    terms = [np.asarray(t, dtype=float) for t in terms]
-    total = sum(terms)
-    mags = np.max(np.abs(np.stack(terms)), axis=0)
+    h = math.log(r[1] / r[0])
+    rin = r[2:-2]
+    d2y = (dy[:-4] - 8.0 * dy[1:-3] + 8.0 * dy[3:-1] - dy[4:]) / (12.0 * h) / rin
+    terms = np.stack([d2y, (dim - 1.0) / rin * dy[2:-2], source(rin, y[2:-2])])
+    total = terms[0] + terms[1] + terms[2]
+    mags = np.max(np.abs(terms), axis=0)
     floor = 1e-12 * float(np.max(mags)) if np.max(mags) > 0 else 1.0
     return float(np.max(np.abs(total) / np.maximum(mags, floor)))
-
-
-def empirical_rate(xs, errs) -> float:
-    """Least-squares slope of log err against log x (convergence-rate probe).
-
-    Entries with nonpositive error are dropped; returns nan if fewer than two
-    usable points remain.
-    """
-    xs = np.asarray(xs, dtype=float)
-    errs = np.asarray(errs, dtype=float)
-    keep = errs > 0
-    if keep.sum() < 2:
-        return float("nan")
-    slope = np.polyfit(np.log(xs[keep]), np.log(errs[keep]), 1)[0]
-    return float(slope)

@@ -1,8 +1,10 @@
 """Radial Dirichlet solutions of -Δu = |x|^α u^p on the unit ball by shooting.
 
 The initial value problem u'' + (N-1)/r u' + r^α u^p = 0, u(0)=a, u'(0)=0 is
-integrated with an adaptive explicit Runge-Kutta scheme started from a series
-expansion at a small radius (the (N-1)/r term is singular at the origin).
+integrated with an adaptive explicit Runge-Kutta scheme (the (N-1)/r term is
+singular at the origin).  The shot starts at the series radius, where the
+two-term origin series is accurate to 1e-10, and the series itself gives u
+and u' below it.
 The first zero R of the shot, located by dense-output event detection, fixes
 the Dirichlet solution through the scaling u(r) = R^((2+α)/(p-1)) u_shot(R r),
 which is independent of the shot amplitude.
@@ -47,8 +49,10 @@ class ShotTrajectory:
     """One shot of the radial IVP with amplitude `a`.
 
     `first_zero` is None when u stayed positive on [0, r_max] (the expected
-    outcome at the threshold exponent).  `evaluate` uses the integrator's
-    dense output inside [r_start, r_end] and the origin series below it.
+    outcome at the threshold exponent).  The shot starts at the series radius
+    `_r_start`, where the two-term origin series is accurate to 1e-10;
+    `evaluate` uses the series below it and the integrator's dense output
+    from there on, which starts at the series value.
     """
 
     n_dim: int
@@ -69,9 +73,8 @@ class ShotTrajectory:
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
         out = np.empty((2, r.size))
-        # below the crossover the truncated origin series is far more accurate
-        # than the dense output (u' there sits at the integrator noise floor)
-        inside = r >= self._series_end()
+        # below the start radius there is no dense output, only the series
+        inside = r >= self._r_start
         if np.any(inside):
             out[:, inside] = self._dense(r[inside])
         if np.any(~inside):
@@ -82,12 +85,6 @@ class ShotTrajectory:
         if derivative:
             return (float(u[0]), float(du[0])) if scalar else (u, du)
         return float(u[0]) if scalar else u
-
-    def _series_end(self) -> float:
-        # relative truncation of the two-term series is the square of
-        # a^(p-1) r^(2+α) / ((2+α)(N+α)); cap that at 1e-5 (error 1e-10)
-        lead = (2.0 + self.alpha) * (self.n_dim + self.alpha) / self.a ** (self.p - 1.0)
-        return max(self._r_start, (1e-5 * lead) ** (1.0 / (2.0 + self.alpha)))
 
 
 def _series_coeffs(a, n_dim, alpha, p):
@@ -141,9 +138,12 @@ def integrate_radial_ivp(
     if method not in _METHODS:
         raise DomainError(f"method must be one of {sorted(_METHODS)}, got {method!r}")
 
-    # series start; the zero of the unit-amplitude shot is rescaled by
-    # a^(-(p-1)/(2+alpha)), so the start radius follows the same scale
-    r0 = 1e-6 * min(1.0, a ** (-(p - 1.0) / (2.0 + alpha)))
+    # series start: the relative truncation of the two-term series is the
+    # square of a^(p-1) r^(2+α) / ((2+α)(N+α)); cap that at 1e-5 (error 1e-10)
+    lead = (2.0 + alpha) * (n_dim + alpha) / a ** (p - 1.0)
+    r0 = (1e-5 * lead) ** (1.0 / (2.0 + alpha))
+    if not r_max > r0:
+        raise DomainError(f"need r_max > series radius {r0:.6g}, got {r_max!r}")
     y0 = (
         float(_series_u(r0, a, n_dim, alpha, p)),
         float(_series_du(r0, a, n_dim, alpha, p)),
@@ -331,15 +331,11 @@ def fowler_check(profile: RadialProfile, n_points: int = 2000) -> float:
     r = numerics.log_grid(r_lo, 1.0, n_points)
     s = r ** (2.0 / (2.0 + alpha))
     u, du = profile.evaluate(s, derivative=True)
-    v = cfac * u
-    # v' comes exactly from the stored radial derivative (chain rule), so only
-    # one finite differencing is needed for v''
+    # v' comes exactly from the stored radial derivative (chain rule)
     dv = cfac * du * (2.0 / (2.0 + alpha)) * s / r
-
-    d2v = numerics.log_grid_derivative(r, dv)
-    rin = r[2:-2]
-    vin = np.clip(v[2:-2], 0.0, None)
-    return numerics.radial_defect(rin, [d2v, (m - 1.0) / rin * dv[2:-2], vin**p])
+    return numerics.radial_defect(
+        r, cfac * u, dv, m, lambda rin, v: np.clip(v, 0.0, None) ** p
+    )
 
 
 @dataclass(frozen=True)
@@ -369,11 +365,6 @@ class SupNormTable:
         ratios = [r.ratio for r in self.rows]
         gaps = [abs(1.0 - x) for x in ratios]
         return all(b <= a for a, b in zip(gaps, gaps[1:]))
-
-    @property
-    def empirical_rate(self) -> float:
-        errs = [abs(r.eps_u0_sq - r.big_m) for r in self.rows]
-        return numerics.empirical_rate([r.eps for r in self.rows], errs)
 
 
 def sup_norm_table(

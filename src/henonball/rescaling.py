@@ -100,13 +100,9 @@ def pde_residual(rescaled: RescaledProfile, n_points: int = 2000) -> float:
     r_lo = max(1e-10 * rho, 1e-3 / lam)
     r = numerics.log_grid(r_lo, rho, n_points)
     w, dw = rescaled.evaluate(r, derivative=True)
-
-    d2w = numerics.log_grid_derivative(r, dw)
-    rin = r[2:-2]
-    win = np.clip(w[2:-2], 0.0, None)
     return numerics.radial_defect(
-        rin,
-        [d2w, (pr.n_dim - 1.0) / rin * dw[2:-2], pr.henon_c * rin**pr.alpha * win**pr.p],
+        r, w, dw, pr.n_dim,
+        lambda rin, win: pr.henon_c * rin**pr.alpha * np.clip(win, 0.0, None) ** pr.p,
     )
 
 

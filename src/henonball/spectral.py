@@ -221,9 +221,6 @@ class Pencil:
                 return 0.5 * (lo + hi)
         raise NumericsError("eigenvalue bisection did not converge")
 
-    def eigenvalue(self, j: int) -> float:
-        return float(self.eigenvalue_batch([j])[0])
-
 
 def _first_hump_sign(z: np.ndarray) -> float:
     """+1/-1 so that the first interior extremum of |z| is positive."""
@@ -492,32 +489,22 @@ def limit_eigen(
     )
 
 
-def radial_kernel_test(profile: RadialProfile, tol: float = 1e-11) -> float:
-    """Radial nondegeneracy witness: integrate the linearized equation
+def radial_kernel_test(profile: RadialProfile) -> float:
+    """Radial nondegeneracy witness: v(1) for the solution of the linearized
+    equation
 
-        v'' + (N-1)/r v' + (p_α-ε) r^α u^(p_α-1-ε) v = 0,  v(0)=1, v'(0)=0,
+        v'' + (N-1)/r v' + (p_α-ε) r^α u^(p_α-1-ε) v = 0,  v(0)=1, v'(0)=0.
 
-    and return v(1).  A nonzero value certifies that the linearization has no
-    radial kernel (degeneracy would force v(1) = 0 together with v'(1) = 0)."""
+    A nonzero value certifies that the linearization has no radial kernel
+    (degeneracy would force v(1) = 0 together with v'(1) = 0).  No second
+    integration is needed: the equation is invariant under the scaling
+    u ↦ λ^β u(λ·), β = (2+α)/(p-1), so its generator w = βu + r u' solves the
+    linearized equation with w(0) = βu0 and w'(0) = 0.  Hence v = w/(βu0), and
+    u(1) = 0 gives v(1) = u'(1)/(βu0)."""
     pr = profile.params
-    expn = pr.p_alpha - 1.0 - pr.eps
-    c0 = pr.p * profile.u0**expn
-
-    r0 = 1e-8
-    y0 = (
-        1.0 - c0 * r0 ** (2.0 + pr.alpha) / ((2.0 + pr.alpha) * (pr.n_dim + pr.alpha)),
-        -c0 * r0 ** (1.0 + pr.alpha) / (pr.n_dim + pr.alpha),
-    )
-
-    def rhs(r, y):
-        u = max(float(profile.evaluate(r)), 0.0)
-        pot = pr.p * r**pr.alpha * u**expn
-        return (y[1], -(pr.n_dim - 1.0) / r * y[1] - pot * y[0])
-
-    sol = solve_ivp(rhs, (r0, 1.0), y0, method="DOP853", rtol=tol, atol=1e-13)
-    if sol.status != 0:
-        raise NumericsError(f"linearized radial integration failed: {sol.message}")
-    return float(sol.y[0, -1])
+    beta = (2.0 + pr.alpha) / (pr.p - 1.0)
+    _, du1 = profile.evaluate(1.0, derivative=True)
+    return float(du1 / (beta * profile.u0))
 
 
 def radial_pencil(

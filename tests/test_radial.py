@@ -58,6 +58,16 @@ class TestIntegrateRadialIVP:
         zb = integrate_radial_ivp(3, 2.0, 5.0, method="rk45").first_zero
         assert za == pytest.approx(zb, rel=1e-8)
 
+    @pytest.mark.parametrize("n_dim, alpha, eps", [(4, 3.4, 0.05), (3, 2.0, 0.05)])
+    def test_derivative_continuous_at_series_radius(self, n_dim, alpha, eps):
+        p = ProblemParams(n_dim, alpha, eps).p
+        shot = integrate_radial_ivp(n_dim, alpha, p)
+        # where the origin series reaches its 1e-10 truncation cap
+        r_series = (1e-5 * (2.0 + alpha) * (n_dim + alpha)) ** (1.0 / (2.0 + alpha))
+        _, du = shot.evaluate(r_series * np.array([1.0 - 1e-12, 1.0 + 1e-12]),
+                              derivative=True)
+        assert abs(du[1] - du[0]) < 1e-9 * abs(du[0])
+
     def test_bad_exponent_rejected(self):
         with pytest.raises(DomainError):
             integrate_radial_ivp(3, 0.0, 5.2)  # above p_alpha = 5
@@ -67,6 +77,8 @@ class TestIntegrateRadialIVP:
             integrate_radial_ivp(3, 0.0, 3.0, a=-1.0)
         with pytest.raises(DomainError):
             integrate_radial_ivp(3, 0.0, 3.0, method="euler")
+        with pytest.raises(DomainError):
+            integrate_radial_ivp(3, 4.5, 2.0, r_max=0.1)  # series radius 0.31
 
 
 class TestSolveDirichletBall:
@@ -127,7 +139,11 @@ class TestFowlerCheck:
         assert fowler_check(profile_3_2_005) < 1e-6
 
     def test_residual_small_across_instances(self):
-        for n_dim, alpha, eps in [(3, 1.0, 0.05), (4, 1.0, 0.05), (3, 0.5, 0.1)]:
+        # the dense output takes long first steps at the last two
+        for n_dim, alpha, eps in [
+            (3, 1.0, 0.05), (4, 1.0, 0.05), (3, 0.5, 0.1),
+            (4, 3.4, 0.05), (3, 2.8472671918680135, 0.006053524691060978),
+        ]:
             prof = solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps))
             assert fowler_check(prof) < 1e-6
 

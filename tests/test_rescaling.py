@@ -45,6 +45,15 @@ class TestRescale:
     def test_rescaled_equation_residual(self, rescaled_3_0_001):
         assert pde_residual(rescaled_3_0_001) < 1e-6
 
+    @pytest.mark.parametrize(
+        "n_dim, alpha, eps",
+        [(4, 3.4, 0.05), (3, 2.8472671918680135, 0.006053524691060978)],
+    )
+    def test_residual_small_with_long_first_steps(self, n_dim, alpha, eps):
+        # the dense output takes long first steps at these points
+        rs = rescale(solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps)))
+        assert pde_residual(rs) < 1e-6
+
     def test_center_value_approaches_bubble_height(self):
         target = math.sqrt(32.0 / math.pi)  # lam^((N-2)/2) at N=3, alpha=0
         gaps = []

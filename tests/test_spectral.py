@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from henonball.closedform import ProblemParams, lambda1_closed
 from henonball import spectral
@@ -212,7 +213,7 @@ class TestLimitProblem:
         errs = []
         for n in (750, 1500, 3000):
             pen = assemble_pencil(prob, default_spectral_grid(1e3, n))
-            errs.append(abs(pen.eigenvalue(1) + 6.0))
+            errs.append(abs(pen.eigenvalue_batch([1])[0] + 6.0))
         rate1 = math.log(errs[0] / errs[1]) / math.log(2.0)
         rate2 = math.log(errs[1] / errs[2]) / math.log(2.0)
         assert rate1 > 1.9 and rate2 > 1.9
@@ -246,11 +247,38 @@ class TestPrufer:
             prufer_eigen(ball_problem, 1, (-20.0, -15.0))
 
 
+def kernel_ode(profile, tol=1e-11):
+    """Reference v(1): integrate v'' + (N-1)/r v' + p r^α u^(p-1) v = 0 from
+    v(0)=1, v'(0)=0 (two-term series start at r = 1e-8)."""
+    pr = profile.params
+    expn = pr.p_alpha - 1.0 - pr.eps
+    c0 = pr.p * profile.u0**expn
+    r0 = 1e-8
+    y0 = (
+        1.0 - c0 * r0 ** (2.0 + pr.alpha) / ((2.0 + pr.alpha) * (pr.n_dim + pr.alpha)),
+        -c0 * r0 ** (1.0 + pr.alpha) / (pr.n_dim + pr.alpha),
+    )
+
+    def rhs(r, y):
+        u = max(float(profile.evaluate(r)), 0.0)
+        pot = pr.p * r**pr.alpha * u**expn
+        return (y[1], -(pr.n_dim - 1.0) / r * y[1] - pot * y[0])
+
+    sol = solve_ivp(rhs, (r0, 1.0), y0, method="DOP853", rtol=tol, atol=1e-13)
+    assert sol.status == 0, sol.message
+    return float(sol.y[0, -1])
+
+
 class TestRadialKernel:
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5, 3.5, 4.5])
     def test_nondegenerate_across_alphas(self, alpha):
         prof = solve_dirichlet_ball(ProblemParams(3, alpha, 0.05))
         assert abs(radial_kernel_test(prof)) > 1e-3
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5, 3.5, 4.5])
+    def test_scaling_generator_matches_linearized_ode(self, alpha):
+        prof = solve_dirichlet_ball(ProblemParams(3, alpha, 0.05))
+        assert radial_kernel_test(prof) == pytest.approx(kernel_ode(prof), rel=1e-7)
 
     def test_pencil_has_no_kernel_and_one_negative(self, profile_3_2_005):
         pen = radial_pencil(profile_3_2_005)
