@@ -14,7 +14,7 @@ parameters.
 
 from __future__ import annotations
 
-import math
+import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -31,6 +31,8 @@ from .closedform import (
 from .errors import BracketError, DegeneratePointError, DomainError
 from .radial import RadialProfile, solve_dirichlet_ball
 from .spectral import SLProblem, assemble_pencil, default_spectral_grid, radial_pencil, solve_eigen
+
+log = logging.getLogger("henonball")
 
 __all__ = [
     "SolverCache",
@@ -201,7 +203,8 @@ def find_bifurcation_alpha(
     is refined by Brent's method until the root is pinned in α to within
     1e-10 + 8.9e-16·|α|, and `residual` reports |f| there.  The same scan is
     reused to verify that no crossing with a different sphere eigenvalue σ_l
-    occurs inside the bracket (`exclusion_ok`)."""
+    occurs inside the bracket (`exclusion_ok`).  A second root or a failed
+    exclusion is also logged as a warning on the "henonball" logger."""
     if k < 2:
         raise DomainError("bifurcation search needs k >= 2 (k = 1 sits at alpha = 0)")
     alpha_k = bifurcation_alpha(k)
@@ -238,14 +241,20 @@ def find_bifurcation_alpha(
 
     # crossings with neighboring sphere eigenvalues inside the bracket would
     # break the isolation the jump argument needs
-    exclusion_ok = True
+    crossed = []
     for l in range(1, k + 3):
         if l == k:
             continue
         sigma_l, _ = sphere_eigen(n_dim, l)
         fl = fs + (sigma_l - sigma_k)
         if np.any(np.sign(fl[:-1]) * np.sign(fl[1:]) < 0):
-            exclusion_ok = False
+            crossed.append(f"sigma_{l}={sigma_l:g}")
+    where = f"N={n_dim} k={k} eps={eps!r} bracket={bracket!r}"
+    if len(roots) > 1:
+        log.warning("%s: not unique, lambda1 = -sigma_%d also at alpha=%s (reporting %r)",
+                    where, k, [roots[i] for i in order[1:]], roots[best])
+    if crossed:
+        log.warning("%s: exclusion fails, lambda1 also crosses -%s", where, ", -".join(crossed))
 
     return BifurcationPoint(
         n_dim=n_dim,
@@ -257,7 +266,7 @@ def find_bifurcation_alpha(
         sigma_k=sigma_k,
         all_roots=tuple(roots[i] for i in order),
         unique=len(roots) == 1,
-        exclusion_ok=exclusion_ok,
+        exclusion_ok=not crossed,
     )
 
 

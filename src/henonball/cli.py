@@ -2,9 +2,17 @@
 
 Subcommands: solve, rescale, spectrum, bifurcate, sweep, verify.  All outputs
 are deterministic (identical invocations produce byte-identical files), files
-are written atomically, and numeric parameters are validated before any
-computation starts.  Exit codes: 0 success, 1 failed verification criteria,
-2 invalid parameters, 3 numerical failure.
+are written atomically, and every option is parsed and checked by argparse
+before any computation starts.  Exit codes: 0 success, 1 failed verification
+criteria, 2 invalid parameters, 3 numerical failure.
+
+Arguments can be kept in a file and passed as `@FILE`, e.g.
+`henonball bifurcate @run.args --format json`.  The file holds one argument
+per line, written `--key=value` (a flag is just `--no-cache`), with no blank
+lines or comments; its arguments are spliced in where `@FILE` stands, so
+whichever occurrence of an option comes later on the line wins.  The old
+`--config` key=value files are no longer read: `eps_list=0.05` becomes
+`--eps-list=0.05`.
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 import numpy as np
 
@@ -31,60 +38,44 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 
-def load_config(path: str | None) -> dict[str, str]:
-    """Flat key=value file; '#' starts a comment; flags override these."""
-    if not path:
-        return {}
-    out = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"bad config line (want key=value): {raw!r}")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
-    return out
+# type= callables: a ValueError or ArgumentTypeError here makes argparse
+# print the usage line and exit 2
+def float_list(text: str) -> list[float]:
+    """Comma- (or semicolon-) separated floats."""
+    values = [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("need at least one number")
+    return values
 
 
-class Settings:
-    """Merges CLI values (highest precedence), config file, then defaults."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = load_config(getattr(args, "config", None))
-
-    def get(self, name: str, cast, default=None, required: bool = False):
-        val = getattr(self.args, name, None)
-        if val is None and name in self.config:
-            val = self.config[name]
-        if val is None:
-            if required:
-                raise DomainError(f"missing required parameter --{name.replace('_', '-')}")
-            return default
-        if cast is bool and isinstance(val, str):
-            return val.lower() in ("1", "true", "yes", "on")
-        return cast(val)
-
-    def flag(self, name: str) -> bool:
-        if getattr(self.args, name, False):
-            return True
-        return bool(self.get(name, bool, False))
-
-
-def parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
-
-
-def parse_grid(text: str) -> np.ndarray:
+def alpha_grid(text: str) -> list[float]:
     """lo:hi:n grid specification."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise DomainError(f"grid must be lo:hi:n, got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, n = text.split(":")
+    lo, hi, n = float(lo), float(hi), int(n)
     if not (lo < hi and n >= 2):
-        raise DomainError(f"bad grid spec {text!r}")
-    return np.linspace(lo, hi, n)
+        raise argparse.ArgumentTypeError(f"need lo < hi and n >= 2, got {text!r}")
+    return np.linspace(lo, hi, n).tolist()
+
+
+def bracket(text: str) -> tuple[float, float]:
+    """lo:hi interval."""
+    lo, hi = text.split(":")
+    return float(lo), float(hi)
+
+
+def int_at_least(floor: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"need an integer >= {floor}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def id_list(text: str) -> list[str]:
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
 def emit(text: str, out_path: str | None) -> None:
@@ -94,43 +85,37 @@ def emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def params_from(settings: Settings) -> ProblemParams:
-    return ProblemParams(
-        settings.get("N", int, required=True),
-        settings.get("alpha", float, required=True),
-        settings.get("eps", float, required=True),
-    )
+def emit_table(args, kind: str, header: tuple[str, ...], rows: list[dict]) -> None:
+    """Rows keyed by `header`, as CSV in header order or as a JSON document."""
+    if args.format == "csv":
+        text = hio.rows_to_csv(header, [[row[key] for key in header] for row in rows])
+    else:
+        text = hio.dumps_json(
+            {"schema_version": hio.SCHEMA_VERSION, "kind": kind, "rows": rows}
+        )
+    emit(text, args.out)
 
 
 def cmd_solve(args) -> int:
-    st = Settings(args)
-    tol = st.get("tol", float, 1e-10)
-    amplitude = st.get("amplitude", float, 1.0)
-    out = st.get("out", str)
-    use_cache = not st.flag("no_cache")
-    cache = hio.ProfileCache(st.get("cache_dir", str))
-
-    params = params_from(st)
-    key = cache.key(params.n_dim, params.alpha, params.eps, tol, amplitude)
-    text = cache.load_text(key) if use_cache else None
+    cache = hio.ProfileCache(args.cache_dir)
+    params = ProblemParams(args.N, args.alpha, args.eps)
+    key = cache.key(params.n_dim, params.alpha, params.eps, args.tol, args.amplitude)
+    text = None if args.no_cache else cache.load_text(key)
     if text is None:
-        profile = solve_dirichlet_ball(params, amplitude=amplitude, tol=tol)
+        profile = solve_dirichlet_ball(params, amplitude=args.amplitude, tol=args.tol)
         residuals = {
             "fowler": fowler_check(profile),
             "decay_margin": decay_bound_check(profile),
         }
         text = hio.dumps_json(hio.profile_to_dict(profile, residuals))
-        if use_cache:
+        if not args.no_cache:
             cache.store_text(key, text)
-    emit(text, out)
+    emit(text, args.out)
     return EXIT_OK
 
 
 def cmd_rescale(args) -> int:
-    st = Settings(args)
-    tol = st.get("tol", float, 1e-10)
-    params = params_from(st)
-    profile = solve_dirichlet_ball(params, tol=tol)
+    profile = solve_dirichlet_ball(ProblemParams(args.N, args.alpha, args.eps), tol=args.tol)
     rs = resc.rescale(profile)
     metrics = {
         "limit_distance": resc.limit_distance(rs),
@@ -138,94 +123,55 @@ def cmd_rescale(args) -> int:
         "kappa_relation_residual": resc.kappa_relation_residual(rs),
         "pde_residual": resc.pde_residual(rs),
     }
-    emit(hio.dumps_json(hio.rescaled_to_dict(rs, metrics)), st.get("out", str))
+    emit(hio.dumps_json(hio.rescaled_to_dict(rs, metrics)), args.out)
     return EXIT_OK
 
 
+SPECTRUM_HEADER = ("alpha", "eps", "j", "lambda", "node_count", "error_estimate")
+
+
 def cmd_spectrum(args) -> int:
-    st = Settings(args)
-    params = params_from(st)
-    count = st.get("count", int, 3)
-    n_points = st.get("grid_points", int, 2000)
-    tol = st.get("tol", float, 1e-10)
-    profile = solve_dirichlet_ball(params, tol=tol)
+    params = ProblemParams(args.N, args.alpha, args.eps)
+    profile = solve_dirichlet_ball(params, tol=args.tol)
     results = spec.solve_eigen(
-        spec.SLProblem.from_profile(profile), count=count, n_points=n_points
+        spec.SLProblem.from_profile(profile), count=args.count, n_points=args.grid_points
     )
     rows = [
-        {
-            "alpha": params.alpha,
-            "eps": params.eps,
-            "j": r.j,
-            "lambda": r.value,
-            "node_count": r.node_count,
-            "error_estimate": r.error_estimate,
-        }
+        dict(zip(SPECTRUM_HEADER, (params.alpha, params.eps, r.j, r.value,
+                                   r.node_count, r.error_estimate)))
         for r in results
     ]
-    fmt = st.get("format", str, "csv")
-    if fmt == "csv":
-        text = hio.spectrum_rows_to_csv(rows)
-    elif fmt == "json":
-        text = hio.dumps_json(
-            {"schema_version": hio.SCHEMA_VERSION, "kind": "spectrum", "rows": rows}
-        )
-    else:
-        raise DomainError(f"format must be csv or json, got {fmt!r}")
-    emit(text, st.get("out", str))
+    emit_table(args, "spectrum", SPECTRUM_HEADER, rows)
     return EXIT_OK
 
 
 BIFURCATE_HEADER = (
-    "N,k,eps,alpha_k_eps,residual,bracket_lo,bracket_hi,unique,exclusion_ok,error"
+    "N", "k", "eps", "alpha_k_eps", "residual",
+    "bracket_lo", "bracket_hi", "unique", "exclusion_ok", "error",
 )
 
 
 def cmd_bifurcate(args) -> int:
-    st = Settings(args)
-    n_dim = st.get("N", int, required=True)
-    k = st.get("k", int, required=True)
-    eps_text = st.get("eps_list", str) or st.get("eps", str)
-    if eps_text is None:
-        raise DomainError("need --eps or --eps-list")
-    eps_list = parse_float_list(str(eps_text))
-    bracket = None
-    if st.get("bracket", str):
-        lo, hi = (float(x) for x in st.get("bracket", str).split(":"))
-        bracket = (lo, hi)
-
     cache = bif.SolverCache()
-    rows, failures = [], 0
-    for eps in eps_list:
+    rows = []
+    for eps in args.eps_list or [args.eps]:
         try:
-            bp = bif.find_bifurcation_alpha(n_dim, eps, k, bracket=bracket, cache=cache)
-            rows.append(
-                [
-                    n_dim, k, eps, bp.alpha_k_eps, bp.residual,
-                    bp.bracket[0], bp.bracket[1], bp.unique, bp.exclusion_ok, None,
-                ]
+            bp = bif.find_bifurcation_alpha(
+                args.N, eps, args.k, bracket=args.bracket, cache=cache
             )
+            values = [
+                bp.alpha_k_eps, bp.residual, bp.bracket[0], bp.bracket[1],
+                bp.unique, bp.exclusion_ok, None,
+            ]
         except HenonError as err:
-            failures += 1
-            rows.append([n_dim, k, eps, None, None, None, None, None, None, str(err)])
-    rows.sort(key=lambda r: -r[2])
-    fmt = st.get("format", str, "csv")
-    if fmt == "csv":
-        text = hio.rows_to_csv(BIFURCATE_HEADER.split(","), rows)
-    else:
-        keys = BIFURCATE_HEADER.split(",")
-        text = hio.dumps_json(
-            {
-                "schema_version": hio.SCHEMA_VERSION,
-                "kind": "bifurcation_table",
-                "rows": [dict(zip(keys, r)) for r in rows],
-            }
-        )
-    emit(text, st.get("out", str))
-    return EXIT_OK if failures < len(rows) else EXIT_NUMERICAL
+            values = [None] * 6 + [str(err)]
+        rows.append(dict(zip(BIFURCATE_HEADER, [args.N, args.k, eps, *values])))
+    rows.sort(key=lambda r: -r["eps"])
+    emit_table(args, "bifurcation_table", BIFURCATE_HEADER, rows)
+    return EXIT_OK if any(r["error"] is None for r in rows) else EXIT_NUMERICAL
 
 
-SWEEP_HEADER = "eps,alpha,lambda1,lambda2,u0,error"
+SWEEP_HEADER = ("eps", "alpha", "lambda1", "lambda2", "u0", "error")
 
 
 def _sweep_row(task: tuple[int, float, float, int]) -> dict:
@@ -238,92 +184,64 @@ def _sweep_row(task: tuple[int, float, float, int]) -> dict:
             n_points=n_points,
             with_vectors=False,
         )
-        return {
-            "eps": eps,
-            "alpha": alpha,
-            "lambda1": res[0].extrapolated,
-            "lambda2": res[1].extrapolated,
-            "u0": profile.u0,
-            "error": None,
-        }
+        values = [res[0].extrapolated, res[1].extrapolated, profile.u0, None]
     except HenonError as err:
-        return {"eps": eps, "alpha": alpha, "lambda1": None, "lambda2": None,
-                "u0": None, "error": str(err)}
+        values = [None, None, None, str(err)]
+    return dict(zip(SWEEP_HEADER, [eps, alpha, *values]))
 
 
 def cmd_sweep(args) -> int:
-    st = Settings(args)
-    n_dim = st.get("N", int, required=True)
-    alphas = parse_grid(st.get("alpha_grid", str, required=True))
-    eps_list = parse_float_list(st.get("eps_list", str, required=True))
-    n_points = st.get("grid_points", int, bif.N_POINTS_DEFAULT)
-    jobs = st.get("jobs", int, 1)
-
     tasks = [
-        (n_dim, float(a), float(e), n_points) for e in eps_list for a in alphas
+        (args.N, a, e, args.grid_points)
+        for e in args.eps_list for a in args.alpha_grid
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
         rows = [_sweep_row(t) for t in tasks]
     # deterministic order regardless of execution interleaving
     rows.sort(key=lambda r: (-r["eps"], r["alpha"]))
-
-    ok = sum(1 for r in rows if r["error"] is None)
-    fmt = st.get("format", str, "csv")
-    if fmt == "csv":
-        text = hio.rows_to_csv(
-            SWEEP_HEADER.split(","),
-            [[r["eps"], r["alpha"], r["lambda1"], r["lambda2"], r["u0"], r["error"]]
-             for r in rows],
-        )
-    else:
-        text = hio.dumps_json(
-            {"schema_version": hio.SCHEMA_VERSION, "kind": "sweep", "rows": rows}
-        )
-    emit(text, st.get("out", str))
-    return EXIT_OK if ok >= 1 else EXIT_NUMERICAL
+    emit_table(args, "sweep", SWEEP_HEADER, rows)
+    return EXIT_OK if any(r["error"] is None for r in rows) else EXIT_NUMERICAL
 
 
 def cmd_verify(args) -> int:
-    st = Settings(args)
-    ids = None
-    if st.get("criteria", str):
-        ids = [tok.strip() for tok in st.get("criteria", str).split(",") if tok.strip()]
-    report = run_criteria(ids, progress=lambda line: print(line, flush=True))
+    report = run_criteria(args.criteria, progress=lambda line: print(line, flush=True))
     print(
         f"{'ALL CRITERIA PASS' if report.overall_pass else 'CRITERIA FAILED'} "
         f"({sum(r.passed for r in report.results)}/{len(report.results)}) "
         f"in {report.total_runtime_s:.1f}s"
     )
-    out = st.get("out", str)
-    if out:
-        hio.atomic_write_text(out, hio.dumps_json(report.to_dict()))
+    if args.out:
+        hio.atomic_write_text(args.out, hio.dumps_json(report.to_dict()))
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAILED
 
 
-# option name -> add_argument keywords; each subcommand declares only the
-# options its cmd_* reads, so argparse rejects the rest
+# option name -> add_argument keywords: the one place that knows each option's
+# type, default, required flag and choices.  Each subcommand declares only the
+# options its cmd_* reads, so argparse rejects the rest.
 OPTIONS = {
-    "N": {"type": int},
-    "alpha": {"type": float},
-    "eps": {"type": float},
-    "tol": {"type": float, "help": "radial integrator tolerance"},
-    "amplitude": {"type": float},
+    "N": {"type": int, "required": True},
+    "alpha": {"type": float, "required": True},
+    "eps": {"type": float, "required": True},
+    "tol": {"type": float, "default": 1e-10, "help": "radial integrator tolerance"},
+    "amplitude": {"type": float, "default": 1.0},
     "no_cache": {"action": "store_true"},
     "cache_dir": {},
-    "grid_points": {"type": int},
-    "count": {"type": int},
-    "format": {"choices": ["csv", "json"]},
-    "k": {"type": int},
-    "eps_list": {},
-    "bracket": {"help": "lo:hi"},
-    "alpha_grid": {"help": "lo:hi:n"},
-    "jobs": {"type": int},
-    "criteria": {"help": "comma-separated ids, e.g. C1,C4"},
+    # assemble_pencil needs at least 3 nodes
+    "grid_points": {"type": int_at_least(3)},
+    "count": {"type": int_at_least(1), "default": 3},
+    "format": {"choices": ["csv", "json"], "default": "csv"},
+    "k": {"type": int, "required": True},
+    "eps_list": {"type": float_list, "required": True, "help": "e.g. 0.05,0.04"},
+    "bracket": {"type": bracket, "help": "lo:hi"},
+    "alpha_grid": {"type": alpha_grid, "required": True, "help": "lo:hi:n"},
+    "jobs": {"type": int_at_least(1), "default": 1},
+    "criteria": {"type": id_list, "help": "comma-separated ids, e.g. C1,C4"},
 }
 
+# an inner tuple is a group of options of which exactly one must be given
 SUBCOMMANDS = (
     ("solve", cmd_solve, "radial Dirichlet solution as a JSON artifact",
      ("N", "alpha", "eps", "tol", "amplitude", "no_cache", "cache_dir")),
@@ -332,11 +250,17 @@ SUBCOMMANDS = (
     ("spectrum", cmd_spectrum, "lowest eigenvalues of the linearization",
      ("N", "alpha", "eps", "tol", "grid_points", "count", "format")),
     ("bifurcate", cmd_bifurcate, "bifurcation values alpha_k for an eps list",
-     ("N", "eps", "k", "eps_list", "bracket", "format")),
+     ("N", "k", ("eps", "eps_list"), "bracket", "format")),
     ("sweep", cmd_sweep, "lambda1/lambda2 table over an (alpha, eps) grid",
      ("N", "alpha_grid", "eps_list", "grid_points", "jobs", "format")),
     ("verify", cmd_verify, "run the acceptance criteria suite", ("criteria",)),
 )
+
+# defaults that differ between subcommands sharing an option
+SUBCOMMAND_DEFAULTS = {
+    "spectrum": {"grid_points": 2000},
+    "sweep": {"grid_points": bif.N_POINTS_DEFAULT},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,20 +270,26 @@ def build_parser() -> argparse.ArgumentParser:
             "Radial solutions, linearized spectra and bifurcation points of "
             "the Henon equation on the unit ball"
         ),
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file (flags override)")
-    common.add_argument("--out", help="output path (default: stdout)")
+    def add(target, opt: str, **overrides) -> None:
+        target.add_argument("--" + opt.replace("_", "-"), dest=opt,
+                            **{**OPTIONS[opt], **overrides})
 
     for name, func, help_text, options in SUBCOMMANDS:
         # no abbreviations: sweep would take --eps for --eps-list
-        p = sub.add_parser(name, parents=[common], help=help_text, allow_abbrev=False)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("--out", help="output path (default: stdout)")
         for opt in options:
-            p.add_argument("--" + opt.replace("_", "-"), dest=opt, default=None,
-                           **OPTIONS[opt])
-        p.set_defaults(func=func)
+            if isinstance(opt, tuple):
+                group = p.add_mutually_exclusive_group(required=True)
+                for member in opt:
+                    add(group, member, required=False)
+            else:
+                add(p, opt)
+        p.set_defaults(func=func, **SUBCOMMAND_DEFAULTS.get(name, {}))
     return parser
 
 

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .closedform import ProblemParams
+from .errors import DomainError
 from .radial import RadialProfile
 from .rescaling import RescaledProfile
 
@@ -31,15 +32,12 @@ __all__ = [
     "profile_to_dict",
     "profile_from_dict",
     "rescaled_to_dict",
-    "spectrum_rows_to_csv",
     "rows_to_csv",
     "ProfileCache",
 ]
 
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "HENONBALL_CACHE_DIR"
-
-SPECTRUM_HEADER = "alpha,eps,j,lambda,node_count,error_estimate"
 
 
 def fmt_float(x: float) -> str:
@@ -99,7 +97,7 @@ def profile_from_dict(doc: Mapping) -> RadialProfile:
     dense output, so tight oracle comparisons should use freshly solved
     profiles."""
     if doc.get("kind") != "radial_profile":
-        raise ValueError(f"not a radial_profile artifact: kind={doc.get('kind')!r}")
+        raise DomainError(f"not a radial_profile artifact: kind={doc.get('kind')!r}")
     p = doc["params"]
     params = ProblemParams(int(p["N"]), float(p["alpha"]), float(p["eps"]))
     return RadialProfile(
@@ -128,24 +126,6 @@ def rescaled_to_dict(rescaled: RescaledProfile, metrics: Mapping[str, float] | N
         "w": rescaled.w.tolist(),
         "metrics": dict(metrics or {}),
     }
-
-
-def spectrum_rows_to_csv(rows: Iterable[Mapping]) -> str:
-    lines = [SPECTRUM_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    fmt_float(row["alpha"]),
-                    fmt_float(row["eps"]),
-                    str(int(row["j"])),
-                    fmt_float(row["lambda"]),
-                    str(int(row["node_count"])),
-                    fmt_float(row["error_estimate"]),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
 
 
 def rows_to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:

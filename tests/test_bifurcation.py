@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,21 @@ class TestFindBifurcation:
     def test_hopeless_bracket_raises(self, cache):
         with pytest.raises(BracketError):
             find_bifurcation_alpha(3, 0.05, 2, bracket=(0.2, 0.6), cache=cache)
+
+    def test_failed_exclusion_is_logged(self, cache, caplog):
+        # lambda1 also crosses -sigma_3 = -12 near alpha = 4
+        with caplog.at_level(logging.WARNING, logger="henonball"):
+            bp = find_bifurcation_alpha(3, 0.05, 2, bracket=(0.5, 4.5), cache=cache)
+        assert bp.unique and not bp.exclusion_ok
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "-sigma_3=12" in record.getMessage()
+
+    def test_default_bracket_logs_nothing(self, cache, caplog):
+        with caplog.at_level(logging.WARNING, logger="henonball"):
+            bp = find_bifurcation_alpha(3, 0.05, 2, cache=cache)
+        assert bp.unique and bp.exclusion_ok
+        assert caplog.records == []
 
 
 class TestMorseIndex:

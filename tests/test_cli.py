@@ -1,8 +1,48 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from henonball import cli
+import henonball
+from henonball import bifurcation, cli
+from henonball.verify import CriterionResult, VerifyReport
 
 POINT = ["--N", "3", "--alpha", "2.0", "--eps", "0.05"]
+
+# the options each subcommand requires, with valid values
+REQUIRED = {
+    "solve": POINT, "rescale": POINT, "spectrum": POINT,
+    "bifurcate": ["--N", "3", "--k", "2", "--eps", "0.05"],
+    "sweep": ["--N", "3", "--alpha-grid", "1:2:2", "--eps-list", "0.05"],
+    "verify": [],
+}
+
+# option -> (command-line text, the value argparse must hand to cmd_*)
+SAMPLES = {
+    "N": ("3", 3), "alpha": ("2.0", 2.0), "eps": ("0.05", 0.05),
+    "tol": ("1e-9", 1e-9), "amplitude": ("2.5", 2.5), "no_cache": (None, True),
+    "cache_dir": ("cache", "cache"), "grid_points": ("400", 400),
+    "count": ("2", 2), "format": ("json", "json"), "k": ("2", 2),
+    "eps_list": ("0.05,0.04", [0.05, 0.04]), "bracket": ("0.5:1.5", (0.5, 1.5)),
+    "alpha_grid": ("1:2:3", [1.0, 1.5, 2.0]), "jobs": ("2", 2),
+    "criteria": ("C1,C4", ["C1", "C4"]),
+}
+
+# malformed or out-of-range values, each with a piece of argparse's message;
+# "@ARGS" stands for a file holding --tol=0.5
+BAD_VALUES = [
+    (["bifurcate", "--N", "3", "--k", "2", "--eps-list", "abc"], "--eps-list"),
+    (["bifurcate", *REQUIRED["bifurcate"], "--bracket", "1"], "--bracket"),
+    (["sweep", "--N", "3", "--alpha-grid", "1:2:x", "--eps-list", "0.05"], "--alpha-grid"),
+    (["sweep", *REQUIRED["sweep"], "--jobs", "0"], "--jobs"),
+    (["spectrum", *POINT, "--count", "0"], "--count"),
+    # assemble_pencil needs at least 3 nodes
+    (["spectrum", *POINT, "--grid-points", "2"], "--grid-points"),
+    (["bifurcate", *REQUIRED["bifurcate"], "--eps-list", "0.04"], "not allowed with"),
+    (["bifurcate", *REQUIRED["bifurcate"], "@ARGS"], "unrecognized arguments: --tol=0.5"),
+]
 
 # (subcommand, option) pairs whose cmd_* never reads the option
 REJECTED = [
@@ -44,18 +84,82 @@ def test_bracket_that_does_not_straddle_exits_3(capsys):
 @pytest.mark.parametrize("command, option", REJECTED)
 def test_unread_option_is_rejected(command, option, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.build_parser().parse_args([command, option, "1"])
+        cli.build_parser().parse_args([command, *REQUIRED[command], option, "1"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, func, _help, options", cli.SUBCOMMANDS)
 def test_declared_options_parse(command, func, _help, options):
-    argv = [command]
-    for opt in options:
-        argv.append("--" + opt.replace("_", "-"))
-        if cli.OPTIONS[opt].get("action") != "store_true":
-            argv.append("csv" if opt == "format" else "1")
-    args = cli.build_parser().parse_args(argv)
-    assert args.func is func
-    assert all(getattr(args, opt) not in (None, False) for opt in options)
+    singles = [opt for opt in options if isinstance(opt, str)]
+    groups = [opt for opt in options if isinstance(opt, tuple)]
+    # each member of an exclusive group gets a run of its own
+    runs = [singles + [member] for group in groups for member in group] or [singles]
+    for given in runs:
+        argv = [command]
+        for opt in given:
+            argv.append("--" + opt.replace("_", "-"))
+            if SAMPLES[opt][0] is not None:
+                argv.append(SAMPLES[opt][0])
+        args = cli.build_parser().parse_args(argv)
+        assert args.func is func
+        for opt in given:
+            assert getattr(args, opt) == SAMPLES[opt][1], opt
+        for group in groups:
+            assert [getattr(args, m) is None for m in group].count(False) == 1
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    def fail(*args, **kwargs):
+        pytest.fail("a profile solve started")
+
+    monkeypatch.setattr(cli, "solve_dirichlet_ball", fail)
+    monkeypatch.setattr(bifurcation, "solve_dirichlet_ball", fail)
+
+
+@pytest.mark.parametrize("argv, message", BAD_VALUES,
+                         ids=[" ".join(argv) for argv, _ in BAD_VALUES])
+def test_bad_value_exits_2_before_any_solve(argv, message, tmp_path, no_solve, capsys):
+    args_file = tmp_path / "run.args"
+    args_file.write_text("--tol=0.5\n")
+    argv = [f"@{args_file}" if a == "@ARGS" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "usage: henonball" in err and message in err
+
+
+def test_failed_criterion_exits_1(monkeypatch):
+    failed = CriterionResult("C0.a", "planted failure", "< 1", 2.0, 1.0, passed=False)
+    monkeypatch.setattr(cli, "run_criteria", lambda ids, progress: VerifyReport([failed]))
+    assert cli.main(["verify"]) == cli.EXIT_VERIFY_FAILED
+
+
+def test_spectrum_rerun_is_byte_identical(tmp_path):
+    outs = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    for out in outs:
+        argv = ["spectrum", *POINT, "--count", "2", "--grid-points", "400", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_solve_cache_hit_miss_and_fresh_agree(tmp_path, monkeypatch):
+    solve = ["solve", *POINT, "--cache-dir", str(tmp_path / "cache")]
+    miss, hit, fresh = (tmp_path / name for name in ("miss.json", "hit.json", "fresh.json"))
+    assert cli.main([*solve, "--out", str(miss)]) == cli.EXIT_OK
+    assert cli.main([*solve, "--no-cache", "--out", str(fresh)]) == cli.EXIT_OK
+    # the second cached run must be served without solving
+    monkeypatch.setattr(cli, "solve_dirichlet_ball", lambda *a, **k: pytest.fail("solved"))
+    assert cli.main([*solve, "--out", str(hit)]) == cli.EXIT_OK
+    assert miss.read_bytes() == hit.read_bytes() == fresh.read_bytes()
+
+
+def test_process_exit_status_for_rejected_option():
+    env = dict(os.environ, PYTHONPATH=str(Path(henonball.__file__).parents[1]))
+    argv = ["bifurcate", *REQUIRED["bifurcate"], "--tol", "0.5"]
+    proc = subprocess.run([sys.executable, "-m", "henonball.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_INVALID
+    assert "unrecognized arguments: --tol" in proc.stderr
