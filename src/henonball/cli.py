@@ -28,7 +28,7 @@ from . import io as hio
 from . import rescaling as resc
 from . import spectral as spec
 from .closedform import ProblemParams
-from .errors import DomainError, HenonError
+from .errors import DomainError, HenonError, NumericsError
 from .radial import decay_bound_check, fowler_check, solve_dirichlet_ball
 from .verify import run_criteria
 
@@ -163,7 +163,7 @@ def cmd_bifurcate(args) -> int:
                 bp.alpha_k_eps, bp.residual, bp.bracket[0], bp.bracket[1],
                 bp.unique, bp.exclusion_ok, None,
             ]
-        except HenonError as err:
+        except NumericsError as err:
             values = [None] * 6 + [str(err)]
         rows.append(dict(zip(BIFURCATE_HEADER, [args.N, args.k, eps, *values])))
     rows.sort(key=lambda r: -r["eps"])
@@ -185,7 +185,7 @@ def _sweep_row(task: tuple[int, float, float, int]) -> dict:
             with_vectors=False,
         )
         values = [res[0].extrapolated, res[1].extrapolated, profile.u0, None]
-    except HenonError as err:
+    except NumericsError as err:
         values = [None, None, None, str(err)]
     return dict(zip(SWEEP_HEADER, [eps, alpha, *values]))
 

@@ -12,9 +12,10 @@ LAPACK's tridiagonal solver (`eigh_tridiagonal`), and node counts are checked
 against the eigenvalue index.
 
 A Prüfer-angle shooting method on the same truncated domain provides an
-independent oracle, and the truncated entire-space limit problem reproduces
-the closed-form first eigenvalue -(α+2)(2N+α-2)/4 and the zero second
-eigenvalue.
+independent oracle; it integrates against a cubic spline of the potential,
+tabulated once per call on a uniform log-r grid.  The truncated entire-space
+limit problem reproduces the closed-form first eigenvalue
+-(α+2)(2N+α-2)/4 and the zero second eigenvalue.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ __all__ = [
 ]
 
 R_MIN_DEFAULT = 1e-6
+# largest log-r spacing of the table prufer_eigen splines the potential on
+PRUFER_DT = 1e-3
 # stebz tolerance that skips bisection: Sturm counts only
 _COUNT_ONLY_TOL = float(np.finfo(float).max)
 
@@ -403,18 +406,41 @@ def prufer_eigen(
     """Independent eigenvalue oracle by Prüfer-angle shooting.
 
     In t = log r with y = r^((N-2)/2) z the equation becomes
-    y'' + [Λ - ((N-2)/2)² + e^(2t) q(e^t)] y = 0; the angle of (y', y)
-    advances monotonically in Λ and the j-th eigenvalue is the Λ where the
-    angle reaches jπ at the outer end.  The bracket must produce oscillation
-    counts straddling j.
+    y'' + [Λ - ((N-2)/2)² + V(t)] y = 0, V(t) = e^(2t) q(e^t); the angle of
+    (y', y) advances monotonically in Λ and the j-th eigenvalue is the Λ where
+    the angle reaches jπ at the outer end.  The bracket must produce
+    oscillation counts straddling j.
+
+    V is tabulated once per call, with one array call of `problem.q`, on a
+    uniform grid in t from log r_min to log r_end with spacing at most
+    PRUFER_DT = 1e-3 (~16k nodes on the unit ball), and the right-hand side
+    evaluates the cubic spline of that table.  The end angle is close to a
+    π-step in Λ: past the last turning point it locks to mπ + arctan(1/√|v|),
+    v = Λ - ((N-2)/2)² + V, so brentq effectively bisects: 38 integrations
+    for the bracket Λ₁ ± 0.05 at N=3, α=2, ε=0.05.
     """
+    # imported here to keep scipy.interpolate out of the CLI's start-up
+    from scipy.interpolate import CubicSpline
+
     n_dim = problem.n_dim
     shift = ((n_dim - 2.0) / 2.0) ** 2
     t0, t1 = math.log(r_min), math.log(problem.r_end)
+    cells = math.ceil((t1 - t0) / PRUFER_DT)
+    nodes = np.linspace(t0, t1, cells + 1)
+    r = np.exp(nodes)
+    spline = CubicSpline(nodes, r * r * np.asarray(problem.q(r), dtype=float))
+    # plain-Python Horner on memoryviews of the coefficient rows: no numpy
+    # call per step, and no 16k-element float lists held during the shooting
+    c3, c2, c1, c0 = (memoryview(row) for row in spline.c)
+    dt = (t1 - t0) / cells
 
     def miss(lam: float) -> float:
+        base = lam - shift
+
         def rhs(t, theta):
-            v = lam - shift + math.exp(2.0 * t) * float(problem.q(math.exp(t)))
+            i = min(max(int((t - t0) / dt), 0), cells - 1)
+            d = t - (t0 + i * dt)  # linspace's node i, bit for bit
+            v = base + ((c3[i] * d + c2[i]) * d + c1[i]) * d + c0[i]
             s, c = math.sin(theta[0]), math.cos(theta[0])
             return [c * c + v * s * s]
 

@@ -81,6 +81,23 @@ def test_bracket_that_does_not_straddle_exits_3(capsys):
     assert "do not straddle" in capsys.readouterr().out
 
 
+# parameters that parse but that the library rejects as invalid
+INVALID_PARAMETERS = [
+    ["bifurcate", "--N", "3", "--k", "1", "--eps", "0.05"],
+    ["bifurcate", "--N", "2", "--k", "2", "--eps", "0.05"],
+    ["bifurcate", *REQUIRED["bifurcate"], "--bracket", "2:1"],
+    ["sweep", "--N", "2", "--alpha-grid", "1:2:2", "--eps-list", "0.05"],
+]
+
+
+@pytest.mark.parametrize("argv", INVALID_PARAMETERS, ids=" ".join)
+def test_invalid_parameters_exit_2(argv, no_solve, capsys):
+    assert cli.main(argv) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    # no table: the error goes to stderr, not into a row's error column
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command, option", REJECTED)
 def test_unread_option_is_rejected(command, option, capsys):
     with pytest.raises(SystemExit) as exc:

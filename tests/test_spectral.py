@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from henonball.closedform import ProblemParams, lambda1_closed
@@ -11,6 +14,7 @@ from henonball.radial import solve_dirichlet_ball
 from henonball.rescaling import rescale
 from henonball.spectral import (
     EigenResult,
+    Pencil,
     SLProblem,
     assemble_pencil,
     default_spectral_grid,
@@ -137,6 +141,17 @@ def ldlt_count(pen, shifts):
     return cnt
 
 
+@st.composite
+def small_pencils(draw):
+    """Random symmetric tridiagonal A with a positive diagonal B."""
+    n = draw(st.integers(2, 8))
+    entries = st.floats(-5.0, 5.0)
+    a_diag = draw(st.lists(entries, min_size=n, max_size=n))
+    a_off = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    b_diag = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    return Pencil(np.arange(1.0, n + 1), *map(np.array, (a_diag, a_off, b_diag)))
+
+
 class TestInertiaCount:
     @pytest.fixture(scope="class")
     def pencils(self, ball_problem, profile_3_2_005):
@@ -168,6 +183,22 @@ class TestInertiaCount:
             assert list(counts[:8]) == [0, 1, 2, 3, 1, 2, 3, 4]
             mismatches += int(np.sum(counts != ldlt_count(pen, shifts)))
         assert mismatches == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(pen=small_pencils(),
+           shifts=st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=20))
+    def test_count_monotone_in_shift(self, pen, shifts):
+        shifts = np.sort(shifts)
+        counts = pen.count(shifts)
+        assert np.all(np.diff(counts) >= 0)
+        t = np.diag(pen.a_diag) + np.diag(pen.a_off, 1) + np.diag(pen.a_off, -1)
+        scale = 1.0 / np.sqrt(pen.b_diag)
+        eig = np.linalg.eigvalsh(scale[:, None] * t * scale[None, :])
+        expected = np.sum(eig <= shifts[:, None], axis=1)
+        # a shift within rounding of an eigenvalue may be counted either way
+        tol = 1e-9 * max(1.0, np.max(np.abs(eig)))
+        clear = np.min(np.abs(shifts[:, None] - eig), axis=1) > tol
+        assert np.array_equal(counts[clear], expected[clear])
 
     def test_scalar_shift_gives_int(self, pencils):
         c = pencils[0].count(0.0)
@@ -245,6 +276,51 @@ class TestPrufer:
     def test_bad_bracket_raises(self, ball_problem):
         with pytest.raises(BracketError):
             prufer_eigen(ball_problem, 1, (-20.0, -15.0))
+
+    @pytest.mark.parametrize("kind, n_dim, alpha", [
+        ("ball", 3, 2.0), ("ball", 4, 1.0), ("rescaled", 3, 2.0), ("limit", 3, 2.0),
+    ])
+    def test_tabulated_potential_matches_scalar_reference(self, kind, n_dim, alpha):
+        if kind == "limit":
+            prob, lam = limit_problem(n_dim, alpha, 1e3), lambda1_closed(n_dim, alpha)
+        else:
+            prof = solve_dirichlet_ball(ProblemParams(n_dim, alpha, 0.05))
+            prob = (SLProblem.from_profile(prof) if kind == "ball"
+                    else SLProblem.from_rescaled(rescale(prof)))
+            lam = solve_eigen(prob, 1, with_vectors=False)[0].extrapolated
+        tabulated = prufer_eigen(prob, 1, (lam - 1e-7, lam + 1e-7))
+        # the end angle increases with Λ, so a sign change of the reference
+        # miss across tabulated ± 1e-9 puts the reference eigenvalue there
+        assert reference_miss(prob, 1, tabulated - 1e-9) < 0.0
+        assert reference_miss(prob, 1, tabulated + 1e-9) > 0.0
+
+    def test_potential_tabulated_once_per_call(self):
+        prob = limit_problem(3, 2.0, 1e3)
+        calls = []
+
+        def q(r):
+            calls.append(r)
+            return prob.q(r)
+
+        prufer_eigen(replace(prob, q=q), 1, (-6.0 - 1e-7, -6.0 + 1e-7))
+        assert len(calls) == 1
+        assert isinstance(calls[0], np.ndarray) and calls[0].size > 1
+
+
+def reference_miss(problem, j, lam, r_min=1e-7, rtol=1e-11):
+    """Reference end-angle miss θ(t1) - jπ of prufer_eigen's shooting, with
+    the right-hand side evaluating q at one scalar e^t per step."""
+    shift = ((problem.n_dim - 2.0) / 2.0) ** 2
+
+    def rhs(t, theta):
+        v = lam - shift + math.exp(2.0 * t) * float(problem.q(math.exp(t)))
+        s, c = math.sin(theta[0]), math.cos(theta[0])
+        return [c * c + v * s * s]
+
+    t_span = (math.log(r_min), math.log(problem.r_end))
+    sol = solve_ivp(rhs, t_span, [0.0], method="DOP853", rtol=rtol, atol=1e-12)
+    assert sol.status == 0, sol.message
+    return sol.y[0, -1] - j * math.pi
 
 
 def kernel_ode(profile, tol=1e-11):
