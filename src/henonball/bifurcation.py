@@ -7,9 +7,10 @@ scan-and-bracket root search, counts the Morse index on either side (full
 space and O(N-1)-invariant subspace), and tracks α_k^ε → 2(k-1) along ε
 sweeps.
 
-One curve evaluation is one Dirichlet shoot plus one spectral solve; profiles
-and eigenvalues are memoized in a process-local cache keyed by the exact
-parameters.
+One curve evaluation is one Dirichlet shoot plus one spectral solve on the
+N_POINTS/2·N_POINTS grid pair.  Profiles and eigenvalues are memoized in a
+SolverCache keyed by the exact parameters: the one passed as `cache=`, or
+else a fresh one that lives only as long as the call.
 """
 
 from __future__ import annotations
@@ -49,12 +50,13 @@ __all__ = [
     "alpha_resolution",
 ]
 
-N_POINTS_DEFAULT = 1500
+# coarse grid of every two-grid eigen solve (the fine one has twice as many)
+N_POINTS = 1500
 SCAN_POINTS = 32
 
 
 class SolverCache:
-    """Process-local memo of radial profiles and eigenvalue lists.
+    """Memo of radial profiles and eigenvalue lists.
 
     All stored objects are immutable once computed; per-key writes are plain
     dict assignments (atomic under the interpreter lock), so concurrent reads
@@ -70,28 +72,19 @@ class SolverCache:
             self._profiles[key] = solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps))
         return self._profiles[key]
 
-    def lambdas(
-        self, n_dim: int, alpha: float, eps: float, count: int, n_points: int
-    ) -> tuple[float, ...]:
-        key = (n_dim, alpha, eps, n_points)
+    def lambdas(self, n_dim: int, alpha: float, eps: float, count: int) -> tuple[float, ...]:
+        key = (n_dim, alpha, eps)
         have = self._lambdas.get(key, ())
         if len(have) < count:
             res = solve_eigen(
                 SLProblem.from_profile(self.profile(n_dim, alpha, eps)),
                 count=count,
-                n_points=n_points,
+                n_points=N_POINTS,
                 with_vectors=False,
             )
             have = tuple(r.extrapolated for r in res)
             self._lambdas[key] = have
         return have[:count]
-
-    def clear(self):
-        self._profiles.clear()
-        self._lambdas.clear()
-
-
-_CACHE = SolverCache()
 
 
 def lambda_values(
@@ -99,12 +92,10 @@ def lambda_values(
     eps: float,
     alpha: float,
     count: int = 1,
-    n_points: int = N_POINTS_DEFAULT,
     cache: SolverCache | None = None,
 ) -> tuple[float, ...]:
     """Lowest `count` eigenvalues Λ_j^ε(α), Richardson-extrapolated."""
-    cache = cache or _CACHE
-    return cache.lambdas(n_dim, alpha, eps, count, n_points)
+    return (cache or SolverCache()).lambdas(n_dim, alpha, eps, count)
 
 
 @dataclass(frozen=True)
@@ -121,12 +112,12 @@ class LambdaCurve:
     def sup_limit_deviation(self) -> float:
         return float(np.max(np.abs(self.values - self.limit_values)))
 
-    def is_continuous(self, slack_factor: float = 3.0) -> bool:
+    def is_continuous(self) -> bool:
         """Neighbor jumps bounded by the limit curve's local slope (α+N)/2
-        times the grid spacing, with a safety factor."""
+        times the grid spacing, with a safety factor of 3."""
         da = np.diff(self.alphas)
         slope = (np.maximum(self.alphas[:-1], self.alphas[1:]) + self.n_dim) / 2.0
-        allowed = slack_factor * slope * da + 1e-6
+        allowed = 3.0 * slope * da + 1e-6
         return bool(np.all(np.abs(np.diff(self.values)) <= allowed))
 
     @property
@@ -138,7 +129,6 @@ def lambda1_curve(
     n_dim: int,
     eps: float,
     alpha_grid: Sequence[float],
-    n_points: int = N_POINTS_DEFAULT,
     cache: SolverCache | None = None,
 ) -> LambdaCurve:
     """Λ₁^ε(α) on a grid of α > 0 (one Dirichlet solve + one spectral solve
@@ -146,9 +136,8 @@ def lambda1_curve(
     alphas = np.asarray(list(alpha_grid), dtype=float)
     if alphas.size < 1 or np.any(alphas <= 0) or np.any(np.diff(alphas) <= 0):
         raise DomainError("alpha_grid must be strictly increasing and positive")
-    vals = np.array(
-        [lambda_values(n_dim, eps, a, 1, n_points, cache)[0] for a in alphas]
-    )
+    cache = cache or SolverCache()
+    vals = np.array([lambda_values(n_dim, eps, a, 1, cache)[0] for a in alphas])
     lim = np.array([lambda1_closed(n_dim, a) for a in alphas])
     return LambdaCurve(n_dim, eps, alphas, vals, lim)
 
@@ -182,11 +171,11 @@ class BifurcationPoint:
         return abs(self.alpha_k_eps - self.limit_alpha)
 
 
-def alpha_resolution(n_dim: int, k: int, tol: float) -> float:
+def alpha_resolution(n_dim: int, k: int) -> float:
     """Smallest α-difference the root solve can certify: the residual
-    tolerance divided by the limit curve's slope at α_k."""
+    tolerance 1e-6 divided by the limit curve's slope at α_k, times two."""
     slope = (bifurcation_alpha(k) + n_dim) / 2.0
-    return 2.0 * tol / slope
+    return 2.0 * 1e-6 / slope
 
 
 def find_bifurcation_alpha(
@@ -194,7 +183,6 @@ def find_bifurcation_alpha(
     eps: float,
     k: int,
     bracket: tuple[float, float] | None = None,
-    n_points: int = N_POINTS_DEFAULT,
     cache: SolverCache | None = None,
 ) -> BifurcationPoint:
     """Locate α_k^ε in the bracket (default 2(k-1) ± 0.9).
@@ -215,9 +203,10 @@ def find_bifurcation_alpha(
     if not 0.0 < lo < hi:
         raise DomainError(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")
     sigma_k, _ = sphere_eigen(n_dim, k)
+    cache = cache or SolverCache()
 
     def f(alpha: float) -> float:
-        return lambda_values(n_dim, eps, alpha, 1, n_points, cache)[0] + sigma_k
+        return lambda_values(n_dim, eps, alpha, 1, cache)[0] + sigma_k
 
     alphas = np.linspace(lo, hi, SCAN_POINTS)
     fs = np.array([f(a) for a in alphas])
@@ -318,9 +307,6 @@ def morse_index(
     n_dim: int,
     eps: float,
     alpha: float,
-    j_max: int = 3,
-    n_points: int = N_POINTS_DEFAULT,
-    degeneracy_tol: float = 1e-4,
     cache: SolverCache | None = None,
 ) -> MorseIndexReport:
     """Morse index of the radial solution at (α, ε), both weightings.
@@ -328,14 +314,16 @@ def morse_index(
     Channel counts #{j : Λ_j^ε(α) < -σ_k} come from the pencil's inertia at
     the shifts -σ_k (exact for the discretized operator), k running until
     σ_k ≥ |Λ₁| where no eigenvalue can lie below -σ_k.  Requesting a point
-    within degeneracy_tol of a crossing raises DegeneratePointError."""
-    cache = cache or _CACHE
+    where one of Λ₁..Λ₃ lies within 1e-4 of some -σ_k raises
+    DegeneratePointError."""
+    degeneracy_tol = 1e-4
+    cache = cache or SolverCache()
     profile = cache.profile(n_dim, alpha, eps)
-    lambdas = lambda_values(n_dim, eps, alpha, j_max, n_points, cache)
+    lambdas = lambda_values(n_dim, eps, alpha, 3, cache)
 
     pencil = assemble_pencil(
         SLProblem.from_profile(profile),
-        default_spectral_grid(1.0, 2 * n_points),
+        default_spectral_grid(1.0, 2 * N_POINTS),
     )
     lam1 = lambdas[0]
     channel = []
@@ -355,7 +343,7 @@ def morse_index(
         channel.append((k, n_k))
         k += 1
 
-    rad = radial_pencil(profile, n_points=n_points)
+    rad = radial_pencil(profile, n_points=N_POINTS)
     if rad.count(1e-6) != rad.count(-1e-6):
         raise DegeneratePointError(
             "radial linearization has an eigenvalue at 0: degenerate profile"
@@ -376,16 +364,14 @@ def lambda2_floor(
     n_dim: int,
     eps: float,
     alpha_grid: Sequence[float],
-    n_points: int = N_POINTS_DEFAULT,
     cache: SolverCache | None = None,
 ) -> float:
     """min over the α-grid of Λ₂^ε(α); stays above -σ₁ = -(N-1) for small ε."""
     alphas = list(alpha_grid)
     if not alphas or any(a <= 0 for a in alphas):
         raise DomainError("alpha_grid must contain positive values")
-    return min(
-        lambda_values(n_dim, eps, a, 2, n_points, cache)[1] for a in alphas
-    )
+    cache = cache or SolverCache()
+    return min(lambda_values(n_dim, eps, a, 2, cache)[1] for a in alphas)
 
 
 @dataclass(frozen=True)
@@ -395,21 +381,20 @@ class ConvergenceStudy:
     n_dim: int
     k: int
     rows: tuple[tuple[float, float, float], ...]  # (eps, alpha_k_eps, error)
-    tol: float
 
     @property
     def errors(self) -> tuple[float, ...]:
         return tuple(r[2] for r in self.rows)
 
-    def monotone_nonincreasing(self, noise_floor: float | None = None) -> bool:
-        """Errors nonincreasing up to the root solver's α-resolution.
+    def monotone_nonincreasing(self) -> bool:
+        """Errors nonincreasing up to the root solver's α-resolution
+        (`alpha_resolution`, the noise floor).
 
         The crossings sit so close to 2(k-1) (the deviation is a boundary
         tail effect, below 1e-8 already at ε = 0.1) that consecutive errors
         can differ by less than the solver can certify; the floor makes the
         comparison honest instead of asserting sub-resolution ordering."""
-        if noise_floor is None:
-            noise_floor = alpha_resolution(self.n_dim, self.k, self.tol)
+        noise_floor = alpha_resolution(self.n_dim, self.k)
         e = self.errors
         return all(b <= a + noise_floor for a, b in zip(e, e[1:]))
 
@@ -422,22 +407,19 @@ def convergence_study(
     n_dim: int,
     k: int,
     eps_list: Sequence[float],
-    bracket: tuple[float, float] | None = None,
-    tol: float = 1e-6,
-    n_points: int = N_POINTS_DEFAULT,
     cache: SolverCache | None = None,
 ) -> ConvergenceStudy:
-    """Solve Λ₁^ε(α) = -σ_k for each ε in a decreasing list.  `tol` is the
-    residual tolerance behind the study's α noise floor (alpha_resolution)."""
+    """Solve Λ₁^ε(α) = -σ_k for each ε in a decreasing list, each in the
+    default bracket 2(k-1) ± 0.9.  The study's α noise floor is
+    alpha_resolution, from the residual tolerance 1e-6."""
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps_list) or any(
         b >= a for a, b in zip(eps_list, eps_list[1:])
     ):
         raise DomainError("eps_list must be positive and strictly decreasing")
+    cache = cache or SolverCache()
     rows = []
     for eps in eps_list:
-        bp = find_bifurcation_alpha(
-            n_dim, eps, k, bracket=bracket, n_points=n_points, cache=cache
-        )
+        bp = find_bifurcation_alpha(n_dim, eps, k, cache=cache)
         rows.append((eps, bp.alpha_k_eps, bp.error_vs_limit))
-    return ConvergenceStudy(n_dim=n_dim, k=k, rows=tuple(rows), tol=tol)
+    return ConvergenceStudy(n_dim=n_dim, k=k, rows=tuple(rows))

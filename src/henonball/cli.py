@@ -99,10 +99,10 @@ def emit_table(args, kind: str, header: tuple[str, ...], rows: list[dict]) -> No
 def cmd_solve(args) -> int:
     cache = hio.ProfileCache(args.cache_dir)
     params = ProblemParams(args.N, args.alpha, args.eps)
-    key = cache.key(params.n_dim, params.alpha, params.eps, args.tol, args.amplitude)
+    key = cache.key(params.n_dim, params.alpha, params.eps, args.tol)
     text = None if args.no_cache else cache.load_text(key)
     if text is None:
-        profile = solve_dirichlet_ball(params, amplitude=args.amplitude, tol=args.tol)
+        profile = solve_dirichlet_ball(params, tol=args.tol)
         residuals = {
             "fowler": fowler_check(profile),
             "decay_margin": decay_bound_check(profile),
@@ -226,7 +226,6 @@ OPTIONS = {
     "alpha": {"type": float, "required": True},
     "eps": {"type": float, "required": True},
     "tol": {"type": float, "default": 1e-10, "help": "radial integrator tolerance"},
-    "amplitude": {"type": float, "default": 1.0},
     "no_cache": {"action": "store_true"},
     "cache_dir": {},
     # assemble_pencil needs at least 3 nodes
@@ -244,7 +243,7 @@ OPTIONS = {
 # an inner tuple is a group of options of which exactly one must be given
 SUBCOMMANDS = (
     ("solve", cmd_solve, "radial Dirichlet solution as a JSON artifact",
-     ("N", "alpha", "eps", "tol", "amplitude", "no_cache", "cache_dir")),
+     ("N", "alpha", "eps", "tol", "no_cache", "cache_dir")),
     ("rescale", cmd_rescale, "expanding-ball rescaling and bubble distance",
      ("N", "alpha", "eps", "tol")),
     ("spectrum", cmd_spectrum, "lowest eigenvalues of the linearization",
@@ -259,7 +258,7 @@ SUBCOMMANDS = (
 # defaults that differ between subcommands sharing an option
 SUBCOMMAND_DEFAULTS = {
     "spectrum": {"grid_points": 2000},
-    "sweep": {"grid_points": bif.N_POINTS_DEFAULT},
+    "sweep": {"grid_points": bif.N_POINTS},
 }
 
 

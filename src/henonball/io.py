@@ -147,7 +147,7 @@ def rows_to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 class ProfileCache:
     """Content-addressed store of radial-profile artifacts.
 
-    The key hashes the exact solve inputs (N, α, ε, tolerance, amplitude);
+    The key hashes the exact solve inputs (N, α, ε, tolerance);
     hits return the artifact written by an identical earlier computation, so
     cached and fresh command outputs are byte-identical.  Writes go through
     the atomic writer (temp file + rename) making them safe per key under
@@ -160,11 +160,8 @@ class ProfileCache:
             )
         self.root = Path(root)
 
-    def key(self, n_dim: int, alpha: float, eps: float, tol: float, amplitude: float = 1.0) -> str:
-        blob = json.dumps(
-            {"N": n_dim, "alpha": alpha, "eps": eps, "tol": tol, "amplitude": amplitude},
-            sort_keys=True,
-        )
+    def key(self, n_dim: int, alpha: float, eps: float, tol: float) -> str:
+        blob = json.dumps({"N": n_dim, "alpha": alpha, "eps": eps, "tol": tol}, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
     def path_for(self, key: str) -> Path:

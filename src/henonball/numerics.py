@@ -11,7 +11,6 @@ from .errors import DomainError
 
 __all__ = [
     "extrapolate_to_zero",
-    "richardson_pair",
     "log_grid",
     "radial_defect",
 ]
@@ -34,12 +33,6 @@ def extrapolate_to_zero(xs, ys) -> float:
                 xs[i + level] - xs[i]
             )
     return float(ys[0])
-
-
-def richardson_pair(coarse: float, fine: float, order: int = 2, ratio: float = 2.0) -> float:
-    """Two-level Richardson extrapolation for a method of known order."""
-    f = ratio**order
-    return (f * fine - coarse) / (f - 1.0)
 
 
 def log_grid(r_lo: float, r_hi: float, n: int) -> np.ndarray:

@@ -254,10 +254,9 @@ def solve_dirichlet_ball(
     amplitude: float = 1.0,
     tol: float = 1e-10,
     r_max: float | None = None,
-    method: str = "dop853",
-    grid: np.ndarray | None = None,
 ) -> RadialProfile:
-    """Radial Dirichlet solution on the unit ball via one shot plus rescaling.
+    """Radial Dirichlet solution on the unit ball via one DOP853 shot plus
+    rescaling, sampled on `default_profile_grid()`.
 
     When `r_max` is omitted it is sized from the sup-norm asymptotics
     (u(0) ~ sqrt(M/ε) puts the unit shot's zero near u0^((p-1)/(2+α))) and
@@ -279,7 +278,7 @@ def solve_dirichlet_ball(
     for attempt in range(4 if auto else 1):
         shot = integrate_radial_ivp(
             params.n_dim, alpha, p, a=amplitude, tol=tol,
-            r_max=r_max * 8.0**attempt, method=method,
+            r_max=r_max * 8.0**attempt,
         )
         if shot.first_zero is not None:
             break
@@ -290,8 +289,7 @@ def solve_dirichlet_ball(
 
     big_r = shot.first_zero
     u0 = big_r**beta * amplitude
-    if grid is None:
-        grid = default_profile_grid()
+    grid = default_profile_grid()
     scale = big_r**beta
     vals = shot.evaluate(grid * big_r, derivative=True)
     u = scale * vals[0]
@@ -311,13 +309,13 @@ def solve_dirichlet_ball(
     )
 
 
-def fowler_check(profile: RadialProfile, n_points: int = 2000) -> float:
+def fowler_check(profile: RadialProfile) -> float:
     """Independent correctness oracle via the change of variables
     v(r) = (2/(2+α))^(2/(p_α-1-ε)) u(r^(2/(2+α))).
 
     v solves v'' + (m-1)/r v' + v^p = 0 with m = 2(N+α)/(2+α); the returned
     value is the maximum term-normalized finite-difference defect of that
-    equation on an n_points geometric grid (5-point stencils in log r).
+    equation on a 2000-point geometric grid (5-point stencils in log r).
     """
     pr = profile.params
     alpha, p = pr.alpha, pr.p
@@ -328,7 +326,7 @@ def fowler_check(profile: RadialProfile, n_points: int = 2000) -> float:
     # exponent maps it to the transformed radial scale
     s_scale = profile.u0 ** (-(p - 1.0) / (2.0 + alpha))
     r_lo = max(1e-14, 1e-3 * min(1.0, s_scale) ** ((2.0 + alpha) / 2.0))
-    r = numerics.log_grid(r_lo, 1.0, n_points)
+    r = numerics.log_grid(r_lo, 1.0, 2000)
     s = r ** (2.0 / (2.0 + alpha))
     u, du = profile.evaluate(s, derivative=True)
     # v' comes exactly from the stored radial derivative (chain rule)
@@ -367,10 +365,9 @@ class SupNormTable:
         return all(b <= a for a, b in zip(gaps, gaps[1:]))
 
 
-def sup_norm_table(
-    n_dim: int, alpha: float, eps_list: Sequence[float], tol: float = 1e-10
-) -> SupNormTable:
-    """Rows (ε, u0, ε·u0², M(N,α), ratio) along a decreasing ε list."""
+def sup_norm_table(n_dim: int, alpha: float, eps_list: Sequence[float]) -> SupNormTable:
+    """Rows (ε, u0, ε·u0², M(N,α), ratio) along a decreasing ε list, from
+    solve_dirichlet_ball at its default tolerance."""
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps_list) or any(
         b >= a for a, b in zip(eps_list, eps_list[1:])
@@ -379,7 +376,7 @@ def sup_norm_table(
     big_m = sup_norm_constant(n_dim, alpha)
     rows = []
     for eps in eps_list:
-        prof = solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps), tol=tol)
+        prof = solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps))
         val = eps * prof.u0**2
         rows.append(SupNormRow(eps, prof.u0, val, big_m, val / big_m))
     return SupNormTable(n_dim, alpha, tuple(rows))

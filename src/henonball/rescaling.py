@@ -90,15 +90,15 @@ def kappa_relation_residual(rescaled: RescaledProfile) -> float:
     return abs(math.expm1(lhs - rhs))
 
 
-def pde_residual(rescaled: RescaledProfile, n_points: int = 2000) -> float:
+def pde_residual(rescaled: RescaledProfile) -> float:
     """Max term-normalized defect of w'' + (N-1)/r w' + C_{N,α} r^α w^(p_α-ε) = 0
-    on a geometric grid of (0, ρ); w' comes from the stored radial derivative,
-    so only one finite differencing enters."""
+    on a 2000-point geometric grid of (0, ρ); w' comes from the stored radial
+    derivative, so only one finite differencing enters."""
     pr = rescaled.params
     rho = rescaled.rho_eps
     lam = limit_lambda(pr.n_dim, pr.alpha)
     r_lo = max(1e-10 * rho, 1e-3 / lam)
-    r = numerics.log_grid(r_lo, rho, n_points)
+    r = numerics.log_grid(r_lo, rho, 2000)
     w, dw = rescaled.evaluate(r, derivative=True)
     return numerics.radial_defect(
         r, w, dw, pr.n_dim,
@@ -106,15 +106,15 @@ def pde_residual(rescaled: RescaledProfile, n_points: int = 2000) -> float:
     )
 
 
-def limit_distance(rescaled: RescaledProfile, tail_points: int = 200) -> float:
-    """sup |w - U_α| over the stored grid plus a logarithmic tail on
-    [ρ, 10ρ] where w ≡ 0 and the bubble is evaluated directly."""
+def limit_distance(rescaled: RescaledProfile) -> float:
+    """sup |w - U_α| over the stored grid plus a 200-point logarithmic tail
+    on [ρ, 10ρ] where w ≡ 0 and the bubble is evaluated directly."""
     pr = rescaled.params
     lam = limit_lambda(pr.n_dim, pr.alpha)
     inner = np.abs(
         rescaled.w - limit_profile(rescaled.grid, lam, pr.n_dim, pr.alpha)
     )
-    tail_r = numerics.log_grid(rescaled.rho_eps, 10.0 * rescaled.rho_eps, tail_points)
+    tail_r = numerics.log_grid(rescaled.rho_eps, 10.0 * rescaled.rho_eps, 200)
     tail = limit_profile(tail_r, lam, pr.n_dim, pr.alpha)
     return float(max(np.max(inner), np.max(tail)))
 
@@ -127,9 +127,9 @@ def uniform_bound_check(rescaled: RescaledProfile) -> float:
     return float(np.max(rescaled.w * envelope))
 
 
-def uniform_bound_stable(fitted_cs: Sequence[float], factor: float = 10.0) -> bool:
-    """Uniformity verdict over a sweep of fitted constants."""
+def uniform_bound_stable(fitted_cs: Sequence[float]) -> bool:
+    """Uniformity verdict over a sweep of fitted constants: max/min < 10."""
     cs = [float(c) for c in fitted_cs]
     if not cs or min(cs) <= 0:
         raise DomainError("need positive fitted constants")
-    return max(cs) / min(cs) < factor
+    return max(cs) / min(cs) < 10.0

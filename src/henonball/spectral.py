@@ -54,7 +54,8 @@ __all__ = [
     "eigfun_decay_check",
 ]
 
-R_MIN_DEFAULT = 1e-6
+# first node of every spectral grid
+R_MIN = 1e-6
 # largest log-r spacing of the table prufer_eigen splines the potential on
 PRUFER_DT = 1e-3
 # stebz tolerance that skips bisection: Sturm counts only
@@ -113,13 +114,12 @@ def limit_problem(n_dim: int, alpha: float, r_trunc: float = 1e3) -> SLProblem:
     return SLProblem(n_dim, float(r_trunc), q, label=f"limit(N={n_dim},a={alpha})")
 
 
-def default_spectral_grid(
-    r_end: float, n_points: int = 2000, r_min: float = R_MIN_DEFAULT
-) -> np.ndarray:
-    """Geometric interior grid on (0, r_end): first node r_min, last node one
-    geometric step inside r_end.  Eigenfunctions of these problems are
-    self-similar in log r, so log-uniform nodes resolve every decade alike."""
-    return numerics.log_grid(r_min, r_end, n_points + 1)[:-1]
+def default_spectral_grid(r_end: float, n_points: int = 2000) -> np.ndarray:
+    """Geometric interior grid on (0, r_end): first node R_MIN = 1e-6, last
+    node one geometric step inside r_end.  Eigenfunctions of these problems
+    are self-similar in log r, so log-uniform nodes resolve every decade
+    alike."""
+    return numerics.log_grid(R_MIN, r_end, n_points + 1)[:-1]
 
 
 @dataclass
@@ -142,12 +142,14 @@ class Pencil:
     def count(self, shifts) -> np.ndarray | int:
         x = np.asarray(shifts, dtype=float)
         out = np.empty(x.shape, dtype=np.int64)
+        # f2py wants n-1 >= 1 off-diagonal entries; LAPACK reads none at n = 1
+        off = self.a_off if self.n > 1 else np.zeros(1)
         for i, shift in np.ndenumerate(x):
             # range 1 selects by value, here (-inf, 0]; a tolerance this coarse
             # stops stebz after the Sturm counts at the interval ends, so m is
             # the exact count of nonpositive eigenvalues of A - xB
             m, _, _, _, info = dstebz(
-                self.a_diag - shift * self.b_diag, self.a_off,
+                self.a_diag - shift * self.b_diag, off,
                 1, -np.inf, 0.0, 0, 0, _COUNT_ONLY_TOL, b"B",
             )
             if info:
@@ -208,9 +210,10 @@ class Pencil:
                     f"counts ({c_lo}, {c_hi})"
                 )
 
-    def eigenvalue_bisect(self, j: int, tol: float = 1e-12) -> float:
-        """Self-contained bisection on this pencil's inertia count; slower
-        than eigenvalue_batch but with no external solver in the loop."""
+    def eigenvalue_bisect(self, j: int) -> float:
+        """Self-contained bisection on this pencil's inertia count, to a
+        relative width of 1e-12; slower than eigenvalue_batch but with no
+        external solver in the loop."""
         if not 1 <= j <= self.n:
             raise DomainError(f"eigenvalue index out of range 1..{self.n}")
         lo, hi = self.gershgorin()
@@ -220,7 +223,7 @@ class Pencil:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo < tol * max(1.0, abs(lo), abs(hi)):
+            if hi - lo < 1e-12 * max(1.0, abs(lo), abs(hi)):
                 return 0.5 * (lo + hi)
         raise NumericsError("eigenvalue bisection did not converge")
 
@@ -235,9 +238,10 @@ def _first_hump_sign(z: np.ndarray) -> float:
     return 1.0 if z[np.argmax(az)] > 0 else -1.0
 
 
-def node_count(z: np.ndarray, rel_floor: float = 1e-8) -> int:
-    """Sign changes of a discrete eigenvector, ignoring noise-level entries."""
-    zz = z[np.abs(z) > rel_floor * np.max(np.abs(z))]
+def node_count(z: np.ndarray) -> int:
+    """Sign changes of a discrete eigenvector, ignoring entries below 1e-8
+    of its sup norm (noise level)."""
+    zz = z[np.abs(z) > 1e-8 * np.max(np.abs(z))]
     return int(np.sum(zz[:-1] * zz[1:] < 0))
 
 
@@ -360,7 +364,6 @@ def solve_eigen(
     problem: SLProblem,
     count: int = 1,
     n_points: int = 2000,
-    r_min: float = R_MIN_DEFAULT,
     with_vectors: bool = True,
 ) -> list[EigenResult]:
     """Eigenvalues of an SLProblem with two-grid Richardson extrapolation.
@@ -371,48 +374,38 @@ def solve_eigen(
     for, come from the fine grid.
     """
     coarse = eigenvalues(
-        assemble_pencil(problem, default_spectral_grid(problem.r_end, n_points, r_min)),
+        assemble_pencil(problem, default_spectral_grid(problem.r_end, n_points)),
         count,
         with_vectors=False,
     )
     fine = eigenvalues(
-        assemble_pencil(
-            problem, default_spectral_grid(problem.r_end, 2 * n_points, r_min)
-        ),
+        assemble_pencil(problem, default_spectral_grid(problem.r_end, 2 * n_points)),
         count,
         with_vectors=with_vectors,
     )
-    out = []
-    for c, f in zip(coarse, fine):
-        extrap = numerics.richardson_pair(c.lambda_j, f.lambda_j, order=2)
-        out.append(
-            replace(
-                f,
-                grid_sizes=(n_points, 2 * n_points),
-                extrapolated=extrap,
-                error_estimate=abs(f.lambda_j - c.lambda_j) / 3.0,
-            )
+    return [
+        replace(
+            f,
+            grid_sizes=(n_points, 2 * n_points),
+            extrapolated=(4.0 * f.lambda_j - c.lambda_j) / 3.0,
+            error_estimate=abs(f.lambda_j - c.lambda_j) / 3.0,
         )
-    return out
+        for c, f in zip(coarse, fine)
+    ]
 
 
-def prufer_eigen(
-    problem: SLProblem,
-    j: int,
-    bracket: tuple[float, float],
-    r_min: float = 1e-7,
-    rtol: float = 1e-11,
-) -> float:
+def prufer_eigen(problem: SLProblem, j: int, bracket: tuple[float, float]) -> float:
     """Independent eigenvalue oracle by Prüfer-angle shooting.
 
     In t = log r with y = r^((N-2)/2) z the equation becomes
     y'' + [Λ - ((N-2)/2)² + V(t)] y = 0, V(t) = e^(2t) q(e^t); the angle of
     (y', y) advances monotonically in Λ and the j-th eigenvalue is the Λ where
     the angle reaches jπ at the outer end.  The bracket must produce
-    oscillation counts straddling j.
+    oscillation counts straddling j.  The angle starts at 0 at r = 1e-7 and
+    DOP853 carries it to r_end at rtol 1e-11, atol 1e-12.
 
     V is tabulated once per call, with one array call of `problem.q`, on a
-    uniform grid in t from log r_min to log r_end with spacing at most
+    uniform grid in t from log 1e-7 to log r_end with spacing at most
     PRUFER_DT = 1e-3 (~16k nodes on the unit ball), and the right-hand side
     evaluates the cubic spline of that table.  The end angle is close to a
     π-step in Λ: past the last turning point it locks to mπ + arctan(1/√|v|),
@@ -424,7 +417,7 @@ def prufer_eigen(
 
     n_dim = problem.n_dim
     shift = ((n_dim - 2.0) / 2.0) ** 2
-    t0, t1 = math.log(r_min), math.log(problem.r_end)
+    t0, t1 = math.log(1e-7), math.log(problem.r_end)
     cells = math.ceil((t1 - t0) / PRUFER_DT)
     nodes = np.linspace(t0, t1, cells + 1)
     r = np.exp(nodes)
@@ -444,7 +437,7 @@ def prufer_eigen(
             s, c = math.sin(theta[0]), math.cos(theta[0])
             return [c * c + v * s * s]
 
-        sol = solve_ivp(rhs, (t0, t1), [0.0], method="DOP853", rtol=rtol, atol=1e-12)
+        sol = solve_ivp(rhs, (t0, t1), [0.0], method="DOP853", rtol=1e-11, atol=1e-12)
         if sol.status != 0:
             raise NumericsError(f"Prüfer integration failed: {sol.message}")
         return sol.y[0, -1] - j * math.pi
@@ -461,7 +454,7 @@ def prufer_eigen(
 
 @dataclass(frozen=True)
 class LimitEigenResult:
-    """Lowest two eigenvalues of the truncated limit problem with grid- and
+    """Lowest two eigenvalues of the truncated limit problem with their
     truncation-sensitivity estimates."""
 
     n_dim: int
@@ -469,47 +462,30 @@ class LimitEigenResult:
     r_trunc: float
     lambda1: float
     lambda2: float
-    lambda1_error: float
-    lambda2_error: float
     lambda1_trunc_shift: float
     lambda2_trunc_shift: float
 
 
-def limit_eigen(
-    n_dim: int,
-    alpha: float,
-    r_trunc: float = 1e3,
-    n_points: int = 3000,
-    r_min: float = R_MIN_DEFAULT,
-) -> LimitEigenResult:
-    """Lowest two eigenvalues of the limit linearization truncated at r_trunc,
-    Richardson-extrapolated over two grids, with a mandatory sensitivity
-    re-run at twice the truncation radius."""
-    def pair(rt: float) -> tuple[float, float, float, float]:
-        res = solve_eigen(
-            limit_problem(n_dim, alpha, rt),
-            count=2,
-            n_points=n_points,
-            r_min=r_min,
-            with_vectors=False,
-        )
-        return (
-            res[0].extrapolated,
-            res[1].extrapolated,
-            res[0].error_estimate,
-            res[1].error_estimate,
-        )
+def limit_eigen(n_dim: int, alpha: float) -> LimitEigenResult:
+    """Lowest two eigenvalues of the limit linearization truncated at
+    r_trunc = 1e3, Richardson-extrapolated over 3000- and 6000-node grids,
+    with a mandatory sensitivity re-run at twice the truncation radius."""
+    r_trunc = 1e3
 
-    l1, l2, e1, e2 = pair(r_trunc)
-    l1b, l2b, _, _ = pair(2.0 * r_trunc)
+    def pair(rt: float) -> tuple[float, float]:
+        res = solve_eigen(
+            limit_problem(n_dim, alpha, rt), count=2, n_points=3000, with_vectors=False
+        )
+        return res[0].extrapolated, res[1].extrapolated
+
+    l1, l2 = pair(r_trunc)
+    l1b, l2b = pair(2.0 * r_trunc)
     return LimitEigenResult(
         n_dim=n_dim,
         alpha=alpha,
         r_trunc=r_trunc,
         lambda1=l1,
         lambda2=l2,
-        lambda1_error=e1,
-        lambda2_error=e2,
         lambda1_trunc_shift=abs(l1b - l1),
         lambda2_trunc_shift=abs(l2b - l2),
     )
@@ -533,47 +509,33 @@ def radial_kernel_test(profile: RadialProfile) -> float:
     return float(du1 / (beta * profile.u0))
 
 
-def radial_pencil(
-    profile: RadialProfile, n_points: int = 2000, r_min: float = R_MIN_DEFAULT
-) -> Pencil:
+def radial_pencil(profile: RadialProfile, n_points: int = 2000) -> Pencil:
     """Pencil of the purely radial (k = 0) linearization: plain r^(N-1)
     weight, no flux through the origin, Dirichlet at r = 1.  Its inertia at 0
     is the radial Morse index; an eigenvalue at 0 would mean radial
     degeneracy."""
     problem = SLProblem.from_profile(profile)
-    grid = default_spectral_grid(1.0, n_points, r_min)
+    grid = default_spectral_grid(1.0, n_points)
     return assemble_pencil(
         problem, grid, left_bc="natural", weight_power=problem.n_dim - 1.0
     )
 
 
-def scale_equivalence_test(
-    profile: RadialProfile,
-    rescaled: RescaledProfile,
-    j_max: int = 3,
-    n_points: int = 2000,
-    matched_grids: bool = True,
-) -> float:
-    """Max |Λ_j(unit ball) - Λ_j(expanding ball)| for j ≤ j_max.
+def scale_equivalence_test(profile: RadialProfile, rescaled: RescaledProfile) -> float:
+    """Max |Λ_j(unit ball) - Λ_j(expanding ball)| for j ≤ 3.
 
     The r^-2 spectral weight makes the two formulations exactly isospectral
-    under x → ρ x.  With matched_grids the expanding-ball grid is ρ times the
+    under x → ρ x.  The expanding-ball grid is ρ times the 2000-node
     unit-ball grid, so any discrepancy isolates the κ/ρ bookkeeping and the
-    two assembly paths; otherwise each form uses its own default grid and the
-    discrepancy also carries discretization differences."""
+    two assembly paths."""
     if rescaled._profile is not profile and rescaled.params != profile.params:
         raise DomainError("rescaled must come from the same parameters as profile")
-    grid_u = default_spectral_grid(1.0, n_points)
-    prob_u = SLProblem.from_profile(profile)
-    prob_w = SLProblem.from_rescaled(rescaled)
-    grid_w = (
-        rescaled.rho_eps * grid_u
-        if matched_grids
-        else default_spectral_grid(rescaled.rho_eps, n_points)
-    )
-    js = list(range(1, j_max + 1))
-    lam_u = assemble_pencil(prob_u, grid_u).eigenvalue_batch(js)
-    lam_w = assemble_pencil(prob_w, grid_w).eigenvalue_batch(js)
+    grid_u = default_spectral_grid(1.0)
+    js = [1, 2, 3]
+    lam_u = assemble_pencil(SLProblem.from_profile(profile), grid_u).eigenvalue_batch(js)
+    lam_w = assemble_pencil(
+        SLProblem.from_rescaled(rescaled), rescaled.rho_eps * grid_u
+    ).eigenvalue_batch(js)
     return float(np.max(np.abs(lam_u - lam_w)))
 
 

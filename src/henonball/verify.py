@@ -28,7 +28,7 @@ from .radial import (
     sup_norm_table,
 )
 
-__all__ = ["CriterionResult", "VerifyReport", "run_criteria", "CRITERIA", "criterion_ids"]
+__all__ = ["CriterionResult", "VerifyReport", "run_criteria", "CRITERIA"]
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def _c1_limit_eigen(cache):
     out = []
     for tag, n_dim, alpha in (("a", 3, 2.0), ("b", 3, 0.0), ("c", 4, 2.0)):
         t0 = time.perf_counter()
-        res = spec.limit_eigen(n_dim, alpha, r_trunc=1e3)
+        res = spec.limit_eigen(n_dim, alpha)
         dt = time.perf_counter() - t0
         target = lambda1_closed(n_dim, alpha)
         err = abs(res.lambda1 - target)
@@ -110,7 +110,7 @@ def _c2_limit_lambda2(cache):
     out = []
     for alpha in (0.0, 1.0, 2.0):
         t0 = time.perf_counter()
-        res = spec.limit_eigen(3, alpha, r_trunc=1e3)
+        res = spec.limit_eigen(3, alpha)
         dt = time.perf_counter() - t0
         out.append(
             CriterionResult(
@@ -172,7 +172,7 @@ def _c4_bifurcation_convergence(cache):
     for eps, _, _ in study.rows:
         bp = bif.find_bifurcation_alpha(3, eps, 2, cache=cache)
         worst_residual = max(worst_residual, bp.residual)
-    floor = bif.alpha_resolution(3, 2, 1e-6)
+    floor = bif.alpha_resolution(3, 2)
     errs = study.errors
     worst_increase = max(
         [b - a for a, b in zip(errs, errs[1:])], default=0.0
@@ -318,7 +318,7 @@ def _c8_oracles(cache):
 
     t0 = time.perf_counter()
     rs = resc.rescale(prof)
-    d = spec.scale_equivalence_test(prof, rs, j_max=3)
+    d = spec.scale_equivalence_test(prof, rs)
     out.append(
         CriterionResult(
             "C8.c_scale",
@@ -468,17 +468,9 @@ CRITERIA = {
 }
 
 
-def criterion_ids() -> list[str]:
-    return list(CRITERIA)
-
-
-def run_criteria(
-    ids: list[str] | None = None,
-    cache: bif.SolverCache | None = None,
-    progress=None,
-) -> VerifyReport:
-    """Run the selected criteria (all by default); ids select by prefix, so
-    "C1" runs C1.a, C1.b, C1.c."""
+def run_criteria(ids: list[str] | None = None, progress=None) -> VerifyReport:
+    """Run the selected criteria (all by default) on one fresh SolverCache;
+    ids select by prefix, so "C1" runs C1.a, C1.b, C1.c."""
     selected = list(CRITERIA) if not ids else []
     if ids:
         for want in ids:
@@ -487,7 +479,7 @@ def run_criteria(
                 raise DomainError(f"unknown criterion {want!r}; know {list(CRITERIA)}")
             if base not in selected:
                 selected.append(base)
-    cache = cache or bif.SolverCache()
+    cache = bif.SolverCache()
     report = VerifyReport()
     t0 = time.perf_counter()
     for cid in selected:

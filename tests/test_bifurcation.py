@@ -1,8 +1,11 @@
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
 
+from henonball import bifurcation
 from henonball.bifurcation import (
     SolverCache,
     alpha_resolution,
@@ -152,7 +155,7 @@ class TestConvergenceStudy:
 
     def test_alpha_resolution_floor(self):
         # residual tolerance 1e-6 against slope (alpha_k + N)/2
-        assert alpha_resolution(3, 2, 1e-6) == pytest.approx(2e-6 / 2.5)
+        assert alpha_resolution(3, 2) == pytest.approx(2e-6 / 2.5)
 
     def test_rejects_nondecreasing_eps(self, cache):
         with pytest.raises(DomainError):
@@ -166,3 +169,18 @@ class TestConvergenceStudy:
                 sigma, _ = sphere_eigen(n_dim, k)
                 a = bifurcation_alpha(k)
                 assert abs(lambda1_closed(n_dim, a) + sigma) < 1e-12
+
+
+def test_uncached_call_keeps_no_profile(monkeypatch):
+    # without cache= the solved profiles live only as long as the call
+    solve, refs = bifurcation.solve_dirichlet_ball, []
+
+    def tracked(*args, **kwargs):
+        profile = solve(*args, **kwargs)
+        refs.append(weakref.ref(profile))
+        return profile
+
+    monkeypatch.setattr(bifurcation, "solve_dirichlet_ball", tracked)
+    lambda_values(3, 0.05, 2.0)
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None

@@ -22,7 +22,7 @@ REQUIRED = {
 # option -> (command-line text, the value argparse must hand to cmd_*)
 SAMPLES = {
     "N": ("3", 3), "alpha": ("2.0", 2.0), "eps": ("0.05", 0.05),
-    "tol": ("1e-9", 1e-9), "amplitude": ("2.5", 2.5), "no_cache": (None, True),
+    "tol": ("1e-9", 1e-9), "no_cache": (None, True),
     "cache_dir": ("cache", "cache"), "grid_points": ("400", 400),
     "count": ("2", 2), "format": ("json", "json"), "k": ("2", 2),
     "eps_list": ("0.05,0.04", [0.05, 0.04]), "bracket": ("0.5:1.5", (0.5, 1.5)),
@@ -46,7 +46,7 @@ BAD_VALUES = [
 
 # (subcommand, option) pairs whose cmd_* never reads the option
 REJECTED = [
-    ("solve", "--format"), ("solve", "--grid-points"),
+    ("solve", "--format"), ("solve", "--grid-points"), ("solve", "--amplitude"),
     ("rescale", "--format"), ("rescale", "--grid-points"),
     ("rescale", "--no-cache"), ("rescale", "--cache-dir"),
     ("spectrum", "--no-cache"), ("spectrum", "--cache-dir"),

@@ -144,7 +144,7 @@ def ldlt_count(pen, shifts):
 @st.composite
 def small_pencils(draw):
     """Random symmetric tridiagonal A with a positive diagonal B."""
-    n = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 8))
     entries = st.floats(-5.0, 5.0)
     a_diag = draw(st.lists(entries, min_size=n, max_size=n))
     a_off = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
@@ -199,6 +199,13 @@ class TestInertiaCount:
         tol = 1e-9 * max(1.0, np.max(np.abs(eig)))
         clear = np.min(np.abs(shifts[:, None] - eig), axis=1) > tol
         assert np.array_equal(counts[clear], expected[clear])
+
+    def test_one_row_pencil(self):
+        # no off-diagonal at all: the single eigenvalue is 0.5 / 2.0
+        pen = Pencil(np.array([1.0]), np.array([0.5]), np.array([]), np.array([2.0]))
+        assert list(pen.count([0.0, 0.25, 1.0])) == [0, 1, 1]
+        assert pen.eigenvalue_batch([1])[0] == pytest.approx(0.25, rel=1e-12)
+        assert pen.eigenvalue_bisect(1) == pytest.approx(0.25, rel=1e-12)
 
     def test_scalar_shift_gives_int(self, pencils):
         c = pencils[0].count(0.0)
@@ -365,14 +372,7 @@ class TestRadialKernel:
 class TestScaleEquivalence:
     def test_matched_grids_exact(self, profile_3_2_005):
         rs = rescale(profile_3_2_005)
-        assert scale_equivalence_test(profile_3_2_005, rs, j_max=3) < 1e-8
-
-    def test_independent_grids(self, profile_3_2_005):
-        rs = rescale(profile_3_2_005)
-        d = scale_equivalence_test(
-            profile_3_2_005, rs, j_max=1, matched_grids=False
-        )
-        assert d < 1e-4  # separate discretizations of the same spectrum
+        assert scale_equivalence_test(profile_3_2_005, rs) < 1e-8
 
 
 class TestEigfunDecay:
