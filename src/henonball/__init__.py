@@ -6,14 +6,12 @@ linearized eigenvalue crosses a sphere eigenvalue.
 """
 
 from .closedform import (
-    LimitConstants,
     ProblemParams,
     bifurcation_alpha,
     first_eigenfunction_closed,
     gamma,
     henon_constant,
     lambda1_closed,
-    limit_constants,
     limit_lambda,
     limit_profile,
     sphere_eigen,

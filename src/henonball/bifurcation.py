@@ -3,9 +3,8 @@
 A nonradial branch can only appear where the first eigenvalue Λ₁^ε(α) of the
 r^-2-weighted linearization crosses a sphere eigenvalue: Λ₁^ε(α_k^ε) = -σ_k.
 This module samples the curve α ↦ Λ₁^ε(α), isolates those crossings by a
-scan-and-bracket root search, counts the Morse index on either side (full
-space and O(N-1)-invariant subspace), and tracks α_k^ε → 2(k-1) along ε
-sweeps.
+scan-and-bracket root search, and counts the Morse index on either side (full
+space and O(N-1)-invariant subspace).
 
 One curve evaluation is one Dirichlet shoot plus one spectral solve on the
 N_POINTS/2·N_POINTS grid pair.  Profiles and eigenvalues are memoized in a
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -25,7 +23,6 @@ from scipy.optimize import brentq
 from .closedform import (
     ProblemParams,
     bifurcation_alpha,
-    lambda1_closed,
     sphere_eigen,
     sphere_multiplicity,
 )
@@ -39,14 +36,9 @@ __all__ = [
     "SolverCache",
     "BifurcationPoint",
     "MorseIndexReport",
-    "LambdaCurve",
-    "ConvergenceStudy",
     "lambda_values",
-    "lambda1_curve",
     "find_bifurcation_alpha",
     "morse_index",
-    "lambda2_floor",
-    "convergence_study",
     "alpha_resolution",
 ]
 
@@ -99,50 +91,6 @@ def lambda_values(
 
 
 @dataclass(frozen=True)
-class LambdaCurve:
-    """Samples of α ↦ Λ₁^ε(α) with the closed-form limit alongside."""
-
-    n_dim: int
-    eps: float
-    alphas: np.ndarray
-    values: np.ndarray
-    limit_values: np.ndarray
-
-    @property
-    def sup_limit_deviation(self) -> float:
-        return float(np.max(np.abs(self.values - self.limit_values)))
-
-    def is_continuous(self) -> bool:
-        """Neighbor jumps bounded by the limit curve's local slope (α+N)/2
-        times the grid spacing, with a safety factor of 3."""
-        da = np.diff(self.alphas)
-        slope = (np.maximum(self.alphas[:-1], self.alphas[1:]) + self.n_dim) / 2.0
-        allowed = 3.0 * slope * da + 1e-6
-        return bool(np.all(np.abs(np.diff(self.values)) <= allowed))
-
-    @property
-    def all_negative(self) -> bool:
-        return bool(np.all(self.values < 0.0))
-
-
-def lambda1_curve(
-    n_dim: int,
-    eps: float,
-    alpha_grid: Sequence[float],
-    cache: SolverCache | None = None,
-) -> LambdaCurve:
-    """Λ₁^ε(α) on a grid of α > 0 (one Dirichlet solve + one spectral solve
-    per point, memoized)."""
-    alphas = np.asarray(list(alpha_grid), dtype=float)
-    if alphas.size < 1 or np.any(alphas <= 0) or np.any(np.diff(alphas) <= 0):
-        raise DomainError("alpha_grid must be strictly increasing and positive")
-    cache = cache or SolverCache()
-    vals = np.array([lambda_values(n_dim, eps, a, 1, cache)[0] for a in alphas])
-    lim = np.array([lambda1_closed(n_dim, a) for a in alphas])
-    return LambdaCurve(n_dim, eps, alphas, vals, lim)
-
-
-@dataclass(frozen=True)
 class BifurcationPoint:
     """A certified root of Λ₁^ε(α) = -σ_k.
 
@@ -161,14 +109,6 @@ class BifurcationPoint:
     all_roots: tuple[float, ...] = ()
     unique: bool = True
     exclusion_ok: bool = True
-
-    @property
-    def limit_alpha(self) -> float:
-        return bifurcation_alpha(self.k)
-
-    @property
-    def error_vs_limit(self) -> float:
-        return abs(self.alpha_k_eps - self.limit_alpha)
 
 
 def alpha_resolution(n_dim: int, k: int) -> float:
@@ -266,8 +206,8 @@ class MorseIndexReport:
     index_full weights each angular channel k by the dimension of its
     spherical-harmonic eigenspace; index_invariant counts each channel once
     (the O(N-1)-invariant slice is one-dimensional).  Both include the purely
-    radial negative directions.  contributing_pairs lists (j, k, multiplicity)
-    with Λ_j^ε(α) < -σ_k for k ≥ 1."""
+    radial negative directions.  channel_counts lists (k, n_k) for k ≥ 1,
+    where Λ_j^ε(α) < -σ_k exactly for j ≤ n_k."""
 
     n_dim: int
     eps: float
@@ -286,21 +226,6 @@ class MorseIndexReport:
             inv += n_k
         object.__setattr__(self, "index_full", full)
         object.__setattr__(self, "index_invariant", inv)
-
-    @property
-    def contributing_pairs(self) -> tuple[tuple[int, int, int], ...]:
-        pairs = []
-        for k, n_k in self.channel_counts:
-            for j in range(1, n_k + 1):
-                pairs.append((j, k, sphere_multiplicity(self.n_dim, k)))
-        return tuple(pairs)
-
-    def index(self, mode: str) -> int:
-        if mode == "full":
-            return self.index_full
-        if mode == "invariant":
-            return self.index_invariant
-        raise DomainError(f"mode must be 'full' or 'invariant', got {mode!r}")
 
 
 def morse_index(
@@ -358,68 +283,3 @@ def morse_index(
         channel_counts=tuple(channel),
         lambdas=tuple(lambdas),
     )
-
-
-def lambda2_floor(
-    n_dim: int,
-    eps: float,
-    alpha_grid: Sequence[float],
-    cache: SolverCache | None = None,
-) -> float:
-    """min over the α-grid of Λ₂^ε(α); stays above -σ₁ = -(N-1) for small ε."""
-    alphas = list(alpha_grid)
-    if not alphas or any(a <= 0 for a in alphas):
-        raise DomainError("alpha_grid must contain positive values")
-    cache = cache or SolverCache()
-    return min(lambda_values(n_dim, eps, a, 2, cache)[1] for a in alphas)
-
-
-@dataclass(frozen=True)
-class ConvergenceStudy:
-    """α_k^ε along a decreasing ε list with distances to the limit 2(k-1)."""
-
-    n_dim: int
-    k: int
-    rows: tuple[tuple[float, float, float], ...]  # (eps, alpha_k_eps, error)
-
-    @property
-    def errors(self) -> tuple[float, ...]:
-        return tuple(r[2] for r in self.rows)
-
-    def monotone_nonincreasing(self) -> bool:
-        """Errors nonincreasing up to the root solver's α-resolution
-        (`alpha_resolution`, the noise floor).
-
-        The crossings sit so close to 2(k-1) (the deviation is a boundary
-        tail effect, below 1e-8 already at ε = 0.1) that consecutive errors
-        can differ by less than the solver can certify; the floor makes the
-        comparison honest instead of asserting sub-resolution ordering."""
-        noise_floor = alpha_resolution(self.n_dim, self.k)
-        e = self.errors
-        return all(b <= a + noise_floor for a, b in zip(e, e[1:]))
-
-    @property
-    def max_error(self) -> float:
-        return max(self.errors)
-
-
-def convergence_study(
-    n_dim: int,
-    k: int,
-    eps_list: Sequence[float],
-    cache: SolverCache | None = None,
-) -> ConvergenceStudy:
-    """Solve Λ₁^ε(α) = -σ_k for each ε in a decreasing list, each in the
-    default bracket 2(k-1) ± 0.9.  The study's α noise floor is
-    alpha_resolution, from the residual tolerance 1e-6."""
-    eps_list = [float(e) for e in eps_list]
-    if any(e <= 0 for e in eps_list) or any(
-        b >= a for a, b in zip(eps_list, eps_list[1:])
-    ):
-        raise DomainError("eps_list must be positive and strictly decreasing")
-    cache = cache or SolverCache()
-    rows = []
-    for eps in eps_list:
-        bp = find_bifurcation_alpha(n_dim, eps, k, cache=cache)
-        rows.append((eps, bp.alpha_k_eps, bp.error_vs_limit))
-    return ConvergenceStudy(n_dim=n_dim, k=k, rows=tuple(rows))

@@ -75,7 +75,11 @@ def int_at_least(floor: int):
 
 
 def id_list(text: str) -> list[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+    """Comma-separated ids."""
+    ids = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not ids:
+        raise argparse.ArgumentTypeError("need at least one id")
+    return ids
 
 
 def emit(text: str, out_path: str | None) -> None:
@@ -237,7 +241,9 @@ OPTIONS = {
     "bracket": {"type": bracket, "help": "lo:hi"},
     "alpha_grid": {"type": alpha_grid, "required": True, "help": "lo:hi:n"},
     "jobs": {"type": int_at_least(1), "default": 1},
-    "criteria": {"type": id_list, "help": "comma-separated ids, e.g. C1,C4"},
+    "criteria": {"type": id_list,
+                 "help": "comma-separated ids, e.g. C1,C4; an id selects its whole "
+                         "criterion (C1.a runs C1.a-C1.c)"},
 }
 
 # an inner tuple is a group of options of which exactly one must be given

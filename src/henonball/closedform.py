@@ -20,13 +20,11 @@ from .errors import DomainError
 
 __all__ = [
     "ProblemParams",
-    "LimitConstants",
     "gamma",
     "threshold_exponent",
     "henon_constant",
     "sup_norm_constant",
     "limit_lambda",
-    "limit_constants",
     "limit_profile",
     "lambda1_closed",
     "sphere_eigen",
@@ -177,27 +175,6 @@ class ProblemParams:
     @property
     def henon_c(self) -> float:
         return henon_constant(self.n_dim, self.alpha)
-
-
-@dataclass(frozen=True)
-class LimitConstants:
-    """The ε → 0 constants attached to one (N, α) pair."""
-
-    c_na: float        # (N-2)(N+α)
-    big_m: float       # limit of ε u(0)²
-    lam: float         # concentration scale of the bubble
-    m_fowler: float    # transformed dimension 2(N+α)/(2+α)
-
-
-def limit_constants(n_dim: int, alpha: float) -> LimitConstants:
-    """Bundle C_{N,α}, M(N,α), λ and the fractional dimension m."""
-    _check_n_alpha(n_dim, alpha)
-    return LimitConstants(
-        c_na=henon_constant(n_dim, alpha),
-        big_m=sup_norm_constant(n_dim, alpha),
-        lam=limit_lambda(n_dim, alpha),
-        m_fowler=2.0 * (n_dim + alpha) / (2.0 + alpha),
-    )
 
 
 def _check_n_alpha(n_dim: int, alpha: float) -> None:

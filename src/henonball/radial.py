@@ -11,15 +11,13 @@ which is independent of the shot amplitude.
 
 Also provided: the change of variables to the unweighted equation in
 fractional dimension m = 2(N+α)/(2+α) used as an independent correctness
-oracle, the sup-norm asymptotics table ε·u(0)² → M(N,α), and the pointwise
-upper envelope check for the computed profile.
+oracle, and the pointwise upper envelope check for the computed profile.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -34,9 +32,6 @@ __all__ = [
     "integrate_radial_ivp",
     "solve_dirichlet_ball",
     "fowler_check",
-    "sup_norm_table",
-    "SupNormRow",
-    "SupNormTable",
     "decay_bound_check",
     "default_profile_grid",
 ]
@@ -264,6 +259,8 @@ def solve_dirichlet_ball(
     `r_max` is honored as given and failure to find a zero inside it raises
     SupercriticalError.
     """
+    if not amplitude > 0:
+        raise DomainError(f"need amplitude > 0, got {amplitude!r}")
     p = params.p
     alpha = params.alpha
     beta = (2.0 + alpha) / (p - 1.0)
@@ -334,52 +331,6 @@ def fowler_check(profile: RadialProfile) -> float:
     return numerics.radial_defect(
         r, cfac * u, dv, m, lambda rin, v: np.clip(v, 0.0, None) ** p
     )
-
-
-@dataclass(frozen=True)
-class SupNormRow:
-    eps: float
-    u0: float
-    eps_u0_sq: float
-    big_m: float
-    ratio: float
-
-
-@dataclass(frozen=True)
-class SupNormTable:
-    n_dim: int
-    alpha: float
-    rows: tuple[SupNormRow, ...]
-
-    @property
-    def extrapolated(self) -> float:
-        """Polynomial extrapolation of ε·u0² to ε = 0."""
-        return numerics.extrapolate_to_zero(
-            [r.eps for r in self.rows], [r.eps_u0_sq for r in self.rows]
-        )
-
-    @property
-    def ratios_monotone_toward_one(self) -> bool:
-        ratios = [r.ratio for r in self.rows]
-        gaps = [abs(1.0 - x) for x in ratios]
-        return all(b <= a for a, b in zip(gaps, gaps[1:]))
-
-
-def sup_norm_table(n_dim: int, alpha: float, eps_list: Sequence[float]) -> SupNormTable:
-    """Rows (ε, u0, ε·u0², M(N,α), ratio) along a decreasing ε list, from
-    solve_dirichlet_ball at its default tolerance."""
-    eps_list = [float(e) for e in eps_list]
-    if any(e <= 0 for e in eps_list) or any(
-        b >= a for a, b in zip(eps_list, eps_list[1:])
-    ):
-        raise DomainError("eps_list must be positive and strictly decreasing")
-    big_m = sup_norm_constant(n_dim, alpha)
-    rows = []
-    for eps in eps_list:
-        prof = solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps))
-        val = eps * prof.u0**2
-        rows.append(SupNormRow(eps, prof.u0, val, big_m, val / big_m))
-    return SupNormTable(n_dim, alpha, tuple(rows))
 
 
 def decay_bound_check(profile: RadialProfile) -> float:

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import numerics
 from .closedform import ProblemParams, limit_lambda, limit_profile
-from .errors import DomainError
 from .radial import RadialProfile
 
 __all__ = [
@@ -26,7 +24,6 @@ __all__ = [
     "pde_residual",
     "limit_distance",
     "uniform_bound_check",
-    "uniform_bound_stable",
     "kappa_relation_residual",
 ]
 
@@ -126,10 +123,3 @@ def uniform_bound_check(rescaled: RescaledProfile) -> float:
     envelope = (1.0 + rescaled.grid ** (2.0 + pr.alpha)) ** expo
     return float(np.max(rescaled.w * envelope))
 
-
-def uniform_bound_stable(fitted_cs: Sequence[float]) -> bool:
-    """Uniformity verdict over a sweep of fitted constants: max/min < 10."""
-    cs = [float(c) for c in fitted_cs]
-    if not cs or min(cs) <= 0:
-        raise DomainError("need positive fitted constants")
-    return max(cs) / min(cs) < 10.0

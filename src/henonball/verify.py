@@ -5,6 +5,10 @@ Each criterion yields one or more (id, target, measured, tolerance, passed)
 records; `run_criteria` executes a selection (by id prefix) and assembles a
 VerifyReport.  A shared in-process cache keeps the radial solves from being
 repeated across criteria.
+
+The criteria read the solvers directly: C3 extrapolates ε·u(0)² from
+`solve_dirichlet_ball` along EPS_SWEEP, C4 makes one `find_bifurcation_alpha`
+pass over EPS_SWEEP, and C6 takes the minimum of Λ₂ from `lambda_values`.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bifurcation as bif
+from . import numerics
 from . import rescaling as resc
 from . import spectral as spec
-from .closedform import ProblemParams, lambda1_closed, sup_norm_constant
+from .closedform import ProblemParams, bifurcation_alpha, lambda1_closed, sup_norm_constant
 from .errors import DomainError
 from .io import SCHEMA_VERSION
 from .radial import (
@@ -25,7 +30,6 @@ from .radial import (
     fowler_check,
     integrate_radial_ivp,
     solve_dirichlet_ball,
-    sup_norm_table,
 )
 
 __all__ = ["CriterionResult", "VerifyReport", "run_criteria", "CRITERIA"]
@@ -139,9 +143,13 @@ def _c2_limit_lambda2(cache):
 
 def _c3_sup_norm(cache):
     t0 = time.perf_counter()
-    tbl = sup_norm_table(4, 0.0, EPS_SWEEP)
+    big_m = sup_norm_constant(4, 0.0)
+    vals = [eps * solve_dirichlet_ball(ProblemParams(4, 0.0, eps)).u0**2
+            for eps in EPS_SWEEP]
     dt = time.perf_counter() - t0
-    rel = abs(tbl.extrapolated - 96.0) / 96.0
+    rel = abs(numerics.extrapolate_to_zero(EPS_SWEEP, vals) - 96.0) / 96.0
+    gaps = [abs(1.0 - val / big_m) for val in vals]
+    monotone = all(b <= a for a, b in zip(gaps, gaps[1:]))
     return [
         CriterionResult(
             "C3.extrap",
@@ -156,9 +164,9 @@ def _c3_sup_norm(cache):
             "C3.monotone",
             "ratio column approaches 1 monotonically",
             "monotone",
-            0.0 if tbl.ratios_monotone_toward_one else 1.0,
+            0.0 if monotone else 1.0,
             0.5,
-            tbl.ratios_monotone_toward_one,
+            monotone,
             0.0,
         ),
     ]
@@ -166,17 +174,15 @@ def _c3_sup_norm(cache):
 
 def _c4_bifurcation_convergence(cache):
     t0 = time.perf_counter()
-    study = bif.convergence_study(3, 2, EPS_SWEEP, cache=cache)
+    points = [bif.find_bifurcation_alpha(3, eps, 2, cache=cache) for eps in EPS_SWEEP]
     dt = time.perf_counter() - t0
-    worst_residual = 0.0
-    for eps, _, _ in study.rows:
-        bp = bif.find_bifurcation_alpha(3, eps, 2, cache=cache)
-        worst_residual = max(worst_residual, bp.residual)
+    worst_residual = max(bp.residual for bp in points)
     floor = bif.alpha_resolution(3, 2)
-    errs = study.errors
+    errs = [abs(bp.alpha_k_eps - bifurcation_alpha(2)) for bp in points]
     worst_increase = max(
         [b - a for a, b in zip(errs, errs[1:])], default=0.0
     )
+    max_error = max(errs)
     return [
         CriterionResult(
             "C4.residual",
@@ -193,16 +199,16 @@ def _c4_bifurcation_convergence(cache):
             "nonincreasing",
             worst_increase,
             floor,
-            study.monotone_nonincreasing(),
+            all(b <= a + floor for a, b in zip(errs, errs[1:])),
             0.0,
         ),
         CriterionResult(
             "C4.limit",
             "every alpha_2^eps within 1e-4 of the limit value 2",
             "2",
-            study.max_error,
+            max_error,
             1e-4,
-            study.max_error < 1e-4,
+            max_error < 1e-4,
             0.0,
         ),
     ]
@@ -241,7 +247,8 @@ def _c5_morse_jump(cache):
 
 def _c6_lambda2_floor(cache):
     t0 = time.perf_counter()
-    floor_val = bif.lambda2_floor(3, 0.01, np.linspace(1.0, 5.0, 9), cache=cache)
+    floor_val = min(bif.lambda_values(3, 0.01, a, 2, cache)[1]
+                    for a in np.linspace(1.0, 5.0, 9))
     dt = time.perf_counter() - t0
     return [
         CriterionResult(

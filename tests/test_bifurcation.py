@@ -9,14 +9,16 @@ from henonball import bifurcation
 from henonball.bifurcation import (
     SolverCache,
     alpha_resolution,
-    convergence_study,
     find_bifurcation_alpha,
-    lambda1_curve,
-    lambda2_floor,
     lambda_values,
     morse_index,
 )
-from henonball.closedform import bifurcation_alpha, lambda1_closed, sphere_eigen
+from henonball.closedform import (
+    bifurcation_alpha,
+    lambda1_closed,
+    sphere_eigen,
+    sphere_multiplicity,
+)
 from henonball.errors import BracketError, DegeneratePointError, DomainError
 
 
@@ -25,29 +27,33 @@ def cache():
     return SolverCache()
 
 
+def lambda1_samples(eps, alphas, cache):
+    return np.array([lambda_values(3, eps, a, 1, cache)[0] for a in alphas])
+
+
 class TestLambdaCurve:
     def test_negativity_and_continuity(self, cache):
-        curve = lambda1_curve(3, 0.05, np.linspace(1.5, 2.5, 9), cache=cache)
-        assert curve.all_negative
-        assert curve.is_continuous()
+        alphas = np.linspace(1.5, 2.5, 9)
+        values = lambda1_samples(0.05, alphas, cache)
+        assert np.all(values < 0.0)
+        # neighbor jumps bounded by the limit curve's local slope (α+N)/2
+        # times the grid spacing, with a safety factor of 3
+        slope = (np.maximum(alphas[:-1], alphas[1:]) + 3) / 2.0
+        allowed = 3.0 * slope * np.diff(alphas) + 1e-6
+        assert np.all(np.abs(np.diff(values)) <= allowed)
 
     def test_uniform_closeness_to_limit(self, cache):
         # the deviation from the closed-form limit curve is a boundary tail
         # effect, far below any ε power; assert the uniform smallness and the
         # floored trend along decreasing ε
+        alphas = np.linspace(1.5, 2.5, 5)
+        limit = np.array([lambda1_closed(3, a) for a in alphas])
         sups = []
         for eps in (0.1, 0.05, 0.02):
-            curve = lambda1_curve(3, eps, np.linspace(1.5, 2.5, 5), cache=cache)
-            sups.append(curve.sup_limit_deviation)
+            sups.append(np.max(np.abs(lambda1_samples(eps, alphas, cache) - limit)))
         assert all(s < 1e-5 for s in sups)
         floor = 5e-9  # spectral discretization reproducibility
         assert all(b <= a + floor for a, b in zip(sups, sups[1:]))
-
-    def test_rejects_bad_grid(self, cache):
-        with pytest.raises(DomainError):
-            lambda1_curve(3, 0.05, [2.0, 1.0], cache=cache)
-        with pytest.raises(DomainError):
-            lambda1_curve(3, 0.05, [-1.0, 1.0], cache=cache)
 
 
 class TestFindBifurcation:
@@ -58,7 +64,7 @@ class TestFindBifurcation:
         assert 1.1 < bp.alpha_k_eps < 2.9
         assert bp.residual < 1e-6
         assert bp.unique and bp.exclusion_ok
-        assert bp.error_vs_limit < 1e-4
+        assert abs(bp.alpha_k_eps - bifurcation_alpha(2)) < 1e-4
 
     def test_bracketing_inequality(self, cache):
         # the curve straddles -sigma_2 across the default bracket
@@ -118,7 +124,7 @@ class TestMorseIndex:
     def test_small_alpha_first_channel(self, cache):
         # lambda_1 < -sigma_1 for every alpha > 0: pair (1,1) contributes
         rep = morse_index(3, 0.01, 0.3, cache=cache)
-        assert (1, 1, 3) in rep.contributing_pairs
+        assert dict(rep.channel_counts)[1] >= 1 and sphere_multiplicity(3, 1) == 3
         assert rep.index_invariant == 2  # radial + the (1,1) channel
         assert rep.index_full == 4       # radial + multiplicity 3
 
@@ -126,17 +132,10 @@ class TestMorseIndex:
         with pytest.raises(DegeneratePointError):
             morse_index(3, 0.01, 2.0, cache=cache)
 
-    def test_mode_accessor(self, cache):
-        rep = morse_index(3, 0.01, 0.3, cache=cache)
-        assert rep.index("full") == rep.index_full
-        assert rep.index("invariant") == rep.index_invariant
-        with pytest.raises(DomainError):
-            rep.index("sideways")
-
 
 class TestLambda2Floor:
     def test_floor_above_minus_sigma1(self, cache):
-        vals = lambda2_floor(3, 0.01, np.linspace(1.0, 5.0, 9), cache=cache)
+        vals = min(lambda_values(3, 0.01, a, 2, cache)[1] for a in np.linspace(1.0, 5.0, 9))
         assert vals > -2.0
 
     def test_ordering_against_lambda1(self, cache):
@@ -147,19 +146,15 @@ class TestLambda2Floor:
 
 class TestConvergenceStudy:
     def test_k2_dim3(self, cache):
-        cs = convergence_study(3, 2, [0.1, 0.05, 0.02], cache=cache)
-        assert cs.max_error < 1e-4
-        assert cs.monotone_nonincreasing()
-        for eps, alpha, err in cs.rows:
-            assert err == abs(alpha - bifurcation_alpha(2))
+        errs = [abs(find_bifurcation_alpha(3, eps, 2, cache=cache).alpha_k_eps
+                    - bifurcation_alpha(2)) for eps in (0.1, 0.05, 0.02)]
+        assert max(errs) < 1e-4
+        floor = alpha_resolution(3, 2)
+        assert all(b <= a + floor for a, b in zip(errs, errs[1:]))
 
     def test_alpha_resolution_floor(self):
         # residual tolerance 1e-6 against slope (alpha_k + N)/2
         assert alpha_resolution(3, 2) == pytest.approx(2e-6 / 2.5)
-
-    def test_rejects_nondecreasing_eps(self, cache):
-        with pytest.raises(DomainError):
-            convergence_study(3, 2, [0.05, 0.1], cache=cache)
 
     def test_limit_roots_exact(self):
         # closed-form sanity: the limit curve crosses -sigma_k exactly at

@@ -42,6 +42,9 @@ BAD_VALUES = [
     (["spectrum", *POINT, "--grid-points", "2"], "--grid-points"),
     (["bifurcate", *REQUIRED["bifurcate"], "--eps-list", "0.04"], "not allowed with"),
     (["bifurcate", *REQUIRED["bifurcate"], "@ARGS"], "unrecognized arguments: --tol=0.5"),
+    # an empty selection would otherwise run every criterion
+    (["verify", "--criteria", ","], "--criteria"),
+    (["verify", "--criteria", ""], "--criteria"),
 ]
 
 # (subcommand, option) pairs whose cmd_* never reads the option

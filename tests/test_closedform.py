@@ -100,13 +100,6 @@ class TestThresholdAndConstants:
         for (n_dim, alpha), expected in LIMIT_LAMBDA_CASES.items():
             assert cf.limit_lambda(n_dim, alpha) == pytest.approx(expected, rel=1e-10)
 
-    def test_limit_constants_bundle(self):
-        lc = cf.limit_constants(3, 2.0)
-        assert lc.c_na == 5.0
-        assert lc.m_fowler == pytest.approx(2.5)
-        assert lc.big_m == pytest.approx(SUP_NORM_CASES[(3, 2.0)], rel=1e-10)
-        assert lc.m_fowler > 2.0 and lc.big_m > 0.0 and lc.lam > 0.0
-
 
 class TestLimitProfile:
     def test_center_value(self):

@@ -5,12 +5,12 @@ import pytest
 
 from henonball.closedform import ProblemParams, sup_norm_constant
 from henonball.errors import DomainError, SupercriticalError
+from henonball.numerics import extrapolate_to_zero
 from henonball.radial import (
     decay_bound_check,
     fowler_check,
     integrate_radial_ivp,
     solve_dirichlet_ball,
-    sup_norm_table,
 )
 
 
@@ -79,6 +79,10 @@ class TestIntegrateRadialIVP:
             integrate_radial_ivp(3, 0.0, 3.0, method="euler")
         with pytest.raises(DomainError):
             integrate_radial_ivp(3, 4.5, 2.0, r_max=0.1)  # series radius 0.31
+        # the shot amplitude is checked before it sizes the integration window
+        for amplitude in (-1.0, 0.0):
+            with pytest.raises(DomainError):
+                solve_dirichlet_ball(ProblemParams(3, 0.0, 0.05), amplitude=amplitude)
 
 
 class TestSolveDirichletBall:
@@ -156,25 +160,34 @@ class TestFowlerCheck:
         assert abs(cfac * p.evaluate(1.0)) < 1e-9 * p.u0
 
 
+SUP_NORM_EPS = [0.1, 0.05, 0.02, 0.01]
+
+
+def eps_u0_sq(n_dim, alpha):
+    return [eps * solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps)).u0**2
+            for eps in SUP_NORM_EPS]
+
+
+def gaps_shrink(vals, big_m):
+    gaps = [abs(1.0 - val / big_m) for val in vals]
+    return all(b <= a for a, b in zip(gaps, gaps[1:]))
+
+
 class TestSupNormTable:
     def test_rows_and_extrapolation_dim4(self):
-        tbl = sup_norm_table(4, 0.0, [0.1, 0.05, 0.02, 0.01])
-        assert tbl.rows[0].big_m == pytest.approx(96.0, rel=1e-12)
-        assert tbl.ratios_monotone_toward_one
-        assert abs(tbl.extrapolated - 96.0) / 96.0 < 0.02
+        vals = eps_u0_sq(4, 0.0)
+        big_m = sup_norm_constant(4, 0.0)
+        assert big_m == pytest.approx(96.0, rel=1e-12)
+        assert gaps_shrink(vals, big_m)
+        assert abs(extrapolate_to_zero(SUP_NORM_EPS, vals) - 96.0) / 96.0 < 0.02
 
     def test_rows_and_extrapolation_dim3(self):
         big_m = 32.0 * math.sqrt(3.0) / math.pi
-        tbl = sup_norm_table(3, 0.0, [0.1, 0.05, 0.02, 0.01])
-        assert tbl.rows[-1].big_m == pytest.approx(big_m, rel=1e-10)
-        assert tbl.ratios_monotone_toward_one
-        assert abs(tbl.extrapolated - big_m) / big_m < 0.02
-
-    def test_requires_decreasing_eps(self):
-        with pytest.raises(DomainError):
-            sup_norm_table(3, 0.0, [0.01, 0.05])
-        with pytest.raises(DomainError):
-            sup_norm_table(3, 0.0, [0.05, -0.01])
+        vals = eps_u0_sq(3, 0.0)
+        computed_m = sup_norm_constant(3, 0.0)
+        assert computed_m == pytest.approx(big_m, rel=1e-10)
+        assert gaps_shrink(vals, computed_m)
+        assert abs(extrapolate_to_zero(SUP_NORM_EPS, vals) - big_m) / big_m < 0.02
 
 
 class TestDecayBound:

@@ -16,7 +16,6 @@ from henonball.rescaling import (
     pde_residual,
     rescale,
     uniform_bound_check,
-    uniform_bound_stable,
 )
 
 
@@ -97,7 +96,7 @@ class TestUniformBound:
         for eps in (0.05, 0.02, 0.01):
             rs = rescale(solve_dirichlet_ball(ProblemParams(3, 2.0, eps)))
             cs.append(uniform_bound_check(rs))
-        assert uniform_bound_stable(cs)
+        assert min(cs) > 0 and max(cs) / min(cs) < 10.0
         assert max(cs) / min(cs) < 1.1  # observed well below the 10x gate
 
     def test_bubble_itself_fits_closed_form_constant(self):

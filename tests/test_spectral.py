@@ -374,6 +374,14 @@ class TestScaleEquivalence:
         rs = rescale(profile_3_2_005)
         assert scale_equivalence_test(profile_3_2_005, rs) < 1e-8
 
+    @settings(max_examples=20, deadline=None)
+    @given(n_dim=st.integers(3, 6), alpha=st.floats(0.0, 4.5),
+           log_eps=st.floats(math.log(0.005), math.log(0.2)))
+    def test_isospectral_property(self, n_dim, alpha, log_eps):
+        # C8.c's gate, over N, α and log-uniform ε
+        prof = solve_dirichlet_ball(ProblemParams(n_dim, alpha, math.exp(log_eps)))
+        assert scale_equivalence_test(prof, rescale(prof)) < 1e-6
+
 
 class TestEigfunDecay:
     def test_fitted_constant_definition(self):
