@@ -140,8 +140,8 @@ def find_bifurcation_alpha(
         rho = 0.9
         bracket = (alpha_k - rho, alpha_k + rho)
     lo, hi = bracket
-    if not 0.0 < lo < hi:
-        raise DomainError(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")
+    if not 0.0 < lo < hi < np.inf:
+        raise DomainError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
     sigma_k, _ = sphere_eigen(n_dim, k)
     cache = cache or SolverCache()
 

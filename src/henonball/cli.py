@@ -10,14 +10,13 @@ Arguments can be kept in a file and passed as `@FILE`, e.g.
 `henonball bifurcate @run.args --format json`.  The file holds one argument
 per line, written `--key=value` (a flag is just `--no-cache`), with no blank
 lines or comments; its arguments are spliced in where `@FILE` stands, so
-whichever occurrence of an option comes later on the line wins.  The old
-`--config` key=value files are no longer read: `eps_list=0.05` becomes
-`--eps-list=0.05`.
+whichever occurrence of an option comes later on the line wins.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -52,15 +51,17 @@ def alpha_grid(text: str) -> list[float]:
     """lo:hi:n grid specification."""
     lo, hi, n = text.split(":")
     lo, hi, n = float(lo), float(hi), int(n)
-    if not (lo < hi and n >= 2):
-        raise argparse.ArgumentTypeError(f"need lo < hi and n >= 2, got {text!r}")
+    if not (-math.inf < lo < hi < math.inf and n >= 2):
+        raise argparse.ArgumentTypeError(f"need finite lo < hi and n >= 2, got {text!r}")
     return np.linspace(lo, hi, n).tolist()
 
 
 def bracket(text: str) -> tuple[float, float]:
-    """lo:hi interval."""
-    lo, hi = text.split(":")
-    return float(lo), float(hi)
+    """lo:hi interval with finite ends."""
+    lo, hi = (float(tok) for tok in text.split(":"))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"need finite lo and hi, got {text!r}")
+    return lo, hi
 
 
 def int_at_least(floor: int):
@@ -200,7 +201,8 @@ def cmd_sweep(args) -> int:
         for e in args.eps_list for a in args.alpha_grid
     ]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all its workers at once, so never more than tasks
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
         rows = [_sweep_row(t) for t in tasks]

@@ -161,9 +161,7 @@ class ProblemParams:
     def __post_init__(self):
         if int(self.n_dim) != self.n_dim or self.n_dim < 3:
             raise DomainError(f"need integer N >= 3, got {self.n_dim!r}")
-        if self.alpha < 0:
-            raise DomainError(f"need alpha >= 0, got {self.alpha!r}")
-        p_alpha = threshold_exponent(self.n_dim, self.alpha)
+        p_alpha = threshold_exponent(self.n_dim, self.alpha)  # checks α
         if not 0.0 < self.eps < p_alpha - 1.0:
             raise DomainError(
                 f"need 0 < eps < p_alpha - 1 = {p_alpha - 1.0}, got {self.eps!r}"
@@ -180,5 +178,5 @@ class ProblemParams:
 def _check_n_alpha(n_dim: int, alpha: float) -> None:
     if n_dim < 3:
         raise DomainError(f"need N >= 3, got {n_dim!r}")
-    if alpha < 0:
-        raise DomainError(f"need alpha >= 0, got {alpha!r}")
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError(f"need finite alpha >= 0, got {alpha!r}")

@@ -5,6 +5,9 @@ full round-trip precision (repr in JSON, 17 significant digits in CSV) and
 every writer is deterministic: identical inputs give byte-identical files.
 Files are written to a temporary sibling and atomically renamed, so an
 interrupted run never leaves a partial artifact.
+
+Artifacts are write-only outputs; a profile's samples come from
+`RadialProfile.evaluate`, and the cache returns stored text unparsed.
 """
 
 from __future__ import annotations
@@ -16,11 +19,7 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .closedform import ProblemParams
-from .errors import DomainError
-from .radial import RadialProfile
+from .radial import RadialProfile, default_profile_grid
 from .rescaling import RescaledProfile
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "dumps_json",
     "atomic_write_text",
     "profile_to_dict",
-    "profile_from_dict",
     "rescaled_to_dict",
     "rows_to_csv",
     "ProfileCache",
@@ -73,44 +71,23 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def profile_to_dict(profile: RadialProfile, residuals: Mapping[str, float] | None = None) -> dict:
+    """The profile's artifact: its samples on `default_profile_grid()`."""
     pr = profile.params
+    grid = default_profile_grid()
+    u, du = profile.evaluate(grid, derivative=True)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "radial_profile",
         "params": {"N": pr.n_dim, "alpha": pr.alpha, "eps": pr.eps},
         "u0": profile.u0,
-        "mu": profile.mu,
+        "mu": profile.u0**-2.0,
         "first_zero_raw": profile.first_zero_raw,
         "integrator_tol": profile.integrator_tol,
-        "grid": profile.grid.tolist(),
-        "u": profile.u.tolist(),
-        "du": profile.du.tolist(),
+        "grid": grid.tolist(),
+        "u": u.tolist(),
+        "du": du.tolist(),
         "residuals": dict(residuals or {}),
     }
-
-
-def profile_from_dict(doc: Mapping) -> RadialProfile:
-    """Rebuild a profile from its artifact.
-
-    Off-grid evaluation of a deserialized profile goes through a C¹ Hermite
-    interpolant of the stored (u, du) samples instead of the integrator's
-    dense output, so tight oracle comparisons should use freshly solved
-    profiles."""
-    if doc.get("kind") != "radial_profile":
-        raise DomainError(f"not a radial_profile artifact: kind={doc.get('kind')!r}")
-    p = doc["params"]
-    params = ProblemParams(int(p["N"]), float(p["alpha"]), float(p["eps"]))
-    return RadialProfile(
-        params=params,
-        grid=np.asarray(doc["grid"], dtype=float),
-        u=np.asarray(doc["u"], dtype=float),
-        du=np.asarray(doc["du"], dtype=float),
-        u0=float(doc["u0"]),
-        first_zero_raw=float(doc["first_zero_raw"]),
-        mu=float(doc["mu"]),
-        integrator_tol=float(doc["integrator_tol"]),
-        _shot=None,
-    )
 
 
 def rescaled_to_dict(rescaled: RescaledProfile, metrics: Mapping[str, float] | None = None) -> dict:

@@ -119,11 +119,7 @@ def integrate_radial_ivp(
     two independent step controllers ("dop853" or "rk45") so results can be
     cross-checked.
     """
-    if n_dim < 3:
-        raise DomainError(f"need N >= 3, got {n_dim!r}")
-    if alpha < 0:
-        raise DomainError(f"need alpha >= 0, got {alpha!r}")
-    p_alpha = threshold_exponent(n_dim, alpha)
+    p_alpha = threshold_exponent(n_dim, alpha)  # checks N and α
     if not 1.0 < p <= p_alpha:
         raise DomainError(f"need 1 < p <= p_alpha = {p_alpha}, got {p!r}")
     if not a > 0:
@@ -185,7 +181,7 @@ def integrate_radial_ivp(
 
 
 def default_profile_grid() -> np.ndarray:
-    """Storage grid on [0, 1]: geometric grading (ratio 1.05) up to 0.1, then
+    """Sample grid on [0, 1]: geometric grading (ratio 1.05) up to 0.1, then
     2000 uniform points; curvature concentrates at the origin for small ε."""
     graded = [0.0]
     r = 1e-7
@@ -200,48 +196,29 @@ def default_profile_grid() -> np.ndarray:
 class RadialProfile:
     """The unique radial Dirichlet solution for one (N, α, ε).
 
-    Stores samples (u, du) on a graded grid of [0, 1] together with the
-    sup-norm u0 = u(0), the shot radius that produced it, and
-    mu = u0^-2.  `evaluate` delegates to the shot's dense output, so values
-    off the storage grid carry integrator accuracy.
+    Holds the shot that produced it, its first zero R (`first_zero_raw`) and
+    the sup-norm u0 = u(0) = R^β a with β = (2+α)/(p-1).  `evaluate` gives
+    u(r) = R^β u_shot(R r) at any r in [0, 1] from the shot's dense output;
+    samples on the standard grid are `evaluate(default_profile_grid(),
+    derivative=True)`.
     """
 
     params: ProblemParams
-    grid: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
     u0: float
     first_zero_raw: float
-    mu: float
     integrator_tol: float
-    _shot: ShotTrajectory | None = None
-    _interp: object = None
+    _shot: ShotTrajectory
 
     def evaluate(self, r, derivative: bool = False):
-        """u(r) (and u'(r)) for r in [0, 1], off-grid capable."""
+        """u(r) (and u'(r)) for r in [0, 1]."""
         beta = (2.0 + self.params.alpha) / (self.params.p - 1.0)
         scale = self.first_zero_raw**beta
-        if self._shot is not None:
-            res = self._shot.evaluate(np.asarray(r, float) * self.first_zero_raw,
-                                      derivative=True)
-            u = scale * res[0]
-            du = scale * self.first_zero_raw * res[1]
-        else:
-            u, du = self._hermite(r)
+        res = self._shot.evaluate(np.asarray(r, float) * self.first_zero_raw,
+                                  derivative=True)
+        u = scale * res[0]
         if derivative:
-            return u, du
+            return u, scale * self.first_zero_raw * res[1]
         return u
-
-    def _hermite(self, r):
-        # deserialized profiles interpolate the stored (u, du) samples
-        from scipy.interpolate import BPoly
-
-        if self._interp is None:
-            yd = np.stack([self.u, self.du], axis=1)
-            object.__setattr__(self, "_interp", BPoly.from_derivatives(self.grid, yd))
-        f = self._interp
-        r = np.asarray(r, dtype=float)
-        return f(r), f.derivative()(r)
 
 
 def solve_dirichlet_ball(
@@ -251,7 +228,7 @@ def solve_dirichlet_ball(
     r_max: float | None = None,
 ) -> RadialProfile:
     """Radial Dirichlet solution on the unit ball via one DOP853 shot plus
-    rescaling, sampled on `default_profile_grid()`.
+    rescaling; the profile evaluates the shot, it stores no samples.
 
     When `r_max` is omitted it is sized from the sup-norm asymptotics
     (u(0) ~ sqrt(M/ε) puts the unit shot's zero near u0^((p-1)/(2+α))) and
@@ -285,22 +262,10 @@ def solve_dirichlet_ball(
         )
 
     big_r = shot.first_zero
-    u0 = big_r**beta * amplitude
-    grid = default_profile_grid()
-    scale = big_r**beta
-    vals = shot.evaluate(grid * big_r, derivative=True)
-    u = scale * vals[0]
-    du = scale * big_r * vals[1]
-    u[0] = u0      # series value at the origin, exact by construction
-    du[0] = 0.0
     return RadialProfile(
         params=params,
-        grid=grid,
-        u=u,
-        du=du,
-        u0=u0,
+        u0=big_r**beta * amplitude,
         first_zero_raw=big_r,
-        mu=u0**-2.0,
         integrator_tol=tol,
         _shot=shot,
     )
@@ -326,7 +291,7 @@ def fowler_check(profile: RadialProfile) -> float:
     r = numerics.log_grid(r_lo, 1.0, 2000)
     s = r ** (2.0 / (2.0 + alpha))
     u, du = profile.evaluate(s, derivative=True)
-    # v' comes exactly from the stored radial derivative (chain rule)
+    # v' comes exactly from the profile's radial derivative (chain rule)
     dv = cfac * du * (2.0 / (2.0 + alpha)) * s / r
     return numerics.radial_defect(
         r, cfac * u, dv, m, lambda rin, v: np.clip(v, 0.0, None) ** p
@@ -338,15 +303,16 @@ def decay_bound_check(profile: RadialProfile) -> float:
 
     u(r) ≤ [ μ^((p_α-1-2ε)/4) / (μ^((p_α-1-ε)/2) + C_{N,α}^-1 r^(2+α)) ]^((N-2)/(2+α))
 
-    over the storage grid, where μ = u0^-2.  Returns min(bound - u); the
-    envelope touches u at r = 0, so the result should never drop below
+    over `default_profile_grid()`, where μ = u0^-2.  Returns min(bound - u);
+    the envelope touches u at r = 0, so the result should never drop below
     -1e-9·u0 for a correct profile.
     """
     pr = profile.params
-    mu = profile.mu
+    mu = profile.u0**-2.0
     alpha = pr.alpha
     c_inv = 1.0 / pr.henon_c
+    grid = default_profile_grid()
     num = mu ** ((pr.p_alpha - 1.0 - 2.0 * pr.eps) / 4.0)
-    den = mu ** ((pr.p_alpha - 1.0 - pr.eps) / 2.0) + c_inv * profile.grid ** (2.0 + alpha)
+    den = mu ** ((pr.p_alpha - 1.0 - pr.eps) / 2.0) + c_inv * grid ** (2.0 + alpha)
     bound = (num / den) ** ((pr.n_dim - 2.0) / (2.0 + alpha))
-    return float(np.min(bound - profile.u))
+    return float(np.min(bound - profile.evaluate(grid)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numerics
 from .closedform import ProblemParams, limit_lambda, limit_profile
-from .radial import RadialProfile
+from .radial import RadialProfile, default_profile_grid
 
 __all__ = [
     "RescaledProfile",
@@ -68,12 +68,13 @@ def rescale(profile: RadialProfile) -> RescaledProfile:
         - (2.0 + pr.alpha) / (pr.n_dim - 2.0) * math.log(pr.eps)
     ) / (1.0 - pr.p_alpha + pr.eps)
     kappa = math.exp(log_kappa)
+    grid = default_profile_grid()
     return RescaledProfile(
         params=pr,
         rho_eps=rho,
         kappa=kappa,
-        grid=rho * profile.grid,
-        w=kappa * profile.u,
+        grid=rho * grid,
+        w=kappa * profile.evaluate(grid),
         w0=kappa * profile.u0,
         _profile=profile,
     )
@@ -89,7 +90,7 @@ def kappa_relation_residual(rescaled: RescaledProfile) -> float:
 
 def pde_residual(rescaled: RescaledProfile) -> float:
     """Max term-normalized defect of w'' + (N-1)/r w' + C_{N,α} r^α w^(p_α-ε) = 0
-    on a 2000-point geometric grid of (0, ρ); w' comes from the stored radial
+    on a 2000-point geometric grid of (0, ρ); w' comes from the profile's radial
     derivative, so only one finite differencing enters."""
     pr = rescaled.params
     rho = rescaled.rho_eps

@@ -27,6 +27,7 @@ from .errors import DomainError
 from .io import SCHEMA_VERSION
 from .radial import (
     decay_bound_check,
+    default_profile_grid,
     fowler_check,
     integrate_radial_ivp,
     solve_dirichlet_ball,
@@ -87,6 +88,7 @@ EPS_SWEEP = (0.1, 0.05, 0.02, 0.01)
 
 
 def _c1_limit_eigen(cache):
+    """C1: Closed-form limit first eigenvalues."""
     # closed-form first eigenvalue of the truncated limit problem; the
     # formula -(α+2)(2N+α-2)/4 gives -6, -2 and -8 for these cases
     out = []
@@ -111,6 +113,7 @@ def _c1_limit_eigen(cache):
 
 
 def _c2_limit_lambda2(cache):
+    """C2: Zero second eigenvalue of the limit problem."""
     out = []
     for alpha in (0.0, 1.0, 2.0):
         t0 = time.perf_counter()
@@ -142,6 +145,7 @@ def _c2_limit_lambda2(cache):
 
 
 def _c3_sup_norm(cache):
+    """C3: Sup-norm asymptotics eps*u0^2 -> M(4,0)."""
     t0 = time.perf_counter()
     big_m = sup_norm_constant(4, 0.0)
     vals = [eps * solve_dirichlet_ball(ProblemParams(4, 0.0, eps)).u0**2
@@ -173,6 +177,7 @@ def _c3_sup_norm(cache):
 
 
 def _c4_bifurcation_convergence(cache):
+    """C4: Bifurcation point convergence, N=3, k=2."""
     t0 = time.perf_counter()
     points = [bif.find_bifurcation_alpha(3, eps, 2, cache=cache) for eps in EPS_SWEEP]
     dt = time.perf_counter() - t0
@@ -215,6 +220,7 @@ def _c4_bifurcation_convergence(cache):
 
 
 def _c5_morse_jump(cache):
+    """C5: Morse index jump across alpha_2."""
     t0 = time.perf_counter()
     bp = bif.find_bifurcation_alpha(3, 0.01, 2, cache=cache)
     delta = 0.05
@@ -246,6 +252,7 @@ def _c5_morse_jump(cache):
 
 
 def _c6_lambda2_floor(cache):
+    """C6: Second-eigenvalue floor on alpha in [1,5]."""
     t0 = time.perf_counter()
     floor_val = min(bif.lambda_values(3, 0.01, a, 2, cache)[1]
                     for a in np.linspace(1.0, 5.0, 9))
@@ -264,6 +271,7 @@ def _c6_lambda2_floor(cache):
 
 
 def _c7_radial_nondegeneracy(cache):
+    """C7: Radial nondegeneracy across the sweep."""
     t0 = time.perf_counter()
     worst = np.inf
     for eps in (0.05, 0.01):
@@ -285,6 +293,7 @@ def _c7_radial_nondegeneracy(cache):
 
 
 def _c8_oracles(cache):
+    """C8: Independent-oracle agreements."""
     out = []
 
     t0 = time.perf_counter()
@@ -356,7 +365,8 @@ def _c8_oracles(cache):
     params = ProblemParams(3, 2.0, 0.05)
     p1 = solve_dirichlet_ball(params, amplitude=1.0)
     p4 = solve_dirichlet_ball(params, amplitude=4.0)
-    amp = float(np.max(np.abs(p1.u - p4.u)) / p1.u0)
+    grid = default_profile_grid()
+    amp = float(np.max(np.abs(p1.evaluate(grid) - p4.evaluate(grid))) / p1.u0)
     out.append(
         CriterionResult(
             "C8.e_amplitude",
@@ -375,6 +385,7 @@ REGRESSION_SET = ((3, 1.0, 0.05), (3, 2.0, 0.05), (4, 1.0, 0.05), (3, 2.0, 0.02)
 
 
 def _c9_pointwise_bounds(cache):
+    """C9: Pointwise bounds and fitted constants."""
     out = []
     t0 = time.perf_counter()
     worst = np.inf
@@ -439,6 +450,7 @@ def _c9_pointwise_bounds(cache):
 
 
 def _c10_rescaled_convergence(cache):
+    """C10: Rescaled profiles approach the bubble."""
     out = []
     for alpha in (1.0, 2.0):
         t0 = time.perf_counter()
@@ -462,16 +474,16 @@ def _c10_rescaled_convergence(cache):
 
 
 CRITERIA = {
-    "C1": ("closed-form limit first eigenvalues", _c1_limit_eigen),
-    "C2": ("zero second eigenvalue of the limit problem", _c2_limit_lambda2),
-    "C3": ("sup-norm asymptotics eps*u0^2 -> M(4,0)", _c3_sup_norm),
-    "C4": ("bifurcation point convergence, N=3, k=2", _c4_bifurcation_convergence),
-    "C5": ("Morse index jump across alpha_2", _c5_morse_jump),
-    "C6": ("second-eigenvalue floor on alpha in [1,5]", _c6_lambda2_floor),
-    "C7": ("radial nondegeneracy across the sweep", _c7_radial_nondegeneracy),
-    "C8": ("independent-oracle agreements", _c8_oracles),
-    "C9": ("pointwise bounds and fitted constants", _c9_pointwise_bounds),
-    "C10": ("rescaled profiles approach the bubble", _c10_rescaled_convergence),
+    "C1": _c1_limit_eigen,
+    "C2": _c2_limit_lambda2,
+    "C3": _c3_sup_norm,
+    "C4": _c4_bifurcation_convergence,
+    "C5": _c5_morse_jump,
+    "C6": _c6_lambda2_floor,
+    "C7": _c7_radial_nondegeneracy,
+    "C8": _c8_oracles,
+    "C9": _c9_pointwise_bounds,
+    "C10": _c10_rescaled_convergence,
 }
 
 
@@ -490,8 +502,7 @@ def run_criteria(ids: list[str] | None = None, progress=None) -> VerifyReport:
     report = VerifyReport()
     t0 = time.perf_counter()
     for cid in selected:
-        _, func = CRITERIA[cid]
-        for result in func(cache):
+        for result in CRITERIA[cid](cache):
             report.results.append(result)
             if progress is not None:
                 progress(result.line())

@@ -1,5 +1,6 @@
 import gc
 import logging
+import math
 import weakref
 
 import numpy as np
@@ -83,6 +84,11 @@ class TestFindBifurcation:
     def test_k1_rejected(self, cache):
         with pytest.raises(DomainError):
             find_bifurcation_alpha(3, 0.05, 1, cache=cache)
+
+    def test_non_finite_bracket_rejected(self, cache):
+        for bracket in ((1.0, math.inf), (math.nan, 2.0)):
+            with pytest.raises(DomainError, match="bracket"):
+                find_bifurcation_alpha(3, 0.05, 2, bracket=bracket, cache=cache)
 
     def test_hopeless_bracket_raises(self, cache):
         with pytest.raises(BracketError):

@@ -36,6 +36,8 @@ BAD_VALUES = [
     (["bifurcate", "--N", "3", "--k", "2", "--eps-list", "abc"], "--eps-list"),
     (["bifurcate", *REQUIRED["bifurcate"], "--bracket", "1"], "--bracket"),
     (["sweep", "--N", "3", "--alpha-grid", "1:2:x", "--eps-list", "0.05"], "--alpha-grid"),
+    (["sweep", "--N", "3", "--alpha-grid", "1:inf:3", "--eps-list", "0.05"], "--alpha-grid"),
+    (["bifurcate", *REQUIRED["bifurcate"], "--bracket", "1:inf"], "--bracket"),
     (["sweep", *REQUIRED["sweep"], "--jobs", "0"], "--jobs"),
     (["spectrum", *POINT, "--count", "0"], "--count"),
     # assemble_pencil needs at least 3 nodes
@@ -84,21 +86,26 @@ def test_bracket_that_does_not_straddle_exits_3(capsys):
     assert "do not straddle" in capsys.readouterr().out
 
 
-# parameters that parse but that the library rejects as invalid
+# parameters that parse but that the library rejects as invalid, each with a
+# piece of the message
 INVALID_PARAMETERS = [
-    ["bifurcate", "--N", "3", "--k", "1", "--eps", "0.05"],
-    ["bifurcate", "--N", "2", "--k", "2", "--eps", "0.05"],
-    ["bifurcate", *REQUIRED["bifurcate"], "--bracket", "2:1"],
-    ["sweep", "--N", "2", "--alpha-grid", "1:2:2", "--eps-list", "0.05"],
+    (["bifurcate", "--N", "3", "--k", "1", "--eps", "0.05"], "k >= 2"),
+    (["bifurcate", "--N", "2", "--k", "2", "--eps", "0.05"], "N >= 3"),
+    (["bifurcate", *REQUIRED["bifurcate"], "--bracket", "2:1"], "bracket"),
+    (["sweep", "--N", "2", "--alpha-grid", "1:2:2", "--eps-list", "0.05"], "N >= 3"),
+    (["solve", "--N", "3", "--alpha", "inf", "--eps", "0.05"], "alpha >= 0, got inf"),
+    (["solve", "--N", "3", "--alpha", "nan", "--eps", "0.05"], "alpha >= 0, got nan"),
 ]
 
 
-@pytest.mark.parametrize("argv", INVALID_PARAMETERS, ids=" ".join)
-def test_invalid_parameters_exit_2(argv, no_solve, capsys):
+@pytest.mark.parametrize("argv, message", INVALID_PARAMETERS,
+                         ids=[" ".join(argv) for argv, _ in INVALID_PARAMETERS])
+def test_invalid_parameters_exit_2(argv, message, no_solve, capsys):
     assert cli.main(argv) == cli.EXIT_INVALID
     captured = capsys.readouterr()
     # no table: the error goes to stderr, not into a row's error column
     assert captured.out == "" and captured.err.startswith("error: ")
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("command, option", REJECTED)
@@ -149,6 +156,29 @@ def test_bad_value_exits_2_before_any_solve(argv, message, tmp_path, no_solve, c
     assert exc.value.code == cli.EXIT_INVALID
     err = capsys.readouterr().err
     assert "usage: henonball" in err and message in err
+
+
+def test_sweep_pool_has_at_most_one_worker_per_task(tmp_path, monkeypatch):
+    seen = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    argv = ["sweep", *REQUIRED["sweep"], "--jobs", "64", "--grid-points", "400",
+            "--out", str(tmp_path / "sweep.csv")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert seen == [2]
 
 
 def test_failed_criterion_exits_1(monkeypatch):

@@ -248,7 +248,8 @@ class TestProblemParams:
 
     @pytest.mark.parametrize(
         "n_dim, alpha, eps",
-        [(2, 0.0, 0.1), (3, -1.0, 0.1), (3, 0.0, 0.0), (3, 0.0, 4.0), (3, 0.0, -0.1)],
+        [(2, 0.0, 0.1), (3, -1.0, 0.1), (3, 0.0, 0.0), (3, 0.0, 4.0), (3, 0.0, -0.1),
+         (3, math.inf, 0.1), (3, math.nan, 0.1)],
     )
     def test_invalid_rejected(self, n_dim, alpha, eps):
         with pytest.raises(DomainError):
