@@ -48,11 +48,7 @@ SCAN_POINTS = 32
 
 
 class SolverCache:
-    """Memo of radial profiles and eigenvalue lists.
-
-    All stored objects are immutable once computed; per-key writes are plain
-    dict assignments (atomic under the interpreter lock), so concurrent reads
-    from worker threads are safe."""
+    """Memo of radial profiles and eigenvalue lists, keyed by (N, α, ε)."""
 
     def __init__(self):
         self._profiles: dict = {}
@@ -112,8 +108,9 @@ class BifurcationPoint:
 
 
 def alpha_resolution(n_dim: int, k: int) -> float:
-    """Smallest α-difference the root solve can certify: the residual
-    tolerance 1e-6 divided by the limit curve's slope at α_k, times two."""
+    """The α noise floor C4.trend forgives: twice the residual tolerance
+    1e-6 divided by the limit curve's slope at α_k.  It is not the solver's
+    resolution; brentq pins each root to 1e-10 in α."""
     slope = (bifurcation_alpha(k) + n_dim) / 2.0
     return 2.0 * 1e-6 / slope
 

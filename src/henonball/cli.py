@@ -84,8 +84,13 @@ def id_list(text: str) -> list[str]:
 
 
 def emit(text: str, out_path: str | None) -> None:
+    """Text to the --out file, or to stdout without one.  A failed write is a
+    DomainError naming the path (exit 2; exit 1 is for failed criteria)."""
     if out_path:
-        hio.atomic_write_text(out_path, text)
+        try:
+            hio.atomic_write_text(out_path, text)
+        except OSError as err:
+            raise DomainError(f"cannot write --out {out_path!r}: {err}") from err
     else:
         sys.stdout.write(text)
 
@@ -142,7 +147,7 @@ def cmd_spectrum(args) -> int:
         spec.SLProblem.from_profile(profile), count=args.count, n_points=args.grid_points
     )
     rows = [
-        dict(zip(SPECTRUM_HEADER, (params.alpha, params.eps, r.j, r.value,
+        dict(zip(SPECTRUM_HEADER, (params.alpha, params.eps, r.j, r.extrapolated,
                                    r.node_count, r.error_estimate)))
         for r in results
     ]
@@ -220,7 +225,7 @@ def cmd_verify(args) -> int:
         f"in {report.total_runtime_s:.1f}s"
     )
     if args.out:
-        hio.atomic_write_text(args.out, hio.dumps_json(report.to_dict()))
+        emit(hio.dumps_json(report.to_dict()), args.out)
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAILED
 
 

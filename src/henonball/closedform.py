@@ -99,8 +99,7 @@ def limit_profile(r, lam: float, n_dim: int, alpha: float):
 
 def lambda1_closed(n_dim: int, alpha: float) -> float:
     """First eigenvalue Λ₁(α) = -(α+2)(2N+α-2)/4 of the limit linearization."""
-    if alpha < 0:
-        raise DomainError(f"lambda1_closed requires alpha >= 0, got {alpha!r}")
+    _check_n_alpha(n_dim, alpha)
     return -(alpha + 2.0) * (2.0 * n_dim + alpha - 2.0) / 4.0
 
 

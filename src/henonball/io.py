@@ -91,16 +91,18 @@ def profile_to_dict(profile: RadialProfile, residuals: Mapping[str, float] | Non
 
 
 def rescaled_to_dict(rescaled: RescaledProfile, metrics: Mapping[str, float] | None = None) -> dict:
+    """The rescaled profile's artifact: w0 = κ u0 and `rescaled.samples()`."""
     pr = rescaled.params
+    grid, w = rescaled.samples()
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "rescaled_profile",
         "params": {"N": pr.n_dim, "alpha": pr.alpha, "eps": pr.eps},
         "rho_eps": rescaled.rho_eps,
         "kappa": rescaled.kappa,
-        "w0": rescaled.w0,
-        "grid": rescaled.grid.tolist(),
-        "w": rescaled.w.tolist(),
+        "w0": rescaled.kappa * rescaled.profile.u0,
+        "grid": grid.tolist(),
+        "w": w.tolist(),
         "metrics": dict(metrics or {}),
     }
 

@@ -55,11 +55,8 @@ class ShotTrajectory:
     p: float
     a: float
     r: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
     first_zero: float | None
     r_max: float
-    method: str
     _dense: object = None
     _r_start: float = 0.0
 
@@ -170,11 +167,8 @@ def integrate_radial_ivp(
         p=p,
         a=a,
         r=sol.t,
-        u=sol.y[0],
-        du=sol.y[1],
         first_zero=first_zero,
         r_max=r_max,
-        method=method,
         _dense=sol.sol,
         _r_start=r0,
     )

@@ -30,16 +30,15 @@ __all__ = [
 
 @dataclass
 class RescaledProfile:
-    """κ u(·/ρ) on [0, ρ], zero outside; shares the dense evaluator of the
-    radial profile it came from."""
+    """w(r) = κ u(r/ρ) on [0, ρ], zero outside, for the radial profile u it
+    came from.  It stores no samples: `evaluate` goes through the profile's
+    dense evaluator, and `samples` gives w on ρ times `default_profile_grid()`
+    for the readers that want a fixed grid."""
 
     params: ProblemParams
     rho_eps: float
     kappa: float
-    grid: np.ndarray
-    w: np.ndarray
-    w0: float
-    _profile: RadialProfile = None
+    profile: RadialProfile
 
     def evaluate(self, r, derivative: bool = False):
         """w(r) for r ≥ 0 (zero extension beyond ρ)."""
@@ -50,16 +49,22 @@ class RescaledProfile:
         w = np.zeros_like(r)
         dw = np.zeros_like(r)
         if np.any(inside):
-            u, du = self._profile.evaluate(r[inside] / self.rho_eps, derivative=True)
+            u, du = self.profile.evaluate(r[inside] / self.rho_eps, derivative=True)
             w[inside] = self.kappa * u
             dw[inside] = self.kappa / self.rho_eps * du
         if derivative:
             return (float(w[0]), float(dw[0])) if scalar else (w, dw)
         return float(w[0]) if scalar else w
 
+    def samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ρ·grid, κ·u(grid)) on grid = `default_profile_grid()`."""
+        grid = default_profile_grid()
+        return self.rho_eps * grid, self.kappa * self.profile.evaluate(grid)
+
 
 def rescale(profile: RadialProfile) -> RescaledProfile:
-    """Apply the expanding-ball change of variables to a Dirichlet profile."""
+    """Apply the expanding-ball change of variables to a Dirichlet profile;
+    computes ρ and κ only, the profile is not sampled."""
     pr = profile.params
     rho = pr.eps ** (-1.0 / (pr.n_dim - 2.0))
     # κ in log space: the defining relation spans many orders of magnitude
@@ -67,17 +72,7 @@ def rescale(profile: RadialProfile) -> RescaledProfile:
         math.log(pr.henon_c)
         - (2.0 + pr.alpha) / (pr.n_dim - 2.0) * math.log(pr.eps)
     ) / (1.0 - pr.p_alpha + pr.eps)
-    kappa = math.exp(log_kappa)
-    grid = default_profile_grid()
-    return RescaledProfile(
-        params=pr,
-        rho_eps=rho,
-        kappa=kappa,
-        grid=rho * grid,
-        w=kappa * profile.evaluate(grid),
-        w0=kappa * profile.u0,
-        _profile=profile,
-    )
+    return RescaledProfile(params=pr, rho_eps=rho, kappa=math.exp(log_kappa), profile=profile)
 
 
 def kappa_relation_residual(rescaled: RescaledProfile) -> float:
@@ -105,22 +100,22 @@ def pde_residual(rescaled: RescaledProfile) -> float:
 
 
 def limit_distance(rescaled: RescaledProfile) -> float:
-    """sup |w - U_α| over the stored grid plus a 200-point logarithmic tail
+    """sup |w - U_α| over `samples()` plus a 200-point logarithmic tail
     on [ρ, 10ρ] where w ≡ 0 and the bubble is evaluated directly."""
     pr = rescaled.params
     lam = limit_lambda(pr.n_dim, pr.alpha)
-    inner = np.abs(
-        rescaled.w - limit_profile(rescaled.grid, lam, pr.n_dim, pr.alpha)
-    )
+    grid, w = rescaled.samples()
+    inner = np.abs(w - limit_profile(grid, lam, pr.n_dim, pr.alpha))
     tail_r = numerics.log_grid(rescaled.rho_eps, 10.0 * rescaled.rho_eps, 200)
     tail = limit_profile(tail_r, lam, pr.n_dim, pr.alpha)
     return float(max(np.max(inner), np.max(tail)))
 
 
 def uniform_bound_check(rescaled: RescaledProfile) -> float:
-    """Smallest C with w(r) ≤ C (1+r^(2+α))^(-(N-2)/(2+α)) on the grid."""
+    """Smallest C with w(r) ≤ C (1+r^(2+α))^(-(N-2)/(2+α)) on `samples()`."""
     pr = rescaled.params
     expo = (pr.n_dim - 2.0) / (2.0 + pr.alpha)
-    envelope = (1.0 + rescaled.grid ** (2.0 + pr.alpha)) ** expo
-    return float(np.max(rescaled.w * envelope))
+    grid, w = rescaled.samples()
+    envelope = (1.0 + grid ** (2.0 + pr.alpha)) ** expo
+    return float(np.max(w * envelope))
 

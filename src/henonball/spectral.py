@@ -7,9 +7,11 @@ The eigenvalue problem is
 discretized in the self-adjoint form -(r^(N-1) z')' - r^(N-1) q z = Λ r^(N-3) z
 by a conservative three-point scheme on a graded grid.  Both pencil matrices
 are symmetric tridiagonal (the weight matrix diagonal), so eigenvalues come
-from Sturm-sequence bisection with inertia certificates, eigenvectors from
-LAPACK's tridiagonal solver (`eigh_tridiagonal`), and node counts are checked
-against the eigenvalue index.
+from LAPACK's tridiagonal solvers with inertia certificates
+(`Pencil.eigenvalue_batch`), and eigenvectors from `eigh_tridiagonal` with
+their node counts checked against the eigenvalue index
+(`Pencil.eigenvectors`).  `solve_eigen` extrapolates over two grids and
+returns one `EigenResult` per eigenvalue.
 
 A Prüfer-angle shooting method on the same truncated domain provides an
 independent oracle; it integrates against a cubic spline of the potential,
@@ -21,7 +23,7 @@ limit problem reproduces the closed-form first eigenvalue
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,11 +32,10 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstebz
 from scipy.optimize import brentq
 
-from . import numerics
+from . import numerics, rescaling
 from .closedform import henon_constant, limit_lambda, threshold_exponent
 from .errors import BracketError, DomainError, NumericsError
 from .radial import RadialProfile
-from .rescaling import RescaledProfile
 
 __all__ = [
     "SLProblem",
@@ -43,7 +44,6 @@ __all__ = [
     "LimitEigenResult",
     "assemble_pencil",
     "default_spectral_grid",
-    "eigenvalues",
     "solve_eigen",
     "prufer_eigen",
     "limit_eigen",
@@ -69,7 +69,6 @@ class SLProblem:
     n_dim: int
     r_end: float
     q: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
 
     @staticmethod
     def from_profile(profile: RadialProfile) -> "SLProblem":
@@ -81,10 +80,10 @@ class SLProblem:
             u = np.clip(np.asarray(profile.evaluate(r)), 0.0, None)
             return pr.p * np.asarray(r) ** pr.alpha * u**expn
 
-        return SLProblem(pr.n_dim, 1.0, q, label=f"ball(N={pr.n_dim},a={pr.alpha},e={pr.eps})")
+        return SLProblem(pr.n_dim, 1.0, q)
 
     @staticmethod
-    def from_rescaled(rescaled: RescaledProfile) -> "SLProblem":
+    def from_rescaled(rescaled: rescaling.RescaledProfile) -> "SLProblem":
         """Expanding-ball form: q(r) = (p_α-ε) C_{N,α} r^α w^(p_α-1-ε)(r)."""
         pr = rescaled.params
         expn = pr.p_alpha - 1.0 - pr.eps
@@ -94,10 +93,7 @@ class SLProblem:
             w = np.clip(np.asarray(rescaled.evaluate(r)), 0.0, None)
             return pr.p * c * np.asarray(r) ** pr.alpha * w**expn
 
-        return SLProblem(
-            pr.n_dim, rescaled.rho_eps, q,
-            label=f"expanded(N={pr.n_dim},a={pr.alpha},e={pr.eps})",
-        )
+        return SLProblem(pr.n_dim, rescaled.rho_eps, q)
 
 
 def limit_problem(n_dim: int, alpha: float, r_trunc: float = 1e3) -> SLProblem:
@@ -111,7 +107,7 @@ def limit_problem(n_dim: int, alpha: float, r_trunc: float = 1e3) -> SLProblem:
         x = (lam * r) ** (2.0 + alpha)
         return p_alpha * c * lam ** (2.0 + alpha) * r**alpha / (1.0 + x) ** 2
 
-    return SLProblem(n_dim, float(r_trunc), q, label=f"limit(N={n_dim},a={alpha})")
+    return SLProblem(n_dim, float(r_trunc), q)
 
 
 def default_spectral_grid(r_end: float, n_points: int = 2000) -> np.ndarray:
@@ -196,6 +192,31 @@ class Pencil:
             out = np.array([self.eigenvalue_bisect(j) for j in js])
             self._certify(js, out)
         return out
+
+    def eigenvectors(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The lowest `count` eigenvalues and their eigenvectors, one row of
+        `zs` per eigenvalue, each scaled to sup norm 1 with its first interior
+        hump positive.  The values carry the inertia certificate and each
+        vector the node-count certificate node_count == j-1; NumericsError
+        otherwise."""
+        if not 1 <= count <= self.n:
+            raise DomainError(f"eigenvalue count out of range 1..{self.n}")
+        js = list(range(1, count + 1))
+        t_diag, t_off = self.standard_tridiagonal()
+        vals, vecs = eigh_tridiagonal(
+            t_diag, t_off, select="i", select_range=(0, count - 1)
+        )
+        self._certify(js, vals)
+        zs = np.array([z / np.max(np.abs(z)) * _first_hump_sign(z)
+                       for z in (vecs / np.sqrt(self.b_diag)[:, None]).T])
+        for j, z in zip(js, zs):
+            nodes = node_count(z)
+            if nodes != j - 1:
+                raise NumericsError(
+                    f"node-count certificate failed for eigenvalue {j}: "
+                    f"{nodes} sign changes"
+                )
+        return vals, zs
 
     def _certify(self, js: Sequence[int], vals: np.ndarray) -> None:
         """Inertia certificate: for each j = js[i], at most j-1 eigenvalues
@@ -293,71 +314,18 @@ def assemble_pencil(
 
 @dataclass
 class EigenResult:
-    """One eigenvalue with its certificates: inertia-certified index,
-    node count of the eigenvector, and (after grid refinement) the
-    Richardson-extrapolated value with a three-grid error estimate."""
+    """The j-th eigenvalue of an SLProblem from `solve_eigen`: the two-grid
+    Richardson value `extrapolated` with its error estimate and, when vectors
+    were requested, the fine-grid eigenvector z on its grid r with its
+    certified node count.  On the values-only path `node_count` is None and
+    `r`, `z` are empty."""
 
     j: int
-    lambda_j: float
-    node_count: int
-    grid_sizes: tuple[int, ...]
-    extrapolated: float | None
-    error_estimate: float | None
+    extrapolated: float
+    error_estimate: float
+    node_count: int | None
     r: np.ndarray
     z: np.ndarray
-
-    @property
-    def value(self) -> float:
-        return self.lambda_j if self.extrapolated is None else self.extrapolated
-
-
-def eigenvalues(pencil: Pencil, count: int, with_vectors: bool = True) -> list[EigenResult]:
-    """Lowest `count` eigenvalues of the pencil by Sturm bisection.
-
-    Each value carries an inertia certificate (exactly j-1 eigenvalues below
-    it, j at or below the bracket top) and, when vectors are requested, the
-    node-count certificate node_count == j-1.
-    """
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    js = list(range(1, count + 1))
-    if with_vectors:
-        t_diag, t_off = pencil.standard_tridiagonal()
-        vals, vecs = eigh_tridiagonal(
-            t_diag, t_off, select="i", select_range=(0, count - 1)
-        )
-        pencil._certify(js, vals)
-        zs = vecs / np.sqrt(pencil.b_diag)[:, None]
-    else:
-        vals = pencil.eigenvalue_batch(js)
-    results = []
-    for idx, j in enumerate(js):
-        if with_vectors:
-            z = zs[:, idx]
-            z = z / np.max(np.abs(z)) * _first_hump_sign(z)
-            nodes = node_count(z)
-            if nodes != j - 1:
-                raise NumericsError(
-                    f"node-count certificate failed for eigenvalue {j}: "
-                    f"{nodes} sign changes"
-                )
-        else:
-            z, nodes = np.empty(0), j - 1
-        results.append(
-            EigenResult(
-                j=j,
-                lambda_j=float(vals[idx]),
-                node_count=nodes,
-                grid_sizes=(pencil.n,),
-                extrapolated=None,
-                error_estimate=None,
-                r=pencil.grid,
-                z=z,
-            )
-        )
-    if any(b.lambda_j <= a.lambda_j for a, b in zip(results, results[1:])):
-        raise NumericsError("eigenvalues are not strictly increasing")
-    return results
 
 
 def solve_eigen(
@@ -370,27 +338,33 @@ def solve_eigen(
 
     The scheme converges at second order in the geometric step, so the
     extrapolated value uses (4 λ_fine - λ_coarse)/3; the error estimate is the
-    extrapolation increment |λ_fine - λ_coarse|/3.  Eigenvectors, if asked
-    for, come from the fine grid.
+    extrapolation increment |λ_fine - λ_coarse|/3.  Both grids' values are
+    inertia-certified and must increase strictly.  Eigenvectors, if asked
+    for, come from the fine grid with their node-count certificate.
     """
-    coarse = eigenvalues(
-        assemble_pencil(problem, default_spectral_grid(problem.r_end, n_points)),
-        count,
-        with_vectors=False,
-    )
-    fine = eigenvalues(
-        assemble_pencil(problem, default_spectral_grid(problem.r_end, 2 * n_points)),
-        count,
-        with_vectors=with_vectors,
-    )
+    if count < 1:
+        raise DomainError("count must be >= 1")
+    js = list(range(1, count + 1))
+    coarse = assemble_pencil(problem, default_spectral_grid(problem.r_end, n_points))
+    fine = assemble_pencil(problem, default_spectral_grid(problem.r_end, 2 * n_points))
+    lam_c = coarse.eigenvalue_batch(js)
+    if with_vectors:
+        lam_f, zs = fine.eigenvectors(count)
+    else:
+        lam_f = fine.eigenvalue_batch(js)
+    if np.any(np.diff(lam_c) <= 0) or np.any(np.diff(lam_f) <= 0):
+        raise NumericsError("eigenvalues are not strictly increasing")
+    empty = np.empty(0)
     return [
-        replace(
-            f,
-            grid_sizes=(n_points, 2 * n_points),
-            extrapolated=(4.0 * f.lambda_j - c.lambda_j) / 3.0,
-            error_estimate=abs(f.lambda_j - c.lambda_j) / 3.0,
+        EigenResult(
+            j=j,
+            extrapolated=(4.0 * f - c) / 3.0,
+            error_estimate=abs(f - c) / 3.0,
+            node_count=j - 1 if with_vectors else None,
+            r=fine.grid if with_vectors else empty,
+            z=zs[i] if with_vectors else empty,
         )
-        for c, f in zip(coarse, fine)
+        for i, (j, c, f) in enumerate(zip(js, lam_c.tolist(), lam_f.tolist()))
     ]
 
 
@@ -457,9 +431,6 @@ class LimitEigenResult:
     """Lowest two eigenvalues of the truncated limit problem with their
     truncation-sensitivity estimates."""
 
-    n_dim: int
-    alpha: float
-    r_trunc: float
     lambda1: float
     lambda2: float
     lambda1_trunc_shift: float
@@ -481,9 +452,6 @@ def limit_eigen(n_dim: int, alpha: float) -> LimitEigenResult:
     l1, l2 = pair(r_trunc)
     l1b, l2b = pair(2.0 * r_trunc)
     return LimitEigenResult(
-        n_dim=n_dim,
-        alpha=alpha,
-        r_trunc=r_trunc,
         lambda1=l1,
         lambda2=l2,
         lambda1_trunc_shift=abs(l1b - l1),
@@ -521,15 +489,15 @@ def radial_pencil(profile: RadialProfile, n_points: int = 2000) -> Pencil:
     )
 
 
-def scale_equivalence_test(profile: RadialProfile, rescaled: RescaledProfile) -> float:
-    """Max |Λ_j(unit ball) - Λ_j(expanding ball)| for j ≤ 3.
+def scale_equivalence_test(profile: RadialProfile) -> float:
+    """Max |Λ_j(unit ball) - Λ_j(expanding ball)| for j ≤ 3, the expanding
+    ball built by `rescaling.rescale(profile)`.
 
     The r^-2 spectral weight makes the two formulations exactly isospectral
     under x → ρ x.  The expanding-ball grid is ρ times the 2000-node
     unit-ball grid, so any discrepancy isolates the κ/ρ bookkeeping and the
     two assembly paths."""
-    if rescaled._profile is not profile and rescaled.params != profile.params:
-        raise DomainError("rescaled must come from the same parameters as profile")
+    rescaled = rescaling.rescale(profile)
     grid_u = default_spectral_grid(1.0)
     js = [1, 2, 3]
     lam_u = assemble_pencil(SLProblem.from_profile(profile), grid_u).eigenvalue_batch(js)

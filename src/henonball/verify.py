@@ -333,8 +333,7 @@ def _c8_oracles(cache):
     )
 
     t0 = time.perf_counter()
-    rs = resc.rescale(prof)
-    d = spec.scale_equivalence_test(prof, rs)
+    d = spec.scale_equivalence_test(prof)
     out.append(
         CriterionResult(
             "C8.c_scale",

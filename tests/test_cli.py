@@ -187,6 +187,18 @@ def test_failed_criterion_exits_1(monkeypatch):
     assert cli.main(["verify"]) == cli.EXIT_VERIFY_FAILED
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_unwritable_out_exits_2(command, tmp_path, monkeypatch, capsys):
+    passed = CriterionResult("C0.a", "planted pass", "< 1", 0.0, 1.0, passed=True)
+    monkeypatch.setattr(cli, "run_criteria", lambda ids, progress: VerifyReport([passed]))
+    argv = {"spectrum": ["spectrum", *POINT, "--count", "1", "--grid-points", "100"],
+            "verify": ["verify"]}[command]
+    # an existing directory cannot be replaced by the output file
+    assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write --out") and str(tmp_path) in err
+
+
 def test_spectrum_rerun_is_byte_identical(tmp_path):
     outs = [tmp_path / "first.csv", tmp_path / "second.csv"]
     for out in outs:

@@ -159,6 +159,13 @@ class TestSpectralClosedForms:
         b = -(alpha**2) / 4.0 - alpha * n_dim / 2.0 + 1.0 - n_dim
         assert a == pytest.approx(b, abs=1e-12, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "n_dim, alpha", [(3, math.inf), (3, math.nan), (2, 1.0), (3, -1.0)]
+    )
+    def test_lambda1_invalid_rejected(self, n_dim, alpha):
+        with pytest.raises(DomainError):
+            cf.lambda1_closed(n_dim, alpha)
+
     def test_lambda1_strictly_decreasing(self):
         grid = np.linspace(0.0, 12.0, 241)
         vals = [cf.lambda1_closed(3, a) for a in grid]

@@ -34,7 +34,7 @@ class TestIntegrateRadialIVP:
     def test_critical_shot_positive_to_1e3(self):
         shot = integrate_radial_ivp(3, 0.0, 5.0, a=1.0, r_max=1e3)
         assert shot.first_zero is None
-        assert np.all(shot.u > 0)
+        assert np.all(shot.evaluate(shot.r) > 0)
 
     def test_initial_conditions(self):
         shot = integrate_radial_ivp(3, 1.0, 4.0, a=2.5)
@@ -191,6 +191,28 @@ class TestLinearizationIdentity:
         # for p < 2, u^(p-1) is not C¹ at r = 1, which caps the 5-point
         # stencil there: 2.8e-5 at (6, 0, 0.2), elsewhere at most 4.2e-6
         assert defect < 1e-4
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_dim=st.integers(3, 6), alpha=st.floats(0.0, 4.5),
+           log_eps=st.floats(math.log(0.005), math.log(0.2)))
+    def test_scaling_generator_solves_linearized_equation(self, n_dim, alpha, log_eps):
+        # w = βu + r u' solves w'' + (N-1)/r w' + p r^α u^(p-1) w = 0, the
+        # identity radial_kernel_test rests on; β off by 0.01 leaves >= 3.4e-3
+        prof = solve_dirichlet_ball(ProblemParams(n_dim, alpha, math.exp(log_eps)))
+        p = prof.params.p
+        beta = (2.0 + alpha) / (p - 1.0)
+        # fowler_check's log grid mapped back to r, stopped at r = 0.9: for
+        # p < 2, u^(p-1) is not C¹ at r = 1 (1.1e-4 at (6, 0, 0.2) up to r = 1)
+        s_scale = prof.u0 ** (-(p - 1.0) / (2.0 + alpha))
+        t_lo = max(1e-14, 1e-3 * min(1.0, s_scale) ** ((2.0 + alpha) / 2.0))
+        r = log_grid(t_lo, 0.9 ** ((2.0 + alpha) / 2.0), 2000) ** (2.0 / (2.0 + alpha))
+        u, du = prof.evaluate(r, derivative=True)
+        d2u = -(n_dim - 1.0) / r * du - r**alpha * u**p
+        w = beta * u + r * du
+        dw = (beta + 1.0) * du + r * d2u
+        q = p * r**alpha * u ** (p - 1.0)
+        defect = radial_defect(r, w, dw, n_dim, lambda rin, win: q[2:-2] * win)
+        assert defect < 1e-5
 
 
 SUP_NORM_EPS = [0.1, 0.05, 0.02, 0.01]

@@ -37,9 +37,18 @@ class TestRescale:
 
     def test_center_and_boundary(self, rescaled_3_0_001):
         rs = rescaled_3_0_001
-        assert rs.w0 == pytest.approx(rs.kappa * rs._profile.u0, rel=1e-14)
-        assert abs(rs.w[-1]) < 1e-9 * rs.w0
+        assert rs.evaluate(0.0) == pytest.approx(rs.kappa * rs.profile.u0, rel=1e-14)
+        assert abs(rs.samples()[1][-1]) < 1e-9 * rs.evaluate(0.0)
         assert rs.evaluate(2.0 * rs.rho_eps) == 0.0  # zero extension
+
+    def test_rescale_samples_nothing(self, monkeypatch):
+        prof = solve_dirichlet_ball(ProblemParams(3, 1.0, 0.05))
+
+        def fail(*args, **kwargs):
+            pytest.fail("rescale evaluated the profile")
+
+        monkeypatch.setattr(prof, "evaluate", fail)
+        assert rescale(prof).profile is prof
 
     def test_rescaled_equation_residual(self, rescaled_3_0_001):
         assert pde_residual(rescaled_3_0_001) < 1e-6
@@ -58,7 +67,7 @@ class TestRescale:
         gaps = []
         for eps in (0.05, 0.02, 0.01):
             rs = rescale(solve_dirichlet_ball(ProblemParams(3, 0.0, eps)))
-            gaps.append(abs(rs.w0 - target))
+            gaps.append(abs(rs.evaluate(0.0) - target))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 5e-3
 
@@ -89,7 +98,7 @@ class TestLimitDistance:
 
 class TestUniformBound:
     def test_fitted_constant_at_least_center(self, rescaled_3_0_001):
-        assert uniform_bound_check(rescaled_3_0_001) >= rescaled_3_0_001.w0
+        assert uniform_bound_check(rescaled_3_0_001) >= rescaled_3_0_001.evaluate(0.0)
 
     def test_stability_across_eps(self):
         cs = []

@@ -18,7 +18,6 @@ from henonball.spectral import (
     SLProblem,
     assemble_pencil,
     default_spectral_grid,
-    eigenvalues,
     eigfun_decay_check,
     limit_eigen,
     limit_problem,
@@ -97,22 +96,20 @@ class TestAssembly:
 class TestEigenvalues:
     def test_ordering_and_certificates(self, ball_problem):
         pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 1500))
-        res = eigenvalues(pen, 3)
-        vals = [r.lambda_j for r in res]
+        vals, zs = pen.eigenvectors(3)
         assert vals[0] < vals[1] < vals[2]
-        assert [r.node_count for r in res] == [0, 1, 2]
+        assert [node_count(z) for z in zs] == [0, 1, 2]
 
     def test_first_eigenfunction_positive(self, ball_problem):
         pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 1500))
-        res = eigenvalues(pen, 2)
-        assert np.all(res[0].z >= -1e-12)
-        assert np.max(res[0].z) == pytest.approx(1.0)
-        assert res[1].node_count == 1  # second eigenfunction: one sign change
+        _, zs = pen.eigenvectors(2)
+        assert np.all(zs[0] >= -1e-12)
+        assert np.max(zs[0]) == pytest.approx(1.0)
+        assert node_count(zs[1]) == 1  # second eigenfunction: one sign change
 
     def test_weighted_orthogonality(self, ball_problem):
         pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 1200))
-        res = eigenvalues(pen, 2)
-        z1, z2 = res[0].z, res[1].z
+        _, (z1, z2) = pen.eigenvectors(2)
         b = pen.b_diag
         ip = z1 @ (b * z2) / math.sqrt((z1 @ (b * z1)) * (z2 @ (b * z2)))
         assert abs(ip) < 1e-8
@@ -123,6 +120,17 @@ class TestEigenvalues:
         for j, v in enumerate(vals, start=1):
             assert pen.count(v - 1e-8 * max(1, abs(v))) <= j - 1
             assert pen.count(v + 1e-8 * max(1, abs(v))) >= j
+
+    def test_wrong_node_count_raises(self, ball_problem, monkeypatch):
+        pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 300))
+        monkeypatch.setattr(spectral, "node_count", lambda z: 5)
+        with pytest.raises(NumericsError, match="node-count certificate failed"):
+            pen.eigenvectors(2)
+
+    def test_values_only_path_has_no_vectors(self, ball_problem):
+        res = solve_eigen(ball_problem, 2, n_points=300, with_vectors=False)
+        assert res[0].node_count is None
+        assert res[1].r.size == res[1].z.size == 0
 
 
 def ldlt_count(pen, shifts):
@@ -371,8 +379,7 @@ class TestRadialKernel:
 
 class TestScaleEquivalence:
     def test_matched_grids_exact(self, profile_3_2_005):
-        rs = rescale(profile_3_2_005)
-        assert scale_equivalence_test(profile_3_2_005, rs) < 1e-8
+        assert scale_equivalence_test(profile_3_2_005) < 1e-8
 
     @settings(max_examples=20, deadline=None)
     @given(n_dim=st.integers(3, 6), alpha=st.floats(0.0, 4.5),
@@ -380,14 +387,14 @@ class TestScaleEquivalence:
     def test_isospectral_property(self, n_dim, alpha, log_eps):
         # C8.c's gate, over N, α and log-uniform ε
         prof = solve_dirichlet_ball(ProblemParams(n_dim, alpha, math.exp(log_eps)))
-        assert scale_equivalence_test(prof, rescale(prof)) < 1e-6
+        assert scale_equivalence_test(prof) < 1e-6
 
 
 class TestEigfunDecay:
     def test_fitted_constant_definition(self):
         r = np.geomspace(0.5, 50.0, 500)
         z = 1.0 / np.maximum(r, 1.0)  # ~ r^-(N-2) for N = 3
-        eig = EigenResult(1, -1.0, 0, (500,), None, None, r, z)
+        eig = EigenResult(1, -1.0, 0.0, 0, r, z)
         c = eigfun_decay_check(eig, 3)
         assert c >= 1.0
 
