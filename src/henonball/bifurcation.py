@@ -15,7 +15,7 @@ else a fresh one that lives only as long as the call.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -88,23 +88,20 @@ def lambda_values(
 
 @dataclass(frozen=True)
 class BifurcationPoint:
-    """A certified root of Λ₁^ε(α) = -σ_k.
+    """A certified root α_k^ε of Λ₁^ε(α) = -σ_k.
 
     `bracket` is the sign-change interval the root was refined in; `residual`
-    is |Λ₁^ε(α_k^ε) + σ_k| evaluated at the returned point.  If the pre-scan
-    found several sign changes, `all_roots` lists every refined root (closest
-    to the limit value 2(k-1) first) and `unique` is False."""
+    is |Λ₁^ε(α_k^ε) + σ_k| evaluated at the returned point.  `unique` is False
+    when the pre-scan found several sign changes (the returned root is the one
+    closest to the limit value 2(k-1); the warning lists the others), and
+    `exclusion_ok` is False when Λ₁^ε also crosses another -σ_l inside the
+    bracket."""
 
-    n_dim: int
-    k: int
-    eps: float
     alpha_k_eps: float
     residual: float
     bracket: tuple[float, float]
-    sigma_k: float
-    all_roots: tuple[float, ...] = ()
-    unique: bool = True
-    exclusion_ok: bool = True
+    unique: bool
+    exclusion_ok: bool
 
 
 def alpha_resolution(n_dim: int, k: int) -> float:
@@ -183,14 +180,9 @@ def find_bifurcation_alpha(
         log.warning("%s: exclusion fails, lambda1 also crosses -%s", where, ", -".join(crossed))
 
     return BifurcationPoint(
-        n_dim=n_dim,
-        k=k,
-        eps=eps,
         alpha_k_eps=roots[best],
         residual=abs(f(roots[best])),
         bracket=intervals[best],
-        sigma_k=sigma_k,
-        all_roots=tuple(roots[i] for i in order),
         unique=len(roots) == 1,
         exclusion_ok=not crossed,
     )
@@ -200,29 +192,16 @@ def find_bifurcation_alpha(
 class MorseIndexReport:
     """Negative-direction counts of the linearization at one (α, ε).
 
-    index_full weights each angular channel k by the dimension of its
+    channel_counts lists (k, n_k) for k ≥ 1, where Λ_j^ε(α) < -σ_k exactly
+    for j ≤ n_k.  index_full weights each channel k by the dimension of its
     spherical-harmonic eigenspace; index_invariant counts each channel once
-    (the O(N-1)-invariant slice is one-dimensional).  Both include the purely
-    radial negative directions.  channel_counts lists (k, n_k) for k ≥ 1,
-    where Λ_j^ε(α) < -σ_k exactly for j ≤ n_k."""
+    (the O(N-1)-invariant slice is one-dimensional).  Both include the
+    radial_count purely radial negative directions."""
 
-    n_dim: int
-    eps: float
-    alpha: float
     radial_count: int
     channel_counts: tuple[tuple[int, int], ...]  # (k, #negative j's)
-    lambdas: tuple[float, ...]
-    index_full: int = field(init=False)
-    index_invariant: int = field(init=False)
-
-    def __post_init__(self):
-        full = self.radial_count
-        inv = self.radial_count
-        for k, n_k in self.channel_counts:
-            full += n_k * sphere_multiplicity(self.n_dim, k)
-            inv += n_k
-        object.__setattr__(self, "index_full", full)
-        object.__setattr__(self, "index_invariant", inv)
+    index_full: int
+    index_invariant: int
 
 
 def morse_index(
@@ -273,10 +252,9 @@ def morse_index(
     radial_count = int(rad.count(0.0))
 
     return MorseIndexReport(
-        n_dim=n_dim,
-        eps=eps,
-        alpha=alpha,
         radial_count=radial_count,
         channel_counts=tuple(channel),
-        lambdas=tuple(lambdas),
+        index_full=radial_count + sum(n_k * sphere_multiplicity(n_dim, k)
+                                      for k, n_k in channel),
+        index_invariant=radial_count + sum(n_k for _, n_k in channel),
     )

@@ -119,7 +119,12 @@ def cmd_solve(args) -> int:
         }
         text = hio.dumps_json(hio.profile_to_dict(profile, residuals))
         if not args.no_cache:
-            cache.store_text(key, text)
+            try:
+                cache.store_text(key, text)
+            except OSError as err:
+                raise DomainError(
+                    f"cannot write the profile cache {str(cache.root)!r}: {err}"
+                ) from err
     emit(text, args.out)
     return EXIT_OK
 

@@ -219,16 +219,14 @@ def solve_dirichlet_ball(
     params: ProblemParams,
     amplitude: float = 1.0,
     tol: float = 1e-10,
-    r_max: float | None = None,
 ) -> RadialProfile:
     """Radial Dirichlet solution on the unit ball via one DOP853 shot plus
     rescaling; the profile evaluates the shot, it stores no samples.
 
-    When `r_max` is omitted it is sized from the sup-norm asymptotics
-    (u(0) ~ sqrt(M/ε) puts the unit shot's zero near u0^((p-1)/(2+α))) and
-    extended a few times if the zero still lies beyond it.  An explicit
-    `r_max` is honored as given and failure to find a zero inside it raises
-    SupercriticalError.
+    The shot's window is sized from the sup-norm asymptotics (u(0) ~
+    sqrt(M/ε) puts the unit shot's zero near u0^((p-1)/(2+α))) and extended
+    eightfold up to three times if the zero still lies beyond it; a shot with
+    no zero in the last window raises SupercriticalError.
     """
     if not amplitude > 0:
         raise DomainError(f"need amplitude > 0, got {amplitude!r}")
@@ -236,23 +234,18 @@ def solve_dirichlet_ball(
     alpha = params.alpha
     beta = (2.0 + alpha) / (p - 1.0)
 
-    auto = r_max is None
-    if auto:
-        u0_est = math.sqrt(sup_norm_constant(params.n_dim, alpha) / params.eps)
-        r_est = (u0_est / amplitude) ** (1.0 / beta)
-        r_max = max(1e3, 5.0 * r_est)
-
-    shot = None
-    for attempt in range(4 if auto else 1):
+    u0_est = math.sqrt(sup_norm_constant(params.n_dim, alpha) / params.eps)
+    r_max = max(1e3, 5.0 * (u0_est / amplitude) ** (1.0 / beta))
+    for attempt in range(4):
         shot = integrate_radial_ivp(
             params.n_dim, alpha, p, a=amplitude, tol=tol,
             r_max=r_max * 8.0**attempt,
         )
         if shot.first_zero is not None:
             break
-    if shot.first_zero is None:
+    else:
         raise SupercriticalError(
-            f"no zero within r_max={shot.r_max:g}: supercritical or r_max too small"
+            f"no zero within r_max={shot.r_max:g} after three eightfold extensions"
         )
 
     big_r = shot.first_zero

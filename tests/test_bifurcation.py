@@ -77,8 +77,9 @@ class TestFindBifurcation:
     def test_sign_change_bracket_certificate(self, cache):
         bp = find_bifurcation_alpha(3, 0.05, 2, cache=cache)
         lo, hi = bp.bracket
-        f_lo = lambda_values(3, 0.05, lo, 1, cache=cache)[0] + bp.sigma_k
-        f_hi = lambda_values(3, 0.05, hi, 1, cache=cache)[0] + bp.sigma_k
+        sigma2, _ = sphere_eigen(3, 2)
+        f_lo = lambda_values(3, 0.05, lo, 1, cache=cache)[0] + sigma2
+        f_hi = lambda_values(3, 0.05, hi, 1, cache=cache)[0] + sigma2
         assert f_lo > 0 > f_hi
 
     def test_k1_rejected(self, cache):

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -197,6 +198,43 @@ def test_unwritable_out_exits_2(command, tmp_path, monkeypatch, capsys):
     assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_INVALID
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write --out") and str(tmp_path) in err
+
+
+def test_cache_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    assert cli.main(["solve", *POINT, "--cache-dir", str(not_a_dir)]) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the profile cache") and str(not_a_dir) in err
+
+
+def test_bifurcate_exits_0_with_a_certified_root(capsys):
+    argv = ["bifurcate", *REQUIRED["bifurcate"], "--format", "json"]
+    assert cli.main(argv) == cli.EXIT_OK
+    [row] = json.loads(capsys.readouterr().out)["rows"]
+    assert row["error"] is None and row["unique"] and row["exclusion_ok"]
+    assert abs(row["alpha_k_eps"] - 2.0) < 1e-4
+
+
+def test_spectrum_json_rows_match_csv(capsys):
+    argv = ["spectrum", *POINT, "--count", "2", "--grid-points", "400"]
+    assert cli.main(argv) == cli.EXIT_OK
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert cli.main([*argv, "--format", "json"]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "spectrum"
+    assert header.split(",") == list(cli.SPECTRUM_HEADER)
+    # CSV floats carry 17 significant digits, so both parse to the same values
+    assert [[float(row[key]) for key in cli.SPECTRUM_HEADER] for row in doc["rows"]] == [
+        [float(cell) for cell in line.split(",")] for line in lines
+    ]
+
+
+def test_verify_prints_each_record_then_the_summary(capsys):
+    assert cli.main(["verify", "--criteria", "C2"]) == cli.EXIT_OK
+    *records, summary = capsys.readouterr().out.splitlines()
+    assert len(records) == 6 and all(line.startswith("[PASS] C2.") for line in records)
+    assert summary.startswith("ALL CRITERIA PASS (6/6) in ")
 
 
 def test_spectrum_rerun_is_byte_identical(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from henonball import radial
 from henonball.closedform import ProblemParams, lambda1_closed, sup_norm_constant
 from henonball.errors import DomainError, SupercriticalError
 from henonball.numerics import extrapolate_to_zero, log_grid, radial_defect
@@ -119,9 +120,20 @@ class TestSolveDirichletBall:
             gaps.append(abs((prof.u0**-2.0) ** eps - 1.0))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
-    def test_explicit_small_r_max_raises(self):
-        with pytest.raises(SupercriticalError):
-            solve_dirichlet_ball(ProblemParams(3, 0.0, 0.01), r_max=50.0)
+    def test_no_zero_in_any_window_raises(self, monkeypatch):
+        # every shot stays positive: the window is extended eightfold three
+        # times, then the solve gives up
+        windows = []
+
+        def positive_shot(n_dim, alpha, p, a=1.0, tol=1e-10, r_max=1e3):
+            windows.append(r_max)
+            return radial.ShotTrajectory(n_dim, alpha, p, a, np.array([0.0, r_max]),
+                                         None, r_max)
+
+        monkeypatch.setattr(radial, "integrate_radial_ivp", positive_shot)
+        with pytest.raises(SupercriticalError, match="no zero"):
+            solve_dirichlet_ball(ProblemParams(3, 0.0, 0.01))
+        assert [w / windows[0] for w in windows] == [1.0, 8.0, 64.0, 512.0]
 
     def test_auto_r_max_handles_small_eps(self):
         # the unit shot's zero sits near 1.8e3 here; the auto window must

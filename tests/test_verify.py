@@ -1,7 +1,8 @@
 import pytest
 
+from henonball import verify
 from henonball.errors import DomainError
-from henonball.verify import run_criteria
+from henonball.verify import CriterionResult, run_criteria
 
 
 def test_oracle_criteria_pass():
@@ -29,3 +30,30 @@ def test_every_criterion_but_c4_passes():
     ids = [r.id for r in report.results]
     assert len(ids) == 25 and len(set(ids)) == 25
     assert report.overall_pass and all(r.passed for r in report.results)
+
+
+def test_runner_stamps_each_record_with_the_time_since_the_last(monkeypatch):
+    events = []
+
+    def planted(cache):
+        events.append("first computed")
+        yield CriterionResult("C0.a", "planted", "0", 0.0, 1.0, True)
+        events.append("second computed")
+        yield CriterionResult("C0.b", "planted", "0", 0.0, 1.0, True)
+
+    ticks = iter(range(100))
+    monkeypatch.setitem(verify.CRITERIA, "C0", planted)
+    monkeypatch.setattr(verify.time, "perf_counter", lambda: float(next(ticks)))
+    report = run_criteria(["C0"], progress=events.append)
+    assert [r.runtime_s for r in report.results] == [1.0, 1.0]
+    assert report.total_runtime_s == 2.0
+    assert events == ["first computed", report.results[0].line(),
+                      "second computed", report.results[1].line()]
+
+
+def test_report_records_carry_the_criterion_schema():
+    doc = run_criteria(["C2"]).to_dict()
+    assert doc["kind"] == "verify_report" and len(doc["criteria"]) == 6
+    for record in doc["criteria"]:
+        assert set(record) == {"id", "description", "target", "measured",
+                               "tolerance", "passed", "runtime_s"}
