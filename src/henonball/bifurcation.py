@@ -2,11 +2,28 @@
 
 A nonradial branch can only appear where the first eigenvalue Λ₁^ε(α) of the
 r^-2-weighted linearization crosses a sphere eigenvalue: Λ₁^ε(α_k^ε) = -σ_k.
-This module samples the curve α ↦ Λ₁^ε(α), isolates those crossings by a
-scan-and-bracket root search, and counts the Morse index on either side (full
-space and O(N-1)-invariant subspace).
+This module finds those crossings and counts the Morse index on either side
+(full space and O(N-1)-invariant subspace).
 
-One curve evaluation is one Dirichlet shoot plus one spectral solve on the
+The crossings come from an exact boundary-flux identity.  Differentiating the
+radial equation shows that z = r^(-α/2) u' solves the eigen equation with the
+closed-form limit value Λ₁(α) = -(α+2)(2N+α-2)/4, for every ε; z fails only
+the Dirichlet condition, since z(1) = u'(1).  Green's identity against the
+first Dirichlet eigenfunction φ then gives the gap
+
+    g(α) = Λ₁^ε(α) - Λ₁(α) = -φ'(1) u'(1) / ∫₀¹ r^(N-3) φ z dr,
+
+and g ≥ 0 by Sturm comparison (Pryce, Numerical Solution of Sturm-Liouville
+Problems, 1993).  With δ = α - 2(k-1) and A = N + 2k - 2 the crossing
+condition Λ₁(α) + g(α) = -σ_k is the fixed point δ = 4g/(A + √(A² + 4g)),
+which secant steps reach in two to four g-evaluations.  g is a quotient of
+small quantities, not a difference of eigenvalues, so it carries none of the
+pencil's Richardson bias: at N = 3 it resolves shifts δ near 1e-15, where the
+pencil's Λ₁^ε is biased by about 1e-9.  The 32-point scan of Λ₁^ε plus
+Brent's method remains as the fallback for what the identity's certificates
+cannot settle (see `find_bifurcation_alpha`).
+
+One α-evaluation is one Dirichlet shoot plus one spectral solve on the
 N_POINTS/2·N_POINTS grid pair.  Profiles and eigenvalues are memoized in a
 SolverCache keyed by the exact parameters: the one passed as `cache=`, or
 else a fresh one that lives only as long as the call.
@@ -15,7 +32,8 @@ else a fresh one that lives only as long as the call.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -23,6 +41,7 @@ from scipy.optimize import brentq
 from .closedform import (
     ProblemParams,
     bifurcation_alpha,
+    lambda1_closed,
     sphere_eigen,
     sphere_multiplicity,
 )
@@ -37,14 +56,17 @@ __all__ = [
     "BifurcationPoint",
     "MorseIndexReport",
     "lambda_values",
+    "flux_gap",
     "find_bifurcation_alpha",
     "morse_index",
-    "alpha_resolution",
 ]
 
 # coarse grid of every two-grid eigen solve (the fine one has twice as many)
 N_POINTS = 1500
+# samples of the fallback scan
 SCAN_POINTS = 32
+# g-evaluations the fixed-point search may spend before it falls back
+SEARCH_EVALUATIONS = 8
 
 
 class SolverCache:
@@ -86,30 +108,73 @@ def lambda_values(
     return (cache or SolverCache()).lambdas(n_dim, alpha, eps, count)
 
 
+def _grid_gap(profile: RadialProfile, problem: SLProblem, du1: float,
+              n_points: int) -> tuple[float, float]:
+    """The identity's g and the pencil's Λ₁^ε on one spectral grid."""
+    grid = default_spectral_grid(1.0, n_points)
+    lams, phis = assemble_pencil(problem, grid).eigenvectors(1)
+    phi = phis[0]
+    z = grid ** (-profile.params.alpha / 2.0) * profile.evaluate(grid, derivative=True)[1]
+    # trapezoid rule on [0, grid, 1]; φ vanishes at both ends
+    overlap = np.trapezoid(
+        np.concatenate([[0.0], grid ** (problem.n_dim - 3.0) * phi * z, [0.0]]),
+        np.concatenate([[0.0], grid, [1.0]]),
+    )
+    # φ'(1) from the parabola through the last two nodes and (1, 0)
+    (x0, x1), (p0, p1) = grid[-2:], phi[-2:]
+    dphi1 = (p0 * (1.0 - x1) / ((x0 - x1) * (x0 - 1.0))
+             + p1 * (1.0 - x0) / ((x1 - x0) * (x1 - 1.0)))
+    return float(-dphi1 * du1 / overlap), float(lams[0])
+
+
+def flux_gap(
+    n_dim: int,
+    eps: float,
+    alpha: float,
+    cache: SolverCache | None = None,
+) -> tuple[float, float]:
+    """(g, Λ₁^ε) at α: the boundary-flux gap g = Λ₁^ε(α) - Λ₁(α) and the
+    pencil's own first eigenvalue, each Richardson-extrapolated as
+    (4·fine - coarse)/3 over the N_POINTS/2·N_POINTS grid pair.
+
+    On each grid φ is the pencil's first eigenvector with φ(0) = φ(1) = 0
+    appended, φ'(1) is the three-point one-sided derivative through the last
+    two nodes and (1, 0), and ∫₀¹ r^(N-3) φ z dr is the trapezoid rule.  Both
+    grids share one radial profile."""
+    profile = (cache or SolverCache()).profile(n_dim, alpha, eps)
+    problem = SLProblem.from_profile(profile)
+    du1 = profile.evaluate(1.0, derivative=True)[1]
+    (g_c, lam_c), (g_f, lam_f) = (_grid_gap(profile, problem, du1, n)
+                                  for n in (N_POINTS, 2 * N_POINTS))
+    return (4.0 * g_f - g_c) / 3.0, (4.0 * lam_f - lam_c) / 3.0
+
+
 @dataclass(frozen=True)
 class BifurcationPoint:
     """A certified root α_k^ε of Λ₁^ε(α) = -σ_k.
 
-    `bracket` is the sign-change interval the root was refined in; `residual`
-    is |Λ₁^ε(α_k^ε) + σ_k| evaluated at the returned point.  `unique` is False
-    when the pre-scan found several sign changes (the returned root is the one
-    closest to the limit value 2(k-1); the warning lists the others), and
-    `exclusion_ok` is False when Λ₁^ε also crosses another -σ_l inside the
-    bracket."""
+    `delta` is the shift α_k^ε - 2(k-1) as computed; it keeps the digits that
+    `alpha_k_eps` rounds away near 2(k-1).  `bracket` is the interval the root
+    was certified in (the search bracket, or on the scan fallback the
+    sign-change interval); the pencil's Λ₁^ε + σ_k is positive at its lower
+    end and negative at its upper end.  `residual` is the pencil's
+    |Λ₁^ε + σ_k| at the returned point.  `unique` is False when several roots
+    were found (the returned root is the one closest to the limit value
+    2(k-1); the warning lists the others), and `exclusion_ok` is False when
+    Λ₁^ε also crosses another -σ_l inside the bracket.  `evaluations` counts
+    the α-values at which the curve was computed."""
 
     alpha_k_eps: float
+    delta: float
     residual: float
     bracket: tuple[float, float]
     unique: bool
     exclusion_ok: bool
+    evaluations: int
 
 
-def alpha_resolution(n_dim: int, k: int) -> float:
-    """The α noise floor C4.trend forgives: twice the residual tolerance
-    1e-6 divided by the limit curve's slope at α_k.  It is not the solver's
-    resolution; brentq pins each root to 1e-10 in α."""
-    slope = (bifurcation_alpha(k) + n_dim) / 2.0
-    return 2.0 * 1e-6 / slope
+class _Fallback(Exception):
+    """The identity search cannot certify its root; the message says why."""
 
 
 def find_bifurcation_alpha(
@@ -121,12 +186,33 @@ def find_bifurcation_alpha(
 ) -> BifurcationPoint:
     """Locate α_k^ε in the bracket (default 2(k-1) ± 0.9).
 
-    A 32-point scan finds sign-change intervals of f(α) = Λ₁^ε(α) + σ_k; each
-    is refined by Brent's method until the root is pinned in α to within
-    1e-10 + 8.9e-16·|α|, and `residual` reports |f| there.  The same scan is
-    reused to verify that no crossing with a different sphere eigenvalue σ_l
-    occurs inside the bracket (`exclusion_ok`).  A second root or a failed
-    exclusion is also logged as a warning on the "henonball" logger."""
+    Search.  `flux_gap` is evaluated at both bracket ends, where the pencil's
+    f(α) = Λ₁^ε(α) + σ_k must satisfy f(lo) > 0 > f(hi) (BracketError
+    otherwise).  From δ = 0 the fixed point δ = 4g/(A + √(A² + 4g)), with
+    g = g(2(k-1) + δ) and A = N + 2k - 2, is iterated with secant steps until
+    a step is at most 1e-12·|δ|.  The last evaluated point is returned, and
+    `residual` is the pencil's |f| there.
+
+    Certificates.  g ≥ 0 is exact, so no root lies below 2(k-1).  With G the
+    largest g over the ends and the iterates, every root lies in the window
+    [2(k-1), 2(k-1) + 4G/(A + √(A² + 4G))].  `unique` needs that window
+    inside the bracket, and the chord slopes of g between evaluated points
+    of [2(k-1), hi] at least 1e-6 apart below A/2, the closed-form curve's
+    slope at 2(k-1), so that f decreases on the window.  Exclusion, for each
+    l ≠ k up to k+2: for l > k, Λ₁(hi) > -σ_l rules out a crossing with
+    -σ_l exactly; for l < k, Λ₁(lo) + G < -σ_l rules it out.  A pencil value
+    past -σ_l at the near end (Λ₁^ε(hi) < -σ_l for l > k, Λ₁^ε(lo) > -σ_l for
+    l < k) proves a crossing: `exclusion_ok` is False and a warning on the
+    "henonball" logger names it.  G is a maximum over samples, so, like the
+    scan's sign counts, the certificates are sampled evidence.
+
+    Fallback.  When the search leaves the bracket, has not converged after
+    8 g-evaluations, or a certificate can be neither met nor refuted, a
+    WARNING on the "henonball" logger gives the reason and the scan decides:
+    32 samples of f locate its sign changes, Brent's method pins each root to
+    1e-10 + 8.9e-16·|α|, and the same samples decide `exclusion_ok` (a
+    warning names each crossed -σ_l) and `unique` (a warning lists the other
+    roots)."""
     if k < 2:
         raise DomainError("bifurcation search needs k >= 2 (k = 1 sits at alpha = 0)")
     alpha_k = bifurcation_alpha(k)
@@ -138,20 +224,115 @@ def find_bifurcation_alpha(
         raise DomainError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
     sigma_k, _ = sphere_eigen(n_dim, k)
     cache = cache or SolverCache()
+    where = f"N={n_dim} k={k} eps={eps!r} bracket={bracket!r}"
+
+    samples: dict[float, tuple[float, float]] = {}
+
+    def sample(alpha: float) -> tuple[float, float]:
+        if alpha not in samples:
+            samples[alpha] = flux_gap(n_dim, eps, alpha, cache)
+        return samples[alpha]
+
+    f_lo, f_hi = sample(lo)[1] + sigma_k, sample(hi)[1] + sigma_k
+    if not f_lo > 0.0 > f_hi:
+        raise BracketError(
+            f"bracket endpoints do not straddle -sigma_{k}: "
+            f"f({lo})={f_lo:.4g}, f({hi})={f_hi:.4g} (eps too large?)"
+        )
+    try:
+        delta = _fixed_point(n_dim, k, lo, hi, sample)
+        crossed = _certify(n_dim, k, lo, hi, samples)
+    except _Fallback as reason:
+        log.warning("%s: flux-identity search falls back to the scan: %s", where, reason)
+        point = _scan_search(n_dim, eps, k, lo, hi, cache, where)
+        return replace(point, evaluations=len(samples) + point.evaluations)
+    if crossed:
+        log.warning("%s: exclusion fails, lambda1 also crosses -%s", where, ", -".join(crossed))
+    return BifurcationPoint(
+        alpha_k_eps=alpha_k + delta,
+        delta=delta,
+        residual=abs(samples[alpha_k + delta][1] + sigma_k),
+        bracket=(float(lo), float(hi)),
+        unique=True,
+        exclusion_ok=not crossed,
+        evaluations=len(samples),
+    )
+
+
+def _shift(a_lin: float, g: float) -> float:
+    """δ solving Λ₁(2(k-1) + δ) + g = -σ_k, i.e. δ² + 2Aδ = 4g, in the form
+    without cancellation (A = N + 2k - 2)."""
+    return 4.0 * g / (a_lin + math.sqrt(a_lin * a_lin + 4.0 * g))
+
+
+def _fixed_point(n_dim, k, lo, hi, sample) -> float:
+    """δ of the identity's root by secant steps on h(δ) = δ - shift(g)."""
+    alpha_k = bifurcation_alpha(k)
+    a_lin = n_dim + alpha_k
+    d, d_prev, h_prev = 0.0, None, None
+    for _ in range(SEARCH_EVALUATIONS):
+        alpha = alpha_k + d
+        if not lo <= alpha <= hi:
+            raise _Fallback(f"the search left the bracket at alpha={alpha!r}")
+        h = d - _shift(a_lin, sample(alpha)[0])
+        if h_prev is None or h == h_prev:
+            step = -h  # a plain fixed-point step
+        else:
+            step = -h * (d - d_prev) / (h - h_prev)
+        if abs(step) <= 1e-12 * abs(d):
+            return d
+        d_prev, h_prev, d = d, h, d + step
+    raise _Fallback(f"no convergence after {SEARCH_EVALUATIONS} g-evaluations")
+
+
+def _certify(n_dim, k, lo, hi, samples) -> list[str]:
+    """The -σ_l the pencil provably crosses in [lo, hi]; _Fallback when the
+    samples can neither certify uniqueness nor settle an exclusion."""
+    alpha_k = bifurcation_alpha(k)
+    a_lin = n_dim + alpha_k
+    big_g = max(g for g, _ in samples.values())
+    window = alpha_k + _shift(a_lin, big_g)
+    if not window < hi:
+        raise _Fallback(f"the root window up to alpha={window!r} reaches the bracket end")
+    upper = sorted((a, g) for a, (g, _) in samples.items() if a >= alpha_k)
+    for (a, ga), (b, gb) in zip(upper, upper[1:]):
+        if b - a >= 1e-6 and abs(gb - ga) / (b - a) >= a_lin / 2.0:
+            raise _Fallback(f"g changes faster than A/2 = {a_lin / 2.0:g} on [{a!r}, {b!r}]")
+    crossed = []
+    for l in range(1, k + 3):
+        if l == k:
+            continue
+        sigma_l, _ = sphere_eigen(n_dim, l)
+        if l > k:
+            end, excluded = hi, lambda1_closed(n_dim, hi) > -sigma_l
+            proven = samples[hi][1] < -sigma_l
+        else:
+            end, excluded = lo, lambda1_closed(n_dim, lo) + big_g < -sigma_l
+            proven = samples[lo][1] > -sigma_l
+        if proven:
+            crossed.append(f"sigma_{l}={sigma_l:g}")
+        elif not excluded:
+            raise _Fallback(f"a crossing with -sigma_{l} near alpha={end!r} is not settled")
+    return crossed
+
+
+def _scan_search(n_dim, eps, k, lo, hi, cache, where) -> BifurcationPoint:
+    """The scan reference: sign changes of f = Λ₁^ε + σ_k on SCAN_POINTS
+    samples, each refined by Brent's method (see `find_bifurcation_alpha`,
+    which has checked f(lo) > 0 > f(hi))."""
+    alpha_k = bifurcation_alpha(k)
+    sigma_k, _ = sphere_eigen(n_dim, k)
+    seen = set()
 
     def f(alpha: float) -> float:
+        seen.add(alpha)
         return lambda_values(n_dim, eps, alpha, 1, cache)[0] + sigma_k
 
     alphas = np.linspace(lo, hi, SCAN_POINTS)
     fs = np.array([f(a) for a in alphas])
-    if not (fs[0] > 0.0 > fs[-1]):
-        raise BracketError(
-            f"bracket endpoints do not straddle -sigma_{k}: "
-            f"f({lo})={fs[0]:.4g}, f({hi})={fs[-1]:.4g} (eps too large?)"
-        )
     change = np.nonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0)[0]
     if change.size == 0:
-        raise BracketError(f"no sign change of lambda1 + sigma_{k} inside {bracket!r}")
+        raise BracketError(f"no sign change of lambda1 + sigma_{k} inside {(lo, hi)!r}")
 
     roots = []
     intervals = []
@@ -172,7 +353,6 @@ def find_bifurcation_alpha(
         fl = fs + (sigma_l - sigma_k)
         if np.any(np.sign(fl[:-1]) * np.sign(fl[1:]) < 0):
             crossed.append(f"sigma_{l}={sigma_l:g}")
-    where = f"N={n_dim} k={k} eps={eps!r} bracket={bracket!r}"
     if len(roots) > 1:
         log.warning("%s: not unique, lambda1 = -sigma_%d also at alpha=%s (reporting %r)",
                     where, k, [roots[i] for i in order[1:]], roots[best])
@@ -181,10 +361,12 @@ def find_bifurcation_alpha(
 
     return BifurcationPoint(
         alpha_k_eps=roots[best],
+        delta=roots[best] - alpha_k,
         residual=abs(f(roots[best])),
         bracket=intervals[best],
         unique=len(roots) == 1,
         exclusion_ok=not crossed,
+        evaluations=len(seen),
     )
 
 

@@ -161,7 +161,7 @@ def cmd_spectrum(args) -> int:
 
 
 BIFURCATE_HEADER = (
-    "N", "k", "eps", "alpha_k_eps", "residual",
+    "N", "k", "eps", "alpha_k_eps", "delta", "residual",
     "bracket_lo", "bracket_hi", "unique", "exclusion_ok", "error",
 )
 
@@ -175,11 +175,11 @@ def cmd_bifurcate(args) -> int:
                 args.N, eps, args.k, bracket=args.bracket, cache=cache
             )
             values = [
-                bp.alpha_k_eps, bp.residual, bp.bracket[0], bp.bracket[1],
+                bp.alpha_k_eps, bp.delta, bp.residual, bp.bracket[0], bp.bracket[1],
                 bp.unique, bp.exclusion_ok, None,
             ]
         except NumericsError as err:
-            values = [None] * 6 + [str(err)]
+            values = [None] * 7 + [str(err)]
         rows.append(dict(zip(BIFURCATE_HEADER, [args.N, args.k, eps, *values])))
     rows.sort(key=lambda r: -r["eps"])
     emit_table(args, "bifurcation_table", BIFURCATE_HEADER, rows)

@@ -315,10 +315,14 @@ def assemble_pencil(
 @dataclass
 class EigenResult:
     """The j-th eigenvalue of an SLProblem from `solve_eigen`: the two-grid
-    Richardson value `extrapolated` with its error estimate and, when vectors
-    were requested, the fine-grid eigenvector z on its grid r with its
-    certified node count.  On the values-only path `node_count` is None and
-    `r`, `z` are empty."""
+    Richardson value `extrapolated` = (4 λ_fine - λ_coarse)/3 and, when
+    vectors were requested, the fine-grid eigenvector z on its grid r with
+    its certified node count.  On the values-only path `node_count` is None
+    and `r`, `z` are empty.
+
+    `error_estimate` is |λ_fine - λ_coarse|/3, the extrapolation increment.
+    For a second-order scheme it estimates the error of the fine-grid value
+    λ_fine, not that of `extrapolated`, which is usually far smaller."""
 
     j: int
     extrapolated: float
@@ -338,7 +342,8 @@ def solve_eigen(
 
     The scheme converges at second order in the geometric step, so the
     extrapolated value uses (4 λ_fine - λ_coarse)/3; the error estimate is the
-    extrapolation increment |λ_fine - λ_coarse|/3.  Both grids' values are
+    extrapolation increment |λ_fine - λ_coarse|/3, the fine-grid value's
+    error (see EigenResult).  Both grids' values are
     inertia-certified and must increase strictly.  Eigenvectors, if asked
     for, come from the fine grid with their node-count certificate.
     """

@@ -25,7 +25,7 @@ from . import bifurcation as bif
 from . import numerics
 from . import rescaling as resc
 from . import spectral as spec
-from .closedform import ProblemParams, bifurcation_alpha, lambda1_closed, sup_norm_constant
+from .closedform import ProblemParams, lambda1_closed, sup_norm_constant
 from .errors import DomainError
 from .io import SCHEMA_VERSION
 from .radial import (
@@ -166,15 +166,14 @@ def _c4_bifurcation_convergence(cache):
         1e-6,
         worst_residual < 1e-6 and dt <= 180.0,
     )
-    floor = bif.alpha_resolution(3, 2)
-    errs = [abs(bp.alpha_k_eps - bifurcation_alpha(2)) for bp in points]
+    errs = [abs(bp.delta) for bp in points]
     yield CriterionResult(
         "C4.trend",
-        "|alpha_2^eps - 2| nonincreasing along eps (within root resolution)",
+        "|alpha_2^eps - 2| nonincreasing along eps",
         "nonincreasing",
         max([b - a for a, b in zip(errs, errs[1:])], default=0.0),
-        floor,
-        all(b <= a + floor for a, b in zip(errs, errs[1:])),
+        0.0,
+        all(b <= a for a, b in zip(errs, errs[1:])),
     )
     max_error = max(errs)
     yield CriterionResult(

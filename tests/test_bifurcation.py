@@ -5,12 +5,14 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from henonball import bifurcation
 from henonball.bifurcation import (
     SolverCache,
-    alpha_resolution,
     find_bifurcation_alpha,
+    flux_gap,
     lambda_values,
     morse_index,
 )
@@ -110,6 +112,59 @@ class TestFindBifurcation:
         assert bp.unique and bp.exclusion_ok
         assert caplog.records == []
 
+    def test_delta_is_the_shift_as_computed(self, cache):
+        # at N = 3 the shift is a few ulps of 2, which alpha_k_eps rounds
+        bp = find_bifurcation_alpha(3, 0.01, 2, cache=cache)
+        assert 0.0 < bp.delta < 1e-13
+        assert bp.alpha_k_eps == bifurcation_alpha(2) + bp.delta
+
+
+# the perfbench bifurcate workload's (N, k) corners at two eps each
+CORNERS = [(n_dim, k, eps) for n_dim in (3, 4) for k in (2, 3) for eps in (0.01, 0.05)]
+
+
+class TestFluxIdentity:
+    @settings(max_examples=20, deadline=None)
+    @given(n_dim=st.integers(3, 6), alpha=st.floats(0.0, 4.5),
+           log_eps=st.floats(math.log(0.005), math.log(0.2)))
+    def test_gap_matches_the_pencil(self, n_dim, alpha, log_eps):
+        # g = Lambda1^eps - Lambda1 exactly; the pencil's difference carries
+        # its own discretization error, up to ~1e-9 absolute and 1e-5 of g
+        eps = math.exp(log_eps)
+        cache = SolverCache()
+        gap, _ = flux_gap(n_dim, eps, alpha, cache)
+        pencil = lambda_values(n_dim, eps, alpha, 1, cache)[0] - lambda1_closed(n_dim, alpha)
+        assert gap >= 0.0
+        assert abs(gap - pencil) <= 2e-7 + 1e-5 * gap
+
+    def test_returns_the_pencil_eigenvalue(self, cache):
+        _, lam1 = flux_gap(3, 0.05, 2.0, cache)
+        assert lam1 == pytest.approx(lambda_values(3, 0.05, 2.0, 1, cache)[0], abs=1e-12)
+
+    @pytest.mark.parametrize("n_dim, k, eps", CORNERS)
+    def test_agrees_with_the_scan_in_few_evaluations(self, n_dim, k, eps, cache, caplog):
+        with caplog.at_level(logging.WARNING, logger="henonball"):
+            bp = find_bifurcation_alpha(n_dim, eps, k, cache=cache)
+        assert bp.evaluations <= 6 and caplog.records == []
+        alpha_k = bifurcation_alpha(k)
+        ref = bifurcation._scan_search(n_dim, eps, k, alpha_k - 0.9, alpha_k + 0.9,
+                                       cache, "reference")
+        assert abs(bp.alpha_k_eps - ref.alpha_k_eps) <= 1e-8
+        assert (bp.unique, bp.exclusion_ok) == (ref.unique, ref.exclusion_ok) == (True, True)
+
+    def test_fallback_returns_the_scan_root(self, cache, caplog):
+        # a bracket that starts above 2(k-1) excludes the search's start point
+        bracket = (2.0001, 2.9)
+        with caplog.at_level(logging.WARNING, logger="henonball"):
+            bp = find_bifurcation_alpha(4, 0.2, 2, bracket=bracket, cache=cache)
+        [record] = caplog.records
+        assert "falls back to the scan: the search left the bracket" in record.getMessage()
+        ref = bifurcation._scan_search(4, 0.2, 2, *bracket, cache, "reference")
+        assert (bp.alpha_k_eps, bp.delta, bp.residual, bp.bracket) == (
+            ref.alpha_k_eps, ref.delta, ref.residual, ref.bracket)
+        assert bp.evaluations == ref.evaluations + 2  # the two bracket ends
+        assert bp.unique and bp.exclusion_ok and bp.residual < 1e-6
+
 
 class TestMorseIndex:
     def test_jump_across_k2_crossing(self, cache):
@@ -153,15 +208,10 @@ class TestLambda2Floor:
 
 class TestConvergenceStudy:
     def test_k2_dim3(self, cache):
-        errs = [abs(find_bifurcation_alpha(3, eps, 2, cache=cache).alpha_k_eps
-                    - bifurcation_alpha(2)) for eps in (0.1, 0.05, 0.02)]
+        errs = [abs(find_bifurcation_alpha(3, eps, 2, cache=cache).delta)
+                for eps in (0.1, 0.05, 0.02)]
         assert max(errs) < 1e-4
-        floor = alpha_resolution(3, 2)
-        assert all(b <= a + floor for a, b in zip(errs, errs[1:]))
-
-    def test_alpha_resolution_floor(self):
-        # residual tolerance 1e-6 against slope (alpha_k + N)/2
-        assert alpha_resolution(3, 2) == pytest.approx(2e-6 / 2.5)
+        assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_limit_roots_exact(self):
         # closed-form sanity: the limit curve crosses -sigma_k exactly at

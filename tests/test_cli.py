@@ -214,6 +214,7 @@ def test_bifurcate_exits_0_with_a_certified_root(capsys):
     [row] = json.loads(capsys.readouterr().out)["rows"]
     assert row["error"] is None and row["unique"] and row["exclusion_ok"]
     assert abs(row["alpha_k_eps"] - 2.0) < 1e-4
+    assert 0.0 <= row["delta"] < 1e-4 and row["alpha_k_eps"] == 2.0 + row["delta"]
 
 
 def test_spectrum_json_rows_match_csv(capsys):

@@ -127,6 +127,21 @@ class TestEigenvalues:
         with pytest.raises(NumericsError, match="node-count certificate failed"):
             pen.eigenvectors(2)
 
+    def test_error_estimate_is_the_fine_grid_increment(self, ball_problem):
+        js = [1, 2]
+        res = solve_eigen(ball_problem, 2, n_points=300, with_vectors=False)
+        coarse, fine = (assemble_pencil(ball_problem, default_spectral_grid(1.0, n))
+                        .eigenvalue_batch(js) for n in (300, 600))
+        for r, c, f in zip(res, coarse, fine):
+            assert r.error_estimate == abs(f - c) / 3.0
+            assert r.extrapolated == (4.0 * f - c) / 3.0
+        # it sizes the fine-grid value's error, not the extrapolant's
+        ref = solve_eigen(ball_problem, 2, n_points=2400, with_vectors=False)
+        for r, f, exact in zip(res, fine, ref):
+            fine_error = abs(f - exact.extrapolated)
+            assert 0.5 * fine_error < r.error_estimate < 2.0 * fine_error
+            assert abs(r.extrapolated - exact.extrapolated) < 0.1 * r.error_estimate
+
     def test_values_only_path_has_no_vectors(self, ball_problem):
         res = solve_eigen(ball_problem, 2, n_points=300, with_vectors=False)
         assert res[0].node_count is None
