@@ -23,17 +23,17 @@ pencil's Λ₁^ε is biased by about 1e-9.  The 32-point scan of Λ₁^ε plus
 Brent's method remains as the fallback for what the identity's certificates
 cannot settle (see `find_bifurcation_alpha`).
 
-One α-evaluation is one Dirichlet shoot plus one spectral solve on the
-N_POINTS/2·N_POINTS grid pair.  Profiles and eigenvalues are memoized in a
-SolverCache keyed by the exact parameters: the one passed as `cache=`, or
-else a fresh one that lives only as long as the call.
+One α-evaluation is one `flux_gap`: a Dirichlet shoot plus an eigenvector
+solve on each grid of the N_POINTS/2·N_POINTS pair.  Profiles and `flux_gap`
+results are memoized in a SolverCache keyed by the exact parameters: the one
+passed as `cache=`, or else a fresh one that lives only as long as the call.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -70,31 +70,17 @@ SEARCH_EVALUATIONS = 8
 
 
 class SolverCache:
-    """Memo of radial profiles and eigenvalue lists, keyed by (N, α, ε)."""
+    """Memo of radial profiles and `flux_gap` results, keyed by (N, α, ε)."""
 
     def __init__(self):
         self._profiles: dict = {}
-        self._lambdas: dict = {}
+        self._gaps: dict = {}
 
     def profile(self, n_dim: int, alpha: float, eps: float) -> RadialProfile:
         key = (n_dim, alpha, eps)
         if key not in self._profiles:
             self._profiles[key] = solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps))
         return self._profiles[key]
-
-    def lambdas(self, n_dim: int, alpha: float, eps: float, count: int) -> tuple[float, ...]:
-        key = (n_dim, alpha, eps)
-        have = self._lambdas.get(key, ())
-        if len(have) < count:
-            res = solve_eigen(
-                SLProblem.from_profile(self.profile(n_dim, alpha, eps)),
-                count=count,
-                n_points=N_POINTS,
-                with_vectors=False,
-            )
-            have = tuple(r.extrapolated for r in res)
-            self._lambdas[key] = have
-        return have[:count]
 
 
 def lambda_values(
@@ -104,22 +90,22 @@ def lambda_values(
     count: int = 1,
     cache: SolverCache | None = None,
 ) -> tuple[float, ...]:
-    """Lowest `count` eigenvalues Λ_j^ε(α), Richardson-extrapolated."""
-    return (cache or SolverCache()).lambdas(n_dim, alpha, eps, count)
+    """Lowest `count` eigenvalues Λ_j^ε(α), Richardson-extrapolated.  The
+    profile comes from `cache`; the eigen solve runs on every call."""
+    profile = (cache or SolverCache()).profile(n_dim, alpha, eps)
+    res = solve_eigen(SLProblem.from_profile(profile), count=count,
+                      n_points=N_POINTS, with_vectors=False)
+    return tuple(r.extrapolated for r in res)
 
 
 def _grid_gap(profile: RadialProfile, problem: SLProblem, du1: float,
               n_points: int) -> tuple[float, float]:
     """The identity's g and the pencil's Λ₁^ε on one spectral grid."""
-    grid = default_spectral_grid(1.0, n_points)
-    lams, phis = assemble_pencil(problem, grid).eigenvectors(1)
-    phi = phis[0]
+    pencil = assemble_pencil(problem, default_spectral_grid(1.0, n_points))
+    lams, phis = pencil.eigenvectors(1)
+    grid, phi = pencil.grid, phis[0]
     z = grid ** (-profile.params.alpha / 2.0) * profile.evaluate(grid, derivative=True)[1]
-    # trapezoid rule on [0, grid, 1]; φ vanishes at both ends
-    overlap = np.trapezoid(
-        np.concatenate([[0.0], grid ** (problem.n_dim - 3.0) * phi * z, [0.0]]),
-        np.concatenate([[0.0], grid, [1.0]]),
-    )
+    overlap = np.dot(pencil.b_diag * phi, z)
     # φ'(1) from the parabola through the last two nodes and (1, 0)
     (x0, x1), (p0, p1) = grid[-2:], phi[-2:]
     dphi1 = (p0 * (1.0 - x1) / ((x0 - x1) * (x0 - 1.0))
@@ -135,18 +121,24 @@ def flux_gap(
 ) -> tuple[float, float]:
     """(g, Λ₁^ε) at α: the boundary-flux gap g = Λ₁^ε(α) - Λ₁(α) and the
     pencil's own first eigenvalue, each Richardson-extrapolated as
-    (4·fine - coarse)/3 over the N_POINTS/2·N_POINTS grid pair.
+    (4·fine - coarse)/3 over the N_POINTS/2·N_POINTS grid pair.  Λ₁^ε equals
+    `lambda_values(n_dim, eps, alpha, 1)[0]` to the last bit.
 
     On each grid φ is the pencil's first eigenvector with φ(0) = φ(1) = 0
     appended, φ'(1) is the three-point one-sided derivative through the last
-    two nodes and (1, 0), and ∫₀¹ r^(N-3) φ z dr is the trapezoid rule.  Both
-    grids share one radial profile."""
-    profile = (cache or SolverCache()).profile(n_dim, alpha, eps)
-    problem = SLProblem.from_profile(profile)
-    du1 = profile.evaluate(1.0, derivative=True)[1]
-    (g_c, lam_c), (g_f, lam_f) = (_grid_gap(profile, problem, du1, n)
-                                  for n in (N_POINTS, 2 * N_POINTS))
-    return (4.0 * g_f - g_c) / 3.0, (4.0 * lam_f - lam_c) / 3.0
+    two nodes and (1, 0), and ∫₀¹ r^(N-3) φ z dr is the pencil's own weight
+    matrix applied to φ z, which is the trapezoid rule on [0, grid, 1].  Both
+    grids share one radial profile, and the result is memoized in `cache`."""
+    cache = cache or SolverCache()
+    key = (n_dim, alpha, eps)
+    if key not in cache._gaps:
+        profile = cache.profile(n_dim, alpha, eps)
+        problem = SLProblem.from_profile(profile)
+        du1 = profile.evaluate(1.0, derivative=True)[1]
+        (g_c, lam_c), (g_f, lam_f) = (_grid_gap(profile, problem, du1, n)
+                                      for n in (N_POINTS, 2 * N_POINTS))
+        cache._gaps[key] = (4.0 * g_f - g_c) / 3.0, (4.0 * lam_f - lam_c) / 3.0
+    return cache._gaps[key]
 
 
 @dataclass(frozen=True)
@@ -162,7 +154,7 @@ class BifurcationPoint:
     were found (the returned root is the one closest to the limit value
     2(k-1); the warning lists the others), and `exclusion_ok` is False when
     Λ₁^ε also crosses another -σ_l inside the bracket.  `evaluations` counts
-    the α-values at which the curve was computed."""
+    the distinct α-values at which the search read `flux_gap`."""
 
     alpha_k_eps: float
     delta: float
@@ -175,6 +167,19 @@ class BifurcationPoint:
 
 class _Fallback(Exception):
     """The identity search cannot certify its root; the message says why."""
+
+
+class _Samples(dict):
+    """(g, Λ₁^ε) by α for one search, read from `flux_gap` on first use, so
+    len() counts the distinct α-values the search evaluated."""
+
+    def __init__(self, n_dim: int, eps: float, cache: SolverCache):
+        super().__init__()
+        self.n_dim, self.eps, self.cache = n_dim, eps, cache
+
+    def __missing__(self, alpha: float) -> tuple[float, float]:
+        self[alpha] = flux_gap(self.n_dim, self.eps, alpha, self.cache)
+        return self[alpha]
 
 
 def find_bifurcation_alpha(
@@ -212,7 +217,10 @@ def find_bifurcation_alpha(
     32 samples of f locate its sign changes, Brent's method pins each root to
     1e-10 + 8.9e-16·|α|, and the same samples decide `exclusion_ok` (a
     warning names each crossed -σ_l) and `unique` (a warning lists the other
-    roots)."""
+    roots).  The scan reads f from the search's samples, so no α is evaluated
+    twice; `flux_gap` memoizes across searches on one `cache`.
+
+    A bracket end lo ≤ ((N-2)ε - 4)/2, where ε ≥ p_lo - 1, is a DomainError."""
     if k < 2:
         raise DomainError("bifurcation search needs k >= 2 (k = 1 sits at alpha = 0)")
     alpha_k = bifurcation_alpha(k)
@@ -223,29 +231,24 @@ def find_bifurcation_alpha(
     if not 0.0 < lo < hi < np.inf:
         raise DomainError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
     sigma_k, _ = sphere_eigen(n_dim, k)
-    cache = cache or SolverCache()
+    edge = ((n_dim - 2) * eps - 4.0) / 2.0  # the alpha where eps = p_alpha - 1
+    if lo <= edge:
+        raise DomainError(f"bracket end lo={lo!r} is inadmissible at eps={eps!r}: "
+                          f"need alpha > ((N-2)eps - 4)/2 = {edge:g}")
     where = f"N={n_dim} k={k} eps={eps!r} bracket={bracket!r}"
-
-    samples: dict[float, tuple[float, float]] = {}
-
-    def sample(alpha: float) -> tuple[float, float]:
-        if alpha not in samples:
-            samples[alpha] = flux_gap(n_dim, eps, alpha, cache)
-        return samples[alpha]
-
-    f_lo, f_hi = sample(lo)[1] + sigma_k, sample(hi)[1] + sigma_k
+    samples = _Samples(n_dim, eps, cache or SolverCache())
+    f_lo, f_hi = samples[lo][1] + sigma_k, samples[hi][1] + sigma_k
     if not f_lo > 0.0 > f_hi:
         raise BracketError(
             f"bracket endpoints do not straddle -sigma_{k}: "
             f"f({lo})={f_lo:.4g}, f({hi})={f_hi:.4g} (eps too large?)"
         )
     try:
-        delta = _fixed_point(n_dim, k, lo, hi, sample)
+        delta = _fixed_point(n_dim, k, lo, hi, samples)
         crossed = _certify(n_dim, k, lo, hi, samples)
     except _Fallback as reason:
         log.warning("%s: flux-identity search falls back to the scan: %s", where, reason)
-        point = _scan_search(n_dim, eps, k, lo, hi, cache, where)
-        return replace(point, evaluations=len(samples) + point.evaluations)
+        return _scan_search(n_dim, k, lo, hi, samples, where)
     if crossed:
         log.warning("%s: exclusion fails, lambda1 also crosses -%s", where, ", -".join(crossed))
     return BifurcationPoint(
@@ -265,7 +268,7 @@ def _shift(a_lin: float, g: float) -> float:
     return 4.0 * g / (a_lin + math.sqrt(a_lin * a_lin + 4.0 * g))
 
 
-def _fixed_point(n_dim, k, lo, hi, sample) -> float:
+def _fixed_point(n_dim, k, lo, hi, samples) -> float:
     """δ of the identity's root by secant steps on h(δ) = δ - shift(g)."""
     alpha_k = bifurcation_alpha(k)
     a_lin = n_dim + alpha_k
@@ -274,7 +277,7 @@ def _fixed_point(n_dim, k, lo, hi, sample) -> float:
         alpha = alpha_k + d
         if not lo <= alpha <= hi:
             raise _Fallback(f"the search left the bracket at alpha={alpha!r}")
-        h = d - _shift(a_lin, sample(alpha)[0])
+        h = d - _shift(a_lin, samples[alpha][0])
         if h_prev is None or h == h_prev:
             step = -h  # a plain fixed-point step
         else:
@@ -316,17 +319,15 @@ def _certify(n_dim, k, lo, hi, samples) -> list[str]:
     return crossed
 
 
-def _scan_search(n_dim, eps, k, lo, hi, cache, where) -> BifurcationPoint:
-    """The scan reference: sign changes of f = Λ₁^ε + σ_k on SCAN_POINTS
-    samples, each refined by Brent's method (see `find_bifurcation_alpha`,
-    which has checked f(lo) > 0 > f(hi))."""
+def _scan_search(n_dim, k, lo, hi, samples, where) -> BifurcationPoint:
+    """The scan reference: sign changes of f = Λ₁^ε + σ_k, read from the
+    `_Samples`, on SCAN_POINTS points, each refined by Brent's method (see
+    `find_bifurcation_alpha`, which has checked f(lo) > 0 > f(hi))."""
     alpha_k = bifurcation_alpha(k)
     sigma_k, _ = sphere_eigen(n_dim, k)
-    seen = set()
 
     def f(alpha: float) -> float:
-        seen.add(alpha)
-        return lambda_values(n_dim, eps, alpha, 1, cache)[0] + sigma_k
+        return samples[alpha][1] + sigma_k
 
     alphas = np.linspace(lo, hi, SCAN_POINTS)
     fs = np.array([f(a) for a in alphas])
@@ -334,12 +335,8 @@ def _scan_search(n_dim, eps, k, lo, hi, cache, where) -> BifurcationPoint:
     if change.size == 0:
         raise BracketError(f"no sign change of lambda1 + sigma_{k} inside {(lo, hi)!r}")
 
-    roots = []
-    intervals = []
-    for i in change:
-        root = float(brentq(f, alphas[i], alphas[i + 1], xtol=1e-10, rtol=8.9e-16))
-        roots.append(root)
-        intervals.append((float(alphas[i]), float(alphas[i + 1])))
+    intervals = [(float(alphas[i]), float(alphas[i + 1])) for i in change]
+    roots = [float(brentq(f, a, b, xtol=1e-10, rtol=8.9e-16)) for a, b in intervals]
     order = np.argsort([abs(r - alpha_k) for r in roots])
     best = int(order[0])
 
@@ -366,7 +363,7 @@ def _scan_search(n_dim, eps, k, lo, hi, cache, where) -> BifurcationPoint:
         bracket=intervals[best],
         unique=len(roots) == 1,
         exclusion_ok=not crossed,
-        evaluations=len(seen),
+        evaluations=len(samples),
     )
 
 

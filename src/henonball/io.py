@@ -12,7 +12,9 @@ Artifacts are write-only outputs; a profile's samples come from
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -108,19 +110,14 @@ def rescaled_to_dict(rescaled: RescaledProfile, metrics: Mapping[str, float] | N
 
 
 def rows_to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Generic CSV writer: floats at full precision, everything else str()."""
-    lines = [",".join(header)]
+    """CSV text through `csv.writer`: floats at full precision, None empty,
+    everything else str(); a cell with a comma, quote or newline is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
     for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(fmt_float(cell))
-            elif cell is None:
-                cells.append("")
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        writer.writerow(fmt_float(cell) if isinstance(cell, float) else cell for cell in row)
+    return buf.getvalue()
 
 
 class ProfileCache:

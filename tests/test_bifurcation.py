@@ -138,8 +138,19 @@ class TestFluxIdentity:
         assert abs(gap - pencil) <= 2e-7 + 1e-5 * gap
 
     def test_returns_the_pencil_eigenvalue(self, cache):
+        # the scan fallback reads f from flux_gap, so its roots rest on this
         _, lam1 = flux_gap(3, 0.05, 2.0, cache)
-        assert lam1 == pytest.approx(lambda_values(3, 0.05, 2.0, 1, cache)[0], abs=1e-12)
+        assert lam1 == lambda_values(3, 0.05, 2.0, 1, cache)[0]
+
+    def test_a_repeated_search_reuses_the_cached_gaps(self, monkeypatch):
+        cache = SolverCache()
+        first = find_bifurcation_alpha(3, 0.01, 2, cache=cache)
+        calls = []
+        grid_gap = bifurcation._grid_gap
+        monkeypatch.setattr(bifurcation, "_grid_gap",
+                            lambda *args: calls.append(args) or grid_gap(*args))
+        assert find_bifurcation_alpha(3, 0.01, 2, cache=cache) == first
+        assert calls == []
 
     @pytest.mark.parametrize("n_dim, k, eps", CORNERS)
     def test_agrees_with_the_scan_in_few_evaluations(self, n_dim, k, eps, cache, caplog):
@@ -147,23 +158,45 @@ class TestFluxIdentity:
             bp = find_bifurcation_alpha(n_dim, eps, k, cache=cache)
         assert bp.evaluations <= 6 and caplog.records == []
         alpha_k = bifurcation_alpha(k)
-        ref = bifurcation._scan_search(n_dim, eps, k, alpha_k - 0.9, alpha_k + 0.9,
-                                       cache, "reference")
+        ref = bifurcation._scan_search(n_dim, k, alpha_k - 0.9, alpha_k + 0.9,
+                                       bifurcation._Samples(n_dim, eps, cache), "reference")
         assert abs(bp.alpha_k_eps - ref.alpha_k_eps) <= 1e-8
         assert (bp.unique, bp.exclusion_ok) == (ref.unique, ref.exclusion_ok) == (True, True)
 
-    def test_fallback_returns_the_scan_root(self, cache, caplog):
+    def test_fallback_returns_the_scan_root(self, cache, caplog, monkeypatch):
         # a bracket that starts above 2(k-1) excludes the search's start point
         bracket = (2.0001, 2.9)
+        alphas = []
+        gap = bifurcation.flux_gap
+        monkeypatch.setattr(bifurcation, "flux_gap",
+                            lambda n, e, a, c: alphas.append(a) or gap(n, e, a, c))
         with caplog.at_level(logging.WARNING, logger="henonball"):
             bp = find_bifurcation_alpha(4, 0.2, 2, bracket=bracket, cache=cache)
+        evaluated = set(alphas)
         [record] = caplog.records
         assert "falls back to the scan: the search left the bracket" in record.getMessage()
-        ref = bifurcation._scan_search(4, 0.2, 2, *bracket, cache, "reference")
+        ref = bifurcation._scan_search(4, 2, *bracket, bifurcation._Samples(4, 0.2, cache),
+                                       "reference")
         assert (bp.alpha_k_eps, bp.delta, bp.residual, bp.bracket) == (
             ref.alpha_k_eps, ref.delta, ref.residual, ref.bracket)
-        assert bp.evaluations == ref.evaluations + 2  # the two bracket ends
+        assert bp.evaluations == len(evaluated)  # each distinct alpha once
         assert bp.unique and bp.exclusion_ok and bp.residual < 1e-6
+
+    def test_fallback_past_an_exclusion_failure(self, caplog):
+        # at eps = 6.4 the crossing sits near 2.42 and lambda1 also crosses
+        # -sigma_1 inside the bracket; the search cannot settle that and the
+        # scan decides
+        with caplog.at_level(logging.WARNING, logger="henonball"):
+            bp = find_bifurcation_alpha(3, 6.4, 2, bracket=(1.3, 2.9))
+        assert "falls back to the scan" in caplog.records[0].getMessage()
+        assert abs(bp.alpha_k_eps - 2.4178395668871326) <= 1e-8
+        assert bp.unique and not bp.exclusion_ok
+
+    def test_inadmissible_bracket_end_is_named(self, cache):
+        # eps = 6.4 needs alpha > (6.4 - 4)/2 = 1.2 at N = 3; the default
+        # bracket starts at 1.1
+        with pytest.raises(DomainError, match=r"bracket end lo=1\.1.* = 1\.2$"):
+            find_bifurcation_alpha(3, 6.4, 2, cache=cache)
 
 
 class TestMorseIndex:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -84,7 +86,13 @@ def test_bad_eps_exits_2(capsys):
 def test_bracket_that_does_not_straddle_exits_3(capsys):
     argv = ["bifurcate", "--N", "3", "--k", "2", "--eps", "0.05", "--bracket", "0.2:0.6"]
     assert cli.main(argv) == cli.EXIT_NUMERICAL
-    assert "do not straddle" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "do not straddle" in out
+    # the message's comma stays inside its quoted cell
+    [row] = csv.DictReader(io.StringIO(out))
+    assert len(row) == 11 and None not in row
+    assert row["error"] == ("bracket endpoints do not straddle -sigma_2: "
+                            "f(0.2)=3.69, f(0.6)=3.01 (eps too large?)")
 
 
 # parameters that parse but that the library rejects as invalid, each with a
@@ -93,6 +101,7 @@ INVALID_PARAMETERS = [
     (["bifurcate", "--N", "3", "--k", "1", "--eps", "0.05"], "k >= 2"),
     (["bifurcate", "--N", "2", "--k", "2", "--eps", "0.05"], "N >= 3"),
     (["bifurcate", *REQUIRED["bifurcate"], "--bracket", "2:1"], "bracket"),
+    (["bifurcate", "--N", "3", "--k", "2", "--eps", "6.4"], "bracket"),
     (["sweep", "--N", "2", "--alpha-grid", "1:2:2", "--eps-list", "0.05"], "N >= 3"),
     (["solve", "--N", "3", "--alpha", "inf", "--eps", "0.05"], "alpha >= 0, got inf"),
     (["solve", "--N", "3", "--alpha", "nan", "--eps", "0.05"], "alpha >= 0, got nan"),

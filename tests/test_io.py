@@ -3,7 +3,7 @@ import stat
 
 import pytest
 
-from henonball.io import atomic_write_text
+from henonball.io import atomic_write_text, rows_to_csv
 
 
 @pytest.fixture
@@ -31,3 +31,12 @@ def test_same_text_gives_identical_bytes(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     # no temporary sibling is left behind
     assert sorted(p.name for p in tmp_path.iterdir()) == ["first.csv", "second.csv"]
+
+
+def test_csv_cells_plain_and_quoted():
+    rows = [[3, 0.1, None, True, "ok"], [4, 2.0, 1.5, False, 'f(0.2)=3.69, "f"']]
+    assert rows_to_csv(("N", "eps", "x", "unique", "error"), rows) == (
+        "N,eps,x,unique,error\n"
+        "3,0.10000000000000001,,True,ok\n"
+        '4,2,1.5,False,"f(0.2)=3.69, ""f"""\n'
+    )
