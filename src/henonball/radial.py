@@ -138,9 +138,9 @@ def integrate_radial_ivp(
     )
 
     def rhs(r, y):
-        u, v = y
+        u, v = float(y[0]), float(y[1])
         # odd extension keeps the vector field smooth through u = 0
-        return (v, -(n_dim - 1.0) / r * v - r**alpha * np.sign(u) * np.abs(u) ** p)
+        return (v, -(n_dim - 1.0) / r * v - r**alpha * math.copysign(abs(u) ** p, u))
 
     def hit_zero(r, y):
         return y[0]

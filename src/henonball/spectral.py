@@ -14,8 +14,10 @@ their node counts checked against the eigenvalue index
 returns one `EigenResult` per eigenvalue.
 
 A Prüfer-angle shooting method on the same truncated domain provides an
-independent oracle; it integrates against a cubic spline of the potential,
-tabulated once per call on a uniform log-r grid.  The truncated entire-space
+independent oracle: it shoots the angle from both ends to a matching point
+where the potential peaks and root-finds the smooth angle mismatch there,
+integrating against a cubic spline of the potential tabulated once per call
+on a uniform log-r grid.  The truncated entire-space
 limit problem reproduces the closed-form first eigenvalue
 -(α+2)(2N+α-2)/4 and the zero second eigenvalue.
 """
@@ -374,22 +376,27 @@ def solve_eigen(
 
 
 def prufer_eigen(problem: SLProblem, j: int, bracket: tuple[float, float]) -> float:
-    """Independent eigenvalue oracle by Prüfer-angle shooting.
+    """Independent eigenvalue oracle by Prüfer-angle shooting to a matching
+    point.
 
     In t = log r with y = r^((N-2)/2) z the equation becomes
-    y'' + [Λ - ((N-2)/2)² + V(t)] y = 0, V(t) = e^(2t) q(e^t); the angle of
-    (y', y) advances monotonically in Λ and the j-th eigenvalue is the Λ where
-    the angle reaches jπ at the outer end.  The bracket must produce
-    oscillation counts straddling j.  The angle starts at 0 at r = 1e-7 and
-    DOP853 carries it to r_end at rtol 1e-11, atol 1e-12.
+    y'' + [Λ - ((N-2)/2)² + V(t)] y = 0, V(t) = e^(2t) q(e^t), and the angle
+    θ of (y', y) obeys θ' = cos²θ + v sin²θ, v = Λ - ((N-2)/2)² + V.  The
+    left angle θ_L starts at 0 at r = 1e-7 and runs forward; the right angle
+    θ_R starts at jπ at r_end and runs backward.  Both stop at the matching
+    point t_m, the table node where V peaks, kept one node inside either end.
+    The j-th eigenvalue is the Λ where θ_L(t_m) = θ_R(t_m).  The mismatch
+    θ_L(t_m) - θ_R(t_m) is smooth and increasing in Λ, so brentq converges
+    superlinearly on it; the end angle of a one-sided shot is instead close
+    to a π-step in Λ, locked past the last turning point.  The bracket must
+    give mismatches of opposite sign.  DOP853 runs at rtol 1e-11, atol 1e-12.
 
     V is tabulated once per call, with one array call of `problem.q`, on a
     uniform grid in t from log 1e-7 to log r_end with spacing at most
     PRUFER_DT = 1e-3 (~16k nodes on the unit ball), and the right-hand side
-    evaluates the cubic spline of that table.  The end angle is close to a
-    π-step in Λ: past the last turning point it locks to mπ + arctan(1/√|v|),
-    v = Λ - ((N-2)/2)² + V, so brentq effectively bisects: 38 integrations
-    for the bracket Λ₁ ± 0.05 at N=3, α=2, ε=0.05.
+    evaluates the cubic spline of that table.  For the bracket Λ₁ ± 0.05 at
+    N=3, α=2, ε=0.05 the call takes 6 mismatch evaluations, 12 half-length
+    integrations.
     """
     # imported here to keep scipy.interpolate out of the CLI's start-up
     from scipy.interpolate import CubicSpline
@@ -400,13 +407,15 @@ def prufer_eigen(problem: SLProblem, j: int, bracket: tuple[float, float]) -> fl
     cells = math.ceil((t1 - t0) / PRUFER_DT)
     nodes = np.linspace(t0, t1, cells + 1)
     r = np.exp(nodes)
-    spline = CubicSpline(nodes, r * r * np.asarray(problem.q(r), dtype=float))
+    v_tab = r * r * np.asarray(problem.q(r), dtype=float)
+    spline = CubicSpline(nodes, v_tab)
+    t_m = float(nodes[min(max(int(np.argmax(v_tab)), 1), cells - 1)])
     # plain-Python Horner on memoryviews of the coefficient rows: no numpy
     # call per step, and no 16k-element float lists held during the shooting
     c3, c2, c1, c0 = (memoryview(row) for row in spline.c)
     dt = (t1 - t0) / cells
 
-    def miss(lam: float) -> float:
+    def angle(lam: float, t_start: float, theta_start: float) -> float:
         base = lam - shift
 
         def rhs(t, theta):
@@ -416,19 +425,30 @@ def prufer_eigen(problem: SLProblem, j: int, bracket: tuple[float, float]) -> fl
             s, c = math.sin(theta[0]), math.cos(theta[0])
             return [c * c + v * s * s]
 
-        sol = solve_ivp(rhs, (t0, t1), [0.0], method="DOP853", rtol=1e-11, atol=1e-12)
+        sol = solve_ivp(
+            rhs, (t_start, t_m), [theta_start], method="DOP853", rtol=1e-11, atol=1e-12
+        )
         if sol.status != 0:
             raise NumericsError(f"Prüfer integration failed: {sol.message}")
-        return sol.y[0, -1] - j * math.pi
+        return sol.y[0, -1]
+
+    def mismatch(lam: float) -> float:
+        return angle(lam, t0, 0.0) - angle(lam, t1, j * math.pi)
 
     lo, hi = bracket
-    m_lo, m_hi = miss(lo), miss(hi)
+    m_lo, m_hi = mismatch(lo), mismatch(hi)
     if not (m_lo < 0.0 < m_hi):
         raise BracketError(
             f"bracket ({lo}, {hi}) does not straddle eigenvalue {j}: "
-            f"oscillation misses ({m_lo:.3f}, {m_hi:.3f})"
+            f"matching misses ({m_lo:.3f}, {m_hi:.3f})"
         )
-    return float(brentq(miss, lo, hi, xtol=1e-10, rtol=8.9e-16))
+    ends = {lo: m_lo, hi: m_hi}
+
+    def matched(lam: float) -> float:
+        # brentq opens with the two bracket ends, already evaluated above
+        return ends.pop(lam) if lam in ends else mismatch(lam)
+
+    return float(brentq(matched, lo, hi, xtol=1e-10, rtol=8.9e-16))
 
 
 @dataclass(frozen=True)

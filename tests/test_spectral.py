@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from henonball.closedform import ProblemParams, lambda1_closed
 from henonball import spectral
@@ -290,8 +291,38 @@ class TestPrufer:
         pv = prufer_eigen(limit_problem(3, 2.0, 1e3), 1, (-6.5, -5.5))
         assert abs(pv + 6.0) < 1e-4
 
+    def test_closed_form_bessel_eigenvalue(self):
+        # q ≡ k² with tan k = k on the unit ball, N=3: z = j₁(kr) solves the
+        # problem with Λ₁ = -2 and no interior node.  V = k²r² peaks at
+        # r_end, so the matching point is clamped one node inside it.
+        k = brentq(lambda x: math.sin(x) - x * math.cos(x), 4.0, 4.6)
+        prob = SLProblem(3, 1.0, lambda r: np.full(np.shape(r), k * k))
+        assert abs(prufer_eigen(prob, 1, (-2.05, -1.95)) + 2.0) < 1e-9
+
+    def test_integrations_stop_at_the_matching_point(self, ball_problem, monkeypatch):
+        lam1 = solve_eigen(ball_problem, 1, with_vectors=False)[0].extrapolated
+        spans = []
+
+        def counting_solve_ivp(fun, t_span, *args, **kwargs):
+            spans.append(tuple(t_span))
+            return solve_ivp(fun, t_span, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "solve_ivp", counting_solve_ivp)
+        prufer_eigen(ball_problem, 1, (lam1 - 0.05, lam1 + 0.05))
+        # the node of prufer_eigen's table where V = r² q peaks
+        t0, t1 = math.log(1e-7), 0.0
+        nodes = np.linspace(t0, t1, math.ceil((t1 - t0) / spectral.PRUFER_DT) + 1)
+        r = np.exp(nodes)
+        t_m = nodes[np.argmax(r * r * ball_problem.q(r))]
+        assert t0 < t_m < t1
+        assert len(spans) <= 20
+        assert all(end == t_m for _, end in spans)
+        starts = [start for start, _ in spans]
+        assert starts.count(t0) == starts.count(t1) == len(spans) // 2
+
     def test_oscillation_count_monotone(self):
-        # the angle at the outer end increases with the spectral shift
+        # the matching mismatch θ_L(t_m) - θ_R(t_m) increases with the
+        # spectral shift
         prob = limit_problem(3, 1.0, 100.0)
         misses = []
         for lam in (-4.0, -3.0, -2.0):
@@ -299,7 +330,8 @@ class TestPrufer:
                 prufer_eigen(prob, 1, (lam, lam + 1e-9))
             except BracketError as err:
                 misses.append(str(err))
-        # extract the reported miss at the lower end of each degenerate bracket
+        # extract the reported mismatch at the lower end of each degenerate
+        # bracket
         los = [float(m.split("(")[-1].split(",")[0]) for m in misses]
         assert los[0] < los[1] < los[2]
 
@@ -307,22 +339,26 @@ class TestPrufer:
         with pytest.raises(BracketError):
             prufer_eigen(ball_problem, 1, (-20.0, -15.0))
 
-    @pytest.mark.parametrize("kind, n_dim, alpha", [
-        ("ball", 3, 2.0), ("ball", 4, 1.0), ("rescaled", 3, 2.0), ("limit", 3, 2.0),
-    ])
-    def test_tabulated_potential_matches_scalar_reference(self, kind, n_dim, alpha):
+    @pytest.mark.parametrize("kind, n_dim, alpha, j", [
+        ("ball", 3, 2.0, 1), ("ball", 4, 1.0, 1), ("rescaled", 3, 2.0, 1),
+        ("limit", 3, 2.0, 1), ("ball", 3, 2.0, 2),
+    ], ids=["ball-3-2.0", "ball-4-1.0", "rescaled-3-2.0", "limit-3-2.0", "ball-3-2.0-j2"])
+    def test_tabulated_potential_matches_scalar_reference(self, kind, n_dim, alpha, j):
         if kind == "limit":
             prob, lam = limit_problem(n_dim, alpha, 1e3), lambda1_closed(n_dim, alpha)
         else:
             prof = solve_dirichlet_ball(ProblemParams(n_dim, alpha, 0.05))
             prob = (SLProblem.from_profile(prof) if kind == "ball"
                     else SLProblem.from_rescaled(rescale(prof)))
-            lam = solve_eigen(prob, 1, with_vectors=False)[0].extrapolated
-        tabulated = prufer_eigen(prob, 1, (lam - 1e-7, lam + 1e-7))
+            lam = solve_eigen(prob, j, with_vectors=False)[j - 1].extrapolated
+        # Λ₂ moves by ~1e-4 with the inner cut (Prüfer starts at r = 1e-7, the
+        # pencil's grid at 1e-6), so its bracket around the pencil is wider
+        width = 1e-7 if j == 1 else 1e-3
+        tabulated = prufer_eigen(prob, j, (lam - width, lam + width))
         # the end angle increases with Λ, so a sign change of the reference
         # miss across tabulated ± 1e-9 puts the reference eigenvalue there
-        assert reference_miss(prob, 1, tabulated - 1e-9) < 0.0
-        assert reference_miss(prob, 1, tabulated + 1e-9) > 0.0
+        assert reference_miss(prob, j, tabulated - 1e-9) < 0.0
+        assert reference_miss(prob, j, tabulated + 1e-9) > 0.0
 
     def test_potential_tabulated_once_per_call(self):
         prob = limit_problem(3, 2.0, 1e3)
