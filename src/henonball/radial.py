@@ -9,6 +9,12 @@ The first zero R of the shot, located by dense-output event detection, fixes
 the Dirichlet solution through the scaling u(r) = R^((2+α)/(p-1)) u_shot(R r),
 which is independent of the shot amplitude.
 
+A DOP853 shot keeps its dense output as one stacked table of the
+integrator's per-step interpolation coefficients, evaluated for all points in
+one vectorized pass with scipy's own segment rule and nested product, so the
+values are bit-identical to `scipy.integrate.OdeSolution`'s.  RK45 shots only
+serve as an independent check of the first zero and carry no dense output.
+
 Also provided: the change of variables to the unweighted equation in
 fractional dimension m = 2(N+α)/(2+α) used as an independent correctness
 oracle, and the pointwise upper envelope check for the computed profile.
@@ -39,15 +45,58 @@ __all__ = [
 _METHODS = {"dop853": "DOP853", "rk45": "RK45"}
 
 
+@dataclass(frozen=True)
+class _Dop853Table:
+    """The DOP853 dense output of one shot, stacked over its steps.
+
+    Row s holds step s's start `t_old`, length `h` and start state `y_old`,
+    and `coef[:, s]` its interpolation coefficients (7 × 2, highest power
+    first), read from scipy's per-step interpolants; `ts` are the step
+    points.  A call picks each point's step as `OdeSolution` does (the lower
+    step at a step point, the end steps beyond the ends) and runs the same
+    nested product, so it returns the same bits.
+    """
+
+    ts: np.ndarray
+    t_old: np.ndarray
+    h: np.ndarray
+    y_old: np.ndarray
+    coef: np.ndarray
+
+    @classmethod
+    def from_solution(cls, sol) -> _Dop853Table:
+        steps = sol.interpolants
+        return cls(
+            ts=sol.ts,
+            t_old=np.array([s.t_old for s in steps]),
+            h=np.array([s.h for s in steps]),
+            y_old=np.array([s.y_old for s in steps]),
+            coef=np.stack([s.F[::-1] for s in steps], axis=1),
+        )
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """(u, u') at the points of the 1-D array t, shape (2, t.size)."""
+        seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, self.h.size - 1)
+        x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
+        y = np.zeros((t.size, 2))
+        for i, c in enumerate(self.coef):
+            y += c.take(seg, axis=0)
+            y *= x if i % 2 == 0 else 1 - x
+        y += self.y_old[seg]
+        return y.T
+
+
 @dataclass
 class ShotTrajectory:
     """One shot of the radial IVP with amplitude `a`.
 
     `first_zero` is None when u stayed positive on [0, r_max] (the expected
     outcome at the threshold exponent).  The shot starts at the series radius
-    `_r_start`, where the two-term origin series is accurate to 1e-10;
-    `evaluate` uses the series below it and the integrator's dense output
-    from there on, which starts at the series value.
+    `_r_start`, where the two-term origin series is accurate to 1e-10; `r`
+    holds the integrator's step points from there on.  `evaluate` uses the
+    series below `_r_start` and the stacked DOP853 table `_table` from there
+    on, which starts at the series value.  An RK45 shot has no table, and
+    `evaluate` on it raises DomainError.
     """
 
     n_dim: int
@@ -57,18 +106,23 @@ class ShotTrajectory:
     r: np.ndarray
     first_zero: float | None
     r_max: float
-    _dense: object = None
+    _table: _Dop853Table | None = None
     _r_start: float = 0.0
 
     def evaluate(self, r, derivative: bool = False):
+        if self._table is None:
+            raise DomainError(
+                "this shot has no dense output; integrate it with "
+                "method='dop853' to evaluate it"
+            )
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
         out = np.empty((2, r.size))
-        # below the start radius there is no dense output, only the series
+        # below the start radius there is no table, only the series
         inside = r >= self._r_start
         if np.any(inside):
-            out[:, inside] = self._dense(r[inside])
+            out[:, inside] = self._table(r[inside])
         if np.any(~inside):
             rs = r[~inside]
             out[0, ~inside] = _series_u(rs, self.a, self.n_dim, self.alpha, self.p)
@@ -113,8 +167,9 @@ def integrate_radial_ivp(
     `tol` is the relative tolerance; the absolute tolerance is tol*1e-2
     scaled by the amplitude.  The first downward zero crossing terminates the
     integration and is polished on the dense output.  `method` selects one of
-    two independent step controllers ("dop853" or "rk45") so results can be
-    cross-checked.
+    two independent step controllers ("dop853" or "rk45") so the first zero
+    can be cross-checked; only a DOP853 shot keeps its dense output, as a
+    stacked table, and can be evaluated.
     """
     p_alpha = threshold_exponent(n_dim, alpha)  # checks N and α
     if not 1.0 < p <= p_alpha:
@@ -148,6 +203,7 @@ def integrate_radial_ivp(
     hit_zero.terminal = True
     hit_zero.direction = -1
 
+    dense = method == "dop853"
     sol = solve_ivp(
         rhs,
         (r0, r_max),
@@ -155,7 +211,7 @@ def integrate_radial_ivp(
         method=_METHODS[method],
         rtol=tol,
         atol=tol * 1e-2 * a,
-        dense_output=True,
+        dense_output=dense,
         events=hit_zero,
     )
     if sol.status == -1:
@@ -169,7 +225,7 @@ def integrate_radial_ivp(
         r=sol.t,
         first_zero=first_zero,
         r_max=r_max,
-        _dense=sol.sol,
+        _table=_Dop853Table.from_solution(sol.sol) if dense else None,
         _r_start=r0,
     )
 
@@ -204,11 +260,14 @@ class RadialProfile:
     _shot: ShotTrajectory
 
     def evaluate(self, r, derivative: bool = False):
-        """u(r) (and u'(r)) for r in [0, 1]."""
+        """u(r) (and u'(r)) for r in [0, 1]; DomainError for any r outside
+        it, NaN included."""
+        r = np.asarray(r, float)
+        if not np.all((r >= 0.0) & (r <= 1.0)):
+            raise DomainError("profile radii must lie in [0, 1]")
         beta = (2.0 + self.params.alpha) / (self.params.p - 1.0)
         scale = self.first_zero_raw**beta
-        res = self._shot.evaluate(np.asarray(r, float) * self.first_zero_raw,
-                                  derivative=True)
+        res = self._shot.evaluate(r * self.first_zero_raw, derivative=True)
         u = scale * res[0]
         if derivative:
             return u, scale * self.first_zero_raw * res[1]

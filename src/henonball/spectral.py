@@ -254,11 +254,10 @@ class Pencil:
 def _first_hump_sign(z: np.ndarray) -> float:
     """+1/-1 so that the first interior extremum of |z| is positive."""
     az = np.abs(z)
-    thresh = 0.05 * np.max(az)
-    for i in range(1, z.size - 1):
-        if az[i] >= thresh and az[i] >= az[i - 1] and az[i] >= az[i + 1]:
-            return 1.0 if z[i] > 0 else -1.0
-    return 1.0 if z[np.argmax(az)] > 0 else -1.0
+    mid = az[1:-1]
+    humps = np.flatnonzero((mid >= 0.05 * np.max(az)) & (mid >= az[:-2]) & (mid >= az[2:]))
+    i = humps[0] + 1 if humps.size else np.argmax(az)
+    return 1.0 if z[i] > 0 else -1.0
 
 
 def node_count(z: np.ndarray) -> int:

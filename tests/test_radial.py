@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from henonball import radial
+from henonball.bifurcation import flux_gap
 from henonball.closedform import ProblemParams, lambda1_closed, sup_norm_constant
 from henonball.errors import DomainError, SupercriticalError
 from henonball.numerics import extrapolate_to_zero, log_grid, radial_defect
@@ -154,6 +157,70 @@ class TestSolveDirichletBall:
         coarse = solve_dirichlet_ball(params, tol=1e-10)
         fine = solve_dirichlet_ball(params, tol=3e-12)
         assert fine.u0 == pytest.approx(coarse.u0, rel=1e-6)
+
+    @pytest.mark.parametrize("r", [-0.1, 1.0 + 1e-12, 3.0, math.nan, math.inf,
+                                   [0.5, -1e-300]])
+    def test_radius_outside_unit_interval_rejected(self, profile_3_2_005, r):
+        # the shot would extrapolate (or return nan below the origin)
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            profile_3_2_005.evaluate(r, derivative=True)
+
+    def test_scalar_matches_array_bitwise(self, profile_3_2_005):
+        scalar = profile_3_2_005.evaluate(1.0, derivative=True)
+        u, du = profile_3_2_005.evaluate(np.array([1.0]), derivative=True)
+        assert np.array(scalar).tobytes() == np.array([u[0], du[0]]).tobytes()
+
+
+class TestDenseTable:
+    @pytest.mark.parametrize("n_dim, alpha, eps",
+                             [(3, 2.0, 0.05), (4, 0.5, 0.01), (6, 3.5, 0.3)])
+    def test_bit_identical_to_scipy(self, monkeypatch, n_dim, alpha, eps):
+        # the reference is scipy's OdeSolution of the shot's own DOP853 run
+        runs = []
+
+        def keep(*args, **kwargs):
+            assert kwargs["method"] == "DOP853" and kwargs["dense_output"]
+            runs.append(solve_ivp(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(radial, "solve_ivp", keep)
+        shot = integrate_radial_ivp(n_dim, alpha, ProblemParams(n_dim, alpha, eps).p)
+        ode = runs[0].sol
+        t = np.random.default_rng(1).uniform(ode.ts[0], shot.first_zero, 400)
+        t = np.concatenate([t, t[::7]])  # unsorted, with repeats
+        for pts in (t, ode.ts, np.array([shot.first_zero])):
+            assert np.stack(shot.evaluate(pts, derivative=True)).tobytes() == ode(pts).tobytes()
+        for t0 in (t[0], ode.ts[5], shot.first_zero):
+            assert np.array(shot.evaluate(t0, derivative=True)).tobytes() == ode(t0).tobytes()
+
+    def test_evaluation_runs_no_scipy_interpolant(self, monkeypatch):
+        # scipy's per-step interpolants run only inside solve_ivp, to locate
+        # the zero; every evaluation of the profile goes through the table
+        calls = {True: 0, False: 0}
+        depth = [0]
+        impl = Dop853DenseOutput._call_impl
+
+        def counted(self, t):
+            calls[depth[0] > 0] += 1
+            return impl(self, t)
+
+        def shoot(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return solve_ivp(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(Dop853DenseOutput, "_call_impl", counted)
+        monkeypatch.setattr(radial, "solve_ivp", shoot)
+        flux_gap(3, 0.01, 2.0)
+        assert calls[False] == 0 and calls[True] > 0
+
+    def test_rk45_shot_is_not_evaluated(self):
+        shot = integrate_radial_ivp(3, 2.0, 5.0, method="rk45")
+        assert shot.first_zero is not None
+        with pytest.raises(DomainError, match="dop853"):
+            shot.evaluate(0.5)
 
 
 class TestFowlerCheck:

@@ -459,6 +459,31 @@ class TestEigfunDecay:
         assert max(cs) / min(cs) < 10.0
 
 
+def hump_sign_reference(z):
+    # the scalar loop that _first_hump_sign replaces
+    az = np.abs(z)
+    thresh = 0.05 * np.max(az)
+    for i in range(1, z.size - 1):
+        if az[i] >= thresh and az[i] >= az[i - 1] and az[i] >= az[i + 1]:
+            return 1.0 if z[i] > 0 else -1.0
+    return 1.0 if z[np.argmax(az)] > 0 else -1.0
+
+
+def test_first_hump_sign_matches_the_loop(ball_problem):
+    _, zs = assemble_pencil(ball_problem, default_spectral_grid(1.0, 1500)).eigenvectors(3)
+    rng = np.random.default_rng(7)
+    cases = [*zs, *-zs, *rng.normal(size=(20, 40)),
+             # a first hump below 5% of the peak is skipped
+             np.array([0.0, -0.01, 0.0, 0.5, 1.0, 0.2]),
+             np.ones(5), np.array([0.3]), np.array([0.3, -0.4])]
+    for z in cases:
+        assert spectral._first_hump_sign(z) == hump_sign_reference(z)
+    assert [spectral._first_hump_sign(z) for z in zs] == [1.0, 1.0, 1.0]
+    # no interior hump: the sign of the largest entry
+    monotone = np.linspace(-1.0, 0.2, 50)
+    assert spectral._first_hump_sign(monotone) == hump_sign_reference(monotone) == -1.0
+
+
 def test_node_count_helper():
     assert node_count(np.array([0.1, 0.5, 1.0, 0.4])) == 0
     assert node_count(np.array([0.1, 0.5, -0.2, -1.0])) == 1
