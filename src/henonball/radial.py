@@ -5,15 +5,19 @@ integrated with an adaptive explicit Runge-Kutta scheme (the (N-1)/r term is
 singular at the origin).  The shot starts at the series radius, where the
 two-term origin series is accurate to 1e-10, and the series itself gives u
 and u' below it.
-The first zero R of the shot, located by dense-output event detection, fixes
-the Dirichlet solution through the scaling u(r) = R^((2+α)/(p-1)) u_shot(R r),
+The first zero R of the shot, located on the dense output, fixes the
+Dirichlet solution through the scaling u(r) = R^((2+α)/(p-1)) u_shot(R r),
 which is independent of the shot amplitude.
 
-A DOP853 shot keeps its dense output as one stacked table of the
-integrator's per-step interpolation coefficients, evaluated for all points in
-one vectorized pass with scipy's own segment rule and nested product, so the
-values are bit-identical to `scipy.integrate.OdeSolution`'s.  RK45 shots only
-serve as an independent check of the first zero and carry no dense output.
+A DOP853 shot runs the module's own stepper: scipy's DOP853 algorithm
+(Hairer–Nørsett–Wanner, *Solving ODEs I*, §II.10) with scipy's tableau, step
+controller, error norm, dense output and zero location, on Python floats for
+the two-component state, so a step costs no numpy call.  It takes the same
+steps as `solve_ivp(method="DOP853")` up to roundoff, and writes the dense
+output of each accepted step into one stacked table, evaluated for all
+points in one vectorized pass.  RK45 shots stay on scipy's `solve_ivp`: they
+are an independent check of the first zero, from another code base, and
+carry no dense output.
 
 Also provided: the change of variables to the unweighted equation in
 fractional dimension m = 2(N+α)/(2+α) used as an independent correctness
@@ -23,10 +27,13 @@ oracle, and the pointwise upper envelope check for the computed profile.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop
+from scipy.optimize import brentq
 
 from . import numerics
 from .closedform import ProblemParams, sup_norm_constant, threshold_exponent
@@ -42,19 +49,180 @@ __all__ = [
     "default_profile_grid",
 ]
 
-_METHODS = {"dop853": "DOP853", "rk45": "RK45"}
+_METHODS = ("dop853", "rk45")
+
+
+def _nonzero(row) -> tuple[tuple[int, float], ...]:
+    """The (column, coefficient) pairs of a tableau row, zero entries skipped."""
+    return tuple((j, float(c)) for j, c in enumerate(row) if c != 0.0)
+
+
+# scipy's DOP853 tableau: rows 1-11 of A give the stages, rows 13-15 the three
+# extra stages of the dense output; stage 12 is f at the step end
+_A = tuple(_nonzero(row) for row in _dop.A)
+_C = tuple(float(c) for c in _dop.C)
+_B = _nonzero(_dop.B)
+_E3 = _nonzero(_dop.E3)
+_E5 = _nonzero(_dop.E5)
+_D = tuple(_nonzero(row) for row in _dop.D)
+# scipy's step-size controller for an order-7 error estimate
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_EXPONENT = -1.0 / 8.0
+_ZERO_TOL = 4.0 * sys.float_info.epsilon
+
+
+def _combine(row, ku, kv):
+    """Σ c·k over a sparse tableau row, for both components of the stages."""
+    su = sv = 0.0
+    for j, c in row:
+        su += c * ku[j]
+        sv += c * kv[j]
+    return su, sv
+
+
+def _rms(x: float, y: float) -> float:
+    return math.sqrt(x * x + y * y) / math.sqrt(2.0)
+
+
+def _initial_step(fun, t, u, v, fu, fv, span, rtol, atol) -> float:
+    """scipy's `select_initial_step` (Hairer–Nørsett–Wanner, §II.4)."""
+    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+    d0 = _rms(u / su, v / sv)
+    d1 = _rms(fu / su, fv / sv)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    gu, gv = fun(t + h0, u + h0 * fu, v + h0 * fv)
+    d2 = _rms((gu - fu) / su, (gv - fv) / sv) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100.0 * h0, h1, span)
+
+
+def _dop853_shot(fun, r0, y0, r_max, rtol, atol):
+    """Integrate (u, v)' = fun(r, u, v) from (r0, y0) with scipy's DOP853
+    algorithm on Python floats, until r_max or the first downward zero of u.
+
+    The step controller, error norm, dense output and zero location are
+    scipy's, so a shot takes the same steps as `solve_ivp(method="DOP853")`
+    up to roundoff.  Each accepted step appends its row of the dense-output
+    table.  The zero is the first step with u ≥ 0 at its start and u ≤ 0 at
+    its end, polished by `brentq` on that step's interpolant.  Returns the
+    table and the zero (None without one).  A non-finite right-hand side
+    makes every error norm NaN, so each retry shrinks the step by
+    MIN_FACTOR; NumericsError once the step is below 10 ulp(r), or is NaN.
+    """
+    t, (u, v) = r0, y0
+    fu, fv = fun(t, u, v)
+    h_abs = _initial_step(fun, t, u, v, fu, fv, r_max - t, rtol, atol)
+    ts, t_old, hs, y_old, coef = [t], [], [], [], []
+    first_zero = None
+    while t < r_max:
+        min_step = 10.0 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            # also true for a NaN step, so a bad right-hand side ends the loop
+            if not h_abs >= min_step:
+                raise NumericsError(
+                    "radial integration failed: required step size is less "
+                    f"than spacing between numbers at r={t!r}"
+                )
+            t_new = min(t + h_abs, r_max)
+            h_abs = h = t_new - t
+            ku, kv = [fu], [fv]
+            for s in range(1, _dop.N_STAGES):
+                du, dv = _combine(_A[s], ku, kv)
+                gu, gv = fun(t + _C[s] * h, u + du * h, v + dv * h)
+                ku.append(gu)
+                kv.append(gv)
+            du, dv = _combine(_B, ku, kv)
+            u_new, v_new = u + h * du, v + h * dv
+            fu_new, fv_new = fun(t + h, u_new, v_new)
+            ku.append(fu_new)
+            kv.append(fv_new)
+            scale_u = atol + max(abs(u), abs(u_new)) * rtol
+            scale_v = atol + max(abs(v), abs(v_new)) * rtol
+            e5u, e5v = _combine(_E5, ku, kv)
+            e3u, e3v = _combine(_E3, ku, kv)
+            err5 = (e5u / scale_u) ** 2 + (e5v / scale_v) ** 2
+            err3 = (e3u / scale_u) ** 2 + (e3v / scale_v) ** 2
+            if err5 == 0.0 and err3 == 0.0:
+                error_norm = 0.0
+            else:
+                error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_EXPONENT)
+            rejected = True
+
+        for s in range(_dop.N_STAGES + 1, _dop.N_STAGES_EXTENDED):
+            du, dv = _combine(_A[s], ku, kv)
+            gu, gv = fun(t + _C[s] * h, u + du * h, v + dv * h)
+            ku.append(gu)
+            kv.append(gv)
+        delta_u, delta_v = u_new - u, v_new - v
+        rows = [
+            (delta_u, delta_v),
+            (h * fu - delta_u, h * fv - delta_v),
+            (2.0 * delta_u - h * (fu_new + fu), 2.0 * delta_v - h * (fv_new + fv)),
+        ]
+        for row in _D:
+            du, dv = _combine(row, ku, kv)
+            rows.append((h * du, h * dv))
+        rows.reverse()
+        t_old.append(t)
+        hs.append(h)
+        y_old.append((u, v))
+        coef.append(rows)
+
+        if u >= 0.0 and u_new <= 0.0:
+            first_zero = brentq(
+                _interpolant_u, t, t_new, args=(t, h, u, rows),
+                xtol=_ZERO_TOL, rtol=_ZERO_TOL,
+            )
+            ts.append(first_zero)
+            break
+        ts.append(t_new)
+        t, u, v, fu, fv = t_new, u_new, v_new, fu_new, fv_new
+
+    table = _Dop853Table(
+        ts=np.array(ts),
+        t_old=np.array(t_old),
+        h=np.array(hs),
+        y_old=np.array(y_old),
+        coef=np.ascontiguousarray(np.array(coef).transpose(1, 0, 2)),
+    )
+    return table, first_zero
+
+
+def _interpolant_u(r, t_old, h, u_old, rows):
+    """u at r on one step's dense output: the table's nested product."""
+    x = (r - t_old) / h
+    y = 0.0
+    for i, (c, _) in enumerate(rows):
+        y += c
+        y *= x if i % 2 == 0 else 1.0 - x
+    return y + u_old
 
 
 @dataclass(frozen=True)
 class _Dop853Table:
     """The DOP853 dense output of one shot, stacked over its steps.
 
-    Row s holds step s's start `t_old`, length `h` and start state `y_old`,
-    and `coef[:, s]` its interpolation coefficients (7 × 2, highest power
-    first), read from scipy's per-step interpolants; `ts` are the step
-    points.  A call picks each point's step as `OdeSolution` does (the lower
-    step at a step point, the end steps beyond the ends) and runs the same
-    nested product, so it returns the same bits.
+    `_dop853_shot` writes one row per accepted step: its start `t_old`,
+    length `h` and start state `y_old`, and in `coef[:, s]` its seven
+    interpolation coefficients (7 × 2, highest power first); `ts` are the
+    step points, with the zero in place of the last step's end.  A call
+    picks each point's step as scipy's `OdeSolution` does (the lower step at
+    a step point, the end steps beyond the ends) and runs the nested product
+    of scipy's `Dop853DenseOutput`.
     """
 
     ts: np.ndarray
@@ -62,17 +230,6 @@ class _Dop853Table:
     h: np.ndarray
     y_old: np.ndarray
     coef: np.ndarray
-
-    @classmethod
-    def from_solution(cls, sol) -> _Dop853Table:
-        steps = sol.interpolants
-        return cls(
-            ts=sol.ts,
-            t_old=np.array([s.t_old for s in steps]),
-            h=np.array([s.h for s in steps]),
-            y_old=np.array([s.y_old for s in steps]),
-            coef=np.stack([s.F[::-1] for s in steps], axis=1),
-        )
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """(u, u') at the points of the 1-D array t, shape (2, t.size)."""
@@ -93,10 +250,12 @@ class ShotTrajectory:
     `first_zero` is None when u stayed positive on [0, r_max] (the expected
     outcome at the threshold exponent).  The shot starts at the series radius
     `_r_start`, where the two-term origin series is accurate to 1e-10; `r`
-    holds the integrator's step points from there on.  `evaluate` uses the
-    series below `_r_start` and the stacked DOP853 table `_table` from there
-    on, which starts at the series value.  An RK45 shot has no table, and
-    `evaluate` on it raises DomainError.
+    holds the integrator's step points from there on, as scipy reports them:
+    the start, the ends of the accepted steps, and the zero in place of the
+    last step's end.  `evaluate` uses the series below `_r_start` and, from
+    there on, the dense-output table `_table` that the DOP853 stepper wrote
+    as it stepped, which starts at the series value.  An RK45 shot runs on
+    `solve_ivp`, keeps no table, and `evaluate` on it raises DomainError.
     """
 
     n_dim: int
@@ -167,9 +326,10 @@ def integrate_radial_ivp(
     `tol` is the relative tolerance; the absolute tolerance is tol*1e-2
     scaled by the amplitude.  The first downward zero crossing terminates the
     integration and is polished on the dense output.  `method` selects one of
-    two independent step controllers ("dop853" or "rk45") so the first zero
-    can be cross-checked; only a DOP853 shot keeps its dense output, as a
-    stacked table, and can be evaluated.
+    two independent integrators so the first zero can be cross-checked:
+    "dop853" runs the module's own DOP853 stepper, which writes the stacked
+    dense-output table as it steps and can be evaluated; "rk45" runs scipy's
+    `solve_ivp` and keeps no dense output.
     """
     p_alpha = threshold_exponent(n_dim, alpha)  # checks N and α
     if not 1.0 < p <= p_alpha:
@@ -192,40 +352,41 @@ def integrate_radial_ivp(
         float(_series_du(r0, a, n_dim, alpha, p)),
     )
 
-    def rhs(r, y):
-        u, v = float(y[0]), float(y[1])
+    def rhs(r, u, v):
         # odd extension keeps the vector field smooth through u = 0
-        return (v, -(n_dim - 1.0) / r * v - r**alpha * math.copysign(abs(u) ** p, u))
+        return v, -(n_dim - 1.0) / r * v - r**alpha * math.copysign(abs(u) ** p, u)
 
-    def hit_zero(r, y):
-        return y[0]
+    if method == "dop853":
+        table, first_zero = _dop853_shot(rhs, r0, y0, r_max, tol, tol * 1e-2 * a)
+        steps = table.ts
+    else:
+        def hit_zero(r, y):
+            return y[0]
 
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-
-    dense = method == "dop853"
-    sol = solve_ivp(
-        rhs,
-        (r0, r_max),
-        y0,
-        method=_METHODS[method],
-        rtol=tol,
-        atol=tol * 1e-2 * a,
-        dense_output=dense,
-        events=hit_zero,
-    )
-    if sol.status == -1:
-        raise NumericsError(f"radial integration failed: {sol.message}")
-    first_zero = float(sol.t_events[0][0]) if sol.t_events[0].size else None
+        hit_zero.terminal = True
+        hit_zero.direction = -1
+        sol = solve_ivp(
+            lambda r, y: rhs(r, float(y[0]), float(y[1])),
+            (r0, r_max),
+            y0,
+            method="RK45",
+            rtol=tol,
+            atol=tol * 1e-2 * a,
+            events=hit_zero,
+        )
+        if sol.status == -1:
+            raise NumericsError(f"radial integration failed: {sol.message}")
+        table, steps = None, sol.t
+        first_zero = float(sol.t_events[0][0]) if sol.t_events[0].size else None
     return ShotTrajectory(
         n_dim=n_dim,
         alpha=alpha,
         p=p,
         a=a,
-        r=sol.t,
+        r=steps,
         first_zero=first_zero,
         r_max=r_max,
-        _table=_Dop853Table.from_solution(sol.sol) if dense else None,
+        _table=table,
         _r_start=r0,
     )
 

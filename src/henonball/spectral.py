@@ -17,7 +17,9 @@ A Prüfer-angle shooting method on the same truncated domain provides an
 independent oracle: it shoots the angle from both ends to a matching point
 where the potential peaks and root-finds the smooth angle mismatch there,
 integrating against a cubic spline of the potential tabulated once per call
-on a uniform log-r grid.  The truncated entire-space
+on a uniform log-r grid.  It integrates with scipy's `solve_ivp`, not with
+the radial shot's own DOP853 stepper, so that the oracle shares no stepping
+code with the profile it checks.  The truncated entire-space
 limit problem reproduces the closed-form first eigenvalue
 -(α+2)(2N+α-2)/4 and the zero second eigenvalue.
 """
@@ -388,7 +390,9 @@ def prufer_eigen(problem: SLProblem, j: int, bracket: tuple[float, float]) -> fl
     θ_L(t_m) - θ_R(t_m) is smooth and increasing in Λ, so brentq converges
     superlinearly on it; the end angle of a one-sided shot is instead close
     to a π-step in Λ, locked past the last turning point.  The bracket must
-    give mismatches of opposite sign.  DOP853 runs at rtol 1e-11, atol 1e-12.
+    give mismatches of opposite sign.  scipy's `solve_ivp` runs DOP853 at
+    rtol 1e-11, atol 1e-12; it stays on scipy on purpose, so the oracle is
+    independent of `radial`'s stepper, which computed the profile behind q.
 
     V is tabulated once per call, with one array call of `problem.q`, on a
     uniform grid in t from log 1e-7 to log r_end with spacing at most
@@ -435,19 +439,26 @@ def prufer_eigen(problem: SLProblem, j: int, bracket: tuple[float, float]) -> fl
         return angle(lam, t0, 0.0) - angle(lam, t1, j * math.pi)
 
     lo, hi = bracket
-    m_lo, m_hi = mismatch(lo), mismatch(hi)
-    if not (m_lo < 0.0 < m_hi):
-        raise BracketError(
-            f"bracket ({lo}, {hi}) does not straddle eigenvalue {j}: "
-            f"matching misses ({m_lo:.3f}, {m_hi:.3f})"
-        )
-    ends = {lo: m_lo, hi: m_hi}
+    try:
+        m_lo, m_hi = mismatch(lo), mismatch(hi)
+        if not (m_lo < 0.0 < m_hi):
+            raise BracketError(
+                f"bracket ({lo}, {hi}) does not straddle eigenvalue {j}: "
+                f"matching misses ({m_lo:.3f}, {m_hi:.3f})"
+            )
+        ends = {lo: m_lo, hi: m_hi}
 
-    def matched(lam: float) -> float:
-        # brentq opens with the two bracket ends, already evaluated above
-        return ends.pop(lam) if lam in ends else mismatch(lam)
+        def matched(lam: float) -> float:
+            # brentq opens with the two bracket ends, already evaluated above
+            return ends.pop(lam) if lam in ends else mismatch(lam)
 
-    return float(brentq(matched, lo, hi, xtol=1e-10, rtol=8.9e-16))
+        return float(brentq(matched, lo, hi, xtol=1e-10, rtol=8.9e-16))
+    finally:
+        # each solve_ivp solver sits in a reference cycle that holds rhs, so
+        # the views would keep the spline table (0.5 MB) alive until the next
+        # full collection; released, the table is freed on return
+        for view in (c3, c2, c1, c0):
+            view.release()
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from henonball import radial
 from henonball.bifurcation import flux_gap
-from henonball.closedform import ProblemParams, lambda1_closed, sup_norm_constant
-from henonball.errors import DomainError, SupercriticalError
+from henonball.closedform import (
+    ProblemParams,
+    henon_constant,
+    lambda1_closed,
+    sup_norm_constant,
+    threshold_exponent,
+)
+from henonball.errors import DomainError, NumericsError, SupercriticalError
 from henonball.numerics import extrapolate_to_zero, log_grid, radial_defect
 from henonball.radial import (
     decay_bound_check,
@@ -27,13 +32,25 @@ def profile_3_2_005():
 
 
 class TestIntegrateRadialIVP:
-    def test_critical_shot_matches_closed_form(self):
-        # at the threshold exponent the unit shot is (1 + r^2/3)^(-1/2)
-        shot = integrate_radial_ivp(3, 0.0, 5.0, a=1.0, r_max=50.0)
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("n_dim", [3, 4, 5, 6])
+    def test_critical_shot_matches_closed_form(self, n_dim, alpha):
+        # at the threshold exponent the unit shot is the entire-space bubble
+        # (1 + r^(2+α)/C)^(-(N-2)/(2+α)), C = C_{N,α}, e.g. (1 + r^2/3)^(-1/2)
+        # at (3, 0); an exact reference that owes nothing to scipy
+        p = threshold_exponent(n_dim, alpha)
+        shot = integrate_radial_ivp(n_dim, alpha, p, a=1.0, r_max=50.0)
         assert shot.first_zero is None
         r = np.linspace(0.0, 50.0, 4000)
-        exact = (1.0 + r**2 / 3.0) ** -0.5
-        assert np.max(np.abs(shot.evaluate(r) - exact)) < 1e-8
+        c = henon_constant(n_dim, alpha)
+        base = 1.0 + r ** (2.0 + alpha) / c
+        exact = base ** (-(n_dim - 2.0) / (2.0 + alpha))
+        exact_du = -(n_dim - 2.0) * r ** (1.0 + alpha) / c * base ** (
+            -(n_dim + alpha) / (2.0 + alpha)
+        )
+        u, du = shot.evaluate(r, derivative=True)
+        assert np.max(np.abs(u - exact)) < 1e-8
+        assert np.max(np.abs(du - exact_du)) < 1e-8
 
     def test_critical_shot_positive_to_1e3(self):
         shot = integrate_radial_ivp(3, 0.0, 5.0, a=1.0, r_max=1e3)
@@ -172,49 +189,67 @@ class TestSolveDirichletBall:
 
 
 class TestDenseTable:
+    # (3, 2.0, 0.05), (4, 0.5, 0.01) and (3, 0.0, 0.05) reject their first
+    # step; (6, 3.5, 0.3) takes it
     @pytest.mark.parametrize("n_dim, alpha, eps",
-                             [(3, 2.0, 0.05), (4, 0.5, 0.01), (6, 3.5, 0.3)])
-    def test_bit_identical_to_scipy(self, monkeypatch, n_dim, alpha, eps):
-        # the reference is scipy's OdeSolution of the shot's own DOP853 run
-        runs = []
+                             [(3, 2.0, 0.05), (4, 0.5, 0.01), (6, 3.5, 0.3),
+                              (3, 0.0, 0.05)])
+    def test_agrees_with_scipy_dop853(self, n_dim, alpha, eps):
+        # the same algorithm as scipy's DOP853, up to the order of its sums
+        p, a = ProblemParams(n_dim, alpha, eps).p, 1.0
+        shot = integrate_radial_ivp(n_dim, alpha, p, a=a)
+        r0 = shot._r_start
+        y0 = [radial._series_u(r0, a, n_dim, alpha, p),
+              radial._series_du(r0, a, n_dim, alpha, p)]
 
-        def keep(*args, **kwargs):
-            assert kwargs["method"] == "DOP853" and kwargs["dense_output"]
-            runs.append(solve_ivp(*args, **kwargs))
-            return runs[-1]
+        def rhs(r, y):
+            u, v = y
+            return [v, -(n_dim - 1.0) / r * v - r**alpha * math.copysign(abs(u) ** p, u)]
 
-        monkeypatch.setattr(radial, "solve_ivp", keep)
-        shot = integrate_radial_ivp(n_dim, alpha, ProblemParams(n_dim, alpha, eps).p)
-        ode = runs[0].sol
-        t = np.random.default_rng(1).uniform(ode.ts[0], shot.first_zero, 400)
+        def hit_zero(r, y):
+            return y[0]
+
+        hit_zero.terminal = True
+        hit_zero.direction = -1
+        ref = solve_ivp(rhs, (r0, shot.r_max), y0, method="DOP853", rtol=1e-10,
+                        atol=1e-12 * a, dense_output=True, events=hit_zero)
+        zero = ref.t_events[0][0]
+        assert shot.r.size == ref.t.size
+        assert shot.first_zero == pytest.approx(zero, rel=1e-10)
+        t = np.random.default_rng(1).uniform(r0, min(zero, shot.first_zero), 400)
         t = np.concatenate([t, t[::7]])  # unsorted, with repeats
-        for pts in (t, ode.ts, np.array([shot.first_zero])):
-            assert np.stack(shot.evaluate(pts, derivative=True)).tobytes() == ode(pts).tobytes()
-        for t0 in (t[0], ode.ts[5], shot.first_zero):
-            assert np.array(shot.evaluate(t0, derivative=True)).tobytes() == ode(t0).tobytes()
+        got = np.stack(shot.evaluate(t, derivative=True))
+        assert np.max(np.abs(got - ref.sol(t))) < 1e-12 * a
+        got = np.array(shot.evaluate(t[0], derivative=True))
+        assert np.max(np.abs(got - ref.sol(t[0]))) < 1e-12 * a
 
-    def test_evaluation_runs_no_scipy_interpolant(self, monkeypatch):
-        # scipy's per-step interpolants run only inside solve_ivp, to locate
-        # the zero; every evaluation of the profile goes through the table
-        calls = {True: 0, False: 0}
-        depth = [0]
-        impl = Dop853DenseOutput._call_impl
+    def test_dop853_shot_runs_no_solve_ivp(self, monkeypatch):
+        # only the rk45 cross-check goes through scipy's solve_ivp
+        calls = []
 
-        def counted(self, t):
-            calls[depth[0] > 0] += 1
-            return impl(self, t)
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
 
-        def shoot(*args, **kwargs):
-            depth[0] += 1
-            try:
-                return solve_ivp(*args, **kwargs)
-            finally:
-                depth[0] -= 1
+        def count(*args, **kwargs):
+            calls.append(kwargs["method"])
+            return solve_ivp(*args, **kwargs)
 
-        monkeypatch.setattr(Dop853DenseOutput, "_call_impl", counted)
-        monkeypatch.setattr(radial, "solve_ivp", shoot)
-        flux_gap(3, 0.01, 2.0)
-        assert calls[False] == 0 and calls[True] > 0
+        monkeypatch.setattr(radial, "solve_ivp", refuse)
+        assert flux_gap(3, 0.01, 2.0)[0] > 0
+        monkeypatch.setattr(radial, "solve_ivp", count)
+        assert integrate_radial_ivp(3, 2.0, 5.0, method="rk45").first_zero is not None
+        assert calls == ["RK45"]
+
+    @pytest.mark.parametrize("bad_from_start", [True, False])
+    def test_non_finite_rhs_raises(self, bad_from_start):
+        # a NaN error norm rejects every step (max(0.2, nan) = 0.2 shrinks
+        # it) until the step falls below 10 ulp(r); a NaN first step ends
+        # the loop at once
+        def rhs(r, u, v):
+            return (math.nan, math.nan) if bad_from_start or r > 1.0 else (v, -u)
+
+        with pytest.raises(NumericsError, match="radial integration failed"):
+            radial._dop853_shot(rhs, 1.0, (1.0, 0.0), 2.0, 1e-10, 1e-12)
 
     def test_rk45_shot_is_not_evaluated(self):
         shot = integrate_radial_ivp(3, 2.0, 5.0, method="rk45")

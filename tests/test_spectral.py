@@ -1,10 +1,14 @@
+import contextlib
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.interpolate
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -371,6 +375,27 @@ class TestPrufer:
         prufer_eigen(replace(prob, q=q), 1, (-6.0 - 1e-7, -6.0 + 1e-7))
         assert len(calls) == 1
         assert isinstance(calls[0], np.ndarray) and calls[0].size > 1
+
+    @pytest.mark.parametrize("bracket", [(-6.0 - 1e-7, -6.0 + 1e-7), (-20.0, -15.0)])
+    def test_spline_table_freed_on_return(self, monkeypatch, bracket):
+        # solve_ivp's solvers sit in reference cycles that hold the rhs; the
+        # potential's spline table must not wait for the cycle collector,
+        # neither after a root nor after a BracketError
+        tables = []
+
+        class Recorded(scipy.interpolate.CubicSpline):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tables.append(weakref.ref(self.c))
+
+        monkeypatch.setattr(scipy.interpolate, "CubicSpline", Recorded)
+        gc.disable()
+        try:
+            with contextlib.suppress(BracketError):
+                prufer_eigen(limit_problem(3, 2.0, 1e3), 1, bracket)
+            assert len(tables) == 1 and tables[0]() is None
+        finally:
+            gc.enable()
 
 
 def reference_miss(problem, j, lam, r_min=1e-7, rtol=1e-11):
