@@ -23,10 +23,13 @@ pencil's Λ₁^ε is biased by about 1e-9.  The 32-point scan of Λ₁^ε plus
 Brent's method remains as the fallback for what the identity's certificates
 cannot settle (see `find_bifurcation_alpha`).
 
-One α-evaluation is one `flux_gap`: a Dirichlet shoot plus an eigenvector
-solve on each grid of the N_POINTS/2·N_POINTS pair.  Profiles and `flux_gap`
-results are memoized in a SolverCache keyed by the exact parameters: the one
-passed as `cache=`, or else a fresh one that lives only as long as the call.
+One α-evaluation is one `flux_gap`: a Dirichlet shoot, one evaluation of
+the profile and u' on the fine grid of the N_POINTS/2·N_POINTS pair (the
+coarse grid is every other fine node), and the lowest eigenpair of each
+grid's pencil by shifted inverse iteration from Λ₁(α).  Profiles and
+`flux_gap` results are memoized in a SolverCache keyed by the exact
+parameters: the one passed as `cache=`, or else a fresh one that lives only
+as long as the call.
 """
 
 from __future__ import annotations
@@ -47,7 +50,14 @@ from .closedform import (
 )
 from .errors import BracketError, DegeneratePointError, DomainError
 from .radial import RadialProfile, solve_dirichlet_ball
-from .spectral import SLProblem, assemble_pencil, default_spectral_grid, radial_pencil, solve_eigen
+from .spectral import (
+    SLProblem,
+    assemble_pencil,
+    default_spectral_grid,
+    radial_pencil,
+    solve_eigen,
+    solve_pencil_pair,
+)
 
 log = logging.getLogger("henonball")
 
@@ -83,6 +93,26 @@ class SolverCache:
         return self._profiles[key]
 
 
+class _ProfileTable:
+    """u and u' of a profile, read once on the fine grid of the
+    N_POINTS/2·N_POINTS pair.  `default_spectral_grid(1, n)` is bit for bit
+    every other node of `default_spectral_grid(1, 2n)`, since linspace's step
+    halves exactly, so the table answers `evaluate` on both grids, and both
+    pencils of the pair, the radial pencil and z read this one evaluation.
+    `SLProblem.from_profile` takes it in place of the profile."""
+
+    def __init__(self, profile: RadialProfile):
+        self.params = profile.params
+        self.grid = default_spectral_grid(1.0, 2 * N_POINTS)
+        self.u, self.du = profile.evaluate(self.grid, derivative=True)
+
+    def evaluate(self, r, derivative: bool = False):
+        for rows in (slice(None), slice(None, None, 2)):
+            if np.array_equal(self.grid[rows], r):
+                return (self.u[rows], self.du[rows]) if derivative else self.u[rows]
+        raise DomainError("a profile table answers on its grid and every other node only")
+
+
 def lambda_values(
     n_dim: int,
     eps: float,
@@ -91,26 +121,35 @@ def lambda_values(
     cache: SolverCache | None = None,
 ) -> tuple[float, ...]:
     """Lowest `count` eigenvalues Λ_j^ε(α), Richardson-extrapolated.  The
-    profile comes from `cache`; the eigen solve runs on every call."""
+    profile comes from `cache`; the eigen solve runs on every call and reads
+    the profile once, on the fine grid."""
     profile = (cache or SolverCache()).profile(n_dim, alpha, eps)
-    res = solve_eigen(SLProblem.from_profile(profile), count=count,
+    res = solve_eigen(SLProblem.from_profile(_ProfileTable(profile)), count=count,
                       n_points=N_POINTS, with_vectors=False)
     return tuple(r.extrapolated for r in res)
 
 
-def _grid_gap(profile: RadialProfile, problem: SLProblem, du1: float,
+def _slope_at_one(x: np.ndarray, y: np.ndarray) -> float:
+    """Derivative at r = 1 of the polynomial through the points (x_i, y_i)
+    and (1, 0), in Lagrange form."""
+    slope = 0.0
+    for i, (xi, yi) in enumerate(zip(x, y)):
+        others = np.delete(x, i)
+        slope += yi * np.prod(1.0 - others) / (np.prod(xi - others) * (xi - 1.0))
+    return float(slope)
+
+
+def _grid_gap(table: _ProfileTable, problem: SLProblem, du1: float,
               n_points: int) -> tuple[float, float]:
     """The identity's g and the pencil's Λ₁^ε on one spectral grid."""
-    pencil = assemble_pencil(problem, default_spectral_grid(1.0, n_points))
-    lams, phis = pencil.eigenvectors(1)
-    grid, phi = pencil.grid, phis[0]
-    z = grid ** (-profile.params.alpha / 2.0) * profile.evaluate(grid, derivative=True)[1]
+    grid = default_spectral_grid(1.0, n_points)
+    pencil = assemble_pencil(problem, grid)
+    lam, phi = pencil.lowest_pair()
+    z = grid ** (-table.params.alpha / 2.0) * table.evaluate(grid, derivative=True)[1]
     overlap = np.dot(pencil.b_diag * phi, z)
-    # φ'(1) from the parabola through the last two nodes and (1, 0)
-    (x0, x1), (p0, p1) = grid[-2:], phi[-2:]
-    dphi1 = (p0 * (1.0 - x1) / ((x0 - x1) * (x0 - 1.0))
-             + p1 * (1.0 - x0) / ((x1 - x0) * (x1 - 1.0)))
-    return float(-dphi1 * du1 / overlap), float(lams[0])
+    # φ'(1) from the quartic through the last four nodes and (1, 0)
+    dphi1 = _slope_at_one(grid[-4:], phi[-4:])
+    return float(-dphi1 * du1 / overlap), lam
 
 
 def flux_gap(
@@ -122,20 +161,25 @@ def flux_gap(
     """(g, Λ₁^ε) at α: the boundary-flux gap g = Λ₁^ε(α) - Λ₁(α) and the
     pencil's own first eigenvalue, each Richardson-extrapolated as
     (4·fine - coarse)/3 over the N_POINTS/2·N_POINTS grid pair.  Λ₁^ε equals
-    `lambda_values(n_dim, eps, alpha, 1)[0]` to the last bit.
+    `lambda_values(n_dim, eps, alpha, 1)[0]` to the last bit: both come from
+    `Pencil.lowest_pair` on the same pencils.
 
     On each grid φ is the pencil's first eigenvector with φ(0) = φ(1) = 0
-    appended, φ'(1) is the three-point one-sided derivative through the last
-    two nodes and (1, 0), and ∫₀¹ r^(N-3) φ z dr is the pencil's own weight
-    matrix applied to φ z, which is the trapezoid rule on [0, grid, 1].  Both
-    grids share one radial profile, and the result is memoized in `cache`."""
+    appended, φ'(1) is the five-point one-sided derivative through the last
+    four nodes and (1, 0), whose error is fourth order, so Richardson's
+    (4·fine - coarse)/3 cancels all of the leading error of g, and
+    ∫₀¹ r^(N-3) φ z dr is the pencil's own weight matrix applied to φ z,
+    which is the trapezoid rule on [0, grid, 1].  The profile is read once,
+    with u', on the fine grid (`_ProfileTable`), plus u'(1); the result is
+    memoized in `cache`."""
     cache = cache or SolverCache()
     key = (n_dim, alpha, eps)
     if key not in cache._gaps:
         profile = cache.profile(n_dim, alpha, eps)
-        problem = SLProblem.from_profile(profile)
+        table = _ProfileTable(profile)
+        problem = SLProblem.from_profile(table)
         du1 = profile.evaluate(1.0, derivative=True)[1]
-        (g_c, lam_c), (g_f, lam_f) = (_grid_gap(profile, problem, du1, n)
+        (g_c, lam_c), (g_f, lam_f) = (_grid_gap(table, problem, du1, n)
                                       for n in (N_POINTS, 2 * N_POINTS))
         cache._gaps[key] = (4.0 * g_f - g_c) / 3.0, (4.0 * lam_f - lam_c) / 3.0
     return cache._gaps[key]
@@ -222,7 +266,7 @@ def find_bifurcation_alpha(
 
     A bracket end lo ≤ ((N-2)ε - 4)/2, where ε ≥ p_lo - 1, is a DomainError."""
     if k < 2:
-        raise DomainError("bifurcation search needs k >= 2 (k = 1 sits at alpha = 0)")
+        raise DomainError("bifurcation search needs k >= 2: k = 1 is not supported yet")
     alpha_k = bifurcation_alpha(k)
     if bracket is None:
         rho = 0.9
@@ -391,20 +435,20 @@ def morse_index(
 ) -> MorseIndexReport:
     """Morse index of the radial solution at (α, ε), both weightings.
 
-    Channel counts #{j : Λ_j^ε(α) < -σ_k} come from the pencil's inertia at
-    the shifts -σ_k (exact for the discretized operator), k running until
-    σ_k ≥ |Λ₁| where no eigenvalue can lie below -σ_k.  Requesting a point
-    where one of Λ₁..Λ₃ lies within 1e-4 of some -σ_k raises
-    DegeneratePointError."""
+    Channel counts #{j : Λ_j^ε(α) < -σ_k} come from the fine pencil's
+    inertia at the shifts -σ_k (exact for the discretized operator), k
+    running until σ_k ≥ |Λ₁| where no eigenvalue can lie below -σ_k.
+    Requesting a point where one of Λ₁..Λ₃ lies within 1e-4 of some -σ_k
+    raises DegeneratePointError.  Λ₁..Λ₃, the channel counts and the
+    radial count all read one profile evaluation on the fine grid."""
     degeneracy_tol = 1e-4
     cache = cache or SolverCache()
-    profile = cache.profile(n_dim, alpha, eps)
-    lambdas = lambda_values(n_dim, eps, alpha, 3, cache)
-
-    pencil = assemble_pencil(
-        SLProblem.from_profile(profile),
-        default_spectral_grid(1.0, 2 * N_POINTS),
-    )
+    table = _ProfileTable(cache.profile(n_dim, alpha, eps))
+    problem = SLProblem.from_profile(table)
+    # lambda_values' pencil pair; the fine pencil gives the inertia counts
+    coarse, fine = (assemble_pencil(problem, default_spectral_grid(1.0, n))
+                    for n in (N_POINTS, 2 * N_POINTS))
+    lambdas = [r.extrapolated for r in solve_pencil_pair(coarse, fine, 3, with_vectors=False)]
     lam1 = lambdas[0]
     channel = []
     k = 1
@@ -417,13 +461,13 @@ def morse_index(
             )
         if sigma_k >= -lam1:
             break  # no eigenvalue can sit below -sigma_k beyond this k
-        n_k = int(pencil.count(-sigma_k))
+        n_k = int(fine.count(-sigma_k))
         if n_k == 0:
             break
         channel.append((k, n_k))
         k += 1
 
-    rad = radial_pencil(profile, n_points=N_POINTS)
+    rad = radial_pencil(table, n_points=N_POINTS)
     if rad.count(1e-6) != rad.count(-1e-6):
         raise DegeneratePointError(
             "radial linearization has an eigenvalue at 0: degenerate profile"

@@ -6,12 +6,16 @@ The eigenvalue problem is
 
 discretized in the self-adjoint form -(r^(N-1) z')' - r^(N-1) q z = Λ r^(N-3) z
 by a conservative three-point scheme on a graded grid.  Both pencil matrices
-are symmetric tridiagonal (the weight matrix diagonal), so eigenvalues come
-from LAPACK's tridiagonal solvers with inertia certificates
-(`Pencil.eigenvalue_batch`), and eigenvectors from `eigh_tridiagonal` with
-their node counts checked against the eigenvalue index
-(`Pencil.eigenvectors`).  `solve_eigen` extrapolates over two grids and
-returns one `EigenResult` per eigenvalue.
+are symmetric tridiagonal (the weight matrix diagonal).  Every eigenvalue
+carries an inertia certificate from the pencil's own Sturm count and every
+eigenvector a node-count certificate.  The lowest pair of a unit-ball
+pencil, whose Λ₁ lies just above the closed-form limit value, comes from
+shifted inverse iteration with O(n) tridiagonal solves
+(`Pencil.lowest_pair`); the other pairs, and every pair of a pencil without
+that shift, come from LAPACK's bisection and inverse iteration through
+`eigh_tridiagonal` (`Pencil.eigenvalue_batch`, `Pencil.eigenvectors`).
+`solve_eigen` extrapolates over two grids and returns one `EigenResult` per
+eigenvalue.
 
 A Prüfer-angle shooting method on the same truncated domain provides an
 independent oracle: it shoots the angle from both ends to a matching point
@@ -26,6 +30,7 @@ limit problem reproduces the closed-form first eigenvalue
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -33,13 +38,15 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstebz
+from scipy.linalg.lapack import dgtsv, dstebz
 from scipy.optimize import brentq
 
 from . import numerics, rescaling
-from .closedform import henon_constant, limit_lambda, threshold_exponent
+from .closedform import henon_constant, lambda1_closed, limit_lambda, threshold_exponent
 from .errors import BracketError, DomainError, NumericsError
 from .radial import RadialProfile
+
+log = logging.getLogger("henonball")
 
 __all__ = [
     "SLProblem",
@@ -49,6 +56,7 @@ __all__ = [
     "assemble_pencil",
     "default_spectral_grid",
     "solve_eigen",
+    "solve_pencil_pair",
     "prufer_eigen",
     "limit_eigen",
     "limit_problem",
@@ -64,19 +72,32 @@ R_MIN = 1e-6
 PRUFER_DT = 1e-3
 # stebz tolerance that skips bisection: Sturm counts only
 _COUNT_ONLY_TOL = float(np.finfo(float).max)
+# solves of Pencil.lowest_pair: the first two at the pencil's own shift
+_SHIFTED_SOLVES = 8
+# lowest_pair stops once its residual is within this many ulps of the terms
+# it sums; the roundoff floor measured 0.2-0.6 ulps on 750 to 12000 nodes
+_RESIDUAL_ULPS = 4.0
 
 
 @dataclass(frozen=True)
 class SLProblem:
-    """Potential q ≥ 0 on (0, r_end) for the r^-2-weighted problem above."""
+    """Potential q ≥ 0 on (0, r_end) for the r^-2-weighted problem above.
+
+    `shift`, when set, lies at or just below Λ₁; the Dirichlet pencils of
+    the problem then take their lowest pair from `Pencil.lowest_pair`."""
 
     n_dim: int
     r_end: float
     q: Callable[[np.ndarray], np.ndarray]
+    shift: float | None = None
 
     @staticmethod
     def from_profile(profile: RadialProfile) -> "SLProblem":
-        """Unit-ball form: q(r) = (p_α-ε) r^α u^(p_α-1-ε)(r)."""
+        """Unit-ball form: q(r) = (p_α-ε) r^α u^(p_α-1-ε)(r), read through
+        `profile.evaluate` (anything with RadialProfile's `params` and
+        `evaluate` serves).  Its shift is the closed-form limit value
+        Λ₁(α) = -(α+2)(2N+α-2)/4: Λ₁^ε(α) - Λ₁(α) is the boundary-flux gap
+        g ≥ 0 (see `bifurcation`), so Λ₁^ε lies just above it."""
         pr = profile.params
         expn = pr.p_alpha - 1.0 - pr.eps
 
@@ -84,7 +105,7 @@ class SLProblem:
             u = np.clip(np.asarray(profile.evaluate(r)), 0.0, None)
             return pr.p * np.asarray(r) ** pr.alpha * u**expn
 
-        return SLProblem(pr.n_dim, 1.0, q)
+        return SLProblem(pr.n_dim, 1.0, q, shift=lambda1_closed(pr.n_dim, pr.alpha))
 
     @staticmethod
     def from_rescaled(rescaled: rescaling.RescaledProfile) -> "SLProblem":
@@ -128,12 +149,15 @@ class Pencil:
     positive).  `count(x)` is the number of eigenvalues at or below x: LAPACK
     stebz's Sturm count on the pencil's own A - xB (Sylvester's law, B > 0).
     The fast eigenvalue path runs stebz on T = B^-1/2 A B^-1/2 instead, so
-    the count certifies it independently."""
+    the count certifies it independently.  `shift`, when set, lies at or
+    just below the lowest eigenvalue, and the lowest pair then comes from
+    `lowest_pair`."""
 
     grid: np.ndarray
     a_diag: np.ndarray
     a_off: np.ndarray
     b_diag: np.ndarray
+    shift: float | None = None
 
     @property
     def n(self) -> int:
@@ -174,19 +198,27 @@ class Pencil:
         return self.a_diag / self.b_diag, self.a_off / (sqrt_b[:-1] * sqrt_b[1:])
 
     def eigenvalue_batch(self, js: Sequence[int]) -> np.ndarray:
-        """The js-th smallest eigenvalues (1-based) by Sturm-sequence
-        bisection (LAPACK stebz on the similarity-transformed tridiagonal),
-        each certified against this pencil's own inertia count."""
+        """The js-th smallest eigenvalues (1-based), each certified against
+        this pencil's own inertia count.  With a shift, the first comes from
+        `lowest_pair`; the others come from Sturm-sequence bisection (LAPACK
+        stebz on the similarity-transformed tridiagonal), asked for the index
+        range they span."""
         js = sorted(set(int(j) for j in js))
         if not js:
             return np.empty(0)
         if js[0] < 1 or js[-1] > self.n:
             raise DomainError(f"eigenvalue index out of range 1..{self.n}")
+        if js[0] == 1 and self.shift is not None:
+            return np.concatenate([[self.lowest_pair()[0]], self._stebz_values(js[1:])])
+        return self._stebz_values(js)
+
+    def _stebz_values(self, js: list[int]) -> np.ndarray:
+        if not js:
+            return np.empty(0)
         t_diag, t_off = self.standard_tridiagonal()
-        vals = eigh_tridiagonal(
-            t_diag, t_off, eigvals_only=True, select="i", select_range=(0, js[-1] - 1)
-        )
-        out = np.array([vals[j - 1] for j in js])
+        vals = eigh_tridiagonal(t_diag, t_off, eigvals_only=True, select="i",
+                                select_range=(js[0] - 1, js[-1] - 1))
+        out = vals[np.array(js) - js[0]]
         try:
             self._certify(js, out)
         except NumericsError:
@@ -202,13 +234,24 @@ class Pencil:
         `zs` per eigenvalue, each scaled to sup norm 1 with its first interior
         hump positive.  The values carry the inertia certificate and each
         vector the node-count certificate node_count == j-1; NumericsError
-        otherwise."""
+        otherwise.  With a shift, the first pair comes from `lowest_pair`."""
         if not 1 <= count <= self.n:
             raise DomainError(f"eigenvalue count out of range 1..{self.n}")
-        js = list(range(1, count + 1))
+        if self.shift is None:
+            return self._stebz_pairs(1, count)
+        lam, phi = self.lowest_pair()
+        vals, zs = self._stebz_pairs(2, count)
+        return np.concatenate([[lam], vals]), np.vstack([phi, zs])
+
+    def _stebz_pairs(self, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs first..last from stebz and stein, both certificates
+        checked, as `eigenvectors` returns them."""
+        js = list(range(first, last + 1))
+        if not js:
+            return np.empty(0), np.empty((0, self.n))
         t_diag, t_off = self.standard_tridiagonal()
         vals, vecs = eigh_tridiagonal(
-            t_diag, t_off, select="i", select_range=(0, count - 1)
+            t_diag, t_off, select="i", select_range=(first - 1, last - 1)
         )
         self._certify(js, vals)
         zs = np.array([z / np.max(np.abs(z)) * _first_hump_sign(z)
@@ -221,6 +264,64 @@ class Pencil:
                     f"{nodes} sign changes"
                 )
         return vals, zs
+
+    def lowest_pair(self) -> tuple[float, np.ndarray]:
+        """The lowest eigenvalue and its eigenvector, scaled as in
+        `eigenvectors`, by shifted inverse iteration from `shift`.
+
+        Two solves of (A - σB) y = B x at σ = `shift`, from x = B·1, pull x
+        towards the eigenvector nearest σ; Rayleigh-quotient shifts then
+        converge cubically.  Each solve is one O(n) LAPACK gtsv.  Once the
+        residual |Ax - μBx|, in the B^-1 norm, is within a few ulps of the
+        terms it sums, |A||x| + |μ|B|x|, one more solve at that μ settles the
+        entries far below the sup norm, such as the tail at r -> 1 that
+        φ'(1) is read from; at most 8 solves in all.  Against stein's vector
+        the tail then agrees to about 1e-12 relative, down to tails 1e-17
+        of the sup norm.  The pair carries both certificates of
+        `eigenvectors`: the
+        inertia count places μ as the first eigenvalue, and x has no node.
+        When a certificate fails, a solve is singular or an iterate is not
+        finite, one WARNING on the "henonball" logger says so and the pair
+        comes from stebz and stein instead."""
+        if self.shift is None:
+            raise DomainError("lowest_pair needs a pencil with a shift")
+        try:
+            lam, x = self._shifted_iteration()
+            self._certify([1], np.array([lam]))
+            nodes = node_count(x)
+            if nodes != 0:
+                raise NumericsError(f"node-count certificate failed: {nodes} sign changes")
+        except NumericsError as err:
+            log.warning("lowest eigenpair from the shift %.9g falls back to stebz: %s",
+                        self.shift, err)
+            vals, zs = self._stebz_pairs(1, 1)
+            return float(vals[0]), zs[0]
+        return lam, x * _first_hump_sign(x)
+
+    def _shifted_iteration(self) -> tuple[float, np.ndarray]:
+        """(μ, x) of the iteration in `lowest_pair`, x at sup norm 1."""
+        a, off, b = self.a_diag, self.a_off, self.b_diag
+        abs_a, abs_off, inv_b = np.abs(a), np.abs(off), 1.0 / b
+        tol = (_RESIDUAL_ULPS * np.finfo(float).eps) ** 2
+        x, mu, converged = b, self.shift, False
+        for solve in range(_SHIFTED_SOLVES):
+            shift = self.shift if solve < 2 else mu
+            *_, y, info = dgtsv(off, a - shift * b, off, b * x)
+            scale = np.max(np.abs(y)) if info == 0 else 0.0
+            if not 0.0 < scale < np.inf:
+                raise NumericsError(f"shifted solve failed at {shift:.9g} (info={info})")
+            x = y / scale
+            if converged:
+                break
+            ax, bx = _tridiagonal_product(a, off, x), b * x
+            mu = float(np.dot(x, ax) / np.dot(x, bx))
+            residual = ax - mu * bx
+            terms = _tridiagonal_product(abs_a, abs_off, np.abs(x)) + abs(mu) * np.abs(bx)
+            # a norm is blind to the tail; the solve after this test
+            # settles it (see lowest_pair)
+            converged = (np.dot(residual * residual, inv_b)
+                         <= tol * np.dot(terms * terms, inv_b))
+        return mu, x
 
     def _certify(self, js: Sequence[int], vals: np.ndarray) -> None:
         """Inertia certificate: for each j = js[i], at most j-1 eigenvalues
@@ -253,6 +354,14 @@ class Pencil:
         raise NumericsError("eigenvalue bisection did not converge")
 
 
+def _tridiagonal_product(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x for the symmetric tridiagonal M with these diagonals."""
+    out = diag * x
+    out[:-1] += off * x[1:]
+    out[1:] += off * x[:-1]
+    return out
+
+
 def _first_hump_sign(z: np.ndarray) -> float:
     """+1/-1 so that the first interior extremum of |z| is positive."""
     az = np.abs(z)
@@ -282,7 +391,8 @@ def assemble_pencil(
     be positive.  Dirichlet values are imposed at both domain ends; for the
     purely radial (k = 0) problem pass left_bc="natural" (no flux through
     r = 0) and weight_power N-1.  Default weight power is N-3, the r^-2
-    spectral weight.
+    spectral weight.  The pencil takes the problem's shift only with both
+    defaults, the spectrum the shift was derived for.
     """
     r = np.asarray(grid, dtype=float)
     if r.ndim != 1 or r.size < 3:
@@ -312,7 +422,9 @@ def assemble_pencil(
         b_diag[0] = r[0] ** w * mids[1]
     if np.any(b_diag <= 0):
         raise NumericsError("weight matrix lost positivity")
-    return Pencil(grid=r, a_diag=a_diag, a_off=a_off, b_diag=b_diag)
+    # the problem's shift belongs to its Dirichlet, r^-2-weighted spectrum
+    shift = problem.shift if left_bc == "dirichlet" and weight_power is None else None
+    return Pencil(grid=r, a_diag=a_diag, a_off=a_off, b_diag=b_diag, shift=shift)
 
 
 @dataclass
@@ -348,13 +460,27 @@ def solve_eigen(
     extrapolation increment |λ_fine - λ_coarse|/3, the fine-grid value's
     error (see EigenResult).  Both grids' values are
     inertia-certified and must increase strictly.  Eigenvectors, if asked
-    for, come from the fine grid with their node-count certificate.
+    for, come from the fine grid with their node-count certificate.  The
+    grids have n_points and 2·n_points nodes (`default_spectral_grid`); see
+    `solve_pencil_pair`.
     """
+    coarse = assemble_pencil(problem, default_spectral_grid(problem.r_end, n_points))
+    fine = assemble_pencil(problem, default_spectral_grid(problem.r_end, 2 * n_points))
+    return solve_pencil_pair(coarse, fine, count, with_vectors)
+
+
+def solve_pencil_pair(
+    coarse: Pencil,
+    fine: Pencil,
+    count: int = 1,
+    with_vectors: bool = True,
+) -> list[EigenResult]:
+    """`solve_eigen` on pencils already assembled on a grid and on its
+    refinement with twice the nodes, for a caller that reads the pencils
+    again."""
     if count < 1:
         raise DomainError("count must be >= 1")
     js = list(range(1, count + 1))
-    coarse = assemble_pencil(problem, default_spectral_grid(problem.r_end, n_points))
-    fine = assemble_pencil(problem, default_spectral_grid(problem.r_end, 2 * n_points))
     lam_c = coarse.eigenvalue_batch(js)
     if with_vectors:
         lam_f, zs = fine.eigenvectors(count)

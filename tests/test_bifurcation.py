@@ -23,6 +23,8 @@ from henonball.closedform import (
     sphere_multiplicity,
 )
 from henonball.errors import BracketError, DegeneratePointError, DomainError
+from henonball.radial import RadialProfile
+from henonball.spectral import default_spectral_grid
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +88,11 @@ class TestFindBifurcation:
 
     def test_k1_rejected(self, cache):
         with pytest.raises(DomainError):
+            find_bifurcation_alpha(3, 0.05, 1, cache=cache)
+
+    def test_k1_message_says_unsupported(self, cache):
+        # alpha_1^eps > 0 for eps > 0, so the message must not claim alpha = 0
+        with pytest.raises(DomainError, match=r"k >= 2: k = 1 is not supported yet$"):
             find_bifurcation_alpha(3, 0.05, 1, cache=cache)
 
     def test_non_finite_bracket_rejected(self, cache):
@@ -197,6 +204,45 @@ class TestFluxIdentity:
         # bracket starts at 1.1
         with pytest.raises(DomainError, match=r"bracket end lo=1\.1.* = 1\.2$"):
             find_bifurcation_alpha(3, 6.4, 2, cache=cache)
+
+
+class TestSharedEvaluation:
+    @pytest.mark.parametrize("n", [750, 1500, 3000])
+    def test_coarse_grid_is_every_other_fine_node(self, n):
+        fine = default_spectral_grid(1.0, 2 * n)
+        assert default_spectral_grid(1.0, n).tobytes() == fine[::2].tobytes()
+
+    def test_profile_read_once_per_evaluation(self, monkeypatch):
+        cache = SolverCache()
+        cache.profile(3, 1.9, 0.05)
+        points = []
+        evaluate = RadialProfile.evaluate
+
+        def counted(self, r, derivative=False):
+            points.append(np.size(r))
+            return evaluate(self, r, derivative)
+
+        monkeypatch.setattr(RadialProfile, "evaluate", counted)
+        n_fine = 2 * bifurcation.N_POINTS
+        flux_gap(3, 0.05, 1.9, cache)
+        assert sum(points) <= n_fine + 1  # the fine grid and u'(1)
+        points.clear()
+        morse_index(3, 0.05, 1.9, cache)
+        assert sum(points) <= n_fine
+        points.clear()
+        lambda_values(3, 0.05, 1.9, 3, cache)
+        assert sum(points) <= n_fine
+
+    @pytest.mark.parametrize("n_dim, eps, alpha", [(3, 0.05, 2.0), (4, 0.2, 2.5)])
+    def test_gap_converges_at_fourth_order(self, n_dim, eps, alpha, monkeypatch):
+        def gap(n_points):
+            monkeypatch.setattr(bifurcation, "N_POINTS", n_points)
+            return flux_gap(n_dim, eps, alpha, SolverCache())[0]
+
+        ref = gap(6000)
+        ratio = abs(gap(750) - ref) / abs(gap(1500) - ref)
+        # the five-point stencil gives about 17.5; the three-point one 8.4
+        assert ratio >= 12.0
 
 
 class TestMorseIndex:

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import logging
 import math
 import weakref
 from dataclasses import replace
@@ -151,6 +152,77 @@ class TestEigenvalues:
         res = solve_eigen(ball_problem, 2, n_points=300, with_vectors=False)
         assert res[0].node_count is None
         assert res[1].r.size == res[1].z.size == 0
+
+
+# (N, α, ε) of the lowest-pair tests; the second to fourth lie near the
+# admissible edge, and (3, 4.0, 0.002) has φ(1-h) near 1e-17 of the sup norm
+LOWEST_PAIR_POINTS = [
+    (3, 2.0, 0.05), (3, 0.3, 3.0), (4, 1.0, 1.5), (3, 2.4, 6.4), (3, 2.0, 0.005),
+    (4, 4.0, 0.2), (5, 4.0, 0.1), (4, 2.0, 0.01), (3, 4.0, 0.002), (5, 2.0, 0.3),
+]
+
+
+class TestLowestPair:
+    @pytest.mark.parametrize("n_dim, alpha, eps", LOWEST_PAIR_POINTS)
+    def test_agrees_with_stebz_and_stein(self, n_dim, alpha, eps, caplog):
+        prob = SLProblem.from_profile(solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps)))
+        for n in (1500, 3000):
+            pen = assemble_pencil(prob, default_spectral_grid(1.0, n))
+            with caplog.at_level(logging.WARNING, logger="henonball"):
+                lam, phi = pen.lowest_pair()
+            assert caplog.records == []
+            (ref_lam,), (ref_phi,) = replace(pen, shift=None).eigenvectors(1)
+            assert abs(lam - ref_lam) <= 1e-10
+            assert np.max(np.abs(phi - ref_phi)) <= 1e-10
+            # the entries φ'(1) is read from, relative to their own size
+            assert np.max(np.abs(phi[-4:] / ref_phi[-4:] - 1.0)) <= 1e-9
+
+    def test_rerun_gives_identical_bits(self, ball_problem):
+        pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 1500))
+        (lam_a, phi_a), (lam_b, phi_b) = pen.lowest_pair(), pen.lowest_pair()
+        assert lam_a == lam_b and phi_a.tobytes() == phi_b.tobytes()
+
+    def test_is_the_first_pair_of_every_path(self, ball_problem):
+        pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 600))
+        lam, phi = pen.lowest_pair()
+        vals, zs = pen.eigenvectors(3)
+        assert vals[0] == lam and zs[0].tobytes() == phi.tobytes()
+        batch = pen.eigenvalue_batch([1, 3])
+        assert batch[0] == lam
+        # stebz is asked for index 3 alone
+        assert batch[1] == replace(pen, shift=None).eigenvalue_batch([3])[0]
+
+    def test_bad_shift_falls_back_to_stebz(self, ball_problem, caplog):
+        # a shift just below Λ₂ draws the iteration to the second pair,
+        # which fails the inertia certificate
+        pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 1500))
+        stebz = replace(pen, shift=None)
+        lam2 = stebz.eigenvalue_batch([2])[0]
+        with caplog.at_level(logging.WARNING, logger="henonball"):
+            lam, phi = replace(pen, shift=lam2 - 1e-3).lowest_pair()
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING and "falls back" in record.getMessage()
+        (ref_lam,), (ref_phi,) = stebz.eigenvectors(1)
+        assert lam == ref_lam and phi.tobytes() == ref_phi.tobytes()
+
+    def test_singular_solve_falls_back(self, ball_problem, caplog, monkeypatch):
+        pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 300))
+        gtsv = spectral.dgtsv
+        monkeypatch.setattr(spectral, "dgtsv", lambda *a: (*gtsv(*a)[:-1], 1))
+        with caplog.at_level(logging.WARNING, logger="henonball"):
+            lam, _ = pen.lowest_pair()
+        [record] = caplog.records
+        assert "shifted solve failed" in record.getMessage()
+        assert lam == replace(pen, shift=None).eigenvectors(1)[0][0]
+
+    def test_only_the_dirichlet_pencil_takes_the_shift(self, ball_problem, profile_3_2_005):
+        grid = default_spectral_grid(1.0, 300)
+        assert assemble_pencil(ball_problem, grid).shift == lambda1_closed(3, 2.0) == -6.0
+        assert radial_pencil(profile_3_2_005, 300).shift is None
+        assert assemble_pencil(ball_problem, grid, weight_power=0.0).shift is None
+        assert assemble_pencil(limit_problem(3, 2.0), grid).shift is None
+        with pytest.raises(DomainError, match="shift"):
+            assemble_pencil(limit_problem(3, 2.0), grid).lowest_pair()
 
 
 def ldlt_count(pen, shifts):
