@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .closedform import (
     ProblemParams,
@@ -49,7 +48,7 @@ from .closedform import (
     sphere_multiplicity,
 )
 from .errors import BracketError, DegeneratePointError, DomainError
-from .radial import RadialProfile, solve_dirichlet_ball
+from .radial import RadialProfile, _brentq, solve_dirichlet_ball
 from .spectral import (
     SLProblem,
     assemble_pencil,
@@ -365,8 +364,10 @@ def _certify(n_dim, k, lo, hi, samples) -> list[str]:
 
 def _scan_search(n_dim, k, lo, hi, samples, where) -> BifurcationPoint:
     """The scan reference: sign changes of f = Λ₁^ε + σ_k, read from the
-    `_Samples`, on SCAN_POINTS points, each refined by Brent's method (see
-    `find_bifurcation_alpha`, which has checked f(lo) > 0 > f(hi))."""
+    `_Samples`, on SCAN_POINTS points, each refined by Brent's method, the
+    port of scipy's `brentq` in `radial._brentq` (see `find_bifurcation_alpha`,
+    which has checked f(lo) > 0 > f(hi)); a refinement that fails raises
+    NumericsError."""
     alpha_k = bifurcation_alpha(k)
     sigma_k, _ = sphere_eigen(n_dim, k)
 
@@ -380,7 +381,7 @@ def _scan_search(n_dim, k, lo, hi, samples, where) -> BifurcationPoint:
         raise BracketError(f"no sign change of lambda1 + sigma_{k} inside {(lo, hi)!r}")
 
     intervals = [(float(alphas[i]), float(alphas[i + 1])) for i in change]
-    roots = [float(brentq(f, a, b, xtol=1e-10, rtol=8.9e-16)) for a, b in intervals]
+    roots = [_brentq(f, a, b, 1e-10, 8.9e-16) for a, b in intervals]
     order = np.argsort([abs(r - alpha_k) for r in roots])
     best = int(order[0])
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -211,6 +210,9 @@ def cmd_sweep(args) -> int:
         for e in args.eps_list for a in args.alpha_grid
     ]
     if args.jobs > 1:
+        # imported here: the process pool's modules add to every CLI start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool starts all its workers at once, so never more than tasks
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_sweep_row, tasks))

@@ -9,15 +9,18 @@ The first zero R of the shot, located on the dense output, fixes the
 Dirichlet solution through the scaling u(r) = R^((2+α)/(p-1)) u_shot(R r),
 which is independent of the shot amplitude.
 
-A DOP853 shot runs the module's own stepper: scipy's DOP853 algorithm
-(Hairer–Nørsett–Wanner, *Solving ODEs I*, §II.10) with scipy's tableau, step
+A DOP853 shot runs the module's own stepper: the DOP853 algorithm of
+Hairer–Nørsett–Wanner (*Solving ODEs I*, §II.10) with scipy's step
 controller, error norm, dense output and zero location, on Python floats for
-the two-component state, so a step costs no numpy call.  It takes the same
+the two-component state, so a step costs no numpy call.  Its tableau is
+written out below as literals copied from scipy 1.17.1, and the zero polish
+is `_brentq`, a port of scipy's `brentq.c` (Brent, 1973).  It takes the same
 steps as `solve_ivp(method="DOP853")` up to roundoff, and writes the dense
 output of each accepted step into one stacked table, evaluated for all
-points in one vectorized pass.  RK45 shots stay on scipy's `solve_ivp`: they
-are an independent check of the first zero, from another code base, and
-carry no dense output.
+points in one vectorized pass.  So a DOP853 shot needs numpy alone.  RK45
+shots stay on scipy's `solve_ivp`, loaded on the first such shot: they are
+an independent check of the first zero, from another code base, and carry no
+dense output.
 
 Also provided: the change of variables to the unweighted equation in
 fractional dimension m = 2(N+α)/(2+α) used as an independent correctness
@@ -31,9 +34,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.optimize import brentq
 
 from . import numerics
 from .closedform import ProblemParams, sup_norm_constant, threshold_exponent
@@ -52,32 +52,171 @@ __all__ = [
 _METHODS = ("dop853", "rk45")
 
 
-def _nonzero(row) -> tuple[tuple[int, float], ...]:
-    """The (column, coefficient) pairs of a tableau row, zero entries skipped."""
-    return tuple((j, float(c)) for j, c in enumerate(row) if c != 0.0)
-
-
-# scipy's DOP853 tableau: rows 1-11 of A give the stages, rows 13-15 the three
+# The DOP853 tableau of Hairer–Nørsett–Wanner (*Solving ODEs I*, §II.10),
+# as scipy 1.17.1 ships it, written once as (column, coefficient) pairs with
+# zero entries skipped: rows 1-11 of A give the stages, rows 13-15 the three
 # extra stages of the dense output; stage 12 is f at the step end
-_A = tuple(_nonzero(row) for row in _dop.A)
-_C = tuple(float(c) for c in _dop.C)
-_B = _nonzero(_dop.B)
-_E3 = _nonzero(_dop.E3)
-_E5 = _nonzero(_dop.E5)
-_D = tuple(_nonzero(row) for row in _dop.D)
+_A = (
+    (),
+    ((0, 0.05260015195876773),),
+    ((0, 0.0197250569845379), (1, 0.0591751709536137),),
+    ((0, 0.02958758547680685), (2, 0.08876275643042054),),
+    ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792),),
+    ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242),),
+    (
+        (0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
+        (5, -0.017578125),
+    ),
+    (
+        (0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+        (5, -0.015319437748624402), (6, 0.008273789163814023),
+    ),
+    (
+        (0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+        (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996),
+    ),
+    (
+        (0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+        (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+        (8, -0.020331201708508627),
+    ),
+    (
+        (0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+        (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+        (8, 2.4936055526796523), (9, -3.0467644718982196),
+    ),
+    (
+        (0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+        (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+        (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636),
+    ),
+    (
+        (0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+        (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+        (10, 0.20136540080403034), (11, 0.04471061572777259),
+    ),
+    (
+        (0, 0.056167502283047954), (6, 0.25350021021662483), (7, -0.2462390374708025),
+        (8, -0.12419142326381637), (9, 0.15329179827876568), (10, 0.00820105229563469),
+        (11, 0.007567897660545699), (12, -0.008298),
+    ),
+    (
+        (0, 0.03183464816350214), (5, 0.028300909672366776), (6, 0.053541988307438566),
+        (7, -0.05492374857139099), (10, -0.00010834732869724932),
+        (11, 0.0003825710908356584), (12, -0.00034046500868740456),
+        (13, 0.1413124436746325),
+    ),
+    (
+        (0, -0.42889630158379194), (5, -4.697621415361164), (6, 7.683421196062599),
+        (7, 4.06898981839711), (8, 0.3567271874552811), (12, -0.0013990241651590145),
+        (13, 2.9475147891527724), (14, -9.15095847217987),
+    ),
+)
+_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
+)
+_B = (
+    (0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+    (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+    (10, 0.20136540080403034), (11, 0.04471061572777259),
+)
+_E3 = (
+    (0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),
+    (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
+    (10, 0.20136540080403034), (11, 0.02265179219836082),
+)
+_E5 = (
+    (0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
+    (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
+    (10, 0.08192320648511571), (11, -0.022355307863886294),
+)
+_D = (
+    (
+        (0, -8.428938276109013), (5, 0.5667149535193777), (6, -3.0689499459498917),
+        (7, 2.38466765651207), (8, 2.117034582445028), (9, -0.871391583777973),
+        (10, 2.2404374302607883), (11, 0.6315787787694688), (12, -0.08899033645133331),
+        (13, 18.148505520854727), (14, -9.194632392478356), (15, -4.436036387594894),
+    ),
+    (
+        (0, 10.427508642579134), (5, 242.28349177525817), (6, 165.20045171727028),
+        (7, -374.5467547226902), (8, -22.113666853125306), (9, 7.733432668472264),
+        (10, -30.674084731089398), (11, -9.332130526430229), (12, 15.697238121770845),
+        (13, -31.139403219565178), (14, -9.35292435884448), (15, 35.81684148639408),
+    ),
+    (
+        (0, 19.985053242002433), (5, -387.0373087493518), (6, -189.17813819516758),
+        (7, 527.8081592054236), (8, -11.57390253995963), (9, 6.8812326946963),
+        (10, -1.0006050966910838), (11, 0.7777137798053443), (12, -2.778205752353508),
+        (13, -60.19669523126412), (14, 84.32040550667716), (15, 11.99229113618279),
+    ),
+    (
+        (0, -25.69393346270375), (5, -154.18974869023643), (6, -231.5293791760455),
+        (7, 357.6391179106141), (8, 93.40532418362432), (9, -37.45832313645163),
+        (10, 104.0996495089623), (11, 29.8402934266605), (12, -43.53345659001114),
+        (13, 96.32455395918828), (14, -39.17726167561544), (15, -149.72683625798564),
+    ),
+)
+_N_STAGES = 12  # of a step; the rows of A past it give the extra stages
 # scipy's step-size controller for an order-7 error estimate
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1.0 / 8.0
 _ZERO_TOL = 4.0 * sys.float_info.epsilon
 
 
-def _combine(row, ku, kv):
-    """Σ c·k over a sparse tableau row, for both components of the stages."""
-    su = sv = 0.0
-    for j, c in row:
-        su += c * ku[j]
-        sv += c * kv[j]
-    return su, sv
+# The stage, error-estimate and dense-output sums are generated as
+# straight-line source from the tableau above and compiled once at import,
+# the way `dataclasses` builds `__init__`: each coefficient is a literal and
+# each stage a local, where a loop over the sparse rows spends a Python-level
+# iteration, two subscripts and two in-place adds per coefficient.  Each sum
+# runs left to right from 0.0, `0.0 + c·k_j + …`, so its bits are those of
+# that loop.
+def _sum(row, k: str) -> str:
+    return "(0.0" + "".join(f" + {c!r} * {k}{j}" for j, c in row) + ")"
+
+
+def _stage(s: int) -> str:
+    return (
+        f"ku{s}, kv{s} = fun(t + {_C[s]!r} * h, u + {_sum(_A[s], 'ku')} * h, "
+        f"v + {_sum(_A[s], 'kv')} * h)"
+    )
+
+
+def _compile(name: str, args: str, lines):
+    source = f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = {}
+    exec(compile(source, f"<radial.{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+# the stages of a step that the extra stages and the dense-output rows read
+_KEPT = sorted(
+    {j for row in (*_A[_N_STAGES + 1:], *_D) for j, _ in row if j <= _N_STAGES}
+)
+_KEPT_NAMES = ", ".join([f"ku{j}" for j in _KEPT] + [f"kv{j}" for j in _KEPT])
+
+# (u_new, v_new, f(t + h, u_new, v_new), the E5 and E3 sums, the kept stages)
+# of one step of length h from (t, u, v) with f(t, u, v) = (ku0, kv0)
+_step = _compile("_step", "fun, t, u, v, h, ku0, kv0", [
+    *(_stage(s) for s in range(1, _N_STAGES)),
+    f"u_new = u + h * {_sum(_B, 'ku')}",
+    f"v_new = v + h * {_sum(_B, 'kv')}",
+    f"ku{_N_STAGES}, kv{_N_STAGES} = fun(t + h, u_new, v_new)",
+    f"return (u_new, v_new, ku{_N_STAGES}, kv{_N_STAGES}, "
+    f"{_sum(_E5, 'ku')}, {_sum(_E5, 'kv')}, {_sum(_E3, 'ku')}, {_sum(_E3, 'kv')}, "
+    f"({_KEPT_NAMES}))",
+])
+
+# the rows h·Σ D·k of an accepted step's dense output, highest power first,
+# after its three extra stages
+_dense = _compile("_dense", "fun, t, u, v, h, kept", [
+    f"{_KEPT_NAMES} = kept",
+    *(_stage(s) for s in range(_N_STAGES + 1, len(_A))),
+    "return [" + ", ".join(
+        f"(h * {_sum(row, 'ku')}, h * {_sum(row, 'kv')})" for row in reversed(_D)
+    ) + "]",
+])
 
 
 def _rms(x: float, y: float) -> float:
@@ -104,11 +243,13 @@ def _dop853_shot(fun, r0, y0, r_max, rtol, atol):
     """Integrate (u, v)' = fun(r, u, v) from (r0, y0) with scipy's DOP853
     algorithm on Python floats, until r_max or the first downward zero of u.
 
-    The step controller, error norm, dense output and zero location are
-    scipy's, so a shot takes the same steps as `solve_ivp(method="DOP853")`
+    `fun` is any float right-hand side returning the pair (u', v').  The
+    step controller, error norm, dense output and zero location are scipy's,
+    and the stage sums are `_step` and `_dense`, compiled from the literal
+    tableau, so a shot takes the same steps as `solve_ivp(method="DOP853")`
     up to roundoff.  Each accepted step appends its row of the dense-output
     table.  The zero is the first step with u ≥ 0 at its start and u ≤ 0 at
-    its end, polished by `brentq` on that step's interpolant.  Returns the
+    its end, polished by `_brentq` on that step's interpolant.  Returns the
     table and the zero (None without one).  A non-finite right-hand side
     makes every error norm NaN, so each retry shrinks the step by
     MIN_FACTOR; NumericsError once the step is below 10 ulp(r), or is NaN.
@@ -131,21 +272,11 @@ def _dop853_shot(fun, r0, y0, r_max, rtol, atol):
                 )
             t_new = min(t + h_abs, r_max)
             h_abs = h = t_new - t
-            ku, kv = [fu], [fv]
-            for s in range(1, _dop.N_STAGES):
-                du, dv = _combine(_A[s], ku, kv)
-                gu, gv = fun(t + _C[s] * h, u + du * h, v + dv * h)
-                ku.append(gu)
-                kv.append(gv)
-            du, dv = _combine(_B, ku, kv)
-            u_new, v_new = u + h * du, v + h * dv
-            fu_new, fv_new = fun(t + h, u_new, v_new)
-            ku.append(fu_new)
-            kv.append(fv_new)
+            u_new, v_new, fu_new, fv_new, e5u, e5v, e3u, e3v, kept = _step(
+                fun, t, u, v, h, fu, fv
+            )
             scale_u = atol + max(abs(u), abs(u_new)) * rtol
             scale_v = atol + max(abs(v), abs(v_new)) * rtol
-            e5u, e5v = _combine(_E5, ku, kv)
-            e3u, e3v = _combine(_E3, ku, kv)
             err5 = (e5u / scale_u) ** 2 + (e5v / scale_v) ** 2
             err3 = (e3u / scale_u) ** 2 + (e3v / scale_v) ** 2
             if err5 == 0.0 and err3 == 0.0:
@@ -162,30 +293,22 @@ def _dop853_shot(fun, r0, y0, r_max, rtol, atol):
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_EXPONENT)
             rejected = True
 
-        for s in range(_dop.N_STAGES + 1, _dop.N_STAGES_EXTENDED):
-            du, dv = _combine(_A[s], ku, kv)
-            gu, gv = fun(t + _C[s] * h, u + du * h, v + dv * h)
-            ku.append(gu)
-            kv.append(gv)
         delta_u, delta_v = u_new - u, v_new - v
-        rows = [
-            (delta_u, delta_v),
-            (h * fu - delta_u, h * fv - delta_v),
+        rows = _dense(fun, t, u, v, h, kept)
+        rows += [
             (2.0 * delta_u - h * (fu_new + fu), 2.0 * delta_v - h * (fv_new + fv)),
+            (h * fu - delta_u, h * fv - delta_v),
+            (delta_u, delta_v),
         ]
-        for row in _D:
-            du, dv = _combine(row, ku, kv)
-            rows.append((h * du, h * dv))
-        rows.reverse()
         t_old.append(t)
         hs.append(h)
         y_old.append((u, v))
         coef.append(rows)
 
         if u >= 0.0 and u_new <= 0.0:
-            first_zero = brentq(
-                _interpolant_u, t, t_new, args=(t, h, u, rows),
-                xtol=_ZERO_TOL, rtol=_ZERO_TOL,
+            first_zero = _brentq(
+                lambda r: _interpolant_u(r, t, h, u, rows), t, t_new,
+                _ZERO_TOL, _ZERO_TOL,
             )
             ts.append(first_zero)
             break
@@ -210,6 +333,80 @@ def _interpolant_u(r, t_old, h, u_old, rows):
         y += c
         y *= x if i % 2 == 0 else 1.0 - x
     return y + u_old
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """A zero of f in [xa, xb] by Brent's method (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4): a line-for-line port of
+    scipy's `brentq.c`, so it returns scipy's `brentq` bit for bit.  It stops
+    when f is exactly zero or the bracket is below xtol + rtol·|x|;
+    NumericsError, naming the interval, when f(xa) and f(xb) have the same
+    sign, f is NaN, or scipy's default 100 iterations do not converge.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericsError(
+                f"Brent's method on [{xa!r}, {xb!r}]: the function is NaN at x={x!r}"
+            )
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NumericsError(
+            f"Brent's method on [{xa!r}, {xb!r}]: the function has the same sign "
+            f"at both ends ({fpre!r}, {fcur!r})"
+        )
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            limit = 3.0 * abs(sbis) - delta
+            if 2.0 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    raise NumericsError(
+        f"Brent's method on [{xa!r}, {xb!r}] did not converge in 100 iterations; "
+        f"last x={xcur!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -327,9 +524,10 @@ def integrate_radial_ivp(
     scaled by the amplitude.  The first downward zero crossing terminates the
     integration and is polished on the dense output.  `method` selects one of
     two independent integrators so the first zero can be cross-checked:
-    "dop853" runs the module's own DOP853 stepper, which writes the stacked
-    dense-output table as it steps and can be evaluated; "rk45" runs scipy's
-    `solve_ivp` and keeps no dense output.
+    "dop853" runs the module's own DOP853 stepper on numpy alone, which
+    writes the stacked dense-output table as it steps and can be evaluated;
+    "rk45" runs scipy's `solve_ivp`, imported on first use, and keeps no
+    dense output.
     """
     p_alpha = threshold_exponent(n_dim, alpha)  # checks N and α
     if not 1.0 < p <= p_alpha:
@@ -360,6 +558,8 @@ def integrate_radial_ivp(
         table, first_zero = _dop853_shot(rhs, r0, y0, r_max, tol, tol * 1e-2 * a)
         steps = table.ts
     else:
+        from scipy.integrate import solve_ivp
+
         def hit_zero(r, y):
             return y[0]
 

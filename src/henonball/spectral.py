@@ -21,9 +21,12 @@ A Prüfer-angle shooting method on the same truncated domain provides an
 independent oracle: it shoots the angle from both ends to a matching point
 where the potential peaks and root-finds the smooth angle mismatch there,
 integrating against a cubic spline of the potential tabulated once per call
-on a uniform log-r grid.  It integrates with scipy's `solve_ivp`, not with
-the radial shot's own DOP853 stepper, so that the oracle shares no stepping
-code with the profile it checks.  The truncated entire-space
+on a uniform log-r grid.  It integrates with scipy's `solve_ivp` and
+root-finds with scipy's `brentq`, not with the radial shot's own DOP853
+stepper and Brent port, so that the oracle shares no stepping or root-finding
+code with the profile it checks.  It loads `scipy.integrate`,
+`scipy.interpolate` and `scipy.optimize` on its first call; the rest of the
+module needs numpy and `scipy.linalg` alone.  The truncated entire-space
 limit problem reproduces the closed-form first eigenvalue
 -(α+2)(2N+α-2)/4 and the zero second eigenvalue.
 """
@@ -36,10 +39,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dstebz
-from scipy.optimize import brentq
 
 from . import numerics, rescaling
 from .closedform import henon_constant, lambda1_closed, limit_lambda, threshold_exponent
@@ -527,8 +528,11 @@ def prufer_eigen(problem: SLProblem, j: int, bracket: tuple[float, float]) -> fl
     N=3, α=2, ε=0.05 the call takes 6 mismatch evaluations, 12 half-length
     integrations.
     """
-    # imported here to keep scipy.interpolate out of the CLI's start-up
+    # imported here to keep scipy.integrate, scipy.interpolate and
+    # scipy.optimize out of the CLI's start-up
+    from scipy.integrate import solve_ivp
     from scipy.interpolate import CubicSpline
+    from scipy.optimize import brentq
 
     n_dim = problem.n_dim
     shift = ((n_dim - 2.0) / 2.0) ** 2

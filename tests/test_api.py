@@ -30,9 +30,30 @@ def test_package_imports_resolve():
     assert names and [n for n in names if not hasattr(henonball, n)] == []
 
 
-def test_cli_import_leaves_out_scipy_interpolate():
+# scipy.integrate and scipy.optimize, with sparse, special and fft behind
+# them, are loaded only by the rk45 cross-check and the Prüfer oracle
+HEAVY = ("scipy.interpolate", "scipy.integrate", "scipy.optimize")
+
+
+def loaded_after(code: str) -> list[str]:
+    """The HEAVY modules a fresh interpreter holds after running `code`."""
     env = dict(os.environ, PYTHONPATH=str(Path(henonball.__file__).parents[1]))
-    code = "import sys, henonball.cli; print('scipy.interpolate' in sys.modules)"
+    code += f"\nimport sys; print(sorted(m for m in {HEAVY!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    assert loaded_after("import henonball.cli") == []
+
+
+def test_root_search_and_morse_index_leave_out_scipy_solvers():
+    # the crossing search and the Morse index shoot, polish and solve on
+    # numpy and scipy.linalg alone
+    code = (
+        "from henonball.bifurcation import find_bifurcation_alpha, morse_index\n"
+        "bp = find_bifurcation_alpha(3, 0.01, k=2)\n"
+        "morse_index(3, 0.01, bp.alpha_k_eps + 0.1)"
+    )
+    assert loaded_after(code) == []

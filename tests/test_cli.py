@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import json
@@ -184,7 +185,7 @@ def test_sweep_pool_has_at_most_one_worker_per_task(tmp_path, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     argv = ["sweep", *REQUIRED["sweep"], "--jobs", "64", "--grid-points", "400",
             "--out", str(tmp_path / "sweep.csv")]
     assert cli.main(argv) == cli.EXIT_OK

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.integrate
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop
+from scipy.optimize import brentq
 
 from henonball import radial
 from henonball.bifurcation import flux_gap
@@ -234,9 +237,9 @@ class TestDenseTable:
             calls.append(kwargs["method"])
             return solve_ivp(*args, **kwargs)
 
-        monkeypatch.setattr(radial, "solve_ivp", refuse)
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
         assert flux_gap(3, 0.01, 2.0)[0] > 0
-        monkeypatch.setattr(radial, "solve_ivp", count)
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", count)
         assert integrate_radial_ivp(3, 2.0, 5.0, method="rk45").first_zero is not None
         assert calls == ["RK45"]
 
@@ -256,6 +259,244 @@ class TestDenseTable:
         assert shot.first_zero is not None
         with pytest.raises(DomainError, match="dop853"):
             shot.evaluate(0.5)
+
+
+def _nonzero(row):
+    return tuple((j, float(c)) for j, c in enumerate(row) if c != 0.0)
+
+
+def _combine(row, ku, kv):
+    su = sv = 0.0
+    for j, c in row:
+        su += c * ku[j]
+        sv += c * kv[j]
+    return su, sv
+
+
+def _reference_shot(fun, r0, y0, r_max, rtol, atol, polishes):
+    """The reference stepper: `radial._dop853_shot` with the tableau read
+    from scipy and each sum a loop over its sparse row, polished by scipy's
+    `brentq`.  Appends the bracket and interpolant of each polish to
+    `polishes`."""
+    a_rows = [_nonzero(row) for row in _dop.A]
+    t, (u, v) = r0, y0
+    fu, fv = fun(t, u, v)
+    h_abs = radial._initial_step(fun, t, u, v, fu, fv, r_max - t, rtol, atol)
+    ts, t_old, hs, y_old, coef = [t], [], [], [], []
+    first_zero = None
+    while t < r_max:
+        min_step = 10.0 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            assert h_abs >= min_step
+            t_new = min(t + h_abs, r_max)
+            h_abs = h = t_new - t
+            ku, kv = [fu], [fv]
+            for s in range(1, _dop.N_STAGES):
+                du, dv = _combine(a_rows[s], ku, kv)
+                gu, gv = fun(t + float(_dop.C[s]) * h, u + du * h, v + dv * h)
+                ku.append(gu)
+                kv.append(gv)
+            du, dv = _combine(_nonzero(_dop.B), ku, kv)
+            u_new, v_new = u + h * du, v + h * dv
+            fu_new, fv_new = fun(t + h, u_new, v_new)
+            ku.append(fu_new)
+            kv.append(fv_new)
+            scale_u = atol + max(abs(u), abs(u_new)) * rtol
+            scale_v = atol + max(abs(v), abs(v_new)) * rtol
+            e5u, e5v = _combine(_nonzero(_dop.E5), ku, kv)
+            e3u, e3v = _combine(_nonzero(_dop.E3), ku, kv)
+            err5 = (e5u / scale_u) ** 2 + (e5v / scale_v) ** 2
+            err3 = (e3u / scale_u) ** 2 + (e3v / scale_v) ** 2
+            if err5 == 0.0 and err3 == 0.0:
+                error_norm = 0.0
+            else:
+                error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = radial._MAX_FACTOR
+                else:
+                    factor = min(radial._MAX_FACTOR,
+                                 radial._SAFETY * error_norm**radial._EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(radial._MIN_FACTOR, radial._SAFETY * error_norm**radial._EXPONENT)
+            rejected = True
+
+        for s in range(_dop.N_STAGES + 1, _dop.N_STAGES_EXTENDED):
+            du, dv = _combine(a_rows[s], ku, kv)
+            gu, gv = fun(t + float(_dop.C[s]) * h, u + du * h, v + dv * h)
+            ku.append(gu)
+            kv.append(gv)
+        delta_u, delta_v = u_new - u, v_new - v
+        rows = [
+            (delta_u, delta_v),
+            (h * fu - delta_u, h * fv - delta_v),
+            (2.0 * delta_u - h * (fu_new + fu), 2.0 * delta_v - h * (fv_new + fv)),
+        ]
+        for row in _dop.D:
+            du, dv = _combine(_nonzero(row), ku, kv)
+            rows.append((h * du, h * dv))
+        rows.reverse()
+        t_old.append(t)
+        hs.append(h)
+        y_old.append((u, v))
+        coef.append(rows)
+
+        if u >= 0.0 and u_new <= 0.0:
+            args = (t, h, u, rows)
+            polishes.append((t, t_new, args))
+            first_zero = brentq(radial._interpolant_u, t, t_new, args=args,
+                                xtol=radial._ZERO_TOL, rtol=radial._ZERO_TOL)
+            ts.append(first_zero)
+            break
+        ts.append(t_new)
+        t, u, v, fu, fv = t_new, u_new, v_new, fu_new, fv_new
+
+    table = radial._Dop853Table(
+        ts=np.array(ts),
+        t_old=np.array(t_old),
+        h=np.array(hs),
+        y_old=np.array(y_old),
+        coef=np.ascontiguousarray(np.array(coef).transpose(1, 0, 2)),
+    )
+    return table, first_zero
+
+
+
+
+def _bits(rows):
+    return [[(j, c.hex()) for j, c in row] for row in rows]
+
+
+@pytest.fixture(scope="module")
+def shot_set():
+    """The 192 shots of `solve_dirichlet_ball` at N 3-6, α ∈ {0, 0.5, 1, 2,
+    3, 4.5}, ε ∈ {0.005, 0.02, 0.05, 0.2} and amplitude a ∈ {1, 4}: the
+    arguments of each `_dop853_shot` call, with the reference stepper's
+    table, zero and polishes."""
+    calls = []
+    real = radial._dop853_shot
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radial, "_dop853_shot", lambda *args: calls.append(args) or real(*args))
+        for n_dim in (3, 4, 5, 6):
+            for alpha in (0.0, 0.5, 1.0, 2.0, 3.0, 4.5):
+                for eps in (0.005, 0.02, 0.05, 0.2):
+                    for a in (1.0, 4.0):
+                        solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps), amplitude=a)
+    shots = []
+    for args in calls:
+        polishes = []
+        table, zero = _reference_shot(*args, polishes)
+        shots.append((args, table, zero, polishes))
+    return shots
+
+
+class TestReferenceStepper:
+    def test_literal_tableau_is_scipys(self):
+        # the only read of scipy's private tableau module
+        assert _bits(radial._A) == _bits(_nonzero(row) for row in _dop.A)
+        assert _bits(radial._D) == _bits(_nonzero(row) for row in _dop.D)
+        for name in ("B", "E3", "E5"):
+            assert _bits([getattr(radial, f"_{name}")]) == _bits([_nonzero(getattr(_dop, name))])
+        assert [c.hex() for c in radial._C] == [float(c).hex() for c in _dop.C]
+        assert len(radial._A) == _dop.N_STAGES_EXTENDED
+        assert radial._N_STAGES == _dop.N_STAGES
+
+    def test_stepper_matches_the_loop_reference(self, shot_set):
+        assert len(shot_set) == 192
+        for args, ref, ref_zero, _ in shot_set:
+            table, zero = radial._dop853_shot(*args)
+            assert zero is not None and repr(zero) == repr(ref_zero)
+            for name in ("ts", "t_old", "h", "y_old", "coef"):
+                got, want = getattr(table, name), getattr(ref, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    def test_brentq_matches_scipy_on_the_polishes(self, shot_set):
+        polishes = [p for *_, shot_polishes in shot_set for p in shot_polishes]
+        assert len(polishes) == 192
+        tol = radial._ZERO_TOL
+        for lo, hi, args in polishes:
+            calls = []
+
+            def f(r):
+                calls.append(r)
+                return radial._interpolant_u(r, *args)
+
+            got = radial._brentq(f, lo, hi, tol, tol)
+            got_calls, calls[:] = calls[:], []
+            want = brentq(f, lo, hi, xtol=tol, rtol=tol)
+            assert repr(got) == repr(want) and got_calls == calls
+
+
+class TestBrentq:
+    # brackets that make Brent's method interpolate, extrapolate and bisect
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.exp(x) - 1e4, -5.0, 20.0),
+        (lambda x: (x - 0.3) ** 5, -1.0, 2.0),
+        (lambda x: math.copysign(1.0, x - 1.0 / 3.0), 0.0, 1.0),
+        (lambda x: x, -1.0, 1.0),
+    ])
+    @pytest.mark.parametrize("xtol", [1e-10, 2e-12])
+    def test_matches_scipy_bit_for_bit(self, f, lo, hi, xtol):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        got = radial._brentq(counted, lo, hi, xtol, 8.9e-16)
+        got_calls, calls[:] = calls[:], []
+        want = brentq(counted, lo, hi, xtol=xtol, rtol=8.9e-16)
+        assert repr(got) == repr(want) and got_calls == calls
+
+    def test_matches_scipy_on_random_polynomials(self):
+        # a loose xtol makes the step-acceptance bound 3|sbis| - delta matter
+        rng = np.random.default_rng(3)
+        compared = 0
+        for _ in range(600):
+            c0, c1, c2, c3 = rng.uniform(-1.0, 1.0, 4)
+            k = int(rng.choice([1, 3, 5]))
+
+            def f(x):
+                calls.append(x)
+                return ((c0 * x + c1) * x + c2) * x**k + c3
+
+            calls = []
+            if f(-2.0) * f(2.0) >= 0.0:
+                continue
+            for xtol in (0.3, 0.1, 1e-2, 2e-12):
+                calls = []
+                got = radial._brentq(f, -2.0, 2.0, xtol, 8.9e-16)
+                got_calls, calls = calls, []
+                want = brentq(f, -2.0, 2.0, xtol=xtol, rtol=8.9e-16)
+                assert repr(got) == repr(want) and got_calls == calls
+                compared += 1
+        assert compared > 1000
+
+    def test_no_sign_change_is_a_numerics_error(self):
+        with pytest.raises(NumericsError, match=r"\[-1\.0, 1\.0\].*same sign"):
+            radial._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 8.9e-16)
+
+    def test_no_convergence_is_a_numerics_error(self):
+        # scipy gives up on this one too, at the same last x
+        def f(x):
+            return (x - 0.3) ** 9
+
+        last, info = brentq(f, -1.0, 2.0, xtol=2e-12, rtol=8.9e-16, full_output=True,
+                            disp=False)
+        assert not info.converged
+        with pytest.raises(NumericsError, match=r"\[-1\.0, 2\.0\] did not converge in 100 "
+                           rf"iterations; last x={last!r}$"):
+            radial._brentq(f, -1.0, 2.0, 2e-12, 8.9e-16)
+
+    def test_nan_is_a_numerics_error(self):
+        with pytest.raises(NumericsError, match=r"\[0\.0, 1\.0\].*NaN at x=1\.0"):
+            radial._brentq(lambda x: math.nan if x > 0.6 else x - 0.25, 0.0, 1.0,
+                           1e-12, 8.9e-16)
 
 
 class TestFowlerCheck:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.integrate
 import scipy.interpolate
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -383,7 +384,7 @@ class TestPrufer:
             spans.append(tuple(t_span))
             return solve_ivp(fun, t_span, *args, **kwargs)
 
-        monkeypatch.setattr(spectral, "solve_ivp", counting_solve_ivp)
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
         prufer_eigen(ball_problem, 1, (lam1 - 0.05, lam1 + 0.05))
         # the node of prufer_eigen's table where V = r² q peaks
         t0, t1 = math.log(1e-7), 0.0
