@@ -55,7 +55,6 @@ from .spectral import (
     default_spectral_grid,
     radial_pencil,
     solve_eigen,
-    solve_pencil_pair,
 )
 
 log = logging.getLogger("henonball")
@@ -96,8 +95,9 @@ class _ProfileTable:
     """u and u' of a profile, read once on the fine grid of the
     N_POINTS/2·N_POINTS pair.  `default_spectral_grid(1, n)` is bit for bit
     every other node of `default_spectral_grid(1, 2n)`, since linspace's step
-    halves exactly, so the table answers `evaluate` on both grids, and both
-    pencils of the pair, the radial pencil and z read this one evaluation.
+    halves exactly, so the table answers `evaluate` on both grids: both
+    pencils of the pair and z in `flux_gap` and `lambda_values`, and the fine
+    pencil plus the radial pencil in `morse_index`, read this one evaluation.
     `SLProblem.from_profile` takes it in place of the profile."""
 
     def __init__(self, profile: RadialProfile):
@@ -436,44 +436,41 @@ def morse_index(
 ) -> MorseIndexReport:
     """Morse index of the radial solution at (α, ε), both weightings.
 
-    Channel counts #{j : Λ_j^ε(α) < -σ_k} come from the fine pencil's
-    inertia at the shifts -σ_k (exact for the discretized operator), k
-    running until σ_k ≥ |Λ₁| where no eigenvalue can lie below -σ_k.
-    Requesting a point where one of Λ₁..Λ₃ lies within 1e-4 of some -σ_k
-    raises DegeneratePointError.  Λ₁..Λ₃, the channel counts and the
-    radial count all read one profile evaluation on the fine grid."""
+    Every count is an inertia count (Sylvester's law), exact for the
+    discretized operator; no eigenvalue is solved.  The channel count n_k =
+    #{j : Λ_j^ε(α) < -σ_k} is the fine pencil's count at -σ_k ∓ 1e-4, for
+    k = 1, 2, ... until it is 0; the two counts differ when some eigenvalue
+    of the fine pencil lies within 1e-4 of -σ_k, and that raises
+    DegeneratePointError.  The radial count is the radial pencil's count at
+    ∓1e-6; an eigenvalue between raises DegeneratePointError too.  The fine
+    pencil (the 2·N_POINTS grid of `lambda_values`) and the radial pencil
+    read one profile evaluation on the fine grid."""
     degeneracy_tol = 1e-4
     cache = cache or SolverCache()
     table = _ProfileTable(cache.profile(n_dim, alpha, eps))
-    problem = SLProblem.from_profile(table)
-    # lambda_values' pencil pair; the fine pencil gives the inertia counts
-    coarse, fine = (assemble_pencil(problem, default_spectral_grid(1.0, n))
-                    for n in (N_POINTS, 2 * N_POINTS))
-    lambdas = [r.extrapolated for r in solve_pencil_pair(coarse, fine, 3, with_vectors=False)]
-    lam1 = lambdas[0]
+    fine = assemble_pencil(SLProblem.from_profile(table),
+                           default_spectral_grid(1.0, 2 * N_POINTS))
     channel = []
     k = 1
     while True:
         sigma_k, _ = sphere_eigen(n_dim, k)
-        if min(abs(l + sigma_k) for l in lambdas) < degeneracy_tol:
+        below, above = fine.count([-sigma_k - degeneracy_tol, -sigma_k + degeneracy_tol]).tolist()
+        if below != above:
             raise DegeneratePointError(
                 f"alpha={alpha} is within {degeneracy_tol} of a crossing "
                 f"with sigma_{k}: at bifurcation point"
             )
-        if sigma_k >= -lam1:
-            break  # no eigenvalue can sit below -sigma_k beyond this k
-        n_k = int(fine.count(-sigma_k))
-        if n_k == 0:
+        if below == 0:
             break
-        channel.append((k, n_k))
+        channel.append((k, below))
         k += 1
 
     rad = radial_pencil(table, n_points=N_POINTS)
-    if rad.count(1e-6) != rad.count(-1e-6):
+    radial_count, radial_above = rad.count([-1e-6, 1e-6]).tolist()
+    if radial_count != radial_above:
         raise DegeneratePointError(
             "radial linearization has an eigenvalue at 0: degenerate profile"
         )
-    radial_count = int(rad.count(0.0))
 
     return MorseIndexReport(
         radial_count=radial_count,

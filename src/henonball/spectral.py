@@ -57,7 +57,6 @@ __all__ = [
     "assemble_pencil",
     "default_spectral_grid",
     "solve_eigen",
-    "solve_pencil_pair",
     "prufer_eigen",
     "limit_eigen",
     "limit_problem",
@@ -462,25 +461,12 @@ def solve_eigen(
     error (see EigenResult).  Both grids' values are
     inertia-certified and must increase strictly.  Eigenvectors, if asked
     for, come from the fine grid with their node-count certificate.  The
-    grids have n_points and 2·n_points nodes (`default_spectral_grid`); see
-    `solve_pencil_pair`.
+    grids have n_points and 2·n_points nodes (`default_spectral_grid`).
     """
-    coarse = assemble_pencil(problem, default_spectral_grid(problem.r_end, n_points))
-    fine = assemble_pencil(problem, default_spectral_grid(problem.r_end, 2 * n_points))
-    return solve_pencil_pair(coarse, fine, count, with_vectors)
-
-
-def solve_pencil_pair(
-    coarse: Pencil,
-    fine: Pencil,
-    count: int = 1,
-    with_vectors: bool = True,
-) -> list[EigenResult]:
-    """`solve_eigen` on pencils already assembled on a grid and on its
-    refinement with twice the nodes, for a caller that reads the pencils
-    again."""
     if count < 1:
         raise DomainError("count must be >= 1")
+    coarse = assemble_pencil(problem, default_spectral_grid(problem.r_end, n_points))
+    fine = assemble_pencil(problem, default_spectral_grid(problem.r_end, 2 * n_points))
     js = list(range(1, count + 1))
     lam_c = coarse.eigenvalue_batch(js)
     if with_vectors:

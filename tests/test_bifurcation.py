@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import json
 import logging
 import math
 import weakref
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from henonball import bifurcation
+from henonball import bifurcation, spectral
 from henonball.bifurcation import (
     SolverCache,
     find_bifurcation_alpha,
@@ -24,7 +26,7 @@ from henonball.closedform import (
 )
 from henonball.errors import BracketError, DegeneratePointError, DomainError
 from henonball.radial import RadialProfile
-from henonball.spectral import default_spectral_grid
+from henonball.spectral import Pencil, default_spectral_grid
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +253,11 @@ class TestMorseIndex:
         hi = morse_index(3, 0.01, 2.05, cache=cache)
         assert hi.index_invariant - lo.index_invariant == 1
         assert hi.index_full - lo.index_full == 5  # multiplicity of sigma_2, N=3
+        for rep in (lo, hi):
+            counts = [rep.radial_count, rep.index_full, rep.index_invariant,
+                      *(c for pair in rep.channel_counts for c in pair)]
+            assert all(type(c) is int for c in counts)
+            json.dumps(dataclasses.asdict(rep))  # np.int64 would raise TypeError
 
     def test_constant_on_each_side(self, cache):
         a = morse_index(3, 0.01, 1.90, cache=cache)
@@ -272,6 +279,64 @@ class TestMorseIndex:
     def test_degenerate_point_rejected(self, cache):
         with pytest.raises(DegeneratePointError):
             morse_index(3, 0.01, 2.0, cache=cache)
+
+    def test_inertia_counts_only(self, monkeypatch):
+        # no eigenvalue is solved, and only the fine and radial pencils
+        # are assembled
+        def forbidden(*args, **kwargs):
+            raise AssertionError("morse_index solved an eigenvalue")
+
+        monkeypatch.setattr(spectral, "eigh_tridiagonal", forbidden)
+        for name in ("lowest_pair", "eigenvalue_batch", "eigenvectors"):
+            monkeypatch.setattr(Pencil, name, forbidden)
+        assembled, assemble = [], spectral.assemble_pencil
+
+        def recorded(*args, **kwargs):
+            pencil = assemble(*args, **kwargs)
+            assembled.append((pencil.n, pencil.shift is None))
+            return pencil
+
+        monkeypatch.setattr(spectral, "assemble_pencil", recorded)
+        monkeypatch.setattr(bifurcation, "assemble_pencil", recorded)
+        rep = morse_index(3, 0.01, 1.95)
+        assert rep.radial_count == 1 and rep.channel_counts
+        n = bifurcation.N_POINTS
+        # the fine unit-ball pencil keeps its shift; the radial one has none
+        assert sorted(assembled) == [(n, True), (2 * n, False)]
+
+    @pytest.mark.parametrize("n_dim, eps", [(3, 0.01), (4, 0.05)])
+    def test_counts_match_lowest_eigenvalues(self, n_dim, eps):
+        # n_k against #{j <= 3 : Lambda_j < -sigma_k} from the eigen solve,
+        # away from the crossings near alpha = 0, 2, 4
+        mismatches = []
+        for alpha in np.arange(0.25, 5.0, 0.25).tolist():
+            if min(abs(alpha - a) for a in (0.0, 2.0, 4.0)) < 0.02:
+                continue
+            cache = SolverCache()
+            counts = dict(morse_index(n_dim, eps, alpha, cache).channel_counts)
+            lams = lambda_values(n_dim, eps, alpha, 3, cache)
+            assert list(counts) == list(range(1, len(counts) + 1))
+            for k in range(1, len(counts) + 2):
+                sigma, _ = sphere_eigen(n_dim, k)
+                want = sum(lam < -sigma for lam in lams)
+                if min(counts.get(k, 0), 3) != want:
+                    mismatches.append((alpha, k, counts.get(k, 0), want))
+        assert mismatches == []
+
+    def test_degeneracy_window_at_k2_crossing(self, cache):
+        alpha2 = find_bifurcation_alpha(3, 0.01, 2, cache=cache).alpha_k_eps
+        for d in (-1e-5, 1e-5):
+            with pytest.raises(DegeneratePointError, match="sigma_2"):
+                morse_index(3, 0.01, alpha2 + d, cache=cache)
+        assert morse_index(3, 0.01, alpha2 + 1e-3, cache=cache).index_full == 9
+        assert morse_index(3, 0.01, alpha2 - 1e-3, cache=cache).index_full == 4
+
+    def test_radial_zero_eigenvalue_rejected(self, cache, monkeypatch):
+        # a radial pencil with eigenvalues -1, 0, 1
+        monkeypatch.setattr(bifurcation, "radial_pencil", lambda *a, **k: Pencil(
+            np.arange(1.0, 4.0), np.array([-1.0, 0.0, 1.0]), np.zeros(2), np.ones(3)))
+        with pytest.raises(DegeneratePointError, match="radial linearization"):
+            morse_index(3, 0.01, 1.95, cache=cache)
 
 
 class TestLambda2Floor:
