@@ -34,6 +34,7 @@ as long as the call.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -45,7 +46,6 @@ from .closedform import (
     bifurcation_alpha,
     lambda1_closed,
     sphere_eigen,
-    sphere_multiplicity,
 )
 from .errors import BracketError, DegeneratePointError, DomainError
 from .radial import RadialProfile, _brentq, solve_dirichlet_ball
@@ -53,7 +53,6 @@ from .spectral import (
     SLProblem,
     assemble_pencil,
     default_spectral_grid,
-    radial_pencil,
     solve_eigen,
 )
 
@@ -97,7 +96,7 @@ class _ProfileTable:
     every other node of `default_spectral_grid(1, 2n)`, since linspace's step
     halves exactly, so the table answers `evaluate` on both grids: both
     pencils of the pair and z in `flux_gap` and `lambda_values`, and the fine
-    pencil plus the radial pencil in `morse_index`, read this one evaluation.
+    pencil of `morse_index`, read this one evaluation.
     `SLProblem.from_profile` takes it in place of the profile."""
 
     def __init__(self, profile: RadialProfile):
@@ -414,13 +413,15 @@ def _scan_search(n_dim, k, lo, hi, samples, where) -> BifurcationPoint:
 
 @dataclass(frozen=True)
 class MorseIndexReport:
-    """Negative-direction counts of the linearization at one (α, ε).
+    """Negative-direction counts of the linearization at one (α, ε), all
+    from one pencil (see `morse_index`).
 
-    channel_counts lists (k, n_k) for k ≥ 1, where Λ_j^ε(α) < -σ_k exactly
-    for j ≤ n_k.  index_full weights each channel k by the dimension of its
-    spherical-harmonic eigenspace; index_invariant counts each channel once
-    (the O(N-1)-invariant slice is one-dimensional).  Both include the
-    radial_count purely radial negative directions."""
+    radial_count is n_0 = #{j : Λ_j^ε(α) < 0}, the purely radial negative
+    directions.  channel_counts lists (k, n_k) for k ≥ 1, where
+    Λ_j^ε(α) < -σ_k exactly for j ≤ n_k.  index_full = Σ_{k≥0} N_k n_k
+    weights each channel k by the dimension N_k of its spherical-harmonic
+    eigenspace (N_0 = 1); index_invariant = Σ_{k≥0} n_k counts each channel
+    once (the O(N-1)-invariant slice is one-dimensional)."""
 
     radial_count: int
     channel_counts: tuple[tuple[int, int], ...]  # (k, #negative j's)
@@ -436,46 +437,47 @@ def morse_index(
 ) -> MorseIndexReport:
     """Morse index of the radial solution at (α, ε), both weightings.
 
-    Every count is an inertia count (Sylvester's law), exact for the
-    discretized operator; no eigenvalue is solved.  The channel count n_k =
-    #{j : Λ_j^ε(α) < -σ_k} is the fine pencil's count at -σ_k ∓ 1e-4, for
-    k = 1, 2, ... until it is 0; the two counts differ when some eigenvalue
-    of the fine pencil lies within 1e-4 of -σ_k, and that raises
-    DegeneratePointError.  The radial count is the radial pencil's count at
-    ∓1e-6; an eigenvalue between raises DegeneratePointError too.  The fine
-    pencil (the 2·N_POINTS grid of `lambda_values`) and the radial pencil
-    read one profile evaluation on the fine grid."""
+    One pencil, one window.  The index is Σ_{k≥0} N_k·n_k with
+    n_k = #{j : Λ_j^ε(α) < -σ_k}, σ_0 = 0 and N_0 = 1, so the radial count
+    is channel k = 0 of the same r^-2-weighted pencil: by Sylvester's law
+    the positive weight does not change the inertia at -σ_k.  Every count
+    is an inertia count of the fine pencil (the 2·N_POINTS grid of
+    `lambda_values`, which reads one profile evaluation), exact for the
+    discretized operator; no eigenvalue is solved.  For k = 0, 1, 2, ...
+    n_k is the fine pencil's count at -σ_k - 1e-4, and the loop stops at the
+    first k with n_k = 0.  When the counts at -σ_k ∓ 1e-4 differ, some
+    eigenvalue of the fine pencil lies within 1e-4 of -σ_k, and that raises
+    DegeneratePointError; for k = 0 the message names the radial
+    linearization.
+
+    Degeneracy is judged on the fine pencil, not on the extrapolated Λ₁^ε
+    that `find_bifurcation_alpha` roots, and the fine pencil's own crossing
+    can sit about 3e-5 in α from `alpha_k_eps`.  At (N, ε, k) = (4, 0.2, 3)
+    its Λ₁ + σ_3 at the reported root is about -1.1e-4, so a call at that
+    root returns the fine pencil's counts and does not raise."""
     degeneracy_tol = 1e-4
     cache = cache or SolverCache()
     table = _ProfileTable(cache.profile(n_dim, alpha, eps))
     fine = assemble_pencil(SLProblem.from_profile(table),
                            default_spectral_grid(1.0, 2 * N_POINTS))
-    channel = []
-    k = 1
-    while True:
-        sigma_k, _ = sphere_eigen(n_dim, k)
+    counts = []  # (k, n_k, N_k)
+    for k in itertools.count():
+        sigma_k, mult = sphere_eigen(n_dim, k)
         below, above = fine.count([-sigma_k - degeneracy_tol, -sigma_k + degeneracy_tol]).tolist()
         if below != above:
             raise DegeneratePointError(
-                f"alpha={alpha} is within {degeneracy_tol} of a crossing "
-                f"with sigma_{k}: at bifurcation point"
+                (f"radial linearization has an eigenvalue within {degeneracy_tol} "
+                 f"of 0 at alpha={alpha}: degenerate profile") if k == 0 else
+                (f"alpha={alpha} is within {degeneracy_tol} of a crossing "
+                 f"with sigma_{k}: at bifurcation point")
             )
         if below == 0:
             break
-        channel.append((k, below))
-        k += 1
-
-    rad = radial_pencil(table, n_points=N_POINTS)
-    radial_count, radial_above = rad.count([-1e-6, 1e-6]).tolist()
-    if radial_count != radial_above:
-        raise DegeneratePointError(
-            "radial linearization has an eigenvalue at 0: degenerate profile"
-        )
+        counts.append((k, below, mult))
 
     return MorseIndexReport(
-        radial_count=radial_count,
-        channel_counts=tuple(channel),
-        index_full=radial_count + sum(n_k * sphere_multiplicity(n_dim, k)
-                                      for k, n_k in channel),
-        index_invariant=radial_count + sum(n_k for _, n_k in channel),
+        radial_count=counts[0][1] if counts else 0,
+        channel_counts=tuple((k, n_k) for k, n_k, _ in counts[1:]),
+        index_full=sum(n_k * mult for _, n_k, mult in counts),
+        index_invariant=sum(n_k for _, n_k, _ in counts),
     )

@@ -4,13 +4,14 @@ Subcommands: solve, rescale, spectrum, bifurcate, sweep, verify.  All outputs
 are deterministic (identical invocations produce byte-identical files), files
 are written atomically, and every option is parsed and checked by argparse
 before any computation starts.  Exit codes: 0 success, 1 failed verification
-criteria, 2 invalid parameters, 3 numerical failure.
+criteria, 2 invalid parameters, 3 numerical failure.  Only `solve
+--cache-dir DIR` reads or writes a profile cache; no other run touches one.
 
 Arguments can be kept in a file and passed as `@FILE`, e.g.
 `henonball bifurcate @run.args --format json`.  The file holds one argument
-per line, written `--key=value` (a flag is just `--no-cache`), with no blank
-lines or comments; its arguments are spliced in where `@FILE` stands, so
-whichever occurrence of an option comes later on the line wins.
+per line, written `--key=value`, with no blank lines or comments; its
+arguments are spliced in where `@FILE` stands, so whichever occurrence of an
+option comes later on the line wins.
 """
 
 from __future__ import annotations
@@ -106,10 +107,12 @@ def emit_table(args, kind: str, header: tuple[str, ...], rows: list[dict]) -> No
 
 
 def cmd_solve(args) -> int:
-    cache = hio.ProfileCache(args.cache_dir)
     params = ProblemParams(args.N, args.alpha, args.eps)
-    key = cache.key(params.n_dim, params.alpha, params.eps, args.tol)
-    text = None if args.no_cache else cache.load_text(key)
+    cache = text = None
+    if args.cache_dir is not None:
+        cache = hio.ProfileCache(args.cache_dir)
+        key = cache.key(params.n_dim, params.alpha, params.eps, args.tol)
+        text = cache.load_text(key)
     if text is None:
         profile = solve_dirichlet_ball(params, tol=args.tol)
         residuals = {
@@ -117,7 +120,7 @@ def cmd_solve(args) -> int:
             "decay_margin": decay_bound_check(profile),
         }
         text = hio.dumps_json(hio.profile_to_dict(profile, residuals))
-        if not args.no_cache:
+        if cache is not None:
             try:
                 cache.store_text(key, text)
             except OSError as err:
@@ -244,8 +247,7 @@ OPTIONS = {
     "alpha": {"type": float, "required": True},
     "eps": {"type": float, "required": True},
     "tol": {"type": float, "default": 1e-10, "help": "radial integrator tolerance"},
-    "no_cache": {"action": "store_true"},
-    "cache_dir": {},
+    "cache_dir": {"help": "profile cache directory; without it nothing is cached"},
     # assemble_pencil needs at least 3 nodes
     "grid_points": {"type": int_at_least(3)},
     "count": {"type": int_at_least(1), "default": 3},
@@ -263,7 +265,7 @@ OPTIONS = {
 # an inner tuple is a group of options of which exactly one must be given
 SUBCOMMANDS = (
     ("solve", cmd_solve, "radial Dirichlet solution as a JSON artifact",
-     ("N", "alpha", "eps", "tol", "no_cache", "cache_dir")),
+     ("N", "alpha", "eps", "tol", "cache_dir")),
     ("rescale", cmd_rescale, "expanding-ball rescaling and bubble distance",
      ("N", "alpha", "eps", "tol")),
     ("spectrum", cmd_spectrum, "lowest eigenvalues of the linearization",

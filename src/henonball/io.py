@@ -26,7 +26,6 @@ from .rescaling import RescaledProfile
 
 __all__ = [
     "SCHEMA_VERSION",
-    "CACHE_ENV_VAR",
     "fmt_float",
     "dumps_json",
     "atomic_write_text",
@@ -37,7 +36,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-CACHE_ENV_VAR = "HENONBALL_CACHE_DIR"
 
 
 def fmt_float(x: float) -> str:
@@ -121,7 +119,7 @@ def rows_to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 class ProfileCache:
-    """Content-addressed store of radial-profile artifacts.
+    """Content-addressed store of radial-profile artifacts under `root`.
 
     The key hashes the exact solve inputs (N, α, ε, tolerance);
     hits return the artifact written by an identical earlier computation, so
@@ -129,11 +127,7 @@ class ProfileCache:
     the atomic writer (temp file + rename) making them safe per key under
     concurrent use."""
 
-    def __init__(self, root: str | Path | None = None):
-        if root is None:
-            root = os.environ.get(CACHE_ENV_VAR) or (
-                Path.home() / ".cache" / "henonball"
-            )
+    def __init__(self, root: str | Path):
         self.root = Path(root)
 
     def key(self, n_dim: int, alpha: float, eps: float, tol: float) -> str:

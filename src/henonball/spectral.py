@@ -5,12 +5,15 @@ The eigenvalue problem is
     -z'' - (N-1)/r z' - q(r) z = Λ z / r²,   z(0) = z(R) = 0,
 
 discretized in the self-adjoint form -(r^(N-1) z')' - r^(N-1) q z = Λ r^(N-3) z
-by a conservative three-point scheme on a graded grid.  Both pencil matrices
-are symmetric tridiagonal (the weight matrix diagonal).  Every eigenvalue
-carries an inertia certificate from the pencil's own Sturm count and every
-eigenvector a node-count certificate.  The lowest pair of a unit-ball
-pencil, whose Λ₁ lies just above the closed-form limit value, comes from
-shifted inverse iteration with O(n) tridiagonal solves
+by a conservative three-point scheme on a graded grid (`assemble_pencil`, the
+one assembler).  Both pencil matrices are symmetric tridiagonal (the weight
+matrix diagonal).  The purely radial (k = 0) linearization needs no pencil of
+its own: by Sylvester's law its inertia at 0 does not depend on the positive
+weight, so it is this pencil's count at 0 (see `bifurcation.morse_index`).
+Every eigenvalue carries an inertia certificate from the pencil's own Sturm
+count and every eigenvector a node-count certificate.  The lowest pair of a
+unit-ball pencil, whose Λ₁ lies just above the closed-form limit value, comes
+from shifted inverse iteration with O(n) tridiagonal solves
 (`Pencil.lowest_pair`); the other pairs, and every pair of a pencil without
 that shift, come from LAPACK's bisection and inverse iteration through
 `eigh_tridiagonal` (`Pencil.eigenvalue_batch`, `Pencil.eigenvectors`).
@@ -61,7 +64,6 @@ __all__ = [
     "limit_eigen",
     "limit_problem",
     "radial_kernel_test",
-    "radial_pencil",
     "scale_equivalence_test",
     "eigfun_decay_check",
 ]
@@ -83,8 +85,9 @@ _RESIDUAL_ULPS = 4.0
 class SLProblem:
     """Potential q ≥ 0 on (0, r_end) for the r^-2-weighted problem above.
 
-    `shift`, when set, lies at or just below Λ₁; the Dirichlet pencils of
-    the problem then take their lowest pair from `Pencil.lowest_pair`."""
+    `shift`, when set, lies at or just below Λ₁; every pencil of the
+    problem then takes it and its lowest pair comes from
+    `Pencil.lowest_pair`."""
 
     n_dim: int
     r_end: float
@@ -149,8 +152,9 @@ class Pencil:
     positive).  `count(x)` is the number of eigenvalues at or below x: LAPACK
     stebz's Sturm count on the pencil's own A - xB (Sylvester's law, B > 0).
     The fast eigenvalue path runs stebz on T = B^-1/2 A B^-1/2 instead, so
-    the count certifies it independently.  `shift`, when set, lies at or
-    just below the lowest eigenvalue, and the lowest pair then comes from
+    the count certifies it independently.  `shift` is the problem's
+    (`SLProblem.shift`, handed on by `assemble_pencil`); when set, it lies at
+    or just below the lowest eigenvalue, and the lowest pair then comes from
     `lowest_pair`."""
 
     grid: np.ndarray
@@ -378,21 +382,14 @@ def node_count(z: np.ndarray) -> int:
     return int(np.sum(zz[:-1] * zz[1:] < 0))
 
 
-def assemble_pencil(
-    problem: SLProblem,
-    grid: np.ndarray,
-    left_bc: str = "dirichlet",
-    weight_power: float | None = None,
-) -> Pencil:
+def assemble_pencil(problem: SLProblem, grid: np.ndarray) -> Pencil:
     """Conservative three-point discretization of
-    -(r^(N-1) z')' - r^(N-1) q z = Λ r^w z on the given interior grid.
+    -(r^(N-1) z')' - r^(N-1) q z = Λ r^(N-3) z on the given interior grid,
+    with Dirichlet values at both domain ends.  The pencil takes the
+    problem's shift.
 
     `grid` must be strictly increasing inside (0, r_end); the first node must
-    be positive.  Dirichlet values are imposed at both domain ends; for the
-    purely radial (k = 0) problem pass left_bc="natural" (no flux through
-    r = 0) and weight_power N-1.  Default weight power is N-3, the r^-2
-    spectral weight.  The pencil takes the problem's shift only with both
-    defaults, the spectrum the shift was derived for.
+    be positive.
     """
     r = np.asarray(grid, dtype=float)
     if r.ndim != 1 or r.size < 3:
@@ -401,10 +398,7 @@ def assemble_pencil(
         raise DomainError("first grid node must be > 0 (the origin is singular)")
     if np.any(np.diff(r) <= 0) or r[-1] >= problem.r_end:
         raise DomainError("grid must increase strictly and stay inside the domain")
-    if left_bc not in ("dirichlet", "natural"):
-        raise DomainError(f"unknown left_bc {left_bc!r}")
     ndm1 = problem.n_dim - 1.0
-    w = ndm1 - 2.0 if weight_power is None else float(weight_power)
 
     nodes = np.concatenate([[0.0], r, [problem.r_end]])
     gaps = np.diff(nodes)                       # n+1 gaps
@@ -415,16 +409,10 @@ def assemble_pencil(
     qv = np.asarray(problem.q(r), dtype=float)
     a_diag = flux[:-1] + flux[1:] - r**ndm1 * qv * cell
     a_off = -flux[1:-1]
-    b_diag = r**w * cell
-    if left_bc == "natural":
-        # half-open first cell [0, mid_0]: no flux through the origin
-        a_diag[0] = flux[1] - r[0] ** ndm1 * qv[0] * mids[1]
-        b_diag[0] = r[0] ** w * mids[1]
+    b_diag = r ** (ndm1 - 2.0) * cell
     if np.any(b_diag <= 0):
         raise NumericsError("weight matrix lost positivity")
-    # the problem's shift belongs to its Dirichlet, r^-2-weighted spectrum
-    shift = problem.shift if left_bc == "dirichlet" and weight_power is None else None
-    return Pencil(grid=r, a_diag=a_diag, a_off=a_off, b_diag=b_diag, shift=shift)
+    return Pencil(grid=r, a_diag=a_diag, a_off=a_off, b_diag=b_diag, shift=problem.shift)
 
 
 @dataclass
@@ -626,18 +614,6 @@ def radial_kernel_test(profile: RadialProfile) -> float:
     beta = (2.0 + pr.alpha) / (pr.p - 1.0)
     _, du1 = profile.evaluate(1.0, derivative=True)
     return float(du1 / (beta * profile.u0))
-
-
-def radial_pencil(profile: RadialProfile, n_points: int = 2000) -> Pencil:
-    """Pencil of the purely radial (k = 0) linearization: plain r^(N-1)
-    weight, no flux through the origin, Dirichlet at r = 1.  Its inertia at 0
-    is the radial Morse index; an eigenvalue at 0 would mean radial
-    degeneracy."""
-    problem = SLProblem.from_profile(profile)
-    grid = default_spectral_grid(1.0, n_points)
-    return assemble_pencil(
-        problem, grid, left_bc="natural", weight_power=problem.n_dim - 1.0
-    )
 
 
 def scale_equivalence_test(profile: RadialProfile) -> float:

@@ -281,8 +281,7 @@ class TestMorseIndex:
             morse_index(3, 0.01, 2.0, cache=cache)
 
     def test_inertia_counts_only(self, monkeypatch):
-        # no eigenvalue is solved, and only the fine and radial pencils
-        # are assembled
+        # no eigenvalue is solved, and only the fine pencil is assembled
         def forbidden(*args, **kwargs):
             raise AssertionError("morse_index solved an eigenvalue")
 
@@ -300,9 +299,8 @@ class TestMorseIndex:
         monkeypatch.setattr(bifurcation, "assemble_pencil", recorded)
         rep = morse_index(3, 0.01, 1.95)
         assert rep.radial_count == 1 and rep.channel_counts
-        n = bifurcation.N_POINTS
-        # the fine unit-ball pencil keeps its shift; the radial one has none
-        assert sorted(assembled) == [(n, True), (2 * n, False)]
+        # the fine unit-ball pencil, which keeps its shift
+        assert assembled == [(2 * bifurcation.N_POINTS, False)]
 
     @pytest.mark.parametrize("n_dim, eps", [(3, 0.01), (4, 0.05)])
     def test_counts_match_lowest_eigenvalues(self, n_dim, eps):
@@ -332,11 +330,33 @@ class TestMorseIndex:
         assert morse_index(3, 0.01, alpha2 - 1e-3, cache=cache).index_full == 4
 
     def test_radial_zero_eigenvalue_rejected(self, cache, monkeypatch):
-        # a radial pencil with eigenvalues -1, 0, 1
-        monkeypatch.setattr(bifurcation, "radial_pencil", lambda *a, **k: Pencil(
+        # a pencil with eigenvalues -1, 0, 1: channel k = 0 is degenerate
+        monkeypatch.setattr(bifurcation, "assemble_pencil", lambda *a, **k: Pencil(
             np.arange(1.0, 4.0), np.array([-1.0, 0.0, 1.0]), np.zeros(2), np.ones(3)))
         with pytest.raises(DegeneratePointError, match="radial linearization"):
             morse_index(3, 0.01, 1.95, cache=cache)
+
+    @pytest.mark.parametrize("n_dim, eps, alpha, want", [
+        (3, 0.002, 5.0, (1, 16, 4)),
+        (4, 0.001, 5.5, (1, 30, 4)),
+    ])
+    def test_one_radial_direction_at_small_eps(self, n_dim, eps, alpha, want):
+        # a radial pencil of its own (r^(N-1) weight, 1,500 nodes) counted
+        # two radial negative directions here
+        rep = morse_index(n_dim, eps, alpha)
+        assert (rep.radial_count, rep.index_full, rep.index_invariant) == want
+
+    @pytest.mark.parametrize("eps", [0.05, 0.01])
+    @pytest.mark.parametrize("alpha", np.arange(0.5, 4.51, 0.5).tolist())
+    def test_one_radial_direction_over_c7_sweep(self, alpha, eps, cache):
+        # at N = 3, alpha_k^eps is within 1e-4 of 2(k-1), so alpha = 2 and 4
+        # raise for sigma_k, after channel k = 0 has been counted
+        if alpha in (2.0, 4.0):
+            k = int(alpha / 2.0 + 1.0)
+            with pytest.raises(DegeneratePointError, match=f"sigma_{k}"):
+                morse_index(3, eps, alpha, cache=cache)
+        else:
+            assert morse_index(3, eps, alpha, cache=cache).radial_count == 1
 
 
 class TestLambda2Floor:

@@ -26,8 +26,7 @@ REQUIRED = {
 # option -> (command-line text, the value argparse must hand to cmd_*)
 SAMPLES = {
     "N": ("3", 3), "alpha": ("2.0", 2.0), "eps": ("0.05", 0.05),
-    "tol": ("1e-9", 1e-9), "no_cache": (None, True),
-    "cache_dir": ("cache", "cache"), "grid_points": ("400", 400),
+    "tol": ("1e-9", 1e-9), "cache_dir": ("cache", "cache"), "grid_points": ("400", 400),
     "count": ("2", 2), "format": ("json", "json"), "k": ("2", 2),
     "eps_list": ("0.05,0.04", [0.05, 0.04]), "bracket": ("0.5:1.5", (0.5, 1.5)),
     "alpha_grid": ("1:2:3", [1.0, 1.5, 2.0]), "jobs": ("2", 2),
@@ -56,6 +55,7 @@ BAD_VALUES = [
 # (subcommand, option) pairs whose cmd_* never reads the option
 REJECTED = [
     ("solve", "--format"), ("solve", "--grid-points"), ("solve", "--amplitude"),
+    ("solve", "--no-cache"),
     ("rescale", "--format"), ("rescale", "--grid-points"),
     ("rescale", "--no-cache"), ("rescale", "--cache-dir"),
     ("spectrum", "--no-cache"), ("spectrum", "--cache-dir"),
@@ -260,7 +260,10 @@ def test_solve_cache_hit_miss_and_fresh_agree(tmp_path, monkeypatch):
     solve = ["solve", *POINT, "--cache-dir", str(tmp_path / "cache")]
     miss, hit, fresh = (tmp_path / name for name in ("miss.json", "hit.json", "fresh.json"))
     assert cli.main([*solve, "--out", str(miss)]) == cli.EXIT_OK
-    assert cli.main([*solve, "--no-cache", "--out", str(fresh)]) == cli.EXIT_OK
+    # without --cache-dir no profile cache is opened
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.hio, "ProfileCache", lambda *a: pytest.fail("cache opened"))
+        assert cli.main(["solve", *POINT, "--out", str(fresh)]) == cli.EXIT_OK
     # the second cached run must be served without solving
     monkeypatch.setattr(cli, "solve_dirichlet_ball", lambda *a, **k: pytest.fail("solved"))
     assert cli.main([*solve, "--out", str(hit)]) == cli.EXIT_OK
