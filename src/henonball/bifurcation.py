@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .closedform import (
     ProblemParams,
     bifurcation_alpha,
@@ -77,17 +78,27 @@ SEARCH_EVALUATIONS = 8
 
 
 class SolverCache:
-    """Memo of radial profiles and `flux_gap` results, keyed by (N, α, ε)."""
+    """Memo of radial profiles and `flux_gap` results, keyed by (N, α, ε),
+    and of limit spectra (`spectral.limit_eigen`), keyed by (N, α)."""
 
     def __init__(self):
         self._profiles: dict = {}
         self._gaps: dict = {}
+        self._limits: dict = {}
 
     def profile(self, n_dim: int, alpha: float, eps: float) -> RadialProfile:
         key = (n_dim, alpha, eps)
         if key not in self._profiles:
             self._profiles[key] = solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps))
         return self._profiles[key]
+
+    def limit(self, n_dim: int, alpha: float) -> spectral.LimitEigenResult:
+        key = (n_dim, alpha)
+        if key not in self._limits:
+            # looked up on the module at each call, so a wrapper set there
+            # (a tracer, a test) sees every solve
+            self._limits[key] = spectral.limit_eigen(n_dim, alpha)
+        return self._limits[key]
 
 
 class _ProfileTable:
@@ -142,7 +153,7 @@ def _grid_gap(table: _ProfileTable, problem: SLProblem, du1: float,
     """The identity's g and the pencil's Λ₁^ε on one spectral grid."""
     grid = default_spectral_grid(1.0, n_points)
     pencil = assemble_pencil(problem, grid)
-    lam, phi = pencil.lowest_pair()
+    lam, phi = pencil.pair(1)
     z = grid ** (-table.params.alpha / 2.0) * table.evaluate(grid, derivative=True)[1]
     overlap = np.dot(pencil.b_diag * phi, z)
     # φ'(1) from the quartic through the last four nodes and (1, 0)
@@ -160,7 +171,7 @@ def flux_gap(
     pencil's own first eigenvalue, each Richardson-extrapolated as
     (4·fine - coarse)/3 over the N_POINTS/2·N_POINTS grid pair.  Λ₁^ε equals
     `lambda_values(n_dim, eps, alpha, 1)[0]` to the last bit: both come from
-    `Pencil.lowest_pair` on the same pencils.
+    `Pencil.pair(1)` on the same pencils.
 
     On each grid φ is the pencil's first eigenvector with φ(0) = φ(1) = 0
     appended, φ'(1) is the five-point one-sided derivative through the last

@@ -11,33 +11,37 @@ matrix diagonal).  The purely radial (k = 0) linearization needs no pencil of
 its own: by Sylvester's law its inertia at 0 does not depend on the positive
 weight, so it is this pencil's count at 0 (see `bifurcation.morse_index`).
 Every eigenvalue carries an inertia certificate from the pencil's own Sturm
-count and every eigenvector a node-count certificate.  The lowest pair of a
-unit-ball pencil, whose Λ₁ lies just above the closed-form limit value, comes
-from shifted inverse iteration with O(n) tridiagonal solves
-(`Pencil.lowest_pair`); the other pairs, and every pair of a pencil without
-that shift, come from LAPACK's bisection and inverse iteration through
-`eigh_tridiagonal` (`Pencil.eigenvalue_batch`, `Pencil.eigenvectors`).
-`solve_eigen` extrapolates over two grids and returns one `EigenResult` per
-eigenvalue.
+count and every eigenvector a node-count certificate.  A problem may carry
+closed-form guesses `shifts`, the j-th near Λ_j: Λ₁(α) for the unit ball,
+whose Λ₁^ε lies just above it, and Λ₁(α) and 0 for the truncated limit
+problem.  Pair j ≤ len(shifts) comes from shifted inverse iteration with O(n)
+tridiagonal solves (`Pencil.pair`); the other pairs, and every pair of a
+problem without shifts (the expanding ball), come from LAPACK's bisection and
+inverse iteration through `eigh_tridiagonal` (`Pencil.eigenvalue_batch`,
+`Pencil.eigenvectors`).  `solve_eigen` extrapolates over two grids and
+returns one `EigenResult` per eigenvalue.
 
 A Prüfer-angle shooting method on the same truncated domain provides an
 independent oracle: it shoots the angle from both ends to a matching point
 where the potential peaks and root-finds the smooth angle mismatch there,
 integrating against a cubic spline of the potential tabulated once per call
-on a uniform log-r grid.  It integrates with scipy's `solve_ivp` and
-root-finds with scipy's `brentq`, not with the radial shot's own DOP853
-stepper and Brent port, so that the oracle shares no stepping or root-finding
-code with the profile it checks.  It loads `scipy.integrate`,
+on a uniform log-r grid.  It integrates with Hairer's Fortran DOP853 through
+`scipy.integrate.ode` and root-finds with scipy's `brentq`, not with the
+radial shot's own DOP853 stepper (a port of scipy's Python DOP853) and Brent
+port, so that the oracle shares no stepping or root-finding code with the
+profile it checks.  It loads `scipy.integrate`,
 `scipy.interpolate` and `scipy.optimize` on its first call; the rest of the
 module needs numpy and `scipy.linalg` alone.  The truncated entire-space
 limit problem reproduces the closed-form first eigenvalue
--(α+2)(2N+α-2)/4 and the zero second eigenvalue.
+-(α+2)(2N+α-2)/4 and the zero second eigenvalue of the bubble's dilation
+kernel.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -74,9 +78,9 @@ R_MIN = 1e-6
 PRUFER_DT = 1e-3
 # stebz tolerance that skips bisection: Sturm counts only
 _COUNT_ONLY_TOL = float(np.finfo(float).max)
-# solves of Pencil.lowest_pair: the first two at the pencil's own shift
+# solves of Pencil.pair: the first two at the closed-form shift
 _SHIFTED_SOLVES = 8
-# lowest_pair stops once its residual is within this many ulps of the terms
+# Pencil.pair stops once its residual is within this many ulps of the terms
 # it sums; the roundoff floor measured 0.2-0.6 ulps on 750 to 12000 nodes
 _RESIDUAL_ULPS = 4.0
 
@@ -85,20 +89,20 @@ _RESIDUAL_ULPS = 4.0
 class SLProblem:
     """Potential q ≥ 0 on (0, r_end) for the r^-2-weighted problem above.
 
-    `shift`, when set, lies at or just below Λ₁; every pencil of the
-    problem then takes it and its lowest pair comes from
-    `Pencil.lowest_pair`."""
+    `shifts[j-1]` is a closed-form value near Λ_j; every pencil of the
+    problem takes them, and its j-th pair for j ≤ len(shifts) comes from
+    `Pencil.pair(j)`."""
 
     n_dim: int
     r_end: float
     q: Callable[[np.ndarray], np.ndarray]
-    shift: float | None = None
+    shifts: tuple[float, ...] = ()
 
     @staticmethod
     def from_profile(profile: RadialProfile) -> "SLProblem":
         """Unit-ball form: q(r) = (p_α-ε) r^α u^(p_α-1-ε)(r), read through
         `profile.evaluate` (anything with RadialProfile's `params` and
-        `evaluate` serves).  Its shift is the closed-form limit value
+        `evaluate` serves).  Its one shift is the closed-form limit value
         Λ₁(α) = -(α+2)(2N+α-2)/4: Λ₁^ε(α) - Λ₁(α) is the boundary-flux gap
         g ≥ 0 (see `bifurcation`), so Λ₁^ε lies just above it."""
         pr = profile.params
@@ -108,7 +112,7 @@ class SLProblem:
             u = np.clip(np.asarray(profile.evaluate(r)), 0.0, None)
             return pr.p * np.asarray(r) ** pr.alpha * u**expn
 
-        return SLProblem(pr.n_dim, 1.0, q, shift=lambda1_closed(pr.n_dim, pr.alpha))
+        return SLProblem(pr.n_dim, 1.0, q, shifts=(lambda1_closed(pr.n_dim, pr.alpha),))
 
     @staticmethod
     def from_rescaled(rescaled: rescaling.RescaledProfile) -> "SLProblem":
@@ -125,7 +129,11 @@ class SLProblem:
 
 
 def limit_problem(n_dim: int, alpha: float, r_trunc: float = 1e3) -> SLProblem:
-    """Truncated entire-space limit: q(r) = p_α C λ^(2+α) r^α (1+λ^(2+α) r^(2+α))^-2."""
+    """Truncated entire-space limit: q(r) = p_α C λ^(2+α) r^α (1+λ^(2+α) r^(2+α))^-2.
+
+    Its shifts are the entire-space values Λ₁(α) = -(α+2)(2N+α-2)/4 and
+    Λ₂ = 0 (the bubble's dilation kernel), which the truncation moves only
+    slightly."""
     p_alpha = threshold_exponent(n_dim, alpha)
     c = henon_constant(n_dim, alpha)
     lam = limit_lambda(n_dim, alpha)
@@ -135,7 +143,7 @@ def limit_problem(n_dim: int, alpha: float, r_trunc: float = 1e3) -> SLProblem:
         x = (lam * r) ** (2.0 + alpha)
         return p_alpha * c * lam ** (2.0 + alpha) * r**alpha / (1.0 + x) ** 2
 
-    return SLProblem(n_dim, float(r_trunc), q)
+    return SLProblem(n_dim, float(r_trunc), q, shifts=(lambda1_closed(n_dim, alpha), 0.0))
 
 
 def default_spectral_grid(r_end: float, n_points: int = 2000) -> np.ndarray:
@@ -152,16 +160,15 @@ class Pencil:
     positive).  `count(x)` is the number of eigenvalues at or below x: LAPACK
     stebz's Sturm count on the pencil's own A - xB (Sylvester's law, B > 0).
     The fast eigenvalue path runs stebz on T = B^-1/2 A B^-1/2 instead, so
-    the count certifies it independently.  `shift` is the problem's
-    (`SLProblem.shift`, handed on by `assemble_pencil`); when set, it lies at
-    or just below the lowest eigenvalue, and the lowest pair then comes from
-    `lowest_pair`."""
+    the count certifies it independently.  `shifts` are the problem's
+    (`SLProblem.shifts`, handed on by `assemble_pencil`): `shifts[j-1]` lies
+    near the j-th eigenvalue, and pair j ≤ len(shifts) comes from `pair(j)`."""
 
     grid: np.ndarray
     a_diag: np.ndarray
     a_off: np.ndarray
     b_diag: np.ndarray
-    shift: float | None = None
+    shifts: tuple[float, ...] = ()
 
     @property
     def n(self) -> int:
@@ -203,8 +210,8 @@ class Pencil:
 
     def eigenvalue_batch(self, js: Sequence[int]) -> np.ndarray:
         """The js-th smallest eigenvalues (1-based), each certified against
-        this pencil's own inertia count.  With a shift, the first comes from
-        `lowest_pair`; the others come from Sturm-sequence bisection (LAPACK
+        this pencil's own inertia count.  Each j ≤ len(shifts) comes from
+        `pair(j)`; the others come from Sturm-sequence bisection (LAPACK
         stebz on the similarity-transformed tridiagonal), asked for the index
         range they span."""
         js = sorted(set(int(j) for j in js))
@@ -212,9 +219,8 @@ class Pencil:
             return np.empty(0)
         if js[0] < 1 or js[-1] > self.n:
             raise DomainError(f"eigenvalue index out of range 1..{self.n}")
-        if js[0] == 1 and self.shift is not None:
-            return np.concatenate([[self.lowest_pair()[0]], self._stebz_values(js[1:])])
-        return self._stebz_values(js)
+        shifted = [self.pair(j)[0] for j in js if j <= len(self.shifts)]
+        return np.concatenate([shifted, self._stebz_values(js[len(shifted):])])
 
     def _stebz_values(self, js: list[int]) -> np.ndarray:
         if not js:
@@ -238,14 +244,13 @@ class Pencil:
         `zs` per eigenvalue, each scaled to sup norm 1 with its first interior
         hump positive.  The values carry the inertia certificate and each
         vector the node-count certificate node_count == j-1; NumericsError
-        otherwise.  With a shift, the first pair comes from `lowest_pair`."""
+        otherwise.  Each pair j ≤ len(shifts) comes from `pair(j)`."""
         if not 1 <= count <= self.n:
             raise DomainError(f"eigenvalue count out of range 1..{self.n}")
-        if self.shift is None:
-            return self._stebz_pairs(1, count)
-        lam, phi = self.lowest_pair()
-        vals, zs = self._stebz_pairs(2, count)
-        return np.concatenate([[lam], vals]), np.vstack([phi, zs])
+        shifted = [self.pair(j) for j in range(1, min(count, len(self.shifts)) + 1)]
+        vals, zs = self._stebz_pairs(len(shifted) + 1, count)
+        return (np.concatenate([[lam for lam, _ in shifted], vals]),
+                np.vstack([*(z for _, z in shifted), zs]))
 
     def _stebz_pairs(self, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
         """Pairs first..last from stebz and stein, both certificates
@@ -269,47 +274,50 @@ class Pencil:
                 )
         return vals, zs
 
-    def lowest_pair(self) -> tuple[float, np.ndarray]:
-        """The lowest eigenvalue and its eigenvector, scaled as in
-        `eigenvectors`, by shifted inverse iteration from `shift`.
+    def pair(self, j: int) -> tuple[float, np.ndarray]:
+        """The j-th eigenvalue and its eigenvector, scaled as in
+        `eigenvectors`, by shifted inverse iteration from σ = `shifts[j-1]`;
+        1 ≤ j ≤ len(shifts).
 
-        Two solves of (A - σB) y = B x at σ = `shift`, from x = B·1, pull x
-        towards the eigenvector nearest σ; Rayleigh-quotient shifts then
-        converge cubically.  Each solve is one O(n) LAPACK gtsv.  Once the
-        residual |Ax - μBx|, in the B^-1 norm, is within a few ulps of the
-        terms it sums, |A||x| + |μ|B|x|, one more solve at that μ settles the
-        entries far below the sup norm, such as the tail at r -> 1 that
-        φ'(1) is read from; at most 8 solves in all.  Against stein's vector
-        the tail then agrees to about 1e-12 relative, down to tails 1e-17
-        of the sup norm.  The pair carries both certificates of
-        `eigenvectors`: the
-        inertia count places μ as the first eigenvalue, and x has no node.
-        When a certificate fails, a solve is singular or an iterate is not
-        finite, one WARNING on the "henonball" logger says so and the pair
-        comes from stebz and stein instead."""
-        if self.shift is None:
-            raise DomainError("lowest_pair needs a pencil with a shift")
+        Two solves of (A - σB) y = B x from x = B·1 pull x towards the
+        eigenvector nearest σ; Rayleigh-quotient shifts then converge
+        cubically.  Each solve is one O(n) LAPACK gtsv.  Once the residual
+        |Ax - μBx|, in the B^-1 norm, is within a few ulps of the terms it
+        sums, |A||x| + |μ|B|x|, one more solve at that μ settles the entries
+        far below the sup norm, such as the tail at r -> 1 that φ'(1) is read
+        from; at most 8 solves in all.  Against stein's vector the tail then
+        agrees to about 1e-12 relative, down to tails 1e-17 of the sup norm.
+        The pair carries both certificates of `eigenvectors`: the inertia
+        count places μ as the j-th eigenvalue, and x has j-1 nodes.  When a
+        certificate fails, a solve is singular or an iterate is not finite,
+        one WARNING on the "henonball" logger says so and the pair comes from
+        stebz and stein instead."""
+        if not 1 <= j <= len(self.shifts):
+            raise DomainError(
+                f"pair {j} needs a shift; this pencil has {len(self.shifts)}"
+            )
+        shift = self.shifts[j - 1]
         try:
-            lam, x = self._shifted_iteration()
-            self._certify([1], np.array([lam]))
+            lam, x = self._shifted_iteration(shift)
+            self._certify([j], np.array([lam]))
             nodes = node_count(x)
-            if nodes != 0:
+            if nodes != j - 1:
                 raise NumericsError(f"node-count certificate failed: {nodes} sign changes")
         except NumericsError as err:
-            log.warning("lowest eigenpair from the shift %.9g falls back to stebz: %s",
-                        self.shift, err)
-            vals, zs = self._stebz_pairs(1, 1)
+            log.warning("eigenpair %d from the shift %.9g falls back to stebz: %s",
+                        j, shift, err)
+            vals, zs = self._stebz_pairs(j, j)
             return float(vals[0]), zs[0]
         return lam, x * _first_hump_sign(x)
 
-    def _shifted_iteration(self) -> tuple[float, np.ndarray]:
-        """(μ, x) of the iteration in `lowest_pair`, x at sup norm 1."""
+    def _shifted_iteration(self, sigma: float) -> tuple[float, np.ndarray]:
+        """(μ, x) of the iteration in `pair` from σ, x at sup norm 1."""
         a, off, b = self.a_diag, self.a_off, self.b_diag
         abs_a, abs_off, inv_b = np.abs(a), np.abs(off), 1.0 / b
         tol = (_RESIDUAL_ULPS * np.finfo(float).eps) ** 2
-        x, mu, converged = b, self.shift, False
+        x, mu, converged = b, sigma, False
         for solve in range(_SHIFTED_SOLVES):
-            shift = self.shift if solve < 2 else mu
+            shift = sigma if solve < 2 else mu
             *_, y, info = dgtsv(off, a - shift * b, off, b * x)
             scale = np.max(np.abs(y)) if info == 0 else 0.0
             if not 0.0 < scale < np.inf:
@@ -322,7 +330,7 @@ class Pencil:
             residual = ax - mu * bx
             terms = _tridiagonal_product(abs_a, abs_off, np.abs(x)) + abs(mu) * np.abs(bx)
             # a norm is blind to the tail; the solve after this test
-            # settles it (see lowest_pair)
+            # settles it (see pair)
             converged = (np.dot(residual * residual, inv_b)
                          <= tol * np.dot(terms * terms, inv_b))
         return mu, x
@@ -386,7 +394,7 @@ def assemble_pencil(problem: SLProblem, grid: np.ndarray) -> Pencil:
     """Conservative three-point discretization of
     -(r^(N-1) z')' - r^(N-1) q z = Λ r^(N-3) z on the given interior grid,
     with Dirichlet values at both domain ends.  The pencil takes the
-    problem's shift.
+    problem's shifts.
 
     `grid` must be strictly increasing inside (0, r_end); the first node must
     be positive.
@@ -412,7 +420,7 @@ def assemble_pencil(problem: SLProblem, grid: np.ndarray) -> Pencil:
     b_diag = r ** (ndm1 - 2.0) * cell
     if np.any(b_diag <= 0):
         raise NumericsError("weight matrix lost positivity")
-    return Pencil(grid=r, a_diag=a_diag, a_off=a_off, b_diag=b_diag, shift=problem.shift)
+    return Pencil(grid=r, a_diag=a_diag, a_off=a_off, b_diag=b_diag, shifts=problem.shifts)
 
 
 @dataclass
@@ -491,20 +499,24 @@ def prufer_eigen(problem: SLProblem, j: int, bracket: tuple[float, float]) -> fl
     θ_L(t_m) - θ_R(t_m) is smooth and increasing in Λ, so brentq converges
     superlinearly on it; the end angle of a one-sided shot is instead close
     to a π-step in Λ, locked past the last turning point.  The bracket must
-    give mismatches of opposite sign.  scipy's `solve_ivp` runs DOP853 at
-    rtol 1e-11, atol 1e-12; it stays on scipy on purpose, so the oracle is
+    give mismatches of opposite sign.  Each shot runs Hairer's Fortran DOP853
+    (`scipy.integrate.ode`, scipy's default step limit) at rtol 1e-11,
+    atol 1e-12; it stays outside the package on purpose, so the oracle is
     independent of `radial`'s stepper, which computed the profile behind q.
+    A shot that the Fortran code abandons raises NumericsError with its
+    return code.
 
     V is tabulated once per call, with one array call of `problem.q`, on a
     uniform grid in t from log 1e-7 to log r_end with spacing at most
     PRUFER_DT = 1e-3 (~16k nodes on the unit ball), and the right-hand side
-    evaluates the cubic spline of that table.  For the bracket Λ₁ ± 0.05 at
-    N=3, α=2, ε=0.05 the call takes 6 mismatch evaluations, 12 half-length
+    evaluates the cubic spline of that table.  A table with a non-finite
+    entry raises DomainError.  For the bracket Λ₁ ± 0.05 at N=3, α=2,
+    ε=0.05 the call takes 6 mismatch evaluations, 12 half-length
     integrations.
     """
     # imported here to keep scipy.integrate, scipy.interpolate and
     # scipy.optimize out of the CLI's start-up
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import ode
     from scipy.interpolate import CubicSpline
     from scipy.optimize import brentq
 
@@ -515,29 +527,49 @@ def prufer_eigen(problem: SLProblem, j: int, bracket: tuple[float, float]) -> fl
     nodes = np.linspace(t0, t1, cells + 1)
     r = np.exp(nodes)
     v_tab = r * r * np.asarray(problem.q(r), dtype=float)
+    bad = ~np.isfinite(v_tab)
+    if np.any(bad):
+        raise DomainError(
+            f"Prüfer's potential table V = r² q(r) is not finite at {np.sum(bad)} "
+            f"of {v_tab.size} nodes, the first at r = {r[np.argmax(bad)]:.6g}"
+        )
     spline = CubicSpline(nodes, v_tab)
     t_m = float(nodes[min(max(int(np.argmax(v_tab)), 1), cells - 1)])
     # plain-Python Horner on memoryviews of the coefficient rows: no numpy
     # call per step, and no 16k-element float lists held during the shooting
     c3, c2, c1, c0 = (memoryview(row) for row in spline.c)
     dt = (t1 - t0) / cells
+    base = 0.0  # Λ - ((N-2)/2)² of the shot in flight
+
+    def rhs(t, theta):
+        i = min(max(int((t - t0) / dt), 0), cells - 1)
+        d = t - (t0 + i * dt)  # linspace's node i, bit for bit
+        v = base + ((c3[i] * d + c2[i]) * d + c1[i]) * d + c0[i]
+        s, c = math.sin(theta[0]), math.cos(theta[0])
+        return [c * c + v * s * s]
+
+    # one solver for every shot of the call: scipy's wrapper keeps a
+    # reference to the rhs and to the integrator on each run and never drops
+    # it, so a fresh pair per shot would pile up (about 0.7 kB per shot);
+    # set_initial_value restarts the Fortran code from scratch
+    shot = ode(rhs).set_integrator("dop853", rtol=1e-11, atol=1e-12)
 
     def angle(lam: float, t_start: float, theta_start: float) -> float:
+        nonlocal base
         base = lam - shift
-
-        def rhs(t, theta):
-            i = min(max(int((t - t0) / dt), 0), cells - 1)
-            d = t - (t0 + i * dt)  # linspace's node i, bit for bit
-            v = base + ((c3[i] * d + c2[i]) * d + c1[i]) * d + c0[i]
-            s, c = math.sin(theta[0]), math.cos(theta[0])
-            return [c * c + v * s * s]
-
-        sol = solve_ivp(
-            rhs, (t_start, t_m), [theta_start], method="DOP853", rtol=1e-11, atol=1e-12
-        )
-        if sol.status != 0:
-            raise NumericsError(f"Prüfer integration failed: {sol.message}")
-        return sol.y[0, -1]
+        shot.set_initial_value([theta_start], t_start)
+        # the wrapper also warns when the Fortran code gives up; the return
+        # code below reports it instead
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            theta = shot.integrate(t_m)
+        if not shot.successful():
+            said = "; ".join(str(w.message) for w in caught)
+            raise NumericsError(
+                f"Prüfer integration failed: DOP853 return code "
+                f"{shot.get_return_code()} ({said})"
+            )
+        return float(theta[0])
 
     def mismatch(lam: float) -> float:
         return angle(lam, t0, 0.0) - angle(lam, t1, j * math.pi)
@@ -558,9 +590,8 @@ def prufer_eigen(problem: SLProblem, j: int, bracket: tuple[float, float]) -> fl
 
         return float(brentq(matched, lo, hi, xtol=1e-10, rtol=8.9e-16))
     finally:
-        # each solve_ivp solver sits in a reference cycle that holds rhs, so
-        # the views would keep the spline table (0.5 MB) alive until the next
-        # full collection; released, the table is freed on return
+        # scipy's wrapper never drops its references to rhs, so only the
+        # released views let the spline table (0.5 MB) go on return
         for view in (c3, c2, c1, c0):
             view.release()
 
@@ -579,7 +610,11 @@ class LimitEigenResult:
 def limit_eigen(n_dim: int, alpha: float) -> LimitEigenResult:
     """Lowest two eigenvalues of the limit linearization truncated at
     r_trunc = 1e3, Richardson-extrapolated over 3000- and 6000-node grids,
-    with a mandatory sensitivity re-run at twice the truncation radius."""
+    with a mandatory sensitivity re-run at twice the truncation radius.
+    Both come from `Pencil.pair` at the problem's shifts (Λ₁(α), 0), so the
+    four pencils run no bisection unless a certificate fails.  Each call
+    solves afresh; `bifurcation.SolverCache.limit` keeps one result per
+    (N, α)."""
     r_trunc = 1e3
 
     def pair(rt: float) -> tuple[float, float]:

@@ -6,8 +6,9 @@ tolerance, passed) records one at a time; `run_criteria` executes a selection
 (by id prefix), stamps each record's `runtime_s` with the time since the
 previous record arrived, and assembles a VerifyReport.  The criteria keep
 their own clocks only where a wall-time limit is part of what they check
-(C1, C3, C4).  A shared in-process cache keeps the radial solves from being
-repeated across criteria.
+(C1, C3, C4).  A shared in-process cache keeps the radial solves and the
+limit spectra (C1 and C2 share two of their four) from being repeated across
+criteria.
 
 The criteria read the solvers directly: C3 extrapolates ε·u(0)² from
 `solve_dirichlet_ball` along EPS_SWEEP, C4 makes one `find_bifurcation_alpha`
@@ -88,7 +89,7 @@ def _c1_limit_eigen(cache):
     # formula -(α+2)(2N+α-2)/4 gives -6, -2 and -8 for these cases
     for tag, n_dim, alpha in (("a", 3, 2.0), ("b", 3, 0.0), ("c", 4, 2.0)):
         t0 = time.perf_counter()
-        res = spec.limit_eigen(n_dim, alpha)
+        res = cache.limit(n_dim, alpha)
         dt = time.perf_counter() - t0
         target = lambda1_closed(n_dim, alpha)
         err = abs(res.lambda1 - target)
@@ -105,7 +106,7 @@ def _c1_limit_eigen(cache):
 def _c2_limit_lambda2(cache):
     """C2: Zero second eigenvalue of the limit problem."""
     for alpha in (0.0, 1.0, 2.0):
-        res = spec.limit_eigen(3, alpha)
+        res = cache.limit(3, alpha)
         yield CriterionResult(
             f"C2.val_a{alpha:g}",
             f"zero second limit eigenvalue, N=3, alpha={alpha}",

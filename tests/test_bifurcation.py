@@ -286,13 +286,13 @@ class TestMorseIndex:
             raise AssertionError("morse_index solved an eigenvalue")
 
         monkeypatch.setattr(spectral, "eigh_tridiagonal", forbidden)
-        for name in ("lowest_pair", "eigenvalue_batch", "eigenvectors"):
+        for name in ("pair", "eigenvalue_batch", "eigenvectors"):
             monkeypatch.setattr(Pencil, name, forbidden)
         assembled, assemble = [], spectral.assemble_pencil
 
         def recorded(*args, **kwargs):
             pencil = assemble(*args, **kwargs)
-            assembled.append((pencil.n, pencil.shift is None))
+            assembled.append((pencil.n, pencil.shifts))
             return pencil
 
         monkeypatch.setattr(spectral, "assemble_pencil", recorded)
@@ -300,7 +300,7 @@ class TestMorseIndex:
         rep = morse_index(3, 0.01, 1.95)
         assert rep.radial_count == 1 and rep.channel_counts
         # the fine unit-ball pencil, which keeps its shift
-        assert assembled == [(2 * bifurcation.N_POINTS, False)]
+        assert assembled == [(2 * bifurcation.N_POINTS, (lambda1_closed(3, 1.95),))]
 
     @pytest.mark.parametrize("n_dim, eps", [(3, 0.01), (4, 0.05)])
     def test_counts_match_lowest_eigenvalues(self, n_dim, eps):

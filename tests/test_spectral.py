@@ -2,6 +2,7 @@ import contextlib
 import gc
 import logging
 import math
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -156,9 +157,9 @@ class TestLowestPair:
         for n in (1500, 3000):
             pen = assemble_pencil(prob, default_spectral_grid(1.0, n))
             with caplog.at_level(logging.WARNING, logger="henonball"):
-                lam, phi = pen.lowest_pair()
+                lam, phi = pen.pair(1)
             assert caplog.records == []
-            (ref_lam,), (ref_phi,) = replace(pen, shift=None).eigenvectors(1)
+            (ref_lam,), (ref_phi,) = replace(pen, shifts=()).eigenvectors(1)
             assert abs(lam - ref_lam) <= 1e-10
             assert np.max(np.abs(phi - ref_phi)) <= 1e-10
             # the entries φ'(1) is read from, relative to their own size
@@ -166,27 +167,27 @@ class TestLowestPair:
 
     def test_rerun_gives_identical_bits(self, ball_problem):
         pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 1500))
-        (lam_a, phi_a), (lam_b, phi_b) = pen.lowest_pair(), pen.lowest_pair()
+        (lam_a, phi_a), (lam_b, phi_b) = pen.pair(1), pen.pair(1)
         assert lam_a == lam_b and phi_a.tobytes() == phi_b.tobytes()
 
     def test_is_the_first_pair_of_every_path(self, ball_problem):
         pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 600))
-        lam, phi = pen.lowest_pair()
+        lam, phi = pen.pair(1)
         vals, zs = pen.eigenvectors(3)
         assert vals[0] == lam and zs[0].tobytes() == phi.tobytes()
         batch = pen.eigenvalue_batch([1, 3])
         assert batch[0] == lam
         # stebz is asked for index 3 alone
-        assert batch[1] == replace(pen, shift=None).eigenvalue_batch([3])[0]
+        assert batch[1] == replace(pen, shifts=()).eigenvalue_batch([3])[0]
 
     def test_bad_shift_falls_back_to_stebz(self, ball_problem, caplog):
         # a shift just below Λ₂ draws the iteration to the second pair,
         # which fails the inertia certificate
         pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 1500))
-        stebz = replace(pen, shift=None)
+        stebz = replace(pen, shifts=())
         lam2 = stebz.eigenvalue_batch([2])[0]
         with caplog.at_level(logging.WARNING, logger="henonball"):
-            lam, phi = replace(pen, shift=lam2 - 1e-3).lowest_pair()
+            lam, phi = replace(pen, shifts=(lam2 - 1e-3,)).pair(1)
         [record] = caplog.records
         assert record.levelno == logging.WARNING and "falls back" in record.getMessage()
         (ref_lam,), (ref_phi,) = stebz.eigenvectors(1)
@@ -197,17 +198,76 @@ class TestLowestPair:
         gtsv = spectral.dgtsv
         monkeypatch.setattr(spectral, "dgtsv", lambda *a: (*gtsv(*a)[:-1], 1))
         with caplog.at_level(logging.WARNING, logger="henonball"):
-            lam, _ = pen.lowest_pair()
+            lam, _ = pen.pair(1)
         [record] = caplog.records
         assert "shifted solve failed" in record.getMessage()
-        assert lam == replace(pen, shift=None).eigenvectors(1)[0][0]
+        assert lam == replace(pen, shifts=()).eigenvectors(1)[0][0]
 
-    def test_only_the_dirichlet_pencil_takes_the_shift(self, ball_problem):
+
+# (N, α) of the limit spectra that verify's C1 and C2 solve
+LIMIT_POINTS = [(3, 2.0), (3, 0.0), (4, 2.0), (3, 1.0)]
+
+
+class TestPair:
+    @pytest.mark.parametrize("n_dim, alpha", LIMIT_POINTS)
+    def test_limit_pairs_agree_with_stebz(self, n_dim, alpha, caplog):
+        # the grids and truncations of limit_eigen
+        for r_trunc in (1e3, 2e3):
+            for n in (3000, 6000):
+                pen = assemble_pencil(limit_problem(n_dim, alpha, r_trunc),
+                                      default_spectral_grid(r_trunc, n))
+                with caplog.at_level(logging.WARNING, logger="henonball"):
+                    lams = [pen.pair(j)[0] for j in (1, 2)]
+                assert caplog.records == []
+                ref = replace(pen, shifts=()).eigenvalue_batch([1, 2])
+                assert np.max(np.abs(np.array(lams) - ref)) <= 1e-10
+
+    def test_second_limit_vector_agrees_with_stein(self):
+        pen = assemble_pencil(limit_problem(3, 2.0), default_spectral_grid(1e3, 1500))
+        lam, z = pen.pair(2)
+        (_, ref_lam), (_, ref_z) = replace(pen, shifts=()).eigenvectors(2)
+        assert node_count(z) == 1 and abs(lam) < 1e-2
+        assert abs(lam - ref_lam) <= 1e-10 and np.max(np.abs(z - ref_z)) <= 1e-8
+
+    def test_failed_certificate_falls_back_bit_for_bit(self, caplog):
+        # on this pencil (entries from 1e-27 to 1e15) the iteration from
+        # Λ₂ = 0 settles about 1e-8 above the second eigenvalue, past the
+        # certificate's 1e-10 gap
+        pen = assemble_pencil(limit_problem(6, 0.0, 1e3), default_spectral_grid(1e3, 6000))
+        with caplog.at_level(logging.WARNING, logger="henonball"):
+            lam, _ = pen.pair(2)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "eigenpair 2" in record.getMessage() and "falls back" in record.getMessage()
+        assert "inertia certificate failed for eigenvalue 2" in record.getMessage()
+        assert lam == replace(pen, shifts=()).eigenvalue_batch([2])[0]
+
+    def test_batch_and_vectors_take_every_shifted_pair(self, monkeypatch):
+        pen = assemble_pencil(limit_problem(3, 2.0), default_spectral_grid(1e3, 600))
+        (lam1, phi1), (lam2, phi2) = pen.pair(1), pen.pair(2)
+        vals, zs = pen.eigenvectors(3)
+        assert vals[:2].tolist() == [lam1, lam2]
+        assert zs[0].tobytes() == phi1.tobytes() and zs[1].tobytes() == phi2.tobytes()
+        batch = pen.eigenvalue_batch([2, 3])
+        assert batch[0] == lam2
+        assert batch[1] == replace(pen, shifts=()).eigenvalue_batch([3])[0]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("bisection ran")
+
+        monkeypatch.setattr(spectral, "eigh_tridiagonal", forbidden)
+        assert pen.eigenvalue_batch([1, 2]).tolist() == [lam1, lam2]
+
+    def test_shifts_come_from_the_problem(self, ball_problem, profile_3_2_005):
         grid = default_spectral_grid(1.0, 300)
-        assert assemble_pencil(ball_problem, grid).shift == lambda1_closed(3, 2.0) == -6.0
-        assert assemble_pencil(limit_problem(3, 2.0), grid).shift is None
-        with pytest.raises(DomainError, match="shift"):
-            assemble_pencil(limit_problem(3, 2.0), grid).lowest_pair()
+        assert assemble_pencil(ball_problem, grid).shifts == (lambda1_closed(3, 2.0),) == (-6.0,)
+        limit = assemble_pencil(limit_problem(3, 2.0), grid)
+        assert limit.shifts == (-6.0, 0.0)
+        rescaled = SLProblem.from_rescaled(rescale(profile_3_2_005))
+        assert assemble_pencil(rescaled, grid).shifts == ()
+        for pen, j in ((limit, 3), (limit, 0), (assemble_pencil(rescaled, grid), 1)):
+            with pytest.raises(DomainError, match="shift"):
+                pen.pair(j)
 
 
 def ldlt_count(pen, shifts):
@@ -363,11 +423,12 @@ class TestPrufer:
         lam1 = solve_eigen(ball_problem, 1, with_vectors=False)[0].extrapolated
         spans = []
 
-        def counting_solve_ivp(fun, t_span, *args, **kwargs):
-            spans.append(tuple(t_span))
-            return solve_ivp(fun, t_span, *args, **kwargs)
+        class Recorded(scipy.integrate.ode):
+            def integrate(self, t, *args, **kwargs):
+                spans.append((self.t, t, self))
+                return super().integrate(t, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
+        monkeypatch.setattr(scipy.integrate, "ode", Recorded)
         prufer_eigen(ball_problem, 1, (lam1 - 0.05, lam1 + 0.05))
         # the node of prufer_eigen's table where V = r² q peaks
         t0, t1 = math.log(1e-7), 0.0
@@ -375,10 +436,38 @@ class TestPrufer:
         r = np.exp(nodes)
         t_m = nodes[np.argmax(r * r * ball_problem.q(r))]
         assert t0 < t_m < t1
-        assert len(spans) <= 20
-        assert all(end == t_m for _, end in spans)
-        starts = [start for start, _ in spans]
+        assert 2 <= len(spans) <= 20
+        assert all(end == t_m for _, end, _ in spans)
+        starts = [start for start, _, _ in spans]
         assert starts.count(t0) == starts.count(t1) == len(spans) // 2
+        # one solver restarted per shot: scipy's wrapper keeps every solver
+        # it has run alive
+        assert len({id(solver) for _, _, solver in spans}) == 1
+
+    def test_prufer_runs_no_solve_ivp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+        assert abs(prufer_eigen(limit_problem(3, 2.0, 1e3), 1, (-6.5, -5.5)) + 6.0) < 1e-4
+
+    def test_abandoned_integration_is_a_numerics_error(self):
+        # θ' ~ 1e200: the Fortran code stops at once, step size too small
+        prob = SLProblem(3, 1.0, lambda r: np.full(np.shape(r), 1e200))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericsError, match="Prüfer integration failed.*-3"):
+                prufer_eigen(prob, 1, (-1.0, 1.0))
+        assert caught == []
+
+    def test_non_finite_potential_is_named(self):
+        def q(r):
+            out = np.ones_like(np.asarray(r, dtype=float))
+            out[100] = np.nan
+            return out
+
+        with pytest.raises(DomainError, match="potential table .* not finite at 1 of"):
+            prufer_eigen(SLProblem(3, 1.0, q), 1, (-2.05, -1.95))
 
     def test_oscillation_count_monotone(self):
         # the matching mismatch θ_L(t_m) - θ_R(t_m) increases with the
@@ -434,9 +523,9 @@ class TestPrufer:
 
     @pytest.mark.parametrize("bracket", [(-6.0 - 1e-7, -6.0 + 1e-7), (-20.0, -15.0)])
     def test_spline_table_freed_on_return(self, monkeypatch, bracket):
-        # solve_ivp's solvers sit in reference cycles that hold the rhs; the
-        # potential's spline table must not wait for the cycle collector,
-        # neither after a root nor after a BracketError
+        # scipy's ode wrapper keeps every rhs it has run alive; the
+        # potential's spline table must still go on return, both after a
+        # root and after a BracketError, without the cycle collector
         tables = []
 
         class Recorded(scipy.interpolate.CubicSpline):

@@ -1,6 +1,6 @@
 import pytest
 
-from henonball import verify
+from henonball import spectral, verify
 from henonball.errors import DomainError
 from henonball.verify import CriterionResult, run_criteria
 
@@ -56,3 +56,28 @@ def test_report_records_carry_the_criterion_schema():
     for record in doc["criteria"]:
         assert set(record) == {"id", "description", "target", "measured",
                                "tolerance", "passed", "runtime_s"}
+
+
+def test_limit_spectra_are_solved_once_per_run(monkeypatch):
+    calls, solve = [], spectral.limit_eigen
+
+    def counted(n_dim, alpha):
+        calls.append((n_dim, alpha))
+        return solve(n_dim, alpha)
+
+    monkeypatch.setattr(spectral, "limit_eigen", counted)
+    joint = run_criteria(["C1", "C2"])
+    # C2 at alpha 0 and 2 reads the spectra of C1.b and C1.a
+    assert sorted(calls) == [(3, 0.0), (3, 1.0), (3, 2.0), (4, 2.0)]
+    apart = run_criteria(["C1"]).results + run_criteria(["C2"]).results
+    assert len(joint.results) == 9
+    assert ([(r.id, repr(r.measured)) for r in joint.results]
+            == [(r.id, repr(r.measured)) for r in apart])
+
+
+def test_limit_criteria_run_no_bisection(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigh_tridiagonal called")
+
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", forbidden)
+    assert run_criteria(["C1", "C2"]).overall_pass
