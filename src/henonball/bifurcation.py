@@ -106,9 +106,9 @@ class _ProfileTable:
     N_POINTS/2·N_POINTS pair.  `default_spectral_grid(1, n)` is bit for bit
     every other node of `default_spectral_grid(1, 2n)`, since linspace's step
     halves exactly, so the table answers `evaluate` on both grids: both
-    pencils of the pair and z in `flux_gap` and `lambda_values`, and the fine
-    pencil of `morse_index`, read this one evaluation.
-    `SLProblem.from_profile` takes it in place of the profile."""
+    pencils of the pair in `flux_gap` and `lambda_values`, and z in
+    `flux_gap`, read this one evaluation.  `SLProblem.from_profile` takes it
+    in place of the profile."""
 
     def __init__(self, profile: RadialProfile):
         self.params = profile.params
@@ -453,7 +453,7 @@ def morse_index(
     is channel k = 0 of the same r^-2-weighted pencil: by Sylvester's law
     the positive weight does not change the inertia at -σ_k.  Every count
     is an inertia count of the fine pencil (the 2·N_POINTS grid of
-    `lambda_values`, which reads one profile evaluation), exact for the
+    `lambda_values`, read from the profile directly), exact for the
     discretized operator; no eigenvalue is solved.  For k = 0, 1, 2, ...
     n_k is the fine pencil's count at -σ_k - 1e-4, and the loop stops at the
     first k with n_k = 0.  When the counts at -σ_k ∓ 1e-4 differ, some
@@ -468,8 +468,7 @@ def morse_index(
     root returns the fine pencil's counts and does not raise."""
     degeneracy_tol = 1e-4
     cache = cache or SolverCache()
-    table = _ProfileTable(cache.profile(n_dim, alpha, eps))
-    fine = assemble_pencil(SLProblem.from_profile(table),
+    fine = assemble_pencil(SLProblem.from_profile(cache.profile(n_dim, alpha, eps)),
                            default_spectral_grid(1.0, 2 * N_POINTS))
     counts = []  # (k, n_k, N_k)
     for k in itertools.count():

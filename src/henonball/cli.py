@@ -250,7 +250,9 @@ OPTIONS = {
     "cache_dir": {"help": "profile cache directory; without it nothing is cached"},
     # assemble_pencil needs at least 3 nodes
     "grid_points": {"type": int_at_least(3)},
-    "count": {"type": int_at_least(1), "default": 3},
+    "count": {"type": int_at_least(1), "default": 3,
+              "help": "number of lowest eigenvalues; values at or above ((N-2)/2)^2 lie "
+                      "in the continuous spectrum and are not eigenvalues of the ball"},
     "format": {"choices": ["csv", "json"], "default": "csv"},
     "k": {"type": int, "required": True},
     "eps_list": {"type": float_list, "required": True, "help": "e.g. 0.05,0.04"},

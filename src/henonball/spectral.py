@@ -10,16 +10,19 @@ one assembler).  Both pencil matrices are symmetric tridiagonal (the weight
 matrix diagonal).  The purely radial (k = 0) linearization needs no pencil of
 its own: by Sylvester's law its inertia at 0 does not depend on the positive
 weight, so it is this pencil's count at 0 (see `bifurcation.morse_index`).
-Every eigenvalue carries an inertia certificate from the pencil's own Sturm
-count and every eigenvector a node-count certificate.  A problem may carry
+Every eigenvalue comes down one ladder in `Pencil` and passes one
+certificate routine: an inertia certificate from the pencil's own Sturm count
+and, for an eigenvector, a node-count certificate.  A problem may carry
 closed-form guesses `shifts`, the j-th near Λ_j: Λ₁(α) for the unit ball,
 whose Λ₁^ε lies just above it, and Λ₁(α) and 0 for the truncated limit
 problem.  Pair j ≤ len(shifts) comes from shifted inverse iteration with O(n)
-tridiagonal solves (`Pencil.pair`); the other pairs, and every pair of a
-problem without shifts (the expanding ball), come from LAPACK's bisection and
-inverse iteration through `eigh_tridiagonal` (`Pencil.eigenvalue_batch`,
-`Pencil.eigenvectors`).  `solve_eigen` extrapolates over two grids and
-returns one `EigenResult` per eigenvalue.
+tridiagonal solves (`Pencil.pair`).  The other pairs, every pair of a problem
+without shifts (the expanding ball) and a shifted pair that fails its
+certificate come from LAPACK's bisection and inverse iteration through one
+`eigh_tridiagonal` call; a value that fails there is bisected on the Sturm
+count itself.  `Pencil.eigenvalue_batch(count)` and
+`Pencil.eigenvectors(count)` return the lowest `count`.  `solve_eigen`
+extrapolates over two grids and returns one `EigenResult` per eigenvalue.
 
 A Prüfer-angle shooting method on the same truncated domain provides an
 independent oracle: it shoots the angle from both ends to a matching point
@@ -159,10 +162,19 @@ class Pencil:
     """Symmetric tridiagonal generalized eigenproblem A z = Λ B z (B diagonal,
     positive).  `count(x)` is the number of eigenvalues at or below x: LAPACK
     stebz's Sturm count on the pencil's own A - xB (Sylvester's law, B > 0).
-    The fast eigenvalue path runs stebz on T = B^-1/2 A B^-1/2 instead, so
-    the count certifies it independently.  `shifts` are the problem's
-    (`SLProblem.shifts`, handed on by `assemble_pencil`): `shifts[j-1]` lies
-    near the j-th eigenvalue, and pair j ≤ len(shifts) comes from `pair(j)`."""
+
+    `eigenvalue_batch(count)` and `eigenvectors(count)` return the lowest
+    `count` eigenvalues, and eigenvectors with the latter, from one ladder:
+    1. pair j ≤ len(shifts) from shifted inverse iteration at `shifts[j-1]`
+       (`pair`), the problem's closed-form value near Λ_j
+       (`SLProblem.shifts`, handed on by `assemble_pencil`);
+    2. the other pairs, and a shifted pair that fails its certificates, from
+       one stebz call on T = B^-1/2 A B^-1/2 over the index range they span,
+       with stein's vectors when vectors are asked for (`_stebz`);
+    3. a value that fails there, from `eigenvalue_bisect` on the count.
+    Every rung passes `_certify`.  Rung 2 works on T, not on A - xB, so the
+    count certifies it independently; a vector that fails there raises
+    NumericsError."""
 
     grid: np.ndarray
     a_diag: np.ndarray
@@ -203,76 +215,55 @@ class Pencil:
         radius[1:] += off
         return float(np.min(center - radius)), float(np.max(center + radius))
 
-    def standard_tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonals of T = B^-1/2 A B^-1/2, the similar standard problem."""
-        sqrt_b = np.sqrt(self.b_diag)
-        return self.a_diag / self.b_diag, self.a_off / (sqrt_b[:-1] * sqrt_b[1:])
-
-    def eigenvalue_batch(self, js: Sequence[int]) -> np.ndarray:
-        """The js-th smallest eigenvalues (1-based), each certified against
-        this pencil's own inertia count.  Each j ≤ len(shifts) comes from
-        `pair(j)`; the others come from Sturm-sequence bisection (LAPACK
-        stebz on the similarity-transformed tridiagonal), asked for the index
-        range they span."""
-        js = sorted(set(int(j) for j in js))
-        if not js:
-            return np.empty(0)
-        if js[0] < 1 or js[-1] > self.n:
-            raise DomainError(f"eigenvalue index out of range 1..{self.n}")
-        shifted = [self.pair(j)[0] for j in js if j <= len(self.shifts)]
-        return np.concatenate([shifted, self._stebz_values(js[len(shifted):])])
-
-    def _stebz_values(self, js: list[int]) -> np.ndarray:
-        if not js:
-            return np.empty(0)
-        t_diag, t_off = self.standard_tridiagonal()
-        vals = eigh_tridiagonal(t_diag, t_off, eigvals_only=True, select="i",
-                                select_range=(js[0] - 1, js[-1] - 1))
-        out = vals[np.array(js) - js[0]]
-        try:
-            self._certify(js, out)
-        except NumericsError:
-            # the transformed matrix can span too many scales for the fast
-            # path (absolute LAPACK tolerance); redo on this pencil's own
-            # shift-robust inertia count
-            out = np.array([self.eigenvalue_bisect(j) for j in js])
-            self._certify(js, out)
-        return out
+    def eigenvalue_batch(self, count: int) -> np.ndarray:
+        """The lowest `count` eigenvalues, each inertia-certified."""
+        return self._lowest(count, vectors=False)[0]
 
     def eigenvectors(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """The lowest `count` eigenvalues and their eigenvectors, one row of
         `zs` per eigenvalue, each scaled to sup norm 1 with its first interior
-        hump positive.  The values carry the inertia certificate and each
-        vector the node-count certificate node_count == j-1; NumericsError
-        otherwise.  Each pair j ≤ len(shifts) comes from `pair(j)`."""
+        hump positive; both certificates checked."""
+        return self._lowest(count, vectors=True)
+
+    def _lowest(self, count: int, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs 1..count down the ladder (see the class); without
+        `vectors` the second item is an empty (0, n) array."""
         if not 1 <= count <= self.n:
             raise DomainError(f"eigenvalue count out of range 1..{self.n}")
         shifted = [self.pair(j) for j in range(1, min(count, len(self.shifts)) + 1)]
-        vals, zs = self._stebz_pairs(len(shifted) + 1, count)
-        return (np.concatenate([[lam for lam, _ in shifted], vals]),
-                np.vstack([*(z for _, z in shifted), zs]))
+        vals, zs = self._stebz(len(shifted) + 1, count, vectors)
+        vals = np.concatenate([[lam for lam, _ in shifted], vals])
+        if vectors:
+            zs = np.vstack([*(z for _, z in shifted), zs])
+        return vals, zs
 
-    def _stebz_pairs(self, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
-        """Pairs first..last from stebz and stein, both certificates
-        checked, as `eigenvectors` returns them."""
-        js = list(range(first, last + 1))
+    def _stebz(self, first: int, last: int, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues first..last from LAPACK's Sturm-sequence bisection
+        (stebz) on T = B^-1/2 A B^-1/2, the similar standard problem, and
+        with `vectors` their eigenvectors by inverse iteration (stein), scaled
+        as `eigenvectors` scales them (else an empty (0, n) array), all
+        through `_certify`.  T can span too many scales for stebz's absolute
+        tolerance, so values that fail are redone by `eigenvalue_bisect` on
+        this pencil's own count; vectors that fail raise NumericsError."""
+        js = range(first, last + 1)
         if not js:
             return np.empty(0), np.empty((0, self.n))
-        t_diag, t_off = self.standard_tridiagonal()
-        vals, vecs = eigh_tridiagonal(
-            t_diag, t_off, select="i", select_range=(first - 1, last - 1)
-        )
-        self._certify(js, vals)
-        zs = np.array([z / np.max(np.abs(z)) * _first_hump_sign(z)
-                       for z in (vecs / np.sqrt(self.b_diag)[:, None]).T])
-        for j, z in zip(js, zs):
-            nodes = node_count(z)
-            if nodes != j - 1:
-                raise NumericsError(
-                    f"node-count certificate failed for eigenvalue {j}: "
-                    f"{nodes} sign changes"
-                )
-        return vals, zs
+        sqrt_b = np.sqrt(self.b_diag)
+        t_off = self.a_off / (sqrt_b[:-1] * sqrt_b[1:])
+        out = eigh_tridiagonal(self.a_diag / self.b_diag, t_off, eigvals_only=not vectors,
+                               select="i", select_range=(first - 1, last - 1))
+        if vectors:
+            vals, vecs = out
+            zs = np.array([z / np.max(np.abs(z)) * _first_hump_sign(z)
+                           for z in (vecs / sqrt_b[:, None]).T])
+            self._certify(js, vals, zs)
+            return vals, zs
+        try:
+            self._certify(js, out)
+        except NumericsError:
+            out = np.array([self.eigenvalue_bisect(j) for j in js])
+            self._certify(js, out)
+        return out, np.empty((0, self.n))
 
     def pair(self, j: int) -> tuple[float, np.ndarray]:
         """The j-th eigenvalue and its eigenvector, scaled as in
@@ -287,11 +278,10 @@ class Pencil:
         far below the sup norm, such as the tail at r -> 1 that φ'(1) is read
         from; at most 8 solves in all.  Against stein's vector the tail then
         agrees to about 1e-12 relative, down to tails 1e-17 of the sup norm.
-        The pair carries both certificates of `eigenvectors`: the inertia
-        count places μ as the j-th eigenvalue, and x has j-1 nodes.  When a
-        certificate fails, a solve is singular or an iterate is not finite,
-        one WARNING on the "henonball" logger says so and the pair comes from
-        stebz and stein instead."""
+        The pair carries both certificates (`_certify`).  When a certificate
+        fails, a solve is singular or an iterate is not finite, one WARNING on
+        the "henonball" logger says so and the pair comes from `_stebz`
+        instead."""
         if not 1 <= j <= len(self.shifts):
             raise DomainError(
                 f"pair {j} needs a shift; this pencil has {len(self.shifts)}"
@@ -299,14 +289,11 @@ class Pencil:
         shift = self.shifts[j - 1]
         try:
             lam, x = self._shifted_iteration(shift)
-            self._certify([j], np.array([lam]))
-            nodes = node_count(x)
-            if nodes != j - 1:
-                raise NumericsError(f"node-count certificate failed: {nodes} sign changes")
+            self._certify([j], np.array([lam]), [x])
         except NumericsError as err:
             log.warning("eigenpair %d from the shift %.9g falls back to stebz: %s",
                         j, shift, err)
-            vals, zs = self._stebz_pairs(j, j)
+            vals, zs = self._stebz(j, j, vectors=True)
             return float(vals[0]), zs[0]
         return lam, x * _first_hump_sign(x)
 
@@ -335,10 +322,11 @@ class Pencil:
                          <= tol * np.dot(terms * terms, inv_b))
         return mu, x
 
-    def _certify(self, js: Sequence[int], vals: np.ndarray) -> None:
-        """Inertia certificate: for each j = js[i], at most j-1 eigenvalues
-        lie at or below vals[i] - gap and at least j at or below vals[i] + gap;
-        NumericsError otherwise."""
+    def _certify(self, js: Sequence[int], vals: np.ndarray, zs=()) -> None:
+        """The certificates of every eigenpair: for each j = js[i], at most
+        j-1 eigenvalues lie at or below vals[i] - gap and at least j at or
+        below vals[i] + gap (inertia), and the vector zs[i], if given, has
+        j-1 sign changes (node count); NumericsError otherwise."""
         gap = 1e-10 * np.maximum(1.0, np.abs(vals))
         counts = self.count(np.concatenate([vals - gap, vals + gap]))
         for j, v, c_lo, c_hi in zip(js, vals, counts[: len(js)], counts[len(js):]):
@@ -347,11 +335,18 @@ class Pencil:
                     f"inertia certificate failed for eigenvalue {j} at {v:.9g}: "
                     f"counts ({c_lo}, {c_hi})"
                 )
+        for j, v, z in zip(js, vals, zs):
+            nodes = node_count(z)
+            if nodes != j - 1:
+                raise NumericsError(
+                    f"node-count certificate failed for eigenvalue {j} at {v:.9g}: "
+                    f"{nodes} sign changes"
+                )
 
     def eigenvalue_bisect(self, j: int) -> float:
         """Self-contained bisection on this pencil's inertia count, to a
-        relative width of 1e-12; slower than eigenvalue_batch but with no
-        external solver in the loop."""
+        relative width of 1e-12; slower than stebz but with no external
+        solver in the loop."""
         if not 1 <= j <= self.n:
             raise DomainError(f"eigenvalue index out of range 1..{self.n}")
         lo, hi = self.gershgorin()
@@ -463,12 +458,11 @@ def solve_eigen(
         raise DomainError("count must be >= 1")
     coarse = assemble_pencil(problem, default_spectral_grid(problem.r_end, n_points))
     fine = assemble_pencil(problem, default_spectral_grid(problem.r_end, 2 * n_points))
-    js = list(range(1, count + 1))
-    lam_c = coarse.eigenvalue_batch(js)
+    lam_c = coarse.eigenvalue_batch(count)
     if with_vectors:
         lam_f, zs = fine.eigenvectors(count)
     else:
-        lam_f = fine.eigenvalue_batch(js)
+        lam_f = fine.eigenvalue_batch(count)
     if np.any(np.diff(lam_c) <= 0) or np.any(np.diff(lam_f) <= 0):
         raise NumericsError("eigenvalues are not strictly increasing")
     empty = np.empty(0)
@@ -479,9 +473,9 @@ def solve_eigen(
             error_estimate=abs(f - c) / 3.0,
             node_count=j - 1 if with_vectors else None,
             r=fine.grid if with_vectors else empty,
-            z=zs[i] if with_vectors else empty,
+            z=zs[j - 1] if with_vectors else empty,
         )
-        for i, (j, c, f) in enumerate(zip(js, lam_c.tolist(), lam_f.tolist()))
+        for j, (c, f) in enumerate(zip(lam_c.tolist(), lam_f.tolist()), start=1)
     ]
 
 
@@ -661,11 +655,10 @@ def scale_equivalence_test(profile: RadialProfile) -> float:
     two assembly paths."""
     rescaled = rescaling.rescale(profile)
     grid_u = default_spectral_grid(1.0)
-    js = [1, 2, 3]
-    lam_u = assemble_pencil(SLProblem.from_profile(profile), grid_u).eigenvalue_batch(js)
+    lam_u = assemble_pencil(SLProblem.from_profile(profile), grid_u).eigenvalue_batch(3)
     lam_w = assemble_pencil(
         SLProblem.from_rescaled(rescaled), rescaled.rho_eps * grid_u
-    ).eigenvalue_batch(js)
+    ).eigenvalue_batch(3)
     return float(np.max(np.abs(lam_u - lam_w)))
 
 

@@ -207,6 +207,20 @@ class TestFluxIdentity:
         with pytest.raises(DomainError, match=r"bracket end lo=1\.1.* = 1\.2$"):
             find_bifurcation_alpha(3, 6.4, 2, cache=cache)
 
+    def test_bracket_end_at_the_edge_is_inadmissible(self, cache):
+        # lo exactly at the edge, where eps = p_lo - 1: the search refuses it
+        # before any profile is solved
+        edge = ((3 - 2) * 6.4 - 4.0) / 2.0
+        with pytest.raises(DomainError, match="is inadmissible"):
+            find_bifurcation_alpha(3, 6.4, 2, bracket=(edge, 2.9), cache=cache)
+
+    @pytest.mark.parametrize("n_dim, eps, k", [(3, 0.01, 2), (4, 0.05, 3), (4, 0.2, 2)])
+    def test_residual_is_the_recomputed_crossing_gap(self, n_dim, eps, k, cache):
+        bp = find_bifurcation_alpha(n_dim, eps, k, cache=cache)
+        sigma_k, _ = sphere_eigen(n_dim, k)
+        lam1 = lambda_values(n_dim, eps, bp.alpha_k_eps, 1, cache)[0]
+        assert bp.residual == abs(lam1 + sigma_k)
+
 
 class TestSharedEvaluation:
     @pytest.mark.parametrize("n", [750, 1500, 3000])

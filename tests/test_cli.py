@@ -78,6 +78,27 @@ def test_small_spectrum_exits_0(tmp_path):
     assert [row.split(",")[2] for row in rows] == ["1", "2"]
 
 
+def test_spectrum_past_the_hardy_edge_exits_3(capsys):
+    # the third discrete value at (5, 2, 0.2) lies above ((N-2)/2)^2 = 2.25,
+    # in the continuous spectrum, and its vector fails the node count
+    argv = ["spectrum", "--N", "5", "--alpha", "2", "--eps", "0.2"]
+    assert cli.main(argv) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: node-count certificate failed "
+                          "for eigenvalue 3 at 2.30")
+    assert err.rstrip().endswith(": 0 sign changes")
+    assert cli.main([*argv, "--count", "2"]) == cli.EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [int(row["j"]) for row in rows] == [1, 2]
+    assert all(float(row["lambda"]) < 2.25 for row in rows)
+
+
+def test_count_help_names_the_continuous_spectrum(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["spectrum", "--help"])
+    assert "continuous spectrum" in " ".join(capsys.readouterr().out.split())
+
+
 def test_bad_eps_exits_2(capsys):
     argv = ["spectrum", "--N", "3", "--alpha", "2.0", "--eps", "-0.05"]
     assert cli.main(argv) == cli.EXIT_INVALID

@@ -51,6 +51,20 @@ def ball_problem(profile_3_2_005):
     return SLProblem.from_profile(profile_3_2_005)
 
 
+@pytest.fixture
+def stebz_calls(monkeypatch):
+    """(select_range, eigenvalues) of each `eigh_tridiagonal` call, in order."""
+    calls, lapack = [], spectral.eigh_tridiagonal
+
+    def spy(*args, **kwargs):
+        out = lapack(*args, **kwargs)
+        calls.append((kwargs["select_range"], out if kwargs["eigvals_only"] else out[0]))
+        return out
+
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", spy)
+    return calls
+
+
 class TestAssembly:
     def test_matrices_symmetric_and_weight_positive(self, ball_problem):
         pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 300))
@@ -71,7 +85,7 @@ class TestAssembly:
         # eigensolver on the same 200-point pencil
         prob = SLProblem(3, math.pi, zero_potential)
         pen = assemble_pencil(prob, default_spectral_grid(math.pi, 200))
-        mine = pen.eigenvalue_batch([1, 2, 3])
+        mine = pen.eigenvalue_batch(3)
         a = np.diag(pen.a_diag) + np.diag(pen.a_off, 1) + np.diag(pen.a_off, -1)
         b = np.diag(pen.b_diag)
         dense = np.sort(np.linalg.eigvalsh(np.linalg.solve(b, a) @ np.eye(len(b))))
@@ -82,7 +96,7 @@ class TestAssembly:
 
     def test_own_bisection_matches_fast_path(self, ball_problem):
         pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 400))
-        fast = pen.eigenvalue_batch([1, 2])
+        fast = pen.eigenvalue_batch(2)
         slow = [pen.eigenvalue_bisect(1), pen.eigenvalue_bisect(2)]
         assert np.allclose(fast, slow, rtol=1e-10, atol=1e-10)
 
@@ -110,7 +124,7 @@ class TestEigenvalues:
 
     def test_inertia_counts_bracket_each_value(self, ball_problem):
         pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 800))
-        vals = pen.eigenvalue_batch([1, 2, 3])
+        vals = pen.eigenvalue_batch(3)
         for j, v in enumerate(vals, start=1):
             assert pen.count(v - 1e-8 * max(1, abs(v))) <= j - 1
             assert pen.count(v + 1e-8 * max(1, abs(v))) >= j
@@ -118,14 +132,15 @@ class TestEigenvalues:
     def test_wrong_node_count_raises(self, ball_problem, monkeypatch):
         pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 300))
         monkeypatch.setattr(spectral, "node_count", lambda z: 5)
-        with pytest.raises(NumericsError, match="node-count certificate failed"):
+        # pair 1 fails, and so does its stebz fallback; the message names the value
+        with pytest.raises(NumericsError,
+                           match=r"node-count certificate failed for eigenvalue 1 at -\d"):
             pen.eigenvectors(2)
 
     def test_error_estimate_is_the_fine_grid_increment(self, ball_problem):
-        js = [1, 2]
         res = solve_eigen(ball_problem, 2, n_points=300, with_vectors=False)
         coarse, fine = (assemble_pencil(ball_problem, default_spectral_grid(1.0, n))
-                        .eigenvalue_batch(js) for n in (300, 600))
+                        .eigenvalue_batch(2) for n in (300, 600))
         for r, c, f in zip(res, coarse, fine):
             assert r.error_estimate == abs(f - c) / 3.0
             assert r.extrapolated == (4.0 * f - c) / 3.0
@@ -140,6 +155,36 @@ class TestEigenvalues:
         res = solve_eigen(ball_problem, 2, n_points=300, with_vectors=False)
         assert res[0].node_count is None
         assert res[1].r.size == res[1].z.size == 0
+
+
+def _ladder_pencil(kind, profile):
+    """A 600-node unit-ball pencil (one shift), limit pencil (two) or
+    expanding-ball pencil (none)."""
+    grid = default_spectral_grid(1.0, 600)
+    if kind == "ball":
+        return assemble_pencil(SLProblem.from_profile(profile), grid)
+    if kind == "limit":
+        return assemble_pencil(limit_problem(3, 2.0), default_spectral_grid(1e3, 600))
+    rescaled = rescale(profile)
+    return assemble_pencil(SLProblem.from_rescaled(rescaled), rescaled.rho_eps * grid)
+
+
+class TestLadder:
+    @pytest.mark.parametrize("kind, n_shifts", [("ball", 1), ("limit", 2), ("expanding", 0)])
+    def test_values_equal_the_vectors_path_bit_for_bit(self, profile_3_2_005, kind,
+                                                       n_shifts, stebz_calls):
+        pen = _ladder_pencil(kind, profile_3_2_005)
+        assert len(pen.shifts) == n_shifts
+        vals = pen.eigenvalue_batch(3)
+        assert vals.tobytes() == pen.eigenvectors(3)[0].tobytes()
+        # both ask stebz once, for the indices after the shifted pairs
+        assert [select for select, _ in stebz_calls] == [(n_shifts, 2)] * 2
+
+    def test_count_out_of_range(self, ball_problem):
+        pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 300))
+        for call in (lambda: pen.eigenvalue_batch(0), lambda: pen.eigenvectors(301)):
+            with pytest.raises(DomainError, match="count out of range 1..300"):
+                call()
 
 
 # (N, α, ε) of the lowest-pair tests; the second to fourth lie near the
@@ -170,22 +215,24 @@ class TestLowestPair:
         (lam_a, phi_a), (lam_b, phi_b) = pen.pair(1), pen.pair(1)
         assert lam_a == lam_b and phi_a.tobytes() == phi_b.tobytes()
 
-    def test_is_the_first_pair_of_every_path(self, ball_problem):
+    def test_is_the_first_pair_of_every_path(self, ball_problem, stebz_calls):
         pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 600))
         lam, phi = pen.pair(1)
         vals, zs = pen.eigenvectors(3)
         assert vals[0] == lam and zs[0].tobytes() == phi.tobytes()
-        batch = pen.eigenvalue_batch([1, 3])
+        stebz_calls.clear()
+        batch = pen.eigenvalue_batch(3)
         assert batch[0] == lam
-        # stebz is asked for index 3 alone
-        assert batch[1] == replace(pen, shifts=()).eigenvalue_batch([3])[0]
+        # stebz is asked for indices 2 and 3 alone, 0-based (1, 2)
+        [(select, stebz_vals)] = stebz_calls
+        assert select == (1, 2) and batch[1:].tolist() == stebz_vals.tolist()
 
     def test_bad_shift_falls_back_to_stebz(self, ball_problem, caplog):
         # a shift just below Λ₂ draws the iteration to the second pair,
         # which fails the inertia certificate
         pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 1500))
         stebz = replace(pen, shifts=())
-        lam2 = stebz.eigenvalue_batch([2])[0]
+        lam2 = stebz.eigenvalue_batch(2)[1]
         with caplog.at_level(logging.WARNING, logger="henonball"):
             lam, phi = replace(pen, shifts=(lam2 - 1e-3,)).pair(1)
         [record] = caplog.records
@@ -219,7 +266,7 @@ class TestPair:
                 with caplog.at_level(logging.WARNING, logger="henonball"):
                     lams = [pen.pair(j)[0] for j in (1, 2)]
                 assert caplog.records == []
-                ref = replace(pen, shifts=()).eigenvalue_batch([1, 2])
+                ref = replace(pen, shifts=()).eigenvalue_batch(2)
                 assert np.max(np.abs(np.array(lams) - ref)) <= 1e-10
 
     def test_second_limit_vector_agrees_with_stein(self):
@@ -229,7 +276,7 @@ class TestPair:
         assert node_count(z) == 1 and abs(lam) < 1e-2
         assert abs(lam - ref_lam) <= 1e-10 and np.max(np.abs(z - ref_z)) <= 1e-8
 
-    def test_failed_certificate_falls_back_bit_for_bit(self, caplog):
+    def test_failed_certificate_falls_back_bit_for_bit(self, caplog, stebz_calls):
         # on this pencil (entries from 1e-27 to 1e15) the iteration from
         # Λ₂ = 0 settles about 1e-8 above the second eigenvalue, past the
         # certificate's 1e-10 gap
@@ -240,23 +287,28 @@ class TestPair:
         assert record.levelno == logging.WARNING
         assert "eigenpair 2" in record.getMessage() and "falls back" in record.getMessage()
         assert "inertia certificate failed for eigenvalue 2" in record.getMessage()
-        assert lam == replace(pen, shifts=()).eigenvalue_batch([2])[0]
+        # the fallback is stebz asked for index 2 alone
+        [(select, stebz_vals)] = stebz_calls
+        assert select == (1, 1) and lam == stebz_vals[0]
 
-    def test_batch_and_vectors_take_every_shifted_pair(self, monkeypatch):
+    def test_batch_and_vectors_take_every_shifted_pair(self, monkeypatch, stebz_calls):
         pen = assemble_pencil(limit_problem(3, 2.0), default_spectral_grid(1e3, 600))
         (lam1, phi1), (lam2, phi2) = pen.pair(1), pen.pair(2)
         vals, zs = pen.eigenvectors(3)
         assert vals[:2].tolist() == [lam1, lam2]
         assert zs[0].tobytes() == phi1.tobytes() and zs[1].tobytes() == phi2.tobytes()
-        batch = pen.eigenvalue_batch([2, 3])
-        assert batch[0] == lam2
-        assert batch[1] == replace(pen, shifts=()).eigenvalue_batch([3])[0]
+        stebz_calls.clear()
+        batch = pen.eigenvalue_batch(3)
+        assert batch[:2].tolist() == [lam1, lam2]
+        # stebz is asked for index 3 alone after the shifted pairs
+        [(select, stebz_vals)] = stebz_calls
+        assert select == (2, 2) and batch[2] == stebz_vals[0]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("bisection ran")
 
         monkeypatch.setattr(spectral, "eigh_tridiagonal", forbidden)
-        assert pen.eigenvalue_batch([1, 2]).tolist() == [lam1, lam2]
+        assert pen.eigenvalue_batch(2).tolist() == [lam1, lam2]
 
     def test_shifts_come_from_the_problem(self, ball_problem, profile_3_2_005):
         grid = default_spectral_grid(1.0, 300)
@@ -313,7 +365,7 @@ class TestInertiaCount:
         rng = np.random.default_rng(17089112)
         mismatches = 0
         for pen in pencils:
-            lam = pen.eigenvalue_batch([1, 2, 3, 4, 10])
+            lam = pen.eigenvalue_batch(10)[[0, 1, 2, 3, 9]]
             gap = 1e-10 * np.maximum(1.0, np.abs(lam[:4]))
             lo, hi = pen.gershgorin()
             shifts = np.concatenate([
@@ -348,7 +400,7 @@ class TestInertiaCount:
         # no off-diagonal at all: the single eigenvalue is 0.5 / 2.0
         pen = Pencil(np.array([1.0]), np.array([0.5]), np.array([]), np.array([2.0]))
         assert list(pen.count([0.0, 0.25, 1.0])) == [0, 1, 1]
-        assert pen.eigenvalue_batch([1])[0] == pytest.approx(0.25, rel=1e-12)
+        assert pen.eigenvalue_batch(1)[0] == pytest.approx(0.25, rel=1e-12)
         assert pen.eigenvalue_bisect(1) == pytest.approx(0.25, rel=1e-12)
 
     def test_scalar_shift_gives_int(self, pencils):
@@ -361,7 +413,7 @@ class TestInertiaCount:
         # certificate and the bisection fallback's alike
         monkeypatch.setattr(pen, "count", lambda shifts: np.zeros(np.shape(shifts), int))
         with pytest.raises(NumericsError, match="inertia certificate failed"):
-            pen.eigenvalue_batch([1, 2])
+            pen.eigenvalue_batch(2)
 
     def test_wrong_fast_path_falls_back_to_bisection(self, ball_problem, monkeypatch):
         pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 300))
@@ -370,7 +422,7 @@ class TestInertiaCount:
         monkeypatch.setattr(
             spectral, "eigh_tridiagonal", lambda *a, **k: lapack(*a, **k) + 0.1
         )
-        assert np.allclose(pen.eigenvalue_batch([1, 2]), exact, rtol=1e-10, atol=1e-10)
+        assert np.allclose(pen.eigenvalue_batch(2), exact, rtol=1e-10, atol=1e-10)
 
 
 class TestLimitProblem:
@@ -395,7 +447,7 @@ class TestLimitProblem:
         errs = []
         for n in (750, 1500, 3000):
             pen = assemble_pencil(prob, default_spectral_grid(1e3, n))
-            errs.append(abs(pen.eigenvalue_batch([1])[0] + 6.0))
+            errs.append(abs(pen.eigenvalue_batch(1)[0] + 6.0))
         rate1 = math.log(errs[0] / errs[1]) / math.log(2.0)
         rate2 = math.log(errs[1] / errs[2]) / math.log(2.0)
         assert rate1 > 1.9 and rate2 > 1.9
