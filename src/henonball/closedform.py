@@ -111,14 +111,13 @@ def sphere_eigen(n_dim: int, k: int) -> tuple[float, int]:
 
 
 def sphere_multiplicity(n_dim: int, k: int) -> int:
-    """Dimension of the degree-k spherical-harmonic eigenspace on S^(N-1)."""
-    if n_dim < 3 or k < 0:
-        raise DomainError(f"need N >= 3 and k >= 0, got N={n_dim}, k={k}")
+    """Dimension of the degree-k spherical-harmonic eigenspace on S^(N-1).
+    N and k may be integral floats, as in `ProblemParams`."""
+    if not (float(n_dim).is_integer() and float(k).is_integer() and n_dim >= 3 and k >= 0):
+        raise DomainError(f"need integer N >= 3 and k >= 0, got N={n_dim!r}, k={k!r}")
+    n_dim, k = int(n_dim), int(k)
     num = (n_dim + 2 * k - 2) * math.factorial(n_dim + k - 3)
-    den = math.factorial(n_dim - 2) * math.factorial(k)
-    if num % den:
-        raise AssertionError("multiplicity is not an integer")  # unreachable
-    return num // den
+    return num // (math.factorial(n_dim - 2) * math.factorial(k))
 
 
 def bifurcation_alpha(k: int) -> float:

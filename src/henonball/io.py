@@ -17,7 +17,6 @@ import hashlib
 import io
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -49,18 +48,17 @@ def dumps_json(obj) -> str:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text through a temporary sibling and an atomic rename.  The file
-    gets the mode a plain open() would give (0o666 less the umask),
-    not mkstemp's 0o600."""
+    """Write text through a temporary sibling and an atomic rename.  The
+    sibling is created with mode 0o666 and a random suffix, so the kernel
+    applies the umask and the file gets the mode a plain open() would give;
+    the process umask is never read or changed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp-")
+    tmp = path.with_name(f"{path.name}.tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

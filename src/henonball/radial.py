@@ -1,26 +1,25 @@
 """Radial Dirichlet solutions of -Δu = |x|^α u^p on the unit ball by shooting.
 
 The initial value problem u'' + (N-1)/r u' + r^α u^p = 0, u(0)=a, u'(0)=0 is
-integrated with an adaptive explicit Runge-Kutta scheme (the (N-1)/r term is
-singular at the origin).  The shot starts at the series radius, where the
-two-term origin series is accurate to 1e-10, and the series itself gives u
-and u' below it.
-The first zero R of the shot, located on the dense output, fixes the
-Dirichlet solution through the scaling u(r) = R^((2+α)/(p-1)) u_shot(R r),
-which is independent of the shot amplitude.
-
-A DOP853 shot runs the module's own stepper: the DOP853 algorithm of
-Hairer–Nørsett–Wanner (*Solving ODEs I*, §II.10) with scipy's step
+defined once, in `_radial_ivp`: its input checks, the series radius where the
+two-term origin series is accurate to 1e-10 (the (N-1)/r term is singular at
+the origin, so the shot starts there and the series gives u and u' below
+it), the right-hand side and the tolerances.  Two integrators read it.
+`integrate_radial_ivp` runs the module's own stepper: the DOP853 algorithm
+of Hairer–Nørsett–Wanner (*Solving ODEs I*, §II.10) with scipy's step
 controller, error norm, dense output and zero location, on Python floats for
 the two-component state, so a step costs no numpy call.  Its tableau is
 written out below as literals copied from scipy 1.17.1, and the zero polish
 is `_brentq`, a port of scipy's `brentq.c` (Brent, 1973).  It takes the same
 steps as `solve_ivp(method="DOP853")` up to roundoff, and writes the dense
 output of each accepted step into one stacked table, evaluated for all
-points in one vectorized pass.  So a DOP853 shot needs numpy alone.  RK45
-shots stay on scipy's `solve_ivp`, loaded on the first such shot: they are
-an independent check of the first zero, from another code base, and carry no
-dense output.
+points in one vectorized pass, so it needs numpy alone.
+`rk45_first_zero` shoots the same IVP on scipy's RK45 (Dormand–Prince, 1980),
+loaded on its first call: an independent check of the first zero from
+another code base.
+The first zero R of the shot fixes the Dirichlet solution through the
+scaling u(r) = R^((2+α)/(p-1)) u_shot(R r), which is independent of the shot
+amplitude.
 
 Also provided: the change of variables to the unweighted equation in
 fractional dimension m = 2(N+α)/(2+α) used as an independent correctness
@@ -43,14 +42,12 @@ __all__ = [
     "ShotTrajectory",
     "RadialProfile",
     "integrate_radial_ivp",
+    "rk45_first_zero",
     "solve_dirichlet_ball",
     "fowler_check",
     "decay_bound_check",
     "default_profile_grid",
 ]
-
-_METHODS = ("dop853", "rk45")
-
 
 # The DOP853 tableau of Hairer–Nørsett–Wanner (*Solving ODEs I*, §II.10),
 # as scipy 1.17.1 ships it, written once as (column, coefficient) pairs with
@@ -442,35 +439,32 @@ class _Dop853Table:
 
 @dataclass
 class ShotTrajectory:
-    """One shot of the radial IVP with amplitude `a`.
+    """One DOP853 shot of the radial IVP with amplitude `a`.
 
     `first_zero` is None when u stayed positive on [0, r_max] (the expected
     outcome at the threshold exponent).  The shot starts at the series radius
-    `_r_start`, where the two-term origin series is accurate to 1e-10; `r`
-    holds the integrator's step points from there on, as scipy reports them:
-    the start, the ends of the accepted steps, and the zero in place of the
-    last step's end.  `evaluate` uses the series below `_r_start` and, from
-    there on, the dense-output table `_table` that the DOP853 stepper wrote
-    as it stepped, which starts at the series value.  An RK45 shot runs on
-    `solve_ivp`, keeps no table, and `evaluate` on it raises DomainError.
+    `_r_start`, where the two-term origin series is accurate to 1e-10.
+    `_table` is the dense output the stepper wrote as it stepped, starting at
+    the series value; `r` is its step points, as scipy reports them: the
+    start, the ends of the accepted steps, and the zero in place of the last
+    step's end.  `evaluate` uses the series below `_r_start` and the table
+    from there on.
     """
 
     n_dim: int
     alpha: float
     p: float
     a: float
-    r: np.ndarray
     first_zero: float | None
     r_max: float
-    _table: _Dop853Table | None = None
-    _r_start: float = 0.0
+    _table: _Dop853Table
+    _r_start: float
+
+    @property
+    def r(self) -> np.ndarray:
+        return self._table.ts
 
     def evaluate(self, r, derivative: bool = False):
-        if self._table is None:
-            raise DomainError(
-                "this shot has no dense output; integrate it with "
-                "method='dop853' to evaluate it"
-            )
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
@@ -509,26 +503,12 @@ def _series_du(r, a, n_dim, alpha, p):
     ) * c2 * r ** (3.0 + 2.0 * alpha)
 
 
-def integrate_radial_ivp(
-    n_dim: int,
-    alpha: float,
-    p: float,
-    a: float = 1.0,
-    tol: float = 1e-10,
-    r_max: float = 1e3,
-    method: str = "dop853",
-) -> ShotTrajectory:
-    """Shoot u'' + (N-1)/r u' + r^α u^p = 0 from u(0)=a, u'(0)=0.
-
-    `tol` is the relative tolerance; the absolute tolerance is tol*1e-2
-    scaled by the amplitude.  The first downward zero crossing terminates the
-    integration and is polished on the dense output.  `method` selects one of
-    two independent integrators so the first zero can be cross-checked:
-    "dop853" runs the module's own DOP853 stepper on numpy alone, which
-    writes the stacked dense-output table as it steps and can be evaluated;
-    "rk45" runs scipy's `solve_ivp`, imported on first use, and keeps no
-    dense output.
-    """
+def _radial_ivp(n_dim, alpha, p, a, tol, r_max):
+    """The radial IVP u'' + (N-1)/r u' + r^α u^p = 0, u(0)=a, u'(0)=0 as
+    both integrators take it: (rhs, r0, y0, rtol, atol), with rhs(r, u, v)
+    the float pair (u', v'), r0 the series radius and y0 the series values
+    there.  The absolute tolerance is tol*1e-2 scaled by the amplitude.
+    DomainError for an input outside the problem."""
     p_alpha = threshold_exponent(n_dim, alpha)  # checks N and α
     if not 1.0 < p <= p_alpha:
         raise DomainError(f"need 1 < p <= p_alpha = {p_alpha}, got {p!r}")
@@ -536,8 +516,6 @@ def integrate_radial_ivp(
         raise DomainError(f"need a > 0, got {a!r}")
     if not tol > 0:
         raise DomainError(f"need tol > 0, got {tol!r}")
-    if method not in _METHODS:
-        raise DomainError(f"method must be one of {sorted(_METHODS)}, got {method!r}")
 
     # series start: the relative truncation of the two-term series is the
     # square of a^(p-1) r^(2+α) / ((2+α)(N+α)); cap that at 1e-5 (error 1e-10)
@@ -554,41 +532,48 @@ def integrate_radial_ivp(
         # odd extension keeps the vector field smooth through u = 0
         return v, -(n_dim - 1.0) / r * v - r**alpha * math.copysign(abs(u) ** p, u)
 
-    if method == "dop853":
-        table, first_zero = _dop853_shot(rhs, r0, y0, r_max, tol, tol * 1e-2 * a)
-        steps = table.ts
-    else:
-        from scipy.integrate import solve_ivp
+    return rhs, r0, y0, tol, tol * 1e-2 * a
 
-        def hit_zero(r, y):
-            return y[0]
 
-        hit_zero.terminal = True
-        hit_zero.direction = -1
-        sol = solve_ivp(
-            lambda r, y: rhs(r, float(y[0]), float(y[1])),
-            (r0, r_max),
-            y0,
-            method="RK45",
-            rtol=tol,
-            atol=tol * 1e-2 * a,
-            events=hit_zero,
-        )
-        if sol.status == -1:
-            raise NumericsError(f"radial integration failed: {sol.message}")
-        table, steps = None, sol.t
-        first_zero = float(sol.t_events[0][0]) if sol.t_events[0].size else None
-    return ShotTrajectory(
-        n_dim=n_dim,
-        alpha=alpha,
-        p=p,
-        a=a,
-        r=steps,
-        first_zero=first_zero,
-        r_max=r_max,
-        _table=table,
-        _r_start=r0,
-    )
+def integrate_radial_ivp(
+    n_dim: int,
+    alpha: float,
+    p: float,
+    a: float = 1.0,
+    tol: float = 1e-10,
+    r_max: float = 1e3,
+) -> ShotTrajectory:
+    """Shoot u'' + (N-1)/r u' + r^α u^p = 0 from u(0)=a, u'(0)=0 with the
+    module's DOP853 stepper, on numpy alone.
+
+    `tol` is the relative tolerance; the absolute tolerance is tol*1e-2
+    scaled by the amplitude.  The first downward zero crossing terminates the
+    integration and is polished on the dense output, which the returned shot
+    can evaluate.
+    """
+    rhs, r0, y0, rtol, atol = _radial_ivp(n_dim, alpha, p, a, tol, r_max)
+    table, first_zero = _dop853_shot(rhs, r0, y0, r_max, rtol, atol)
+    return ShotTrajectory(n_dim, alpha, p, a, first_zero, r_max, table, r0)
+
+
+def rk45_first_zero(n_dim: int, alpha: float, p: float) -> float | None:
+    """The first zero of the unit shot (a = 1, tol = 1e-10, r_max = 1e3) on
+    scipy's RK45 `solve_ivp`, imported here, or None without one: the
+    independent check of `integrate_radial_ivp`'s zero."""
+    from scipy.integrate import solve_ivp
+
+    rhs, r0, y0, rtol, atol = _radial_ivp(n_dim, alpha, p, 1.0, 1e-10, 1e3)
+
+    def hit_zero(r, y):
+        return y[0]
+
+    hit_zero.terminal = True
+    hit_zero.direction = -1
+    sol = solve_ivp(lambda r, y: rhs(r, float(y[0]), float(y[1])), (r0, 1e3), y0,
+                    method="RK45", rtol=rtol, atol=atol, events=hit_zero)
+    if sol.status == -1:
+        raise NumericsError(f"radial integration failed: {sol.message}")
+    return float(sol.t_events[0][0]) if sol.t_events[0].size else None
 
 
 def default_profile_grid() -> np.ndarray:
@@ -643,10 +628,10 @@ def solve_dirichlet_ball(
     """Radial Dirichlet solution on the unit ball via one DOP853 shot plus
     rescaling; the profile evaluates the shot, it stores no samples.
 
-    The shot's window is sized from the sup-norm asymptotics (u(0) ~
-    sqrt(M/ε) puts the unit shot's zero near u0^((p-1)/(2+α))) and extended
-    eightfold up to three times if the zero still lies beyond it; a shot with
-    no zero in the last window raises SupercriticalError.
+    The shot's window is 512·max(1e3, 5·R), where R = u0^((p-1)/(2+α)) is
+    where the sup-norm asymptotics u(0) ~ sqrt(M/ε) put the unit shot's
+    zero.  The window only caps the first and last steps, so a wide one
+    costs nothing; a shot with no zero inside it raises SupercriticalError.
     """
     if not amplitude > 0:
         raise DomainError(f"need amplitude > 0, got {amplitude!r}")
@@ -655,20 +640,14 @@ def solve_dirichlet_ball(
     beta = (2.0 + alpha) / (p - 1.0)
 
     u0_est = math.sqrt(sup_norm_constant(params.n_dim, alpha) / params.eps)
-    r_max = max(1e3, 5.0 * (u0_est / amplitude) ** (1.0 / beta))
-    for attempt in range(4):
-        shot = integrate_radial_ivp(
-            params.n_dim, alpha, p, a=amplitude, tol=tol,
-            r_max=r_max * 8.0**attempt,
-        )
-        if shot.first_zero is not None:
-            break
-    else:
-        raise SupercriticalError(
-            f"no zero within r_max={shot.r_max:g} after three eightfold extensions"
-        )
-
+    r_max = 512.0 * max(1e3, 5.0 * (u0_est / amplitude) ** (1.0 / beta))
+    shot = integrate_radial_ivp(params.n_dim, alpha, p, a=amplitude, tol=tol, r_max=r_max)
     big_r = shot.first_zero
+    if big_r is None:
+        raise SupercriticalError(
+            f"the shot stayed positive to r_max={r_max:g}, 512 times the window "
+            "that the sup-norm asymptotics give"
+        )
     return RadialProfile(
         params=params,
         u0=big_r**beta * amplitude,

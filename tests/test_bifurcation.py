@@ -3,6 +3,7 @@ import gc
 import json
 import logging
 import math
+import re
 import weakref
 
 import numpy as np
@@ -96,6 +97,11 @@ class TestFindBifurcation:
         # alpha_1^eps > 0 for eps > 0, so the message must not claim alpha = 0
         with pytest.raises(DomainError, match=r"k >= 2: k = 1 is not supported yet$"):
             find_bifurcation_alpha(3, 0.05, 1, cache=cache)
+
+    def test_non_integral_k_rejected(self, cache):
+        # refused before any profile is solved
+        with pytest.raises(DomainError, match="need integer N >= 3 and k >= 0"):
+            find_bifurcation_alpha(3, 0.05, 2.5, cache=cache)
 
     def test_non_finite_bracket_rejected(self, cache):
         for bracket in ((1.0, math.inf), (math.nan, 2.0)):
@@ -200,6 +206,42 @@ class TestFluxIdentity:
         assert "falls back to the scan" in caplog.records[0].getMessage()
         assert abs(bp.alpha_k_eps - 2.4178395668871326) <= 1e-8
         assert bp.unique and not bp.exclusion_ok
+
+    # a planted g: 1e-6 up to a knee, then linear to `top` at the bracket's
+    # upper end; each row is a certificate the search cannot settle, so it
+    # falls back to the scan with this reason
+    @pytest.mark.parametrize("k, bracket, knee, top, reason", [
+        # chord slope 2.67, between A/2 = 2.5 and 2A
+        (2, (1.9, 2.9), 2.05, 2.4, "g changes faster than A/2"),
+        # -sigma_4 is provably crossed at 8.5 and -sigma_5 = -30 is not
+        # settled: Lambda1(8.5) = -32.8 and Lambda1 + g = -29.3
+        (3, (3.5, 8.5), 5.0, 3.5, r"-sigma_5 near alpha=8\.5 is not settled"),
+        # Lambda1(2.5) = -7.31 < -sigma_2 = -6 <= Lambda1(2.5) + G = -5.31
+        (3, (2.5, 8.5), 5.0, 2.0, r"-sigma_2 near alpha=2\.5 is not settled"),
+    ], ids=["chord-slope", "exclusion-above", "exclusion-below"])
+    def test_unsettled_certificate_falls_back(self, k, bracket, knee, top, reason,
+                                              caplog, monkeypatch):
+        lo, hi = bracket
+
+        def planted(n_dim, eps, alpha, cache):
+            g = 1e-6 if alpha <= knee else 1e-6 + (top - 1e-6) * (alpha - knee) / (hi - knee)
+            return g, lambda1_closed(n_dim, alpha) + g
+
+        monkeypatch.setattr(bifurcation, "flux_gap", planted)
+        with caplog.at_level(logging.WARNING, logger="henonball"):
+            bp = find_bifurcation_alpha(3, 0.01, k, bracket=bracket)
+        message = caplog.records[0].getMessage()
+        assert "falls back to the scan" in message
+        assert re.search(reason, message)
+        assert bp.evaluations >= bifurcation.SCAN_POINTS
+
+    @pytest.mark.parametrize("n_dim, eps, k", [(4, 0.05, 3), (5, 0.2, 2)])
+    def test_delta_meets_its_fixed_point(self, n_dim, eps, k, cache):
+        # the search stops on a secant step of at most 1e-12 |delta|
+        bp = find_bifurcation_alpha(n_dim, eps, k, cache=cache)
+        g = cache._gaps[(n_dim, bp.alpha_k_eps, eps)][0]
+        shift = bifurcation._shift(n_dim + 2 * k - 2, g)
+        assert abs(bp.delta - shift) <= 1e-10 * abs(bp.delta)
 
     def test_inadmissible_bracket_end_is_named(self, cache):
         # eps = 6.4 needs alpha > (6.4 - 4)/2 = 1.2 at N = 3; the default
@@ -349,6 +391,16 @@ class TestMorseIndex:
             np.arange(1.0, 4.0), np.array([-1.0, 0.0, 1.0]), np.zeros(2), np.ones(3)))
         with pytest.raises(DegeneratePointError, match="radial linearization"):
             morse_index(3, 0.01, 1.95, cache=cache)
+
+    def test_invariant_index_counts_every_radial_direction(self, cache, monkeypatch):
+        # a pencil with eigenvalues -7, -0.5, 3, 4, 5 at N = 3 (sigma_1 = 2,
+        # sigma_2 = 6): n_0 = 2, n_1 = n_2 = 1
+        monkeypatch.setattr(bifurcation, "assemble_pencil", lambda *a, **k: Pencil(
+            np.arange(1.0, 6.0), np.array([-7.0, -0.5, 3.0, 4.0, 5.0]), np.zeros(4),
+            np.ones(5)))
+        rep = morse_index(3, 0.01, 1.95, cache=cache)
+        assert (rep.radial_count, rep.channel_counts) == (2, ((1, 1), (2, 1)))
+        assert (rep.index_invariant, rep.index_full) == (4, 2 + 3 + 5)
 
     @pytest.mark.parametrize("n_dim, eps, alpha, want", [
         (3, 0.002, 5.0, (1, 16, 4)),

@@ -189,6 +189,20 @@ class TestSpectralClosedForms:
             for k in range(0, 31):
                 assert cf.sphere_multiplicity(n_dim, k) >= 1
 
+    @pytest.mark.parametrize("call", [
+        lambda: cf.sphere_multiplicity(3.5, 2),
+        lambda: cf.sphere_eigen(3, 1.5),
+        lambda: cf.sphere_multiplicity(3, math.nan),
+    ])
+    def test_non_integral_n_or_k_rejected(self, call):
+        # math.factorial raised an untyped TypeError here
+        with pytest.raises(DomainError, match="need integer N >= 3 and k >= 0"):
+            call()
+
+    def test_integral_floats_accepted(self):
+        assert cf.sphere_multiplicity(3.0, 2.0) == 5
+        assert cf.sphere_eigen(4.0, 2.0) == (8.0, 9) == cf.sphere_eigen(4, 2)
+
     def test_bifurcation_alpha_values(self):
         assert cf.bifurcation_alpha(1) == 0.0
         assert cf.bifurcation_alpha(2) == 2.0

@@ -21,6 +21,18 @@ def test_written_file_honors_umask(tmp_path, umask_022):
     assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
 
+def test_write_leaves_the_process_umask_alone(tmp_path, umask_022, monkeypatch):
+    # setting the umask is process-wide: a file another thread created while
+    # it was 0 would be world-writable
+    def refuse(mask):
+        raise AssertionError("atomic_write_text changed the process umask")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    path = tmp_path / "artifact.json"
+    atomic_write_text(path, '{"a": 1}\n')
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+
 def test_same_text_gives_identical_bytes(tmp_path):
     text = "alpha,eps,j,lambda\n2.0,0.01,1,-6.0000813\n"
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"

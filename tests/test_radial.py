@@ -25,6 +25,7 @@ from henonball.radial import (
     default_profile_grid,
     fowler_check,
     integrate_radial_ivp,
+    rk45_first_zero,
     solve_dirichlet_ball,
 )
 
@@ -81,8 +82,8 @@ class TestIntegrateRadialIVP:
         assert scaled == pytest.approx(predicted, rel=1e-8)
 
     def test_dual_integrator_agreement(self):
-        za = integrate_radial_ivp(3, 2.0, 5.0, method="dop853").first_zero
-        zb = integrate_radial_ivp(3, 2.0, 5.0, method="rk45").first_zero
+        za = integrate_radial_ivp(3, 2.0, 5.0).first_zero
+        zb = rk45_first_zero(3, 2.0, 5.0)
         assert za == pytest.approx(zb, rel=1e-8)
 
     @pytest.mark.parametrize("n_dim, alpha, eps", [(4, 3.4, 0.05), (3, 2.0, 0.05)])
@@ -103,9 +104,10 @@ class TestIntegrateRadialIVP:
         with pytest.raises(DomainError):
             integrate_radial_ivp(3, 0.0, 3.0, a=-1.0)
         with pytest.raises(DomainError):
-            integrate_radial_ivp(3, 0.0, 3.0, method="euler")
-        with pytest.raises(DomainError):
             integrate_radial_ivp(3, 4.5, 2.0, r_max=0.1)  # series radius 0.31
+        # the RK45 cross-check reads the same IVP, checks included
+        with pytest.raises(DomainError):
+            rk45_first_zero(3, 0.0, 5.2)
         # the shot amplitude is checked before it sizes the integration window
         for amplitude in (-1.0, 0.0):
             with pytest.raises(DomainError):
@@ -143,20 +145,22 @@ class TestSolveDirichletBall:
             gaps.append(abs((prof.u0**-2.0) ** eps - 1.0))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
-    def test_no_zero_in_any_window_raises(self, monkeypatch):
-        # every shot stays positive: the window is extended eightfold three
-        # times, then the solve gives up
+    def test_no_zero_in_the_window_raises(self, monkeypatch):
+        # a shot at the threshold exponent stays positive: the solve shoots
+        # once, in 512·max(1e3, 5·R) for the zero's estimate R, then gives up
         windows = []
+        real = radial.integrate_radial_ivp
 
         def positive_shot(n_dim, alpha, p, a=1.0, tol=1e-10, r_max=1e3):
             windows.append(r_max)
-            return radial.ShotTrajectory(n_dim, alpha, p, a, np.array([0.0, r_max]),
-                                         None, r_max)
+            return real(n_dim, alpha, threshold_exponent(n_dim, alpha), a, tol, 50.0)
 
         monkeypatch.setattr(radial, "integrate_radial_ivp", positive_shot)
-        with pytest.raises(SupercriticalError, match="no zero"):
-            solve_dirichlet_ball(ProblemParams(3, 0.0, 0.01))
-        assert [w / windows[0] for w in windows] == [1.0, 8.0, 64.0, 512.0]
+        params = ProblemParams(3, 0.0, 0.01)
+        with pytest.raises(SupercriticalError, match="stayed positive"):
+            solve_dirichlet_ball(params)
+        estimate = math.sqrt(sup_norm_constant(3, 0.0) / 0.01) ** ((params.p - 1.0) / 2.0)
+        assert windows == [pytest.approx(512.0 * 5.0 * estimate, rel=1e-12)]
 
     def test_auto_r_max_handles_small_eps(self):
         # the unit shot's zero sits near 1.8e3 here; the auto window must
@@ -227,7 +231,7 @@ class TestDenseTable:
         assert np.max(np.abs(got - ref.sol(t[0]))) < 1e-12 * a
 
     def test_dop853_shot_runs_no_solve_ivp(self, monkeypatch):
-        # only the rk45 cross-check goes through scipy's solve_ivp
+        # only the RK45 cross-check goes through scipy's solve_ivp
         calls = []
 
         def refuse(*args, **kwargs):
@@ -240,7 +244,7 @@ class TestDenseTable:
         monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
         assert flux_gap(3, 0.01, 2.0)[0] > 0
         monkeypatch.setattr(scipy.integrate, "solve_ivp", count)
-        assert integrate_radial_ivp(3, 2.0, 5.0, method="rk45").first_zero is not None
+        assert rk45_first_zero(3, 2.0, 5.0) is not None
         assert calls == ["RK45"]
 
     @pytest.mark.parametrize("bad_from_start", [True, False])
@@ -253,12 +257,6 @@ class TestDenseTable:
 
         with pytest.raises(NumericsError, match="radial integration failed"):
             radial._dop853_shot(rhs, 1.0, (1.0, 0.0), 2.0, 1e-10, 1e-12)
-
-    def test_rk45_shot_is_not_evaluated(self):
-        shot = integrate_radial_ivp(3, 2.0, 5.0, method="rk45")
-        assert shot.first_zero is not None
-        with pytest.raises(DomainError, match="dop853"):
-            shot.evaluate(0.5)
 
 
 def _nonzero(row):
