@@ -11,9 +11,13 @@ controller, error norm, dense output and zero location, on Python floats for
 the two-component state, so a step costs no numpy call.  Its tableau is
 written out below as literals copied from scipy 1.17.1, and the zero polish
 is `_brentq`, a port of scipy's `brentq.c` (Brent, 1973).  It takes the same
-steps as `solve_ivp(method="DOP853")` up to roundoff, and writes the dense
-output of each accepted step into one stacked table, evaluated for all
-points in one vectorized pass, so it needs numpy alone.
+steps as `solve_ivp(method="DOP853")` up to roundoff, so it needs numpy
+alone, and returns a `ShotTrajectory` that holds the dense output of each
+accepted step in one stacked table (Hairer–Nørsett–Wanner, §II.6).  The
+shot's one evaluator gives (u, u') for an array of radii in one vectorized
+pass, the series below the shot's start and the table from there on;
+`RadialProfile.evaluate` maps it back to the unit ball and is the one
+evaluator that takes a scalar radius or the `derivative` flag.
 `rk45_first_zero` shoots the same IVP on scipy's RK45 (Dormand–Prince, 1980),
 loaded on its first call: an independent check of the first zero from
 another code base.
@@ -114,11 +118,6 @@ _C = (
     0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
     0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
 )
-_B = (
-    (0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
-    (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
-    (10, 0.20136540080403034), (11, 0.04471061572777259),
-)
 _E3 = (
     (0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),
     (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
@@ -156,6 +155,9 @@ _D = (
     ),
 )
 _N_STAGES = 12  # of a step; the rows of A past it give the extra stages
+# the weights of the step: stage 12 evaluates f at the step end, where
+# c = 1 and the stage state is the new state, so its row of A is B
+_B = _A[_N_STAGES]
 # scipy's step-size controller for an order-7 error estimate
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1.0 / 8.0
@@ -247,7 +249,8 @@ def _dop853_shot(fun, r0, y0, r_max, rtol, atol):
     up to roundoff.  Each accepted step appends its row of the dense-output
     table.  The zero is the first step with u ≥ 0 at its start and u ≤ 0 at
     its end, polished by `_brentq` on that step's interpolant.  Returns the
-    table and the zero (None without one).  A non-finite right-hand side
+    table's arrays (ts, t_old, h, y_old, coef), as `ShotTrajectory` holds
+    them, and the zero (None without one).  A non-finite right-hand side
     makes every error norm NaN, so each retry shrinks the step by
     MIN_FACTOR; NumericsError once the step is below 10 ulp(r), or is NaN.
     """
@@ -312,12 +315,12 @@ def _dop853_shot(fun, r0, y0, r_max, rtol, atol):
         ts.append(t_new)
         t, u, v, fu, fv = t_new, u_new, v_new, fu_new, fv_new
 
-    table = _Dop853Table(
-        ts=np.array(ts),
-        t_old=np.array(t_old),
-        h=np.array(hs),
-        y_old=np.array(y_old),
-        coef=np.ascontiguousarray(np.array(coef).transpose(1, 0, 2)),
+    table = (
+        np.array(ts),
+        np.array(t_old),
+        np.array(hs),
+        np.array(y_old),
+        np.ascontiguousarray(np.array(coef).transpose(1, 0, 2)),
     )
     return table, first_zero
 
@@ -406,49 +409,18 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class _Dop853Table:
-    """The DOP853 dense output of one shot, stacked over its steps.
-
-    `_dop853_shot` writes one row per accepted step: its start `t_old`,
-    length `h` and start state `y_old`, and in `coef[:, s]` its seven
-    interpolation coefficients (7 × 2, highest power first); `ts` are the
-    step points, with the zero in place of the last step's end.  A call
-    picks each point's step as scipy's `OdeSolution` does (the lower step at
-    a step point, the end steps beyond the ends) and runs the nested product
-    of scipy's `Dop853DenseOutput`.
-    """
-
-    ts: np.ndarray
-    t_old: np.ndarray
-    h: np.ndarray
-    y_old: np.ndarray
-    coef: np.ndarray
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        """(u, u') at the points of the 1-D array t, shape (2, t.size)."""
-        seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, self.h.size - 1)
-        x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
-        y = np.zeros((t.size, 2))
-        for i, c in enumerate(self.coef):
-            y += c.take(seg, axis=0)
-            y *= x if i % 2 == 0 else 1 - x
-        y += self.y_old[seg]
-        return y.T
-
-
 @dataclass
 class ShotTrajectory:
-    """One DOP853 shot of the radial IVP with amplitude `a`.
+    """One DOP853 shot of the radial IVP with amplitude `a`, and the dense
+    output its stepper wrote.
 
-    `first_zero` is None when u stayed positive on [0, r_max] (the expected
-    outcome at the threshold exponent).  The shot starts at the series radius
-    `_r_start`, where the two-term origin series is accurate to 1e-10.
-    `_table` is the dense output the stepper wrote as it stepped, starting at
-    the series value; `r` is its step points, as scipy reports them: the
-    start, the ends of the accepted steps, and the zero in place of the last
-    step's end.  `evaluate` uses the series below `_r_start` and the table
-    from there on.
+    `first_zero` is None when u stayed positive in the window (the expected
+    outcome at the threshold exponent).  `r` is the step points, as scipy
+    reports them: the series radius, where the two-term origin series is
+    accurate to 1e-10 and the shot starts, the ends of the accepted steps,
+    and the zero in place of the last step's end.  Step s starts at
+    `t_old[s]` in the state `y_old[s]` and has length `h[s]`; `coef[:, s]`
+    holds its seven interpolation coefficients (7 × 2, highest power first).
     """
 
     n_dim: int
@@ -456,31 +428,31 @@ class ShotTrajectory:
     p: float
     a: float
     first_zero: float | None
-    r_max: float
-    _table: _Dop853Table
-    _r_start: float
+    r: np.ndarray
+    t_old: np.ndarray
+    h: np.ndarray
+    y_old: np.ndarray
+    coef: np.ndarray
 
-    @property
-    def r(self) -> np.ndarray:
-        return self._table.ts
-
-    def evaluate(self, r, derivative: bool = False):
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.empty((2, r.size))
-        # below the start radius there is no table, only the series
-        inside = r >= self._r_start
-        if np.any(inside):
-            out[:, inside] = self._table(r[inside])
-        if np.any(~inside):
-            rs = r[~inside]
-            out[0, ~inside] = _series_u(rs, self.a, self.n_dim, self.alpha, self.p)
-            out[1, ~inside] = _series_du(rs, self.a, self.n_dim, self.alpha, self.p)
-        u, du = out
-        if derivative:
-            return (float(u[0]), float(du[0])) if scalar else (u, du)
-        return float(u[0]) if scalar else u
+    def evaluate(self, r: np.ndarray) -> np.ndarray:
+        """(u, u') at the points of the 1-D array r, shape (2, r.size): the
+        origin series below the start radius r[0], the dense output from
+        there on.  A point picks its step as scipy's `OdeSolution` does (the
+        lower step at a step point, the end steps beyond the ends) and runs
+        the nested product of scipy's `Dop853DenseOutput`."""
+        seg = np.clip(np.searchsorted(self.r, r, side="left") - 1, 0, self.h.size - 1)
+        x = ((r - self.t_old[seg]) / self.h[seg])[:, None]
+        y = np.zeros((r.size, 2))
+        for i, c in enumerate(self.coef):
+            y += c.take(seg, axis=0)
+            y *= x if i % 2 == 0 else 1 - x
+        y += self.y_old[seg]
+        below = r < self.r[0]
+        if np.any(below):
+            rs = r[below]
+            y[below, 0] = _series_u(rs, self.a, self.n_dim, self.alpha, self.p)
+            y[below, 1] = _series_du(rs, self.a, self.n_dim, self.alpha, self.p)
+        return y.T
 
 
 def _series_coeffs(a, n_dim, alpha, p):
@@ -553,7 +525,7 @@ def integrate_radial_ivp(
     """
     rhs, r0, y0, rtol, atol = _radial_ivp(n_dim, alpha, p, a, tol, r_max)
     table, first_zero = _dop853_shot(rhs, r0, y0, r_max, rtol, atol)
-    return ShotTrajectory(n_dim, alpha, p, a, first_zero, r_max, table, r0)
+    return ShotTrajectory(n_dim, alpha, p, a, first_zero, *table)
 
 
 def rk45_first_zero(n_dim: int, alpha: float, p: float) -> float | None:
@@ -594,9 +566,10 @@ class RadialProfile:
 
     Holds the shot that produced it, its first zero R (`first_zero_raw`) and
     the sup-norm u0 = u(0) = R^β a with β = (2+α)/(p-1).  `evaluate` gives
-    u(r) = R^β u_shot(R r) at any r in [0, 1] from the shot's dense output;
-    samples on the standard grid are `evaluate(default_profile_grid(),
-    derivative=True)`.
+    u(r) = R^β u_shot(R r) at any r in [0, 1] from the shot's one (u, u')
+    evaluator; it is the module's one evaluator that takes a scalar radius
+    or the `derivative` flag.  Samples on the standard grid are
+    `evaluate(default_profile_grid(), derivative=True)`.
     """
 
     params: ProblemParams
@@ -606,17 +579,20 @@ class RadialProfile:
     _shot: ShotTrajectory
 
     def evaluate(self, r, derivative: bool = False):
-        """u(r) (and u'(r)) for r in [0, 1]; DomainError for any r outside
-        it, NaN included."""
+        """u(r), or (u(r), u'(r)) with `derivative`: floats for a radius in
+        [0, 1], arrays for a 1-D array of them.  DomainError for any r
+        outside [0, 1], NaN included."""
         r = np.asarray(r, float)
         if not np.all((r >= 0.0) & (r <= 1.0)):
             raise DomainError("profile radii must lie in [0, 1]")
         beta = (2.0 + self.params.alpha) / (self.params.p - 1.0)
         scale = self.first_zero_raw**beta
-        res = self._shot.evaluate(r * self.first_zero_raw, derivative=True)
-        u = scale * res[0]
+        u, du = self._shot.evaluate(np.atleast_1d(r) * self.first_zero_raw)
+        if r.ndim == 0:
+            u, du = float(u[0]), float(du[0])
+        u = scale * u
         if derivative:
-            return u, scale * self.first_zero_raw * res[1]
+            return u, scale * self.first_zero_raw * du
         return u
 
 

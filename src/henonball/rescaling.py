@@ -16,6 +16,7 @@ import numpy as np
 
 from . import numerics
 from .closedform import ProblemParams, limit_lambda, limit_profile
+from .errors import DomainError
 from .radial import RadialProfile, default_profile_grid
 
 __all__ = [
@@ -41,8 +42,11 @@ class RescaledProfile:
     profile: RadialProfile
 
     def evaluate(self, r, derivative: bool = False):
-        """w(r) for r ≥ 0 (zero extension beyond ρ)."""
+        """w(r) (and w'(r)) for r ≥ 0, zero beyond ρ; DomainError for any r
+        below 0, NaN included."""
         r = np.asarray(r, dtype=float)
+        if not np.all(r >= 0.0):
+            raise DomainError("rescaled radii must be >= 0")
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
         inside = r <= self.rho_eps

@@ -506,8 +506,11 @@ def prufer_eigen(problem: SLProblem, j: int, bracket: tuple[float, float]) -> fl
     evaluates the cubic spline of that table.  A table with a non-finite
     entry raises DomainError.  For the bracket Λ₁ ± 0.05 at N=3, α=2,
     ε=0.05 the call takes 6 mismatch evaluations, 12 half-length
-    integrations.
+    integrations.  The index j must be an integer ≥ 1 (an integral float
+    is accepted, as in `ProblemParams`); DomainError otherwise.
     """
+    if not (float(j).is_integer() and j >= 1):
+        raise DomainError(f"need an integer eigenvalue index j >= 1, got {j!r}")
     # imported here to keep scipy.integrate, scipy.interpolate and
     # scipy.optimize out of the CLI's start-up
     from scipy.integrate import ode

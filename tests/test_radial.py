@@ -52,25 +52,25 @@ class TestIntegrateRadialIVP:
         exact_du = -(n_dim - 2.0) * r ** (1.0 + alpha) / c * base ** (
             -(n_dim + alpha) / (2.0 + alpha)
         )
-        u, du = shot.evaluate(r, derivative=True)
+        u, du = shot.evaluate(r)
         assert np.max(np.abs(u - exact)) < 1e-8
         assert np.max(np.abs(du - exact_du)) < 1e-8
 
     def test_critical_shot_positive_to_1e3(self):
         shot = integrate_radial_ivp(3, 0.0, 5.0, a=1.0, r_max=1e3)
         assert shot.first_zero is None
-        assert np.all(shot.evaluate(shot.r) > 0)
+        assert np.all(shot.evaluate(shot.r)[0] > 0)
 
     def test_initial_conditions(self):
         shot = integrate_radial_ivp(3, 1.0, 4.0, a=2.5)
-        u, du = shot.evaluate(0.0, derivative=True)
+        (u,), (du,) = shot.evaluate(np.array([0.0]))
         assert u == pytest.approx(2.5, rel=1e-12)
         assert du == pytest.approx(0.0, abs=1e-12)
 
     def test_decreasing_until_zero(self):
         shot = integrate_radial_ivp(3, 2.0, 5.0)
         r = np.linspace(1e-4, shot.first_zero * 0.999, 500)
-        _, du = shot.evaluate(r, derivative=True)
+        _, du = shot.evaluate(r)
         assert np.all(du < 0)
 
     @pytest.mark.parametrize("a", [0.5, 2.0, 10.0])
@@ -92,8 +92,7 @@ class TestIntegrateRadialIVP:
         shot = integrate_radial_ivp(n_dim, alpha, p)
         # where the origin series reaches its 1e-10 truncation cap
         r_series = (1e-5 * (2.0 + alpha) * (n_dim + alpha)) ** (1.0 / (2.0 + alpha))
-        _, du = shot.evaluate(r_series * np.array([1.0 - 1e-12, 1.0 + 1e-12]),
-                              derivative=True)
+        _, du = shot.evaluate(r_series * np.array([1.0 - 1e-12, 1.0 + 1e-12]))
         assert abs(du[1] - du[0]) < 1e-9 * abs(du[0])
 
     def test_bad_exponent_rejected(self):
@@ -203,9 +202,9 @@ class TestDenseTable:
                               (3, 0.0, 0.05)])
     def test_agrees_with_scipy_dop853(self, n_dim, alpha, eps):
         # the same algorithm as scipy's DOP853, up to the order of its sums
-        p, a = ProblemParams(n_dim, alpha, eps).p, 1.0
-        shot = integrate_radial_ivp(n_dim, alpha, p, a=a)
-        r0 = shot._r_start
+        p, a, r_max = ProblemParams(n_dim, alpha, eps).p, 1.0, 1e3
+        shot = integrate_radial_ivp(n_dim, alpha, p, a=a, r_max=r_max)
+        r0 = shot.r[0]
         y0 = [radial._series_u(r0, a, n_dim, alpha, p),
               radial._series_du(r0, a, n_dim, alpha, p)]
 
@@ -218,16 +217,16 @@ class TestDenseTable:
 
         hit_zero.terminal = True
         hit_zero.direction = -1
-        ref = solve_ivp(rhs, (r0, shot.r_max), y0, method="DOP853", rtol=1e-10,
+        ref = solve_ivp(rhs, (r0, r_max), y0, method="DOP853", rtol=1e-10,
                         atol=1e-12 * a, dense_output=True, events=hit_zero)
         zero = ref.t_events[0][0]
         assert shot.r.size == ref.t.size
         assert shot.first_zero == pytest.approx(zero, rel=1e-10)
         t = np.random.default_rng(1).uniform(r0, min(zero, shot.first_zero), 400)
         t = np.concatenate([t, t[::7]])  # unsorted, with repeats
-        got = np.stack(shot.evaluate(t, derivative=True))
+        got = shot.evaluate(t)
         assert np.max(np.abs(got - ref.sol(t))) < 1e-12 * a
-        got = np.array(shot.evaluate(t[0], derivative=True))
+        got = shot.evaluate(t[:1])[:, 0]
         assert np.max(np.abs(got - ref.sol(t[0]))) < 1e-12 * a
 
     def test_dop853_shot_runs_no_solve_ivp(self, monkeypatch):
@@ -352,12 +351,12 @@ def _reference_shot(fun, r0, y0, r_max, rtol, atol, polishes):
         ts.append(t_new)
         t, u, v, fu, fv = t_new, u_new, v_new, fu_new, fv_new
 
-    table = radial._Dop853Table(
-        ts=np.array(ts),
-        t_old=np.array(t_old),
-        h=np.array(hs),
-        y_old=np.array(y_old),
-        coef=np.ascontiguousarray(np.array(coef).transpose(1, 0, 2)),
+    table = (
+        np.array(ts),
+        np.array(t_old),
+        np.array(hs),
+        np.array(y_old),
+        np.ascontiguousarray(np.array(coef).transpose(1, 0, 2)),
     )
     return table, first_zero
 
@@ -407,8 +406,7 @@ class TestReferenceStepper:
         for args, ref, ref_zero, _ in shot_set:
             table, zero = radial._dop853_shot(*args)
             assert zero is not None and repr(zero) == repr(ref_zero)
-            for name in ("ts", "t_old", "h", "y_old", "coef"):
-                got, want = getattr(table, name), getattr(ref, name)
+            for name, got, want in zip(("ts", "t_old", "h", "y_old", "coef"), table, ref):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     def test_brentq_matches_scipy_on_the_polishes(self, shot_set):

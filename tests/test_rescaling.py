@@ -9,6 +9,7 @@ from henonball.closedform import (
     limit_lambda,
     limit_profile,
 )
+from henonball.errors import DomainError
 from henonball.radial import solve_dirichlet_ball
 from henonball.rescaling import (
     kappa_relation_residual,
@@ -40,6 +41,12 @@ class TestRescale:
         assert rs.evaluate(0.0) == pytest.approx(rs.kappa * rs.profile.u0, rel=1e-14)
         assert abs(rs.samples()[1][-1]) < 1e-9 * rs.evaluate(0.0)
         assert rs.evaluate(2.0 * rs.rho_eps) == 0.0  # zero extension
+
+    @pytest.mark.parametrize("r", [math.nan, -1.0, [1.0, math.nan]])
+    def test_nan_or_negative_radius_rejected(self, rescaled_3_0_001, r):
+        # NaN fell through to the zero extension and gave 0.0
+        with pytest.raises(DomainError, match=">= 0"):
+            rescaled_3_0_001.evaluate(r)
 
     def test_rescale_samples_nothing(self, monkeypatch):
         prof = solve_dirichlet_ball(ProblemParams(3, 1.0, 0.05))

@@ -240,6 +240,45 @@ class TestLowestPair:
         (ref_lam,), (ref_phi,) = stebz.eigenvectors(1)
         assert lam == ref_lam and phi.tobytes() == ref_phi.tobytes()
 
+    # the pencils on which a residual test at 4096 ulps stops one solve early
+    @pytest.mark.parametrize("n_dim, alpha, eps, n", [
+        (3, 0.5, 0.01, 3000), (3, 2.0, 0.05, 3000), (4, 2.0, 0.05, 1500),
+        (4, 2.0, 0.05, 3000),
+    ])
+    def test_stops_one_solve_after_the_residual_test(self, n_dim, alpha, eps, n,
+                                                     monkeypatch):
+        # pair's rule: once |Ax - μBx| in the B^-1 norm is within 4 ulps of
+        # |A||x| + |μ|B|x|, one more solve at μ, then stop
+        prob = SLProblem.from_profile(solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps)))
+        pen = assemble_pencil(prob, default_spectral_grid(1.0, n))
+        iterates, gtsv = [], spectral.dgtsv
+
+        def spy(*args):
+            out = gtsv(*args)
+            iterates.append(out[-2] / np.max(np.abs(out[-2])))
+            return out
+
+        monkeypatch.setattr(spectral, "dgtsv", spy)
+        pen.pair(1)
+        a, off, b = pen.a_diag, pen.a_off, pen.b_diag
+
+        def product(diag, sub, x):
+            out = diag * x
+            out[:-1] += sub * x[1:]
+            out[1:] += sub * x[:-1]
+            return out
+
+        def passes(x):
+            ax, bx = product(a, off, x), b * x
+            mu = np.dot(x, ax) / np.dot(x, bx)
+            residual = ax - mu * bx
+            terms = product(np.abs(a), np.abs(off), np.abs(x)) + abs(mu) * np.abs(bx)
+            return (np.dot(residual**2, 1.0 / b)
+                    <= (4.0 * np.finfo(float).eps) ** 2 * np.dot(terms**2, 1.0 / b))
+
+        first = [passes(x) for x in iterates].index(True)
+        assert len(iterates) == first + 2 < spectral._SHIFTED_SOLVES
+
     def test_singular_solve_falls_back(self, ball_problem, caplog, monkeypatch):
         pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 300))
         gtsv = spectral.dgtsv
@@ -495,6 +534,17 @@ class TestPrufer:
         # one solver restarted per shot: scipy's wrapper keeps every solver
         # it has run alive
         assert len({id(solver) for _, _, solver in spans}) == 1
+
+    @pytest.mark.parametrize("j", [1.5, 0, -1, math.nan])
+    def test_non_integral_or_low_index_rejected(self, j):
+        # j = 1.5 gave -6.1e-5, no eigenvalue (Λ₂ = +6.5e-5); j = 0 a
+        # BracketError
+        with pytest.raises(DomainError, match="integer eigenvalue index"):
+            prufer_eigen(limit_problem(3, 2.0), j, (-6.5, 0.5))
+
+    def test_integral_float_index_accepted(self):
+        prob = limit_problem(3, 2.0, 1e3)
+        assert prufer_eigen(prob, 1.0, (-6.5, -5.5)) == prufer_eigen(prob, 1, (-6.5, -5.5))
 
     def test_prufer_runs_no_solve_ivp(self, monkeypatch):
         def refuse(*args, **kwargs):

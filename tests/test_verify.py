@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from henonball import spectral, verify
@@ -81,3 +83,35 @@ def test_limit_criteria_run_no_bisection(monkeypatch):
 
     monkeypatch.setattr(spectral, "eigh_tridiagonal", forbidden)
     assert run_criteria(["C1", "C2"]).overall_pass
+
+
+# |α_2^ε - 2| along EPS_SWEEP: a tie is nonincreasing, a rise is not
+@pytest.mark.parametrize("errs, measured, passed", [
+    ((4e-5, 2e-5, 2e-5, 1e-5), 0.0, True),
+    ((4e-5, 2e-5, 3e-5, 1e-5), 3e-5 - 2e-5, False),
+])
+def test_c4_trend_reads_planted_deltas(monkeypatch, errs, measured, passed):
+    by_eps = dict(zip(verify.EPS_SWEEP, errs))
+
+    def planted(n_dim, eps, k, cache):
+        return SimpleNamespace(residual=0.0, delta=-by_eps[eps])
+
+    monkeypatch.setattr(verify.bif, "find_bifurcation_alpha", planted)
+    trend = {r.id: r for r in run_criteria(["C4"]).results}["C4.trend"]
+    assert trend.passed is passed and trend.measured == measured
+
+
+# sup-distances to the bubble along EPS_SWEEP: C10 asks for a strict decrease
+@pytest.mark.parametrize("dists, passed", [
+    ((0.4, 0.3, 0.2, 0.1), True),
+    ((0.4, 0.3, 0.3, 0.1), False),
+])
+def test_c10_reads_planted_distances(monkeypatch, dists, passed):
+    by_eps = dict(zip(verify.EPS_SWEEP, dists))
+    monkeypatch.setattr(verify.resc, "limit_distance",
+                        lambda rescaled: by_eps[rescaled.params.eps])
+    results = run_criteria(["C10"]).results
+    assert [r.id for r in results] == ["C10.a1", "C10.a2"]
+    for r in results:
+        assert r.passed is passed
+        assert r.measured == max(b - a for a, b in zip(dists, dists[1:]))

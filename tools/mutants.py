@@ -1,4 +1,4 @@
-"""String-replace mutation driver for henonball's certificates.
+"""String-replace mutation driver for henonball's certificates and verify gates.
 
 Each mutant names one edit of one file under `src/henonball` (an exact text
 and its replacement) and the pytest selection meant to fail on it.  The
@@ -7,8 +7,9 @@ then applies the mutants one after another: it writes the mutated file, runs
 the selection there in one subprocess, prints `killed` (the selection
 failed), `survived` (it passed) or `error` (pytest could not run it), and
 restores the file.  A text that does not occur exactly once stops the run,
-so a stale mutant cannot survive unnoticed.  Needs the standard library and
-pytest; run from anywhere as
+so a stale mutant cannot survive unnoticed.  The exit status is 0 when every
+mutant is killed and 1 when any survives or errors, so a CI job can run it.
+Needs the standard library and pytest; run from anywhere as
 
     python tools/mutants.py
 """
@@ -23,6 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BIF = "tests/test_bifurcation.py::"
 PLANTED = BIF + "TestFluxIdentity::test_unsettled_certificate_falls_back"
+VER = "tests/test_verify.py::"
 # (what the mutant does, file, text, replacement, pytest selection)
 MUTANTS = [
     ("_fixed_point stops at 1e-7·|δ|", "bifurcation.py", "<= 1e-12 * abs(d)",
@@ -45,11 +47,20 @@ MUTANTS = [
      "index_invariant=1 + sum(n_k for _, n_k, _ in counts[1:]),",
      [BIF + "TestMorseIndex::test_invariant_index_counts_every_radial_direction"]),
     ("_RESIDUAL_ULPS is 4096", "spectral.py", "_RESIDUAL_ULPS = 4.0",
-     "_RESIDUAL_ULPS = 4096.0", ["tests"]),
+     "_RESIDUAL_ULPS = 4096.0",
+     ["tests/test_spectral.py::TestLowestPair::test_stops_one_solve_after_the_residual_test"]),
     ("BifurcationPoint.residual is halved", "bifurcation.py",
      "residual=abs(samples[alpha_k + delta][1] + sigma_k),",
      "residual=abs(samples[alpha_k + delta][1] + sigma_k) / 2,",
      [BIF + "TestFluxIdentity::test_residual_is_the_recomputed_crossing_gap"]),
+    ("C4.trend's test is b < a", "verify.py", "all(b <= a for a, b in zip(errs, errs[1:]))",
+     "all(b < a for a, b in zip(errs, errs[1:]))", [VER + "test_c4_trend_reads_planted_deltas"]),
+    ("C4.trend measures max(a - b)", "verify.py",
+     "max([b - a for a, b in zip(errs, errs[1:])], default=0.0)",
+     "max([a - b for a, b in zip(errs, errs[1:])], default=0.0)",
+     [VER + "test_c4_trend_reads_planted_deltas"]),
+    ("C10's test is b <= a", "verify.py", "all(b < a for a, b in zip(dists, dists[1:]))",
+     "all(b <= a for a, b in zip(dists, dists[1:]))", [VER + "test_c10_reads_planted_distances"]),
 ]
 
 
@@ -61,6 +72,7 @@ def main() -> int:
             shutil.copytree(ROOT / part, Path(tmp, part),
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
+        all_killed = True
         for name, file, old, new, selection in MUTANTS:
             path = Path(tmp, "src", "henonball", file)
             text = path.read_text()
@@ -74,8 +86,9 @@ def main() -> int:
             finally:
                 path.write_text(text)
             outcome = {0: "survived", 1: "killed"}.get(status, "error")
+            all_killed &= outcome == "killed"
             print(f"{outcome:8}  {name}  [{' '.join(selection)}]", flush=True)
-    return 0
+    return 0 if all_killed else 1
 
 
 if __name__ == "__main__":
