@@ -24,9 +24,9 @@ Brent's method remains as the fallback for what the identity's certificates
 cannot settle (see `find_bifurcation_alpha`).
 
 One α-evaluation is one `flux_gap`: a Dirichlet shoot, one evaluation of
-the profile and u' on the fine grid of the N_POINTS/2·N_POINTS pair (the
-coarse grid is every other fine node), and the lowest eigenpair of each
-grid's pencil by shifted inverse iteration from Λ₁(α).  Profiles and
+the profile and u' on the fine grid of the N_POINTS/2·N_POINTS pair, which
+`spectral.pencil_pair` builds from that u alone, and the lowest eigenpair of
+each pencil by shifted inverse iteration from Λ₁(α).  Profiles and
 `flux_gap` results are memoized in a SolverCache keyed by the exact
 parameters: the one passed as `cache=`, or else a fresh one that lives only
 as long as the call.
@@ -38,6 +38,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .spectral import (
     SLProblem,
     assemble_pencil,
     default_spectral_grid,
+    pencil_pair,
     solve_eigen,
 )
 
@@ -101,27 +103,6 @@ class SolverCache:
         return self._limits[key]
 
 
-class _ProfileTable:
-    """u and u' of a profile, read once on the fine grid of the
-    N_POINTS/2·N_POINTS pair.  `default_spectral_grid(1, n)` is bit for bit
-    every other node of `default_spectral_grid(1, 2n)`, since linspace's step
-    halves exactly, so the table answers `evaluate` on both grids: both
-    pencils of the pair in `flux_gap` and `lambda_values`, and z in
-    `flux_gap`, read this one evaluation.  `SLProblem.from_profile` takes it
-    in place of the profile."""
-
-    def __init__(self, profile: RadialProfile):
-        self.params = profile.params
-        self.grid = default_spectral_grid(1.0, 2 * N_POINTS)
-        self.u, self.du = profile.evaluate(self.grid, derivative=True)
-
-    def evaluate(self, r, derivative: bool = False):
-        for rows in (slice(None), slice(None, None, 2)):
-            if np.array_equal(self.grid[rows], r):
-                return (self.u[rows], self.du[rows]) if derivative else self.u[rows]
-        raise DomainError("a profile table answers on its grid and every other node only")
-
-
 def lambda_values(
     n_dim: int,
     eps: float,
@@ -129,11 +110,12 @@ def lambda_values(
     count: int = 1,
     cache: SolverCache | None = None,
 ) -> tuple[float, ...]:
-    """Lowest `count` eigenvalues Λ_j^ε(α), Richardson-extrapolated.  The
-    profile comes from `cache`; the eigen solve runs on every call and reads
-    the profile once, on the fine grid."""
+    """Lowest `count` eigenvalues Λ_j^ε(α), Richardson-extrapolated over the
+    N_POINTS/2·N_POINTS pair.  The profile comes from `cache`; the eigen
+    solve runs on every call and reads the profile once, on the fine grid
+    (`spectral.pencil_pair`)."""
     profile = (cache or SolverCache()).profile(n_dim, alpha, eps)
-    res = solve_eigen(SLProblem.from_profile(_ProfileTable(profile)), count=count,
+    res = solve_eigen(SLProblem.from_profile(profile), count=count,
                       n_points=N_POINTS, with_vectors=False)
     return tuple(r.extrapolated for r in res)
 
@@ -146,19 +128,6 @@ def _slope_at_one(x: np.ndarray, y: np.ndarray) -> float:
         others = np.delete(x, i)
         slope += yi * np.prod(1.0 - others) / (np.prod(xi - others) * (xi - 1.0))
     return float(slope)
-
-
-def _grid_gap(table: _ProfileTable, problem: SLProblem, du1: float,
-              n_points: int) -> tuple[float, float]:
-    """The identity's g and the pencil's Λ₁^ε on one spectral grid."""
-    grid = default_spectral_grid(1.0, n_points)
-    pencil = assemble_pencil(problem, grid)
-    lam, phi = pencil.pair(1)
-    z = grid ** (-table.params.alpha / 2.0) * table.evaluate(grid, derivative=True)[1]
-    overlap = np.dot(pencil.b_diag * phi, z)
-    # φ'(1) from the quartic through the last four nodes and (1, 0)
-    dphi1 = _slope_at_one(grid[-4:], phi[-4:])
-    return float(-dphi1 * du1 / overlap), lam
 
 
 def flux_gap(
@@ -179,17 +148,27 @@ def flux_gap(
     (4·fine - coarse)/3 cancels all of the leading error of g, and
     ∫₀¹ r^(N-3) φ z dr is the pencil's own weight matrix applied to φ z,
     which is the trapezoid rule on [0, grid, 1].  The profile is read once,
-    with u', on the fine grid (`_ProfileTable`), plus u'(1); the result is
-    memoized in `cache`."""
+    with u', on the fine grid, plus u'(1): the pair's q reads that u (the
+    coarse grid is every other fine node, see `spectral.pencil_pair`), and
+    z = r^(-α/2) u' reads u' on each pencil's grid.  The result is memoized
+    in `cache`."""
     cache = cache or SolverCache()
     key = (n_dim, alpha, eps)
     if key not in cache._gaps:
         profile = cache.profile(n_dim, alpha, eps)
-        table = _ProfileTable(profile)
-        problem = SLProblem.from_profile(table)
+        u, du = profile.evaluate(default_spectral_grid(1.0, 2 * N_POINTS), derivative=True)
         du1 = profile.evaluate(1.0, derivative=True)[1]
-        (g_c, lam_c), (g_f, lam_f) = (_grid_gap(table, problem, du1, n)
-                                      for n in (N_POINTS, 2 * N_POINTS))
+        fine_u = SimpleNamespace(params=profile.params, evaluate=lambda r: u)
+        pencils = pencil_pair(SLProblem.from_profile(fine_u), N_POINTS)
+        values = []
+        for pencil, rows in zip(pencils, (slice(None, None, 2), slice(None))):
+            lam, phi = pencil.pair(1)
+            z = pencil.grid ** (-alpha / 2.0) * du[rows]
+            overlap = np.dot(pencil.b_diag * phi, z)
+            # φ'(1) from the quartic through the last four nodes and (1, 0)
+            dphi1 = _slope_at_one(pencil.grid[-4:], phi[-4:])
+            values.append((float(-dphi1 * du1 / overlap), lam))
+        (g_c, lam_c), (g_f, lam_f) = values
         cache._gaps[key] = (4.0 * g_f - g_c) / 3.0, (4.0 * lam_f - lam_c) / 3.0
     return cache._gaps[key]
 

@@ -44,9 +44,13 @@ def gamma(x: float) -> float:
 
 
 def threshold_exponent(n_dim: int, alpha: float) -> float:
-    """Threshold exponent p_α = (N+2+2α)/(N-2); no solutions at or above it."""
+    """Threshold exponent p_α = (N+2+2α)/(N-2); no solutions at or above it.
+    DomainError for an α so large that p_α is not a finite float."""
     _check_n_alpha(n_dim, alpha)
-    return (n_dim + 2.0 + 2.0 * alpha) / (n_dim - 2.0)
+    p_alpha = (n_dim + 2.0 + 2.0 * alpha) / (n_dim - 2.0)
+    if not math.isfinite(p_alpha):
+        raise DomainError(f"p_alpha overflows at alpha={alpha!r}: need a smaller alpha")
+    return p_alpha
 
 
 def henon_constant(n_dim: int, alpha: float) -> float:
@@ -147,8 +151,9 @@ def first_eigenfunction_closed(r, lam: float, n_dim: int, alpha: float):
 @dataclass(frozen=True)
 class ProblemParams:
     """One Henon problem instance: dimension N ≥ 3, weight exponent α ≥ 0 and
-    subcriticality ε ∈ (0, p_α - 1).  Derived exponents are filled in at
-    construction time."""
+    subcriticality ε ∈ (0, p_α - 1), large enough that p = p_α - ε rounds
+    below p_α (ε above about 4.4e-16 at N = 3, α = 0).  Derived exponents are
+    filled in at construction time."""
 
     n_dim: int
     alpha: float
@@ -163,6 +168,11 @@ class ProblemParams:
         if not 0.0 < self.eps < p_alpha - 1.0:
             raise DomainError(
                 f"need 0 < eps < p_alpha - 1 = {p_alpha - 1.0}, got {self.eps!r}"
+            )
+        if not p_alpha - self.eps < p_alpha:
+            raise DomainError(
+                f"eps={self.eps!r} is below the resolution of p_alpha = {p_alpha}: "
+                "p_alpha - eps rounds to p_alpha, the critical exponent"
             )
         object.__setattr__(self, "n_dim", int(self.n_dim))
         object.__setattr__(self, "p_alpha", p_alpha)

@@ -502,7 +502,13 @@ def _radial_ivp(n_dim, alpha, p, a, tol, r_max):
 
     def rhs(r, u, v):
         # odd extension keeps the vector field smooth through u = 0
-        return v, -(n_dim - 1.0) / r * v - r**alpha * math.copysign(abs(u) ** p, u)
+        try:
+            return v, -(n_dim - 1.0) / r * v - r**alpha * math.copysign(abs(u) ** p, u)
+        except OverflowError:
+            raise NumericsError(
+                f"radial integration overflows at r={r!r} with alpha={alpha!r}: "
+                "r**alpha * |u|**p exceeds the float range before the shot's first zero"
+            ) from None
 
     return rhs, r0, y0, tol, tol * 1e-2 * a
 
@@ -521,7 +527,10 @@ def integrate_radial_ivp(
     `tol` is the relative tolerance; the absolute tolerance is tol*1e-2
     scaled by the amplitude.  The first downward zero crossing terminates the
     integration and is polished on the dense output, which the returned shot
-    can evaluate.
+    can evaluate.  A right-hand side that overflows raises NumericsError
+    naming r and α: the unit shot's zero moves out with α, and at N = 3,
+    α = 100 the shot meets r^α above the float range before it (shooting in
+    the Fowler variable s = r^((2+α)/2) would keep r^α out of the equation).
     """
     rhs, r0, y0, rtol, atol = _radial_ivp(n_dim, alpha, p, a, tol, r_max)
     table, first_zero = _dop853_shot(rhs, r0, y0, r_max, rtol, atol)

@@ -5,11 +5,13 @@ The eigenvalue problem is
     -z'' - (N-1)/r z' - q(r) z = Λ z / r²,   z(0) = z(R) = 0,
 
 discretized in the self-adjoint form -(r^(N-1) z')' - r^(N-1) q z = Λ r^(N-3) z
-by a conservative three-point scheme on a graded grid (`assemble_pencil`, the
-one assembler).  Both pencil matrices are symmetric tridiagonal (the weight
-matrix diagonal).  The purely radial (k = 0) linearization needs no pencil of
-its own: by Sylvester's law its inertia at 0 does not depend on the positive
-weight, so it is this pencil's count at 0 (see `bifurcation.morse_index`).
+by a conservative three-point scheme on a graded grid: one stencil behind
+`assemble_pencil` (one grid) and `pencil_pair` (the coarse/fine pair of a
+two-grid solve, from one evaluation of q).  Both pencil matrices are
+symmetric tridiagonal (the weight matrix diagonal).  The purely radial
+(k = 0) linearization needs no pencil of its own: by Sylvester's law its
+inertia at 0 does not depend on the positive weight, so it is this pencil's
+count at 0 (see `bifurcation.morse_index`).
 Every eigenvalue comes down one ladder in `Pencil` and passes one
 certificate routine: an inertia certificate from the pencil's own Sturm count
 and, for an eigenvector, a node-count certificate.  A problem may carry
@@ -65,6 +67,7 @@ __all__ = [
     "EigenResult",
     "LimitEigenResult",
     "assemble_pencil",
+    "pencil_pair",
     "default_spectral_grid",
     "solve_eigen",
     "prufer_eigen",
@@ -167,7 +170,7 @@ class Pencil:
     `count` eigenvalues, and eigenvectors with the latter, from one ladder:
     1. pair j ≤ len(shifts) from shifted inverse iteration at `shifts[j-1]`
        (`pair`), the problem's closed-form value near Λ_j
-       (`SLProblem.shifts`, handed on by `assemble_pencil`);
+       (`SLProblem.shifts`, handed on by `assemble_pencil` and `pencil_pair`);
     2. the other pairs, and a shifted pair that fails its certificates, from
        one stebz call on T = B^-1/2 A B^-1/2 over the index range they span,
        with stein's vectors when vectors are asked for (`_stebz`);
@@ -401,15 +404,32 @@ def assemble_pencil(problem: SLProblem, grid: np.ndarray) -> Pencil:
         raise DomainError("first grid node must be > 0 (the origin is singular)")
     if np.any(np.diff(r) <= 0) or r[-1] >= problem.r_end:
         raise DomainError("grid must increase strictly and stay inside the domain")
-    ndm1 = problem.n_dim - 1.0
+    return _stencil(problem, r, np.asarray(problem.q(r), dtype=float))
 
+
+def pencil_pair(problem: SLProblem, n_points: int) -> tuple[Pencil, Pencil]:
+    """The (coarse, fine) pencils of a two-grid solve, each equal to
+    `assemble_pencil` on `default_spectral_grid(r_end, n)` for n = n_points
+    and 2·n_points, from one `problem.q` call on the fine grid: the coarse
+    grid is every other fine node, bit for bit, since linspace's step halves
+    exactly."""
+    if n_points < 3:
+        raise DomainError(f"need n_points >= 3, got {n_points!r}")
+    fine = default_spectral_grid(problem.r_end, 2 * n_points)
+    qv = np.asarray(problem.q(fine), dtype=float)
+    return (_stencil(problem, np.ascontiguousarray(fine[::2]), qv[::2]),
+            _stencil(problem, fine, qv))
+
+
+def _stencil(problem: SLProblem, r: np.ndarray, qv: np.ndarray) -> Pencil:
+    """The pencil of `assemble_pencil` on a checked grid r with q(r) = qv."""
+    ndm1 = problem.n_dim - 1.0
     nodes = np.concatenate([[0.0], r, [problem.r_end]])
     gaps = np.diff(nodes)                       # n+1 gaps
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     flux = mids**ndm1 / gaps                    # n+1 couplings
 
     cell = 0.5 * (gaps[:-1] + gaps[1:])         # lumped cell widths at nodes
-    qv = np.asarray(problem.q(r), dtype=float)
     a_diag = flux[:-1] + flux[1:] - r**ndm1 * qv * cell
     a_off = -flux[1:-1]
     b_diag = r ** (ndm1 - 2.0) * cell
@@ -452,12 +472,11 @@ def solve_eigen(
     error (see EigenResult).  Both grids' values are
     inertia-certified and must increase strictly.  Eigenvectors, if asked
     for, come from the fine grid with their node-count certificate.  The
-    grids have n_points and 2·n_points nodes (`default_spectral_grid`).
+    n_points/2·n_points pair and its one q read are `pencil_pair`'s.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    coarse = assemble_pencil(problem, default_spectral_grid(problem.r_end, n_points))
-    fine = assemble_pencil(problem, default_spectral_grid(problem.r_end, 2 * n_points))
+    coarse, fine = pencil_pair(problem, n_points)
     lam_c = coarse.eigenvalue_batch(count)
     if with_vectors:
         lam_f, zs = fine.eigenvectors(count)

@@ -161,9 +161,9 @@ class TestFluxIdentity:
         cache = SolverCache()
         first = find_bifurcation_alpha(3, 0.01, 2, cache=cache)
         calls = []
-        grid_gap = bifurcation._grid_gap
-        monkeypatch.setattr(bifurcation, "_grid_gap",
-                            lambda *args: calls.append(args) or grid_gap(*args))
+        pair = bifurcation.pencil_pair
+        monkeypatch.setattr(bifurcation, "pencil_pair",
+                            lambda *args: calls.append(args) or pair(*args))
         assert find_bifurcation_alpha(3, 0.01, 2, cache=cache) == first
         assert calls == []
 

@@ -93,6 +93,14 @@ def test_spectrum_past_the_hardy_edge_exits_3(capsys):
     assert all(float(row["lambda"]) < 2.25 for row in rows)
 
 
+@pytest.mark.parametrize("command", ["solve", "spectrum"])
+def test_overflowing_shot_exits_3(command, capsys):
+    # r**alpha leaves the float range before the unit shot's first zero
+    argv = [command, "--N", "3", "--alpha", "100", "--eps", "0.05"]
+    assert cli.main(argv) == cli.EXIT_NUMERICAL
+    assert "overflows at r=1236.9" in capsys.readouterr().err
+
+
 def test_count_help_names_the_continuous_spectrum(capsys):
     with pytest.raises(SystemExit):
         cli.main(["spectrum", "--help"])
@@ -127,6 +135,9 @@ INVALID_PARAMETERS = [
     (["sweep", "--N", "2", "--alpha-grid", "1:2:2", "--eps-list", "0.05"], "N >= 3"),
     (["solve", "--N", "3", "--alpha", "inf", "--eps", "0.05"], "alpha >= 0, got inf"),
     (["solve", "--N", "3", "--alpha", "nan", "--eps", "0.05"], "alpha >= 0, got nan"),
+    # p_alpha - eps rounds to p_alpha: the shot would be critical
+    (["solve", "--N", "3", "--alpha", "0", "--eps", "1e-30"], "rounds to p_alpha"),
+    (["solve", "--N", "3", "--alpha", "1e308", "--eps", "0.05"], "p_alpha overflows"),
 ]
 
 

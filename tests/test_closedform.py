@@ -266,11 +266,14 @@ class TestProblemParams:
         assert p.p == pytest.approx(8.95)
         assert 1.0 < p.p < p.p_alpha
         assert p.henon_c == 5.0
+        assert cf.ProblemParams(3, 0.0, 5e-16).p < 5.0
 
     @pytest.mark.parametrize(
         "n_dim, alpha, eps",
         [(2, 0.0, 0.1), (3, -1.0, 0.1), (3, 0.0, 0.0), (3, 0.0, 4.0), (3, 0.0, -0.1),
-         (3, math.inf, 0.1), (3, math.nan, 0.1)],
+         (3, math.inf, 0.1), (3, math.nan, 0.1),
+         # p_alpha overflows; p_alpha - eps rounds to p_alpha
+         (3, 1e308, 0.1), (3, 0.0, 4e-16), (3, 0.0, 1e-30), (3, 0.0, 1e-300)],
     )
     def test_invalid_rejected(self, n_dim, alpha, eps):
         with pytest.raises(DomainError):

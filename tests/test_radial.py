@@ -56,6 +56,13 @@ class TestIntegrateRadialIVP:
         assert np.max(np.abs(u - exact)) < 1e-8
         assert np.max(np.abs(du - exact_du)) < 1e-8
 
+    def test_overflowing_right_hand_side_is_a_numerics_error(self):
+        # at N = 3, alpha = 100 the unit shot's zero lies past r = 1202, where
+        # r**100 leaves the float range
+        p = ProblemParams(3, 100.0, 0.05).p
+        with pytest.raises(NumericsError, match=r"overflows at r=1236\.\d+ with alpha=100\.0"):
+            integrate_radial_ivp(3, 100.0, p, r_max=1e6)
+
     def test_critical_shot_positive_to_1e3(self):
         shot = integrate_radial_ivp(3, 0.0, 5.0, a=1.0, r_max=1e3)
         assert shot.first_zero is None

@@ -79,6 +79,28 @@ class TestAssembly:
             assemble_pencil(ball_problem, np.array([0.1, 0.1, 0.9]))
         with pytest.raises(DomainError):
             assemble_pencil(ball_problem, np.array([0.1, 0.5, 1.0]))
+        with pytest.raises(DomainError, match="n_points >= 3"):
+            spectral.pencil_pair(ball_problem, 2)
+
+    @pytest.mark.parametrize("kind, n", [
+        ("ball", 1500), ("limit", 3000), ("limit-2e3", 3000), ("expanding", 1500)])
+    def test_pair_is_the_assembly_on_both_grids(self, profile_3_2_005, kind, n):
+        # one q read on the fine grid; the coarse pencil takes every other node
+        problem = {
+            "ball": lambda: SLProblem.from_profile(profile_3_2_005),
+            "limit": lambda: limit_problem(3, 2.0, 1e3),
+            "limit-2e3": lambda: limit_problem(3, 2.0, 2e3),
+            "expanding": lambda: SLProblem.from_rescaled(rescale(profile_3_2_005)),
+        }[kind]()
+        reads = []
+        spied = replace(problem, q=lambda r: reads.append(r.size) or problem.q(r))
+        pair = spectral.pencil_pair(spied, n)
+        assert reads == [2 * n]
+        for pencil, size in zip(pair, (n, 2 * n)):
+            ref = assemble_pencil(problem, default_spectral_grid(problem.r_end, size))
+            for name in ("grid", "a_diag", "a_off", "b_diag"):
+                assert np.array_equal(getattr(pencil, name), getattr(ref, name)), name
+            assert pencil.shifts == ref.shifts
 
     def test_dense_solver_oracle_q0(self):
         # q = 0, N = 3 on (0, pi): bisection against an independent dense

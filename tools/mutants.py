@@ -49,6 +49,9 @@ MUTANTS = [
     ("_RESIDUAL_ULPS is 4096", "spectral.py", "_RESIDUAL_ULPS = 4.0",
      "_RESIDUAL_ULPS = 4096.0",
      ["tests/test_spectral.py::TestLowestPair::test_stops_one_solve_after_the_residual_test"]),
+    ("pencil_pair's coarse rows are [1::2]", "spectral.py", "fine[::2]), qv[::2])",
+     "fine[1::2]), qv[1::2])",
+     ["tests/test_spectral.py::TestAssembly::test_pair_is_the_assembly_on_both_grids"]),
     ("BifurcationPoint.residual is halved", "bifurcation.py",
      "residual=abs(samples[alpha_k + delta][1] + sigma_k),",
      "residual=abs(samples[alpha_k + delta][1] + sigma_k) / 2,",
