@@ -24,12 +24,12 @@ Brent's method remains as the fallback for what the identity's certificates
 cannot settle (see `find_bifurcation_alpha`).
 
 One α-evaluation is one `flux_gap`: a Dirichlet shoot, one evaluation of
-the profile and u' on the fine grid of the N_POINTS/2·N_POINTS pair, which
-`spectral.pencil_pair` builds from that u alone, and the lowest eigenpair of
-each pencil by shifted inverse iteration from Λ₁(α).  Profiles and
-`flux_gap` results are memoized in a SolverCache keyed by the exact
-parameters: the one passed as `cache=`, or else a fresh one that lives only
-as long as the call.
+(u, u') on the fine grid of the N_POINTS/2·N_POINTS pair with r = 1 appended,
+which gives `spectral.pencil_pair` the u it builds both pencils from and the
+identity u'(1), and the lowest eigenpair of each pencil by shifted inverse
+iteration from Λ₁(α).  Profiles and `flux_gap` results are memoized in a
+SolverCache keyed by the exact parameters: the one passed as `cache=`, or
+else a fresh one that lives only as long as the call.
 """
 
 from __future__ import annotations
@@ -148,17 +148,17 @@ def flux_gap(
     (4·fine - coarse)/3 cancels all of the leading error of g, and
     ∫₀¹ r^(N-3) φ z dr is the pencil's own weight matrix applied to φ z,
     which is the trapezoid rule on [0, grid, 1].  The profile is read once,
-    with u', on the fine grid, plus u'(1): the pair's q reads that u (the
-    coarse grid is every other fine node, see `spectral.pencil_pair`), and
-    z = r^(-α/2) u' reads u' on each pencil's grid.  The result is memoized
-    in `cache`."""
+    (u, u') on the fine grid with r = 1 appended: u'(1) is the last entry,
+    the pair's q reads u on the grid (the coarse grid is every other fine
+    node, see `spectral.pencil_pair`), and z = r^(-α/2) u' reads u' on each
+    pencil's grid.  The result is memoized in `cache`."""
     cache = cache or SolverCache()
     key = (n_dim, alpha, eps)
     if key not in cache._gaps:
         profile = cache.profile(n_dim, alpha, eps)
-        u, du = profile.evaluate(default_spectral_grid(1.0, 2 * N_POINTS), derivative=True)
-        du1 = profile.evaluate(1.0, derivative=True)[1]
-        fine_u = SimpleNamespace(params=profile.params, evaluate=lambda r: u)
+        u, du = profile.evaluate(np.append(default_spectral_grid(1.0, 2 * N_POINTS), 1.0))
+        u, du, du1 = u[:-1], du[:-1], du[-1]
+        fine_u = SimpleNamespace(params=profile.params, evaluate=lambda r: (u, du))
         pencils = pencil_pair(SLProblem.from_profile(fine_u), N_POINTS)
         values = []
         for pencil, rows in zip(pencils, (slice(None, None, 2), slice(None))):
@@ -255,6 +255,7 @@ def find_bifurcation_alpha(
     A bracket end lo ≤ ((N-2)ε - 4)/2, where ε ≥ p_lo - 1, is a DomainError."""
     if k < 2:
         raise DomainError("bifurcation search needs k >= 2: k = 1 is not supported yet")
+    sigma_k, _ = sphere_eigen(n_dim, k)
     alpha_k = bifurcation_alpha(k)
     if bracket is None:
         rho = 0.9
@@ -262,7 +263,6 @@ def find_bifurcation_alpha(
     lo, hi = bracket
     if not 0.0 < lo < hi < np.inf:
         raise DomainError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
-    sigma_k, _ = sphere_eigen(n_dim, k)
     edge = ((n_dim - 2) * eps - 4.0) / 2.0  # the alpha where eps = p_alpha - 1
     if lo <= edge:
         raise DomainError(f"bracket end lo={lo!r} is inadmissible at eps={eps!r}: "

@@ -90,12 +90,13 @@ def limit_lambda(n_dim: int, alpha: float) -> float:
 def limit_profile(r, lam: float, n_dim: int, alpha: float):
     """Entire-space bubble U_{λ,α}(r) = λ^((N-2)/2) / (1+λ^(2+α) r^(2+α))^((N-2)/(2+α)).
 
-    Accepts scalar or array r ≥ 0; strictly decreasing in r.
+    Accepts scalar or array r ≥ 0; strictly decreasing in r.  DomainError for
+    any r below 0, NaN included.
     """
     _check_n_alpha(n_dim, alpha)
     if not lam > 0.0:
         raise DomainError(f"limit_profile requires lam > 0, got {lam!r}")
-    r = np.asarray(r, dtype=float)
+    r = _radii(r)
     expo = (n_dim - 2.0) / (2.0 + alpha)
     out = lam ** ((n_dim - 2.0) / 2.0) / (1.0 + (lam * r) ** (2.0 + alpha)) ** expo
     return float(out) if out.ndim == 0 else out
@@ -126,9 +127,10 @@ def sphere_multiplicity(n_dim: int, k: int) -> int:
 
 def bifurcation_alpha(k: int) -> float:
     """Limit bifurcation abscissa α_k = 2(k-1), the unique α ≥ 0 with
-    Λ₁(α) = -σ_k (valid for every N ≥ 3)."""
-    if k < 1:
-        raise DomainError(f"bifurcation_alpha requires k >= 1, got {k!r}")
+    Λ₁(α) = -σ_k (valid for every N ≥ 3).  k may be an integral float, as
+    in `sphere_multiplicity`."""
+    if not (float(k).is_integer() and k >= 1):
+        raise DomainError(f"bifurcation_alpha requires an integer k >= 1, got {k!r}")
     return 2.0 * (k - 1)
 
 
@@ -138,11 +140,12 @@ def first_eigenfunction_closed(r, lam: float, n_dim: int, alpha: float):
     z(r) = λ^((2+α)/2) r^((2+α)/2) / (1+λ^(2+α) r^(2+α))^((N+α)/(2+α)).
 
     Vanishes at r = 0, positive for r > 0, decays like r^(-(N+α-(2+α)/2)).
+    DomainError for any r below 0, NaN included.
     """
     _check_n_alpha(n_dim, alpha)
     if not lam > 0.0:
         raise DomainError(f"first_eigenfunction_closed requires lam > 0, got {lam!r}")
-    r = np.asarray(r, dtype=float)
+    r = _radii(r)
     x = (lam * r) ** ((2.0 + alpha) / 2.0)
     out = x / (1.0 + x * x) ** ((n_dim + alpha) / (2.0 + alpha))
     return float(out) if out.ndim == 0 else out
@@ -181,6 +184,13 @@ class ProblemParams:
     @property
     def henon_c(self) -> float:
         return henon_constant(self.n_dim, self.alpha)
+
+
+def _radii(r) -> np.ndarray:
+    r = np.asarray(r, dtype=float)
+    if not np.all(r >= 0.0):
+        raise DomainError("radii must be >= 0")
+    return r
 
 
 def _check_n_alpha(n_dim: int, alpha: float) -> None:

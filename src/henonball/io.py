@@ -72,7 +72,7 @@ def profile_to_dict(profile: RadialProfile, residuals: Mapping[str, float] | Non
     """The profile's artifact: its samples on `default_profile_grid()`."""
     pr = profile.params
     grid = default_profile_grid()
-    u, du = profile.evaluate(grid, derivative=True)
+    u, du = profile.evaluate(grid)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "radial_profile",

@@ -16,8 +16,8 @@ alone, and returns a `ShotTrajectory` that holds the dense output of each
 accepted step in one stacked table (Hairer–Nørsett–Wanner, §II.6).  The
 shot's one evaluator gives (u, u') for an array of radii in one vectorized
 pass, the series below the shot's start and the table from there on;
-`RadialProfile.evaluate` maps it back to the unit ball and is the one
-evaluator that takes a scalar radius or the `derivative` flag.
+`RadialProfile.evaluate` maps that pair back to the unit ball, in the same
+shape: a 1-D array of radii in, (u, u') out.
 `rk45_first_zero` shoots the same IVP on scipy's RK45 (Dormand–Prince, 1980),
 loaded on its first call: an independent check of the first zero from
 another code base.
@@ -486,8 +486,8 @@ def _radial_ivp(n_dim, alpha, p, a, tol, r_max):
         raise DomainError(f"need 1 < p <= p_alpha = {p_alpha}, got {p!r}")
     if not a > 0:
         raise DomainError(f"need a > 0, got {a!r}")
-    if not tol > 0:
-        raise DomainError(f"need tol > 0, got {tol!r}")
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"need 0 < tol < 1, got {tol!r}")
 
     # series start: the relative truncation of the two-term series is the
     # square of a^(p-1) r^(2+α) / ((2+α)(N+α)); cap that at 1e-5 (error 1e-10)
@@ -524,10 +524,10 @@ def integrate_radial_ivp(
     """Shoot u'' + (N-1)/r u' + r^α u^p = 0 from u(0)=a, u'(0)=0 with the
     module's DOP853 stepper, on numpy alone.
 
-    `tol` is the relative tolerance; the absolute tolerance is tol*1e-2
-    scaled by the amplitude.  The first downward zero crossing terminates the
-    integration and is polished on the dense output, which the returned shot
-    can evaluate.  A right-hand side that overflows raises NumericsError
+    `tol` is the relative tolerance, in (0, 1); the absolute tolerance is
+    tol*1e-2 scaled by the amplitude.  The first downward zero crossing
+    terminates the integration and is polished on the dense output, which
+    the returned shot can evaluate.  A right-hand side that overflows raises NumericsError
     naming r and α: the unit shot's zero moves out with α, and at N = 3,
     α = 100 the shot meets r^α above the float range before it (shooting in
     the Fowler variable s = r^((2+α)/2) would keep r^α out of the equation).
@@ -575,10 +575,9 @@ class RadialProfile:
 
     Holds the shot that produced it, its first zero R (`first_zero_raw`) and
     the sup-norm u0 = u(0) = R^β a with β = (2+α)/(p-1).  `evaluate` gives
-    u(r) = R^β u_shot(R r) at any r in [0, 1] from the shot's one (u, u')
-    evaluator; it is the module's one evaluator that takes a scalar radius
-    or the `derivative` flag.  Samples on the standard grid are
-    `evaluate(default_profile_grid(), derivative=True)`.
+    u(r) = R^β u_shot(R r) and u'(r) at the radii of a 1-D array in [0, 1]
+    from the shot's one (u, u') evaluator.  Samples on the standard grid are
+    `evaluate(default_profile_grid())`.
     """
 
     params: ProblemParams
@@ -587,22 +586,18 @@ class RadialProfile:
     integrator_tol: float
     _shot: ShotTrajectory
 
-    def evaluate(self, r, derivative: bool = False):
-        """u(r), or (u(r), u'(r)) with `derivative`: floats for a radius in
-        [0, 1], arrays for a 1-D array of them.  DomainError for any r
-        outside [0, 1], NaN included."""
+    def evaluate(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u(r), u'(r)) at the points of the 1-D array r.  DomainError for
+        an r of another shape, or any point outside [0, 1], NaN included."""
         r = np.asarray(r, float)
+        if r.ndim != 1:
+            raise DomainError(f"profile radii must be a 1-D array, got shape {r.shape}")
         if not np.all((r >= 0.0) & (r <= 1.0)):
             raise DomainError("profile radii must lie in [0, 1]")
         beta = (2.0 + self.params.alpha) / (self.params.p - 1.0)
         scale = self.first_zero_raw**beta
-        u, du = self._shot.evaluate(np.atleast_1d(r) * self.first_zero_raw)
-        if r.ndim == 0:
-            u, du = float(u[0]), float(du[0])
-        u = scale * u
-        if derivative:
-            return u, scale * self.first_zero_raw * du
-        return u
+        u, du = self._shot.evaluate(r * self.first_zero_raw)
+        return scale * u, scale * self.first_zero_raw * du
 
 
 def solve_dirichlet_ball(
@@ -661,7 +656,7 @@ def fowler_check(profile: RadialProfile) -> float:
     r_lo = max(1e-14, 1e-3 * min(1.0, s_scale) ** ((2.0 + alpha) / 2.0))
     r = numerics.log_grid(r_lo, 1.0, 2000)
     s = r ** (2.0 / (2.0 + alpha))
-    u, du = profile.evaluate(s, derivative=True)
+    u, du = profile.evaluate(s)
     # v' comes exactly from the profile's radial derivative (chain rule)
     dv = cfac * du * (2.0 / (2.0 + alpha)) * s / r
     return numerics.radial_defect(
@@ -686,4 +681,4 @@ def decay_bound_check(profile: RadialProfile) -> float:
     num = mu ** ((pr.p_alpha - 1.0 - 2.0 * pr.eps) / 4.0)
     den = mu ** ((pr.p_alpha - 1.0 - pr.eps) / 2.0) + c_inv * grid ** (2.0 + alpha)
     bound = (num / den) ** ((pr.n_dim - 2.0) / (2.0 + alpha))
-    return float(np.min(bound - profile.evaluate(grid)))
+    return float(np.min(bound - profile.evaluate(grid)[0]))

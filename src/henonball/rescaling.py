@@ -33,37 +33,36 @@ __all__ = [
 class RescaledProfile:
     """w(r) = κ u(r/ρ) on [0, ρ], zero outside, for the radial profile u it
     came from.  It stores no samples: `evaluate` goes through the profile's
-    dense evaluator, and `samples` gives w on ρ times `default_profile_grid()`
-    for the readers that want a fixed grid."""
+    (u, u') evaluator and has its shape, a 1-D array of radii in and (w, w')
+    out, and `samples` gives w on ρ times `default_profile_grid()` for the
+    readers that want a fixed grid."""
 
     params: ProblemParams
     rho_eps: float
     kappa: float
     profile: RadialProfile
 
-    def evaluate(self, r, derivative: bool = False):
-        """w(r) (and w'(r)) for r ≥ 0, zero beyond ρ; DomainError for any r
-        below 0, NaN included."""
+    def evaluate(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(w(r), w'(r)) at the points of the 1-D array r, zero beyond ρ.
+        DomainError for an r of another shape, or any point below 0, NaN
+        included."""
         r = np.asarray(r, dtype=float)
+        if r.ndim != 1:
+            raise DomainError(f"rescaled radii must be a 1-D array, got shape {r.shape}")
         if not np.all(r >= 0.0):
             raise DomainError("rescaled radii must be >= 0")
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
+        # Prüfer's last table node, exp(log ρ), can round above ρ
         inside = r <= self.rho_eps
-        w = np.zeros_like(r)
-        dw = np.zeros_like(r)
-        if np.any(inside):
-            u, du = self.profile.evaluate(r[inside] / self.rho_eps, derivative=True)
-            w[inside] = self.kappa * u
-            dw[inside] = self.kappa / self.rho_eps * du
-        if derivative:
-            return (float(w[0]), float(dw[0])) if scalar else (w, dw)
-        return float(w[0]) if scalar else w
+        u, du = self.profile.evaluate(r[inside] / self.rho_eps)
+        w, dw = np.zeros_like(r), np.zeros_like(r)
+        w[inside] = self.kappa * u
+        dw[inside] = self.kappa / self.rho_eps * du
+        return w, dw
 
     def samples(self) -> tuple[np.ndarray, np.ndarray]:
         """(ρ·grid, κ·u(grid)) on grid = `default_profile_grid()`."""
         grid = default_profile_grid()
-        return self.rho_eps * grid, self.kappa * self.profile.evaluate(grid)
+        return self.rho_eps * grid, self.kappa * self.profile.evaluate(grid)[0]
 
 
 def rescale(profile: RadialProfile) -> RescaledProfile:
@@ -96,7 +95,7 @@ def pde_residual(rescaled: RescaledProfile) -> float:
     lam = limit_lambda(pr.n_dim, pr.alpha)
     r_lo = max(1e-10 * rho, 1e-3 / lam)
     r = numerics.log_grid(r_lo, rho, 2000)
-    w, dw = rescaled.evaluate(r, derivative=True)
+    w, dw = rescaled.evaluate(r)
     return numerics.radial_defect(
         r, w, dw, pr.n_dim,
         lambda rin, win: pr.henon_c * rin**pr.alpha * np.clip(win, 0.0, None) ** pr.p,

@@ -95,7 +95,8 @@ _RESIDUAL_ULPS = 4.0
 class SLProblem:
     """Potential q ≥ 0 on (0, r_end) for the r^-2-weighted problem above.
 
-    `shifts[j-1]` is a closed-form value near Λ_j; every pencil of the
+    `q` takes a 1-D array of radii and returns q there, an array of the same
+    size.  `shifts[j-1]` is a closed-form value near Λ_j; every pencil of the
     problem takes them, and its j-th pair for j ≤ len(shifts) comes from
     `Pencil.pair(j)`."""
 
@@ -106,17 +107,18 @@ class SLProblem:
 
     @staticmethod
     def from_profile(profile: RadialProfile) -> "SLProblem":
-        """Unit-ball form: q(r) = (p_α-ε) r^α u^(p_α-1-ε)(r), read through
-        `profile.evaluate` (anything with RadialProfile's `params` and
-        `evaluate` serves).  Its one shift is the closed-form limit value
-        Λ₁(α) = -(α+2)(2N+α-2)/4: Λ₁^ε(α) - Λ₁(α) is the boundary-flux gap
-        g ≥ 0 (see `bifurcation`), so Λ₁^ε lies just above it."""
+        """Unit-ball form: q(r) = (p_α-ε) r^α u^(p_α-1-ε)(r), u read from
+        the pair (u, u') of `profile.evaluate` (anything with RadialProfile's
+        `params` and that `evaluate` serves).  Its one shift is the
+        closed-form limit value Λ₁(α) = -(α+2)(2N+α-2)/4: Λ₁^ε(α) - Λ₁(α) is
+        the boundary-flux gap g ≥ 0 (see `bifurcation`), so Λ₁^ε lies just
+        above it."""
         pr = profile.params
         expn = pr.p_alpha - 1.0 - pr.eps
 
         def q(r):
-            u = np.clip(np.asarray(profile.evaluate(r)), 0.0, None)
-            return pr.p * np.asarray(r) ** pr.alpha * u**expn
+            u = np.clip(profile.evaluate(r)[0], 0.0, None)
+            return pr.p * r**pr.alpha * u**expn
 
         return SLProblem(pr.n_dim, 1.0, q, shifts=(lambda1_closed(pr.n_dim, pr.alpha),))
 
@@ -128,8 +130,8 @@ class SLProblem:
         c = pr.henon_c
 
         def q(r):
-            w = np.clip(np.asarray(rescaled.evaluate(r)), 0.0, None)
-            return pr.p * c * np.asarray(r) ** pr.alpha * w**expn
+            w = np.clip(rescaled.evaluate(r)[0], 0.0, None)
+            return pr.p * c * r**pr.alpha * w**expn
 
         return SLProblem(pr.n_dim, rescaled.rho_eps, q)
 
@@ -663,8 +665,8 @@ def radial_kernel_test(profile: RadialProfile) -> float:
     u(1) = 0 gives v(1) = u'(1)/(βu0)."""
     pr = profile.params
     beta = (2.0 + pr.alpha) / (pr.p - 1.0)
-    _, du1 = profile.evaluate(1.0, derivative=True)
-    return float(du1 / (beta * profile.u0))
+    _, du1 = profile.evaluate(np.array([1.0]))
+    return float(du1[0] / (beta * profile.u0))
 
 
 def scale_equivalence_test(profile: RadialProfile) -> float:

@@ -298,7 +298,7 @@ def _c8_oracles(cache):
     p1 = solve_dirichlet_ball(params, amplitude=1.0)
     p4 = solve_dirichlet_ball(params, amplitude=4.0)
     grid = default_profile_grid()
-    amp = float(np.max(np.abs(p1.evaluate(grid) - p4.evaluate(grid))) / p1.u0)
+    amp = float(np.max(np.abs(p1.evaluate(grid)[0] - p4.evaluate(grid)[0])) / p1.u0)
     yield CriterionResult(
         "C8.e_amplitude",
         "shot-amplitude invariance of the Dirichlet solution",

@@ -276,14 +276,14 @@ class TestSharedEvaluation:
         points = []
         evaluate = RadialProfile.evaluate
 
-        def counted(self, r, derivative=False):
+        def counted(self, r):
             points.append(np.size(r))
-            return evaluate(self, r, derivative)
+            return evaluate(self, r)
 
         monkeypatch.setattr(RadialProfile, "evaluate", counted)
         n_fine = 2 * bifurcation.N_POINTS
         flux_gap(3, 0.05, 1.9, cache)
-        assert sum(points) <= n_fine + 1  # the fine grid and u'(1)
+        assert points == [n_fine + 1]  # one call: the fine grid and r = 1
         points.clear()
         morse_index(3, 0.05, 1.9, cache)
         assert sum(points) <= n_fine

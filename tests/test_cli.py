@@ -107,6 +107,16 @@ def test_count_help_names_the_continuous_spectrum(capsys):
     assert "continuous spectrum" in " ".join(capsys.readouterr().out.split())
 
 
+@pytest.mark.parametrize("tol", ["10", "1.0", "inf", "1e300"])
+def test_tol_outside_unit_interval_exits_2(tol, capsys):
+    # --tol 10 exited 0 with u0 = 4.462 (13.961 at the default), --tol inf
+    # exited 3 with an overflow at r=11.16
+    argv = ["solve", "--N", "3", "--alpha", "1", "--eps", "0.1", "--tol", tol]
+    assert cli.main(argv) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and "need 0 < tol < 1" in captured.err
+
+
 def test_bad_eps_exits_2(capsys):
     argv = ["spectrum", "--N", "3", "--alpha", "2.0", "--eps", "-0.05"]
     assert cli.main(argv) == cli.EXIT_INVALID

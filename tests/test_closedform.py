@@ -114,6 +114,13 @@ class TestLimitProfile:
         u = cf.limit_profile(r, 1.7, 3, 1.0)
         assert np.all(np.diff(u) < 0)
 
+    @pytest.mark.parametrize("r", [-1.0, math.nan, [0.5, -1e-300]])
+    @pytest.mark.parametrize("func", [cf.limit_profile, cf.first_eigenfunction_closed])
+    def test_negative_or_nan_radius_rejected(self, func, r):
+        # limit_profile(-1.0, 1.0, 3, 0.5) returned nan with a RuntimeWarning
+        with pytest.raises(DomainError, match="radii must be >= 0"):
+            func(r, 1.0, 3, 0.5)
+
     def test_far_field_tail(self):
         # r^(N-2) U -> lam^(-(N-2)/2)
         for n_dim, alpha, lam in [(3, 0.0, 2.0), (4, 2.0, 0.7)]:
@@ -208,6 +215,15 @@ class TestSpectralClosedForms:
         assert cf.bifurcation_alpha(2) == 2.0
         assert cf.bifurcation_alpha(3) == 4.0
         assert cf.lambda1_closed(3, 4.0) == -cf.sphere_eigen(3, 3)[0] == -12.0
+
+    @pytest.mark.parametrize("k", [2.5, 0, 0.5, math.nan, math.inf])
+    def test_bifurcation_alpha_non_integral_or_low_k_rejected(self, k):
+        # k = 2.5 returned 3.0
+        with pytest.raises(DomainError, match="integer k >= 1"):
+            cf.bifurcation_alpha(k)
+
+    def test_bifurcation_alpha_integral_float_accepted(self):
+        assert cf.bifurcation_alpha(3.0) == cf.bifurcation_alpha(3) == 4.0
 
     def test_crossing_identity_exact(self):
         for n_dim in range(3, 9):

@@ -119,22 +119,30 @@ class TestIntegrateRadialIVP:
             with pytest.raises(DomainError):
                 solve_dirichlet_ball(ProblemParams(3, 0.0, 0.05), amplitude=amplitude)
 
+    @pytest.mark.parametrize("tol", [0.0, 1.0, 10.0, 1e300, math.inf, math.nan])
+    def test_tolerance_outside_unit_interval_rejected(self, tol):
+        # tol = 10 solved (3, 1, 0.1) to u0 = 4.462, against 13.961 at 1e-10
+        with pytest.raises(DomainError, match="need 0 < tol < 1"):
+            integrate_radial_ivp(3, 1.0, 2.0, tol=tol)
+        with pytest.raises(DomainError, match="need 0 < tol < 1"):
+            solve_dirichlet_ball(ProblemParams(3, 1.0, 0.1), tol=tol)
+
 
 class TestSolveDirichletBall:
     def test_boundary_and_center(self, profile_3_2_005):
         p = profile_3_2_005
         grid = default_profile_grid()
-        u, du = p.evaluate(grid, derivative=True)
+        u, du = p.evaluate(grid)
         assert grid[0] == 0.0 and grid[-1] == 1.0
         assert u[0] == p.u0 > 0
         # the artifact writes du[0] as 0.0, not -0.0
         assert du[0] == 0.0 and not np.signbit(du[0])
         assert abs(u[-1]) < 1e-9 * p.u0
-        _, du1 = p.evaluate(1.0, derivative=True)
+        _, (du1,) = p.evaluate(np.array([1.0]))
         assert du1 < 0  # Hopf sign at the boundary
 
     def test_strict_decrease(self, profile_3_2_005):
-        _, du = profile_3_2_005.evaluate(default_profile_grid(), derivative=True)
+        _, du = profile_3_2_005.evaluate(default_profile_grid())
         assert np.all(du[1:] < 0)
 
     def test_amplitude_invariance(self):
@@ -142,7 +150,7 @@ class TestSolveDirichletBall:
         p1 = solve_dirichlet_ball(params, amplitude=1.0)
         p4 = solve_dirichlet_ball(params, amplitude=4.0)
         grid = default_profile_grid()
-        assert np.max(np.abs(p1.evaluate(grid) - p4.evaluate(grid))) < 1e-8 * p1.u0
+        assert np.max(np.abs(p1.evaluate(grid)[0] - p4.evaluate(grid)[0])) < 1e-8 * p1.u0
 
     def test_mu_eps_tends_to_one(self):
         gaps = []
@@ -193,12 +201,14 @@ class TestSolveDirichletBall:
     def test_radius_outside_unit_interval_rejected(self, profile_3_2_005, r):
         # the shot would extrapolate (or return nan below the origin)
         with pytest.raises(DomainError, match=r"\[0, 1\]"):
-            profile_3_2_005.evaluate(r, derivative=True)
+            profile_3_2_005.evaluate(np.atleast_1d(r))
 
-    def test_scalar_matches_array_bitwise(self, profile_3_2_005):
-        scalar = profile_3_2_005.evaluate(1.0, derivative=True)
-        u, du = profile_3_2_005.evaluate(np.array([1.0]), derivative=True)
-        assert np.array(scalar).tobytes() == np.array([u[0], du[0]]).tobytes()
+    @pytest.mark.parametrize("r", [0.5, np.array(0.5), np.full((2, 2), 0.5)],
+                             ids=["float", "0-d", "2-D"])
+    def test_radius_not_a_1d_array_rejected(self, profile_3_2_005, r):
+        # without the check a 0-d radius fails with a bare IndexError in the shot
+        with pytest.raises(DomainError, match=r"1-D array, got shape \("):
+            profile_3_2_005.evaluate(r)
 
 
 class TestDenseTable:
@@ -520,8 +530,8 @@ class TestFowlerCheck:
         pr = p.params
         cfac = (2.0 / (2.0 + pr.alpha)) ** (2.0 / (pr.p_alpha - 1.0 - pr.eps))
         # v(0) = cfac*u0 and v(1) = 0 by boundary transport
-        assert cfac * p.u0 == pytest.approx(cfac * p.evaluate(0.0), rel=1e-12)
-        assert abs(cfac * p.evaluate(1.0)) < 1e-9 * p.u0
+        assert cfac * p.u0 == pytest.approx(cfac * p.evaluate(np.array([0.0]))[0][0], rel=1e-12)
+        assert abs(cfac * p.evaluate(np.array([1.0]))[0][0]) < 1e-9 * p.u0
 
 
 class TestLinearizationIdentity:
@@ -537,7 +547,7 @@ class TestLinearizationIdentity:
         s_scale = prof.u0 ** (-(p - 1.0) / (2.0 + alpha))
         t_lo = max(1e-14, 1e-3 * min(1.0, s_scale) ** ((2.0 + alpha) / 2.0))
         r = log_grid(t_lo, 1.0, 2000) ** (2.0 / (2.0 + alpha))
-        u, du = prof.evaluate(r, derivative=True)
+        u, du = prof.evaluate(r)
         u = np.clip(u, 0.0, None)
         d2u = -(n_dim - 1.0) / r * du - r**alpha * u**p
         z = r ** (-alpha / 2.0) * du
@@ -564,7 +574,7 @@ class TestLinearizationIdentity:
         s_scale = prof.u0 ** (-(p - 1.0) / (2.0 + alpha))
         t_lo = max(1e-14, 1e-3 * min(1.0, s_scale) ** ((2.0 + alpha) / 2.0))
         r = log_grid(t_lo, 0.9 ** ((2.0 + alpha) / 2.0), 2000) ** (2.0 / (2.0 + alpha))
-        u, du = prof.evaluate(r, derivative=True)
+        u, du = prof.evaluate(r)
         d2u = -(n_dim - 1.0) / r * du - r**alpha * u**p
         w = beta * u + r * du
         dw = (beta + 1.0) * du + r * d2u

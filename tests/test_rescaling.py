@@ -38,14 +38,21 @@ class TestRescale:
 
     def test_center_and_boundary(self, rescaled_3_0_001):
         rs = rescaled_3_0_001
-        assert rs.evaluate(0.0) == pytest.approx(rs.kappa * rs.profile.u0, rel=1e-14)
-        assert abs(rs.samples()[1][-1]) < 1e-9 * rs.evaluate(0.0)
-        assert rs.evaluate(2.0 * rs.rho_eps) == 0.0  # zero extension
+        w0 = rs.evaluate(np.array([0.0]))[0][0]
+        assert w0 == pytest.approx(rs.kappa * rs.profile.u0, rel=1e-14)
+        assert abs(rs.samples()[1][-1]) < 1e-9 * w0
+        assert rs.evaluate(np.array([2.0 * rs.rho_eps]))[0][0] == 0.0  # zero extension
 
     @pytest.mark.parametrize("r", [math.nan, -1.0, [1.0, math.nan]])
     def test_nan_or_negative_radius_rejected(self, rescaled_3_0_001, r):
         # NaN fell through to the zero extension and gave 0.0
         with pytest.raises(DomainError, match=">= 0"):
+            rescaled_3_0_001.evaluate(np.atleast_1d(r))
+
+    @pytest.mark.parametrize("r", [0.5, np.array(0.5), np.full((2, 2), 0.5)],
+                             ids=["float", "0-d", "2-D"])
+    def test_radius_not_a_1d_array_rejected(self, rescaled_3_0_001, r):
+        with pytest.raises(DomainError, match=r"1-D array, got shape \("):
             rescaled_3_0_001.evaluate(r)
 
     def test_rescale_samples_nothing(self, monkeypatch):
@@ -74,7 +81,7 @@ class TestRescale:
         gaps = []
         for eps in (0.05, 0.02, 0.01):
             rs = rescale(solve_dirichlet_ball(ProblemParams(3, 0.0, eps)))
-            gaps.append(abs(rs.evaluate(0.0) - target))
+            gaps.append(abs(rs.evaluate(np.array([0.0]))[0][0] - target))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 5e-3
 
@@ -105,7 +112,8 @@ class TestLimitDistance:
 
 class TestUniformBound:
     def test_fitted_constant_at_least_center(self, rescaled_3_0_001):
-        assert uniform_bound_check(rescaled_3_0_001) >= rescaled_3_0_001.evaluate(0.0)
+        w0 = rescaled_3_0_001.evaluate(np.array([0.0]))[0][0]
+        assert uniform_bound_check(rescaled_3_0_001) >= w0
 
     def test_stability_across_eps(self):
         cs = []

@@ -612,6 +612,17 @@ class TestPrufer:
         with pytest.raises(BracketError):
             prufer_eigen(ball_problem, 1, (-20.0, -15.0))
 
+    def test_expanding_ball_past_rho(self):
+        # the table's last node exp(log ρ) rounds above ρ, where q reads the
+        # zero extension of w
+        rescaled = rescale(solve_dirichlet_ball(ProblemParams(3, 2.0, 0.01)))
+        t0, t1 = math.log(1e-7), math.log(rescaled.rho_eps)
+        nodes = np.linspace(t0, t1, math.ceil((t1 - t0) / spectral.PRUFER_DT) + 1)
+        assert np.exp(nodes)[-1] > rescaled.rho_eps
+        prob = SLProblem.from_rescaled(rescaled)
+        lam1 = solve_eigen(prob, 1, with_vectors=False)[0].extrapolated
+        assert abs(prufer_eigen(prob, 1, (lam1 - 0.05, lam1 + 0.05)) - lam1) < 1e-8
+
     @pytest.mark.parametrize("kind, n_dim, alpha, j", [
         ("ball", 3, 2.0, 1), ("ball", 4, 1.0, 1), ("rescaled", 3, 2.0, 1),
         ("limit", 3, 2.0, 1), ("ball", 3, 2.0, 2),
@@ -673,7 +684,7 @@ def reference_miss(problem, j, lam, r_min=1e-7, rtol=1e-11):
     shift = ((problem.n_dim - 2.0) / 2.0) ** 2
 
     def rhs(t, theta):
-        v = lam - shift + math.exp(2.0 * t) * float(problem.q(math.exp(t)))
+        v = lam - shift + math.exp(2.0 * t) * float(problem.q(np.array([math.exp(t)]))[0])
         s, c = math.sin(theta[0]), math.cos(theta[0])
         return [c * c + v * s * s]
 
@@ -696,7 +707,7 @@ def kernel_ode(profile, tol=1e-11):
     )
 
     def rhs(r, y):
-        u = max(float(profile.evaluate(r)), 0.0)
+        u = max(float(profile.evaluate(np.array([r]))[0][0]), 0.0)
         pot = pr.p * r**pr.alpha * u**expn
         return (y[1], -(pr.n_dim - 1.0) / r * y[1] - pot * y[0])
 

@@ -52,6 +52,8 @@ MUTANTS = [
     ("pencil_pair's coarse rows are [1::2]", "spectral.py", "fine[::2]), qv[::2])",
      "fine[1::2]), qv[1::2])",
      ["tests/test_spectral.py::TestAssembly::test_pair_is_the_assembly_on_both_grids"]),
+    ("flux_gap takes u'(1) from du[-2]", "bifurcation.py", "du[:-1], du[-1]",
+     "du[:-1], du[-2]", [BIF + "TestFluxIdentity::test_gap_matches_the_pencil"]),
     ("BifurcationPoint.residual is halved", "bifurcation.py",
      "residual=abs(samples[alpha_k + delta][1] + sigma_k),",
      "residual=abs(samples[alpha_k + delta][1] + sigma_k) / 2,",
