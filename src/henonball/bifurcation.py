@@ -122,12 +122,18 @@ def lambda_values(
 
 def _slope_at_one(x: np.ndarray, y: np.ndarray) -> float:
     """Derivative at r = 1 of the polynomial through the points (x_i, y_i)
-    and (1, 0), in Lagrange form."""
+    and (1, 0), in Lagrange form, on Python floats: at four nodes numpy's
+    per-call cost would outweigh the arithmetic."""
+    xs = x.tolist()
     slope = 0.0
-    for i, (xi, yi) in enumerate(zip(x, y)):
-        others = np.delete(x, i)
-        slope += yi * np.prod(1.0 - others) / (np.prod(xi - others) * (xi - 1.0))
-    return float(slope)
+    for i, (xi, yi) in enumerate(zip(xs, y.tolist())):
+        num = den = 1.0
+        for j, xj in enumerate(xs):
+            if j != i:
+                num *= 1.0 - xj
+                den *= xi - xj
+        slope += yi * num / (den * (xi - 1.0))
+    return slope
 
 
 def flux_gap(

@@ -108,6 +108,9 @@ def emit_table(args, kind: str, header: tuple[str, ...], rows: list[dict]) -> No
 
 def cmd_solve(args) -> int:
     params = ProblemParams(args.N, args.alpha, args.eps)
+    # checked before the cache lookup, which would serve a refused input
+    if not 0.0 < args.tol < 1.0:
+        raise DomainError(f"need 0 < tol < 1, got {args.tol!r}")
     cache = text = None
     if args.cache_dir is not None:
         cache = hio.ProfileCache(args.cache_dir)

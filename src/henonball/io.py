@@ -25,6 +25,7 @@ from .rescaling import RescaledProfile
 
 __all__ = [
     "SCHEMA_VERSION",
+    "SOLVER_REVISION",
     "fmt_float",
     "dumps_json",
     "atomic_write_text",
@@ -35,6 +36,11 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# the revision of the radial solver whose samples the cache stores, hashed
+# into every key: a change that moves a solve's output bumps it, so a
+# directory written by an earlier solver misses instead of serving its
+# samples (1: the shot runs in t = log r)
+SOLVER_REVISION = 1
 
 
 def fmt_float(x: float) -> str:
@@ -119,17 +125,20 @@ def rows_to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 class ProfileCache:
     """Content-addressed store of radial-profile artifacts under `root`.
 
-    The key hashes the exact solve inputs (N, α, ε, tolerance);
-    hits return the artifact written by an identical earlier computation, so
-    cached and fresh command outputs are byte-identical.  Writes go through
-    the atomic writer (temp file + rename) making them safe per key under
-    concurrent use."""
+    The key hashes the exact solve inputs (N, α, ε, tolerance) and
+    `SOLVER_REVISION`; hits return the artifact written by an identical
+    earlier computation, so cached and fresh command outputs are
+    byte-identical.  Writes go through the atomic writer (temp file +
+    rename) making them safe per key under concurrent use."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
 
     def key(self, n_dim: int, alpha: float, eps: float, tol: float) -> str:
-        blob = json.dumps({"N": n_dim, "alpha": alpha, "eps": eps, "tol": tol}, sort_keys=True)
+        blob = json.dumps(
+            {"N": n_dim, "alpha": alpha, "eps": eps, "tol": tol, "solver": SOLVER_REVISION},
+            sort_keys=True,
+        )
         return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
     def path_for(self, key: str) -> Path:

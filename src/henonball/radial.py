@@ -4,23 +4,32 @@ The initial value problem u'' + (N-1)/r u' + r^α u^p = 0, u(0)=a, u'(0)=0 is
 defined once, in `_radial_ivp`: its input checks, the series radius where the
 two-term origin series is accurate to 1e-10 (the (N-1)/r term is singular at
 the origin, so the shot starts there and the series gives u and u' below
-it), the right-hand side and the tolerances.  Two integrators read it.
+it), the right-hand side and the tolerances.  The shot runs in t = log r on
+the state (u, w = r u'), the Emden–Fowler change of variables (Fowler,
+*Q. J. Math.* 2, 1931): u_t = w, w_t = -(N-2) w - e^((2+α)t) |u|^p sign(u).
+There a power of r becomes an exponential in t, which the stepper follows
+in fewer steps, and a change of amplitude is a translation in t.  Two
+integrators read that form.
 `integrate_radial_ivp` runs the module's own stepper: the DOP853 algorithm
 of Hairer–Nørsett–Wanner (*Solving ODEs I*, §II.10) with scipy's step
 controller, error norm, dense output and zero location, on Python floats for
 the two-component state, so a step costs no numpy call.  Its tableau is
 written out below as literals copied from scipy 1.17.1, and the zero polish
-is `_brentq`, a port of scipy's `brentq.c` (Brent, 1973).  It takes the same
-steps as `solve_ivp(method="DOP853")` up to roundoff, so it needs numpy
-alone, and returns a `ShotTrajectory` that holds the dense output of each
-accepted step in one stacked table (Hairer–Nørsett–Wanner, §II.6).  The
-shot's one evaluator gives (u, u') for an array of radii in one vectorized
-pass, the series below the shot's start and the table from there on;
-`RadialProfile.evaluate` maps that pair back to the unit ball, in the same
-shape: a 1-D array of radii in, (u, u') out.
+is `_brentq`, a port of scipy's `brentq.c` (Brent, 1973).  The stepper knows
+nothing of the variable: it takes the same steps as
+`solve_ivp(method="DOP853")` on any float right-hand side up to roundoff,
+so it needs numpy alone, and returns a `ShotTrajectory` that holds the dense
+output of each accepted step in one stacked table (Hairer–Nørsett–Wanner,
+§II.6).  The shot's one evaluator maps radii to t and gives (u, u' = w/r)
+for an array of radii in one vectorized pass, the series below the shot's
+start and the table from there on; `RadialProfile.evaluate` maps that pair
+back to the unit ball, in the same shape: a 1-D array of radii in, (u, u')
+out.
 `rk45_first_zero` shoots the same IVP on scipy's RK45 (Dormand–Prince, 1980),
 loaded on its first call: an independent check of the first zero from
-another code base.
+another code base.  The checks that do not share the log form are
+`fowler_check` (the Fowler form below), `rescaling.pde_residual` (the
+equation in r) and the closed-form bubble at the threshold exponent.
 The first zero R of the shot fixes the Dirichlet solution through the
 scaling u(r) = R^((2+α)/(p-1)) u_shot(R r), which is independent of the shot
 amplitude.
@@ -222,7 +231,7 @@ def _rms(x: float, y: float) -> float:
     return math.sqrt(x * x + y * y) / math.sqrt(2.0)
 
 
-def _initial_step(fun, t, u, v, fu, fv, span, rtol, atol) -> float:
+def _initial_step(fun, t, u, v, fu, fv, span, rtol, atol, max_step) -> float:
     """scipy's `select_initial_step` (Hairer–Nørsett–Wanner, §II.4)."""
     su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
     d0 = _rms(u / su, v / sv)
@@ -235,42 +244,44 @@ def _initial_step(fun, t, u, v, fu, fv, span, rtol, atol) -> float:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
-    return min(100.0 * h0, h1, span)
+    return min(100.0 * h0, h1, span, max_step)
 
 
-def _dop853_shot(fun, r0, y0, r_max, rtol, atol):
-    """Integrate (u, v)' = fun(r, u, v) from (r0, y0) with scipy's DOP853
-    algorithm on Python floats, until r_max or the first downward zero of u.
+def _dop853_shot(fun, t0, y0, t_max, rtol, atol, max_step):
+    """Integrate (u, v)' = fun(t, u, v) from (t0, y0) with scipy's DOP853
+    algorithm on Python floats, until t_max or the first downward zero of u.
 
     `fun` is any float right-hand side returning the pair (u', v').  The
     step controller, error norm, dense output and zero location are scipy's,
     and the stage sums are `_step` and `_dense`, compiled from the literal
     tableau, so a shot takes the same steps as `solve_ivp(method="DOP853")`
     up to roundoff.  Each accepted step appends its row of the dense-output
-    table.  The zero is the first step with u ≥ 0 at its start and u ≤ 0 at
-    its end, polished by `_brentq` on that step's interpolant.  Returns the
-    table's arrays (ts, t_old, h, y_old, coef), as `ShotTrajectory` holds
-    them, and the zero (None without one).  A non-finite right-hand side
-    makes every error norm NaN, so each retry shrinks the step by
-    MIN_FACTOR; NumericsError once the step is below 10 ulp(r), or is NaN.
+    table.  No step is longer than `max_step`, as with `solve_ivp`'s option
+    of that name.  The zero is the first step with u ≥ 0 at its start and
+    u ≤ 0 at its end, polished by `_brentq` on that step's interpolant.
+    Returns the table's arrays (ts, t_old, h, y_old, coef), as
+    `ShotTrajectory` holds them, and the zero (None without one).  A
+    non-finite right-hand side makes every error norm NaN, so each retry
+    shrinks the step by MIN_FACTOR; NumericsError once the step is below
+    10 ulp(t), or is NaN.
     """
-    t, (u, v) = r0, y0
+    t, (u, v) = t0, y0
     fu, fv = fun(t, u, v)
-    h_abs = _initial_step(fun, t, u, v, fu, fv, r_max - t, rtol, atol)
+    h_abs = _initial_step(fun, t, u, v, fu, fv, t_max - t, rtol, atol, max_step)
     ts, t_old, hs, y_old, coef = [t], [], [], [], []
     first_zero = None
-    while t < r_max:
+    while t < t_max:
         min_step = 10.0 * math.ulp(t)
-        h_abs = max(h_abs, min_step)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
         rejected = False
         while True:
             # also true for a NaN step, so a bad right-hand side ends the loop
             if not h_abs >= min_step:
                 raise NumericsError(
                     "radial integration failed: required step size is less "
-                    f"than spacing between numbers at r={t!r}"
+                    f"than spacing between numbers at t={t!r}"
                 )
-            t_new = min(t + h_abs, r_max)
+            t_new = min(t + h_abs, t_max)
             h_abs = h = t_new - t
             u_new, v_new, fu_new, fv_new, e5u, e5v, e3u, e3v, kept = _step(
                 fun, t, u, v, h, fu, fv
@@ -307,7 +318,7 @@ def _dop853_shot(fun, r0, y0, r_max, rtol, atol):
 
         if u >= 0.0 and u_new <= 0.0:
             first_zero = _brentq(
-                lambda r: _interpolant_u(r, t, h, u, rows), t, t_new,
+                lambda x: _interpolant_u(x, t, h, u, rows), t, t_new,
                 _ZERO_TOL, _ZERO_TOL,
             )
             ts.append(first_zero)
@@ -325,9 +336,9 @@ def _dop853_shot(fun, r0, y0, r_max, rtol, atol):
     return table, first_zero
 
 
-def _interpolant_u(r, t_old, h, u_old, rows):
-    """u at r on one step's dense output: the table's nested product."""
-    x = (r - t_old) / h
+def _interpolant_u(t, t_old, h, u_old, rows):
+    """u at t on one step's dense output: the table's nested product."""
+    x = (t - t_old) / h
     y = 0.0
     for i, (c, _) in enumerate(rows):
         y += c
@@ -412,15 +423,17 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
 @dataclass
 class ShotTrajectory:
     """One DOP853 shot of the radial IVP with amplitude `a`, and the dense
-    output its stepper wrote.
+    output its stepper wrote in t = log r.
 
-    `first_zero` is None when u stayed positive in the window (the expected
-    outcome at the threshold exponent).  `r` is the step points, as scipy
-    reports them: the series radius, where the two-term origin series is
-    accurate to 1e-10 and the shot starts, the ends of the accepted steps,
-    and the zero in place of the last step's end.  Step s starts at
-    `t_old[s]` in the state `y_old[s]` and has length `h[s]`; `coef[:, s]`
-    holds its seven interpolation coefficients (7 × 2, highest power first).
+    `first_zero` is the radius of the shot's first zero, None when u stayed
+    positive in the window (the expected outcome at the threshold
+    exponent).  `t` is the step points in log r, as scipy reports them: the
+    log of the series radius, where the two-term origin series is accurate
+    to 1e-10 and the shot starts, the ends of the accepted steps, and the
+    zero in place of the last step's end; `r` is their radii.  Step s
+    starts at `t_old[s]` in the state `y_old[s]` = (u, r u') and has length
+    `h[s]` in t; `coef[:, s]` holds its seven interpolation coefficients
+    (7 × 2, highest power first).
     """
 
     n_dim: int
@@ -428,26 +441,37 @@ class ShotTrajectory:
     p: float
     a: float
     first_zero: float | None
-    r: np.ndarray
+    t: np.ndarray
     t_old: np.ndarray
     h: np.ndarray
     y_old: np.ndarray
     coef: np.ndarray
 
+    @property
+    def r(self) -> np.ndarray:
+        """The step points as radii, e^t."""
+        return np.exp(self.t)
+
     def evaluate(self, r: np.ndarray) -> np.ndarray:
         """(u, u') at the points of the 1-D array r, shape (2, r.size): the
-        origin series below the start radius r[0], the dense output from
-        there on.  A point picks its step as scipy's `OdeSolution` does (the
-        lower step at a step point, the end steps beyond the ends) and runs
-        the nested product of scipy's `Dop853DenseOutput`."""
-        seg = np.clip(np.searchsorted(self.r, r, side="left") - 1, 0, self.h.size - 1)
-        x = ((r - self.t_old[seg]) / self.h[seg])[:, None]
+        origin series below the start radius e^t[0], the dense output at
+        t = log r from there on, with u' = (r u')/r.  A point picks its step
+        as scipy's `OdeSolution` does (the lower step at a step point, the
+        end steps beyond the ends) and runs the nested product of scipy's
+        `Dop853DenseOutput`."""
+        start = math.exp(self.t[0])
+        # the series replaces the points below the start, which read it here
+        r_table = np.maximum(r, start)
+        t = np.log(r_table)
+        seg = np.clip(np.searchsorted(self.t, t, side="left") - 1, 0, self.h.size - 1)
+        x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
         y = np.zeros((r.size, 2))
         for i, c in enumerate(self.coef):
             y += c.take(seg, axis=0)
             y *= x if i % 2 == 0 else 1 - x
         y += self.y_old[seg]
-        below = r < self.r[0]
+        y[:, 1] /= r_table
+        below = r < start
         if np.any(below):
             rs = r[below]
             y[below, 0] = _series_u(rs, self.a, self.n_dim, self.alpha, self.p)
@@ -475,12 +499,29 @@ def _series_du(r, a, n_dim, alpha, p):
     ) * c2 * r ** (3.0 + 2.0 * alpha)
 
 
+# The longest step of the shot in t, a factor e^0.25 = 1.28 in r.  Where the
+# shot turns from the origin's growth to the tail's decay, DOP853's error
+# estimate passes through zero, and uncapped the controller grew a step from
+# such an estimate into one with 6e3 times the tolerated error (u off by
+# 5.9e-7 at N = 6, α = 0.66, ε = 0.022), which finite differences of u' then
+# show.  The cap costs about two steps per shot.
+_MAX_STEP = 0.25
+
+
 def _radial_ivp(n_dim, alpha, p, a, tol, r_max):
     """The radial IVP u'' + (N-1)/r u' + r^α u^p = 0, u(0)=a, u'(0)=0 as
-    both integrators take it: (rhs, r0, y0, rtol, atol), with rhs(r, u, v)
-    the float pair (u', v'), r0 the series radius and y0 the series values
-    there.  The absolute tolerance is tol*1e-2 scaled by the amplitude.
-    DomainError for an input outside the problem."""
+    both integrators take it, in t = log r with the state (u, w = r u'):
+
+        u_t = w,    w_t = -(N-2) w - e^((2+α)t) |u|^p sign(u).
+
+    Returns (rhs, t0, y0, t_max, rtol, atol, max_step), with rhs(t, u, w)
+    the float pair (u_t, w_t), t0 the log of the series radius, y0 the
+    series values (u, r u') there, t_max = log r_max and max_step the
+    longest step in t, `_MAX_STEP`.  The absolute tolerance is tol*1e-2
+    scaled by the amplitude, on both components.  A power of r in u becomes
+    an exponential in t, and rescaling the amplitude translates the whole
+    problem in t, start, tolerances and step cap included.  DomainError for
+    an input outside the problem."""
     p_alpha = threshold_exponent(n_dim, alpha)  # checks N and α
     if not 1.0 < p <= p_alpha:
         raise DomainError(f"need 1 < p <= p_alpha = {p_alpha}, got {p!r}")
@@ -497,20 +538,23 @@ def _radial_ivp(n_dim, alpha, p, a, tol, r_max):
         raise DomainError(f"need r_max > series radius {r0:.6g}, got {r_max!r}")
     y0 = (
         float(_series_u(r0, a, n_dim, alpha, p)),
-        float(_series_du(r0, a, n_dim, alpha, p)),
+        float(r0 * _series_du(r0, a, n_dim, alpha, p)),
     )
+    damping, weight = n_dim - 2.0, 2.0 + alpha
+    exp, copysign = math.exp, math.copysign
 
-    def rhs(r, u, v):
+    def rhs(t, u, w):
         # odd extension keeps the vector field smooth through u = 0
         try:
-            return v, -(n_dim - 1.0) / r * v - r**alpha * math.copysign(abs(u) ** p, u)
+            return w, -damping * w - exp(weight * t) * copysign(abs(u) ** p, u)
         except OverflowError:
             raise NumericsError(
-                f"radial integration overflows at r={r!r} with alpha={alpha!r}: "
-                "r**alpha * |u|**p exceeds the float range before the shot's first zero"
+                f"radial integration overflows at r={exp(t)!r} with alpha={alpha!r}: "
+                "r**(2+alpha) * |u|**p exceeds the float range before the shot's "
+                "first zero"
             ) from None
 
-    return rhs, r0, y0, tol, tol * 1e-2 * a
+    return rhs, math.log(r0), y0, math.log(r_max), tol, tol * 1e-2 * a, _MAX_STEP
 
 
 def integrate_radial_ivp(
@@ -521,19 +565,23 @@ def integrate_radial_ivp(
     tol: float = 1e-10,
     r_max: float = 1e3,
 ) -> ShotTrajectory:
-    """Shoot u'' + (N-1)/r u' + r^α u^p = 0 from u(0)=a, u'(0)=0 with the
-    module's DOP853 stepper, on numpy alone.
+    """Shoot u'' + (N-1)/r u' + r^α u^p = 0 from u(0)=a, u'(0)=0 to r_max
+    with the module's DOP853 stepper, on numpy alone.
 
-    `tol` is the relative tolerance, in (0, 1); the absolute tolerance is
-    tol*1e-2 scaled by the amplitude.  The first downward zero crossing
-    terminates the integration and is polished on the dense output, which
-    the returned shot can evaluate.  A right-hand side that overflows raises NumericsError
-    naming r and α: the unit shot's zero moves out with α, and at N = 3,
-    α = 100 the shot meets r^α above the float range before it (shooting in
-    the Fowler variable s = r^((2+α)/2) would keep r^α out of the equation).
+    The shot runs in t = log r on the state (u, r u') of `_radial_ivp`,
+    where u decays like an exponential rather than a power of r, so it
+    takes fewer steps than the same stepper in r.  `tol` is the relative
+    tolerance, in (0, 1); the absolute tolerance is tol*1e-2 scaled by the
+    amplitude.  The first downward zero crossing terminates the integration
+    and is polished in t on the dense output; the shot's `first_zero` is
+    its radius R = e^(t_zero).  A right-hand side that overflows raises
+    NumericsError naming r and α: the unit shot's zero moves out with α,
+    and at N = 3, α = 100 the shot meets r^(2+α) above the float range,
+    near r = 1.05e3, before it.
     """
-    rhs, r0, y0, rtol, atol = _radial_ivp(n_dim, alpha, p, a, tol, r_max)
-    table, first_zero = _dop853_shot(rhs, r0, y0, r_max, rtol, atol)
+    rhs, t0, y0, t_max, rtol, atol, max_step = _radial_ivp(n_dim, alpha, p, a, tol, r_max)
+    table, t_zero = _dop853_shot(rhs, t0, y0, t_max, rtol, atol, max_step)
+    first_zero = None if t_zero is None else math.exp(t_zero)
     return ShotTrajectory(n_dim, alpha, p, a, first_zero, *table)
 
 
@@ -543,18 +591,19 @@ def rk45_first_zero(n_dim: int, alpha: float, p: float) -> float | None:
     independent check of `integrate_radial_ivp`'s zero."""
     from scipy.integrate import solve_ivp
 
-    rhs, r0, y0, rtol, atol = _radial_ivp(n_dim, alpha, p, 1.0, 1e-10, 1e3)
+    rhs, t0, y0, t_max, rtol, atol, max_step = _radial_ivp(n_dim, alpha, p, 1.0, 1e-10, 1e3)
 
-    def hit_zero(r, y):
+    def hit_zero(t, y):
         return y[0]
 
     hit_zero.terminal = True
     hit_zero.direction = -1
-    sol = solve_ivp(lambda r, y: rhs(r, float(y[0]), float(y[1])), (r0, 1e3), y0,
-                    method="RK45", rtol=rtol, atol=atol, events=hit_zero)
+    sol = solve_ivp(lambda t, y: rhs(t, float(y[0]), float(y[1])), (t0, t_max), y0,
+                    method="RK45", rtol=rtol, atol=atol, max_step=max_step,
+                    events=hit_zero)
     if sol.status == -1:
         raise NumericsError(f"radial integration failed: {sol.message}")
-    return float(sol.t_events[0][0]) if sol.t_events[0].size else None
+    return math.exp(sol.t_events[0][0]) if sol.t_events[0].size else None
 
 
 def default_profile_grid() -> np.ndarray:

@@ -303,6 +303,15 @@ class TestSharedEvaluation:
         assert ratio >= 12.0
 
 
+    def test_slope_at_one_is_exact_on_quartics(self):
+        # the polynomial through four nodes and (1, 0) is the quartic itself,
+        # at the spacing of the last nodes of a 1500-point grid
+        x = 1.0 - np.array([4.0, 3.0, 2.0, 1.0]) / 1501.0
+        c = (0.7, -1.3, 2.1, 0.4)
+        y = (x - 1.0) * (c[0] + x * (c[1] + x * (c[2] + x * c[3])))
+        assert bifurcation._slope_at_one(x, y) == pytest.approx(sum(c), rel=1e-8)
+
+
 class TestMorseIndex:
     def test_jump_across_k2_crossing(self, cache):
         lo = morse_index(3, 0.01, 1.95, cache=cache)

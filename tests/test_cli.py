@@ -95,10 +95,10 @@ def test_spectrum_past_the_hardy_edge_exits_3(capsys):
 
 @pytest.mark.parametrize("command", ["solve", "spectrum"])
 def test_overflowing_shot_exits_3(command, capsys):
-    # r**alpha leaves the float range before the unit shot's first zero
+    # r**(2+alpha) leaves the float range before the unit shot's first zero
     argv = [command, "--N", "3", "--alpha", "100", "--eps", "0.05"]
     assert cli.main(argv) == cli.EXIT_NUMERICAL
-    assert "overflows at r=1236.9" in capsys.readouterr().err
+    assert "overflows at r=1067.5" in capsys.readouterr().err
 
 
 def test_count_help_names_the_continuous_spectrum(capsys):
@@ -112,6 +112,18 @@ def test_tol_outside_unit_interval_exits_2(tol, capsys):
     # --tol 10 exited 0 with u0 = 4.462 (13.961 at the default), --tol inf
     # exited 3 with an overflow at r=11.16
     argv = ["solve", "--N", "3", "--alpha", "1", "--eps", "0.1", "--tol", tol]
+    assert cli.main(argv) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and "need 0 < tol < 1" in captured.err
+
+
+def test_tol_outside_unit_interval_exits_2_on_a_cache_hit(tmp_path, capsys):
+    # the key is looked up before any solve, so an artifact stored under
+    # tol = 10 was served with exit 0
+    cache = cli.hio.ProfileCache(tmp_path)
+    cache.store_text(cache.key(3, 1.0, 0.1, 10.0), '{"planted": true}\n')
+    argv = ["solve", "--N", "3", "--alpha", "1", "--eps", "0.1", "--tol", "10",
+            "--cache-dir", str(tmp_path)]
     assert cli.main(argv) == cli.EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == "" and "need 0 < tol < 1" in captured.err

@@ -1,9 +1,11 @@
+import hashlib
+import json
 import os
 import stat
 
 import pytest
 
-from henonball.io import atomic_write_text, rows_to_csv
+from henonball.io import ProfileCache, atomic_write_text, rows_to_csv
 
 
 @pytest.fixture
@@ -52,3 +54,12 @@ def test_csv_cells_plain_and_quoted():
         "3,0.10000000000000001,,True,ok\n"
         '4,2,1.5,False,"f(0.2)=3.69, ""f"""\n'
     )
+
+
+def test_key_hashes_the_solver_revision(tmp_path):
+    # a directory written before the shot moved to t = log r must miss: its
+    # key hashed the solve inputs alone
+    old_blob = json.dumps({"N": 3, "alpha": 2.0, "eps": 0.05, "tol": 1e-10}, sort_keys=True)
+    old_key = hashlib.sha256(old_blob.encode()).hexdigest()[:24]
+    key = ProfileCache(tmp_path).key(3, 2.0, 0.05, 1e-10)
+    assert len(key) == 24 and key != old_key

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import scipy.integrate
 from scipy.integrate import solve_ivp
@@ -28,6 +28,7 @@ from henonball.radial import (
     rk45_first_zero,
     solve_dirichlet_ball,
 )
+from henonball.rescaling import pde_residual, rescale
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +58,18 @@ class TestIntegrateRadialIVP:
         assert np.max(np.abs(du - exact_du)) < 1e-8
 
     def test_overflowing_right_hand_side_is_a_numerics_error(self):
-        # at N = 3, alpha = 100 the unit shot's zero lies past r = 1202, where
-        # r**100 leaves the float range
+        # at N = 3, alpha = 100 the unit shot's zero lies past r = 1202, and
+        # r**102 = e^(102 t) leaves the float range past r = 1.05e3; the
+        # first stage beyond it sits at r = 1067.55
         p = ProblemParams(3, 100.0, 0.05).p
-        with pytest.raises(NumericsError, match=r"overflows at r=1236\.\d+ with alpha=100\.0"):
+        with pytest.raises(NumericsError, match=r"overflows at r=1067\.\d+ with alpha=100\.0"):
             integrate_radial_ivp(3, 100.0, p, r_max=1e6)
+
+    def test_alpha_80_solves(self):
+        # the unit shot's zero sits at r = 3547, where r**82 is still finite
+        prof = solve_dirichlet_ball(ProblemParams(3, 80.0, 0.05))
+        assert prof.first_zero_raw == pytest.approx(3546.89, rel=1e-5)
+        assert fowler_check(prof) < 1e-6
 
     def test_critical_shot_positive_to_1e3(self):
         shot = integrate_radial_ivp(3, 0.0, 5.0, a=1.0, r_max=1e3)
@@ -145,8 +153,15 @@ class TestSolveDirichletBall:
         _, du = profile_3_2_005.evaluate(default_profile_grid())
         assert np.all(du[1:] < 0)
 
-    def test_amplitude_invariance(self):
-        params = ProblemParams(3, 2.0, 0.05)
+    @settings(max_examples=30, deadline=None)
+    @given(n_dim=st.integers(3, 6), alpha=st.floats(0.0, 4.5),
+           log_eps=st.floats(math.log(0.005), math.log(0.2)))
+    @example(n_dim=3, alpha=2.0, log_eps=math.log(0.05))
+    # 1.54e-8 when the shot ran in r, where atol = 1e-12·a set the tail's
+    # accuracy; in t = log r a change of amplitude translates the shot
+    @example(n_dim=6, alpha=0.2, log_eps=math.log(0.005))
+    def test_amplitude_invariance(self, n_dim, alpha, log_eps):
+        params = ProblemParams(n_dim, alpha, math.exp(log_eps))
         p1 = solve_dirichlet_ball(params, amplitude=1.0)
         p4 = solve_dirichlet_ball(params, amplitude=4.0)
         grid = default_profile_grid()
@@ -212,39 +227,48 @@ class TestSolveDirichletBall:
 
 
 class TestDenseTable:
-    # (3, 2.0, 0.05), (4, 0.5, 0.01) and (3, 0.0, 0.05) reject their first
-    # step; (6, 3.5, 0.3) takes it
+    # each shot takes its first step and rejects some later ones; the step
+    # cap binds in all but (6, 3.5, 0.3)
     @pytest.mark.parametrize("n_dim, alpha, eps",
                              [(3, 2.0, 0.05), (4, 0.5, 0.01), (6, 3.5, 0.3),
                               (3, 0.0, 0.05)])
     def test_agrees_with_scipy_dop853(self, n_dim, alpha, eps):
-        # the same algorithm as scipy's DOP853, up to the order of its sums
+        # the same algorithm as scipy's DOP853 on the same system in
+        # t = log r, with the state (u, r u'), up to the order of its sums
         p, a, r_max = ProblemParams(n_dim, alpha, eps).p, 1.0, 1e3
         shot = integrate_radial_ivp(n_dim, alpha, p, a=a, r_max=r_max)
-        r0 = shot.r[0]
+        r0 = (1e-5 * (2.0 + alpha) * (n_dim + alpha)) ** (1.0 / (2.0 + alpha))
         y0 = [radial._series_u(r0, a, n_dim, alpha, p),
-              radial._series_du(r0, a, n_dim, alpha, p)]
+              r0 * radial._series_du(r0, a, n_dim, alpha, p)]
 
-        def rhs(r, y):
-            u, v = y
-            return [v, -(n_dim - 1.0) / r * v - r**alpha * math.copysign(abs(u) ** p, u)]
+        def rhs(t, y):
+            u, w = y
+            return [w, -(n_dim - 2.0) * w
+                    - math.exp((2.0 + alpha) * t) * math.copysign(abs(u) ** p, u)]
 
-        def hit_zero(r, y):
+        def hit_zero(t, y):
             return y[0]
 
         hit_zero.terminal = True
         hit_zero.direction = -1
-        ref = solve_ivp(rhs, (r0, r_max), y0, method="DOP853", rtol=1e-10,
-                        atol=1e-12 * a, dense_output=True, events=hit_zero)
-        zero = ref.t_events[0][0]
+        ref = solve_ivp(rhs, (math.log(r0), math.log(r_max)), y0, method="DOP853",
+                        rtol=1e-10, atol=1e-12 * a, max_step=radial._MAX_STEP,
+                        dense_output=True, events=hit_zero)
+        zero = math.exp(ref.t_events[0][0])
+
+        def ref_sol(r):
+            u, w = ref.sol(np.log(r))
+            return np.array([u, w / r])
+
         assert shot.r.size == ref.t.size
         assert shot.first_zero == pytest.approx(zero, rel=1e-10)
-        t = np.random.default_rng(1).uniform(r0, min(zero, shot.first_zero), 400)
-        t = np.concatenate([t, t[::7]])  # unsorted, with repeats
-        got = shot.evaluate(t)
-        assert np.max(np.abs(got - ref.sol(t))) < 1e-12 * a
-        got = shot.evaluate(t[:1])[:, 0]
-        assert np.max(np.abs(got - ref.sol(t[0]))) < 1e-12 * a
+        r = np.exp(np.random.default_rng(1).uniform(
+            math.log(r0), math.log(min(zero, shot.first_zero)), 400))
+        r = np.concatenate([r, r[::7]])  # unsorted, with repeats
+        got = shot.evaluate(r)
+        assert np.max(np.abs(got - ref_sol(r))) < 1e-12 * a
+        got = shot.evaluate(r[:1])
+        assert np.max(np.abs(got - ref_sol(r[:1]))) < 1e-12 * a
 
     def test_dop853_shot_runs_no_solve_ivp(self, monkeypatch):
         # only the RK45 cross-check goes through scipy's solve_ivp
@@ -272,7 +296,7 @@ class TestDenseTable:
             return (math.nan, math.nan) if bad_from_start or r > 1.0 else (v, -u)
 
         with pytest.raises(NumericsError, match="radial integration failed"):
-            radial._dop853_shot(rhs, 1.0, (1.0, 0.0), 2.0, 1e-10, 1e-12)
+            radial._dop853_shot(rhs, 1.0, (1.0, 0.0), 2.0, 1e-10, 1e-12, math.inf)
 
 
 def _nonzero(row):
@@ -287,24 +311,24 @@ def _combine(row, ku, kv):
     return su, sv
 
 
-def _reference_shot(fun, r0, y0, r_max, rtol, atol, polishes):
+def _reference_shot(fun, t0, y0, t_max, rtol, atol, max_step, polishes):
     """The reference stepper: `radial._dop853_shot` with the tableau read
     from scipy and each sum a loop over its sparse row, polished by scipy's
     `brentq`.  Appends the bracket and interpolant of each polish to
     `polishes`."""
     a_rows = [_nonzero(row) for row in _dop.A]
-    t, (u, v) = r0, y0
+    t, (u, v) = t0, y0
     fu, fv = fun(t, u, v)
-    h_abs = radial._initial_step(fun, t, u, v, fu, fv, r_max - t, rtol, atol)
+    h_abs = radial._initial_step(fun, t, u, v, fu, fv, t_max - t, rtol, atol, max_step)
     ts, t_old, hs, y_old, coef = [t], [], [], [], []
     first_zero = None
-    while t < r_max:
+    while t < t_max:
         min_step = 10.0 * math.ulp(t)
-        h_abs = max(h_abs, min_step)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
         rejected = False
         while True:
             assert h_abs >= min_step
-            t_new = min(t + h_abs, r_max)
+            t_new = min(t + h_abs, t_max)
             h_abs = h = t_new - t
             ku, kv = [fu], [fv]
             for s in range(1, _dop.N_STAGES):
@@ -525,6 +549,26 @@ class TestFowlerCheck:
             prof = solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps))
             assert fowler_check(prof) < 1e-6
 
+    @pytest.mark.parametrize("n_dim, alpha, eps", [
+        (3, 0.34990207356125325, 0.006957465642943812),
+        (4, 3.6035407183892687, 0.01779814962118725),
+        (3, 3.0132646831114585, 0.016482419537977456),
+        (3, 0.33998990221186887, 0.009250405102667345),
+        (3, 3.0033525117621593, 0.021914453570179408),
+        (3, 0.3300777308625129, 0.012299017911821877),
+        (4, 3.5837163756905284, 0.0314625716061251),
+        (3, 2.9934403404128034, 0.029136697690106197),
+        (4, 3.6518468642882453, 0.007959120185833056),
+        (3, 2.9835281690634474, 0.038739143075866435),
+    ])
+    def test_residuals_small_where_the_r_shot_missed(self, n_dim, alpha, eps):
+        # the points of 400 log-uniform draws where the shot in r left the
+        # dense output of its long second step inaccurate: fowler and
+        # pde_residual read 1.0e-6 to 4.15e-6 there
+        prof = solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps))
+        assert fowler_check(prof) < 1e-6
+        assert pde_residual(rescale(prof)) < 1e-6
+
     def test_transform_endpoints(self, profile_3_2_005):
         p = profile_3_2_005
         pr = p.params
@@ -538,6 +582,8 @@ class TestLinearizationIdentity:
     @settings(max_examples=30, deadline=None)
     @given(n_dim=st.integers(3, 6), alpha=st.floats(0.0, 4.5),
            log_eps=st.floats(math.log(0.005), math.log(0.2)))
+    # 1.09e-4 when the shot in log r had no step cap, 5.1e-6 with it
+    @example(n_dim=6, alpha=0.3515625, log_eps=-2.0)
     def test_z_solves_limit_eigen_equation(self, n_dim, alpha, log_eps):
         # z = r^(-α/2) u' solves z'' + (N-1)/r z' + (q + Λ₁(α)/r²) z = 0 with
         # q = p r^α u^(p-1), for every ε; a wrong Λ₁ leaves a defect of order 1

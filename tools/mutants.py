@@ -1,4 +1,4 @@
-"""String-replace mutation driver for henonball's certificates and verify gates.
+"""String-replace mutation tests of henonball's certificates, verify gates and shot.
 
 Each mutant names one edit of one file under `src/henonball` (an exact text
 and its replacement) and the pytest selection meant to fail on it.  The
@@ -64,6 +64,11 @@ MUTANTS = [
      "max([b - a for a, b in zip(errs, errs[1:])], default=0.0)",
      "max([a - b for a, b in zip(errs, errs[1:])], default=0.0)",
      [VER + "test_c4_trend_reads_planted_deltas"]),
+    ("the log-r shot damps w by N-1", "radial.py", "damping, weight = n_dim - 2.0,",
+     "damping, weight = n_dim - 1.0,",
+     ["tests/test_radial.py::TestIntegrateRadialIVP::test_critical_shot_matches_closed_form"]),
+    ("the log-r shot has no step cap", "radial.py", "_MAX_STEP = 0.25", "_MAX_STEP = math.inf",
+     ["tests/test_radial.py::TestLinearizationIdentity::test_z_solves_limit_eigen_equation"]),
     ("C10's test is b <= a", "verify.py", "all(b < a for a, b in zip(dists, dists[1:]))",
      "all(b <= a for a, b in zip(dists, dists[1:]))", [VER + "test_c10_reads_planted_distances"]),
 ]
