@@ -1,30 +1,34 @@
 """Radial Dirichlet solutions of -Δu = |x|^α u^p on the unit ball by shooting.
 
 The initial value problem u'' + (N-1)/r u' + r^α u^p = 0, u(0)=a, u'(0)=0 is
-defined once, in `_radial_ivp`: its input checks, the series radius where the
-two-term origin series is accurate to 1e-10 (the (N-1)/r term is singular at
-the origin, so the shot starts there and the series gives u and u' below
-it), the right-hand side and the tolerances.  The shot runs in t = log r on
-the state (u, w = r u'), the Emden–Fowler change of variables (Fowler,
-*Q. J. Math.* 2, 1931): u_t = w, w_t = -(N-2) w - e^((2+α)t) |u|^p sign(u).
-There a power of r becomes an exponential in t, which the stepper follows
-in fewer steps, and a change of amplitude is a translation in t.  Two
-integrators read that form.
+defined once, in `_radial_ivp` and `_RHS`: its input checks, the series
+radius where the two-term origin series is accurate to 1e-10 (the (N-1)/r
+term is singular at the origin, so the shot starts there and the series
+gives u and u' below it), the source of the right-hand side and the
+tolerances.  The shot runs in t = log r on the state (u, w = r u'), the
+Emden–Fowler change of variables (Fowler, *Q. J. Math.* 2, 1931):
+u_t = w, w_t = -(N-2) w - e^((2+α)t) |u|^p sign(u).  There a power of r
+becomes an exponential in t, which the stepper follows in fewer steps, and
+a change of amplitude is a translation in t.  Two integrators read that
+form.
 `integrate_radial_ivp` runs the module's own stepper: the DOP853 algorithm
 of Hairer–Nørsett–Wanner (*Solving ODEs I*, §II.10) with scipy's step
 controller, error norm, dense output and zero location, on Python floats for
-the two-component state, so a step costs no numpy call.  Its tableau is
-written out below as literals copied from scipy 1.17.1, and the zero polish
-is `_brentq`, a port of scipy's `brentq.c` (Brent, 1973).  The stepper knows
-nothing of the variable: it takes the same steps as
-`solve_ivp(method="DOP853")` on any float right-hand side up to roundoff,
-so it needs numpy alone, and returns a `ShotTrajectory` that holds the dense
-output of each accepted step in one stacked table (Hairer–Nørsett–Wanner,
-§II.6).  The shot's one evaluator maps radii to t and gives (u, u' = w/r)
-for an array of radii in one vectorized pass, the series below the shot's
-start and the table from there on; `RadialProfile.evaluate` maps that pair
-back to the unit ball, in the same shape: a 1-D array of radii in, (u, u')
-out.
+the two-component state, so a step costs no numpy call.  The stepper is one
+kernel, `_dop853_shot`, generated at import as straight-line source from the
+tableau, written out below as literals copied from scipy 1.17.1, with the
+right-hand side `_RHS` written into every stage, so a step makes no Python
+call either; the callable `_rhs` that the initial step and the RK45 check
+call is compiled from the same source.  The zero polish is `_brentq`, a port
+of scipy's `brentq.c` (Brent, 1973).  A shot takes the same steps as
+`solve_ivp(method="DOP853")` on that right-hand side up to roundoff, needs
+numpy alone, and returns a `ShotTrajectory` that holds the dense output of
+each accepted step in one stacked table (Hairer–Nørsett–Wanner, §II.6).
+The shot's one evaluator maps radii to t and gives (u, u' = w/r) for an
+array of radii in one vectorized pass, the series below the shot's start and
+the table's nested product on the other points only; `RadialProfile.evaluate`
+maps that pair back to the unit ball, in the same shape: a 1-D array of
+radii in, (u, u') out.
 `rk45_first_zero` shoots the same IVP on scipy's RK45 (Dormand–Prince, 1980),
 loaded on its first call: an independent check of the first zero from
 another code base.  The checks that do not share the log form are
@@ -173,60 +177,6 @@ _EXPONENT = -1.0 / 8.0
 _ZERO_TOL = 4.0 * sys.float_info.epsilon
 
 
-# The stage, error-estimate and dense-output sums are generated as
-# straight-line source from the tableau above and compiled once at import,
-# the way `dataclasses` builds `__init__`: each coefficient is a literal and
-# each stage a local, where a loop over the sparse rows spends a Python-level
-# iteration, two subscripts and two in-place adds per coefficient.  Each sum
-# runs left to right from 0.0, `0.0 + c·k_j + …`, so its bits are those of
-# that loop.
-def _sum(row, k: str) -> str:
-    return "(0.0" + "".join(f" + {c!r} * {k}{j}" for j, c in row) + ")"
-
-
-def _stage(s: int) -> str:
-    return (
-        f"ku{s}, kv{s} = fun(t + {_C[s]!r} * h, u + {_sum(_A[s], 'ku')} * h, "
-        f"v + {_sum(_A[s], 'kv')} * h)"
-    )
-
-
-def _compile(name: str, args: str, lines):
-    source = f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in lines)
-    namespace = {}
-    exec(compile(source, f"<radial.{name}>", "exec"), namespace)
-    return namespace[name]
-
-
-# the stages of a step that the extra stages and the dense-output rows read
-_KEPT = sorted(
-    {j for row in (*_A[_N_STAGES + 1:], *_D) for j, _ in row if j <= _N_STAGES}
-)
-_KEPT_NAMES = ", ".join([f"ku{j}" for j in _KEPT] + [f"kv{j}" for j in _KEPT])
-
-# (u_new, v_new, f(t + h, u_new, v_new), the E5 and E3 sums, the kept stages)
-# of one step of length h from (t, u, v) with f(t, u, v) = (ku0, kv0)
-_step = _compile("_step", "fun, t, u, v, h, ku0, kv0", [
-    *(_stage(s) for s in range(1, _N_STAGES)),
-    f"u_new = u + h * {_sum(_B, 'ku')}",
-    f"v_new = v + h * {_sum(_B, 'kv')}",
-    f"ku{_N_STAGES}, kv{_N_STAGES} = fun(t + h, u_new, v_new)",
-    f"return (u_new, v_new, ku{_N_STAGES}, kv{_N_STAGES}, "
-    f"{_sum(_E5, 'ku')}, {_sum(_E5, 'kv')}, {_sum(_E3, 'ku')}, {_sum(_E3, 'kv')}, "
-    f"({_KEPT_NAMES}))",
-])
-
-# the rows h·Σ D·k of an accepted step's dense output, highest power first,
-# after its three extra stages
-_dense = _compile("_dense", "fun, t, u, v, h, kept", [
-    f"{_KEPT_NAMES} = kept",
-    *(_stage(s) for s in range(_N_STAGES + 1, len(_A))),
-    "return [" + ", ".join(
-        f"(h * {_sum(row, 'ku')}, h * {_sum(row, 'kv')})" for row in reversed(_D)
-    ) + "]",
-])
-
-
 def _rms(x: float, y: float) -> float:
     return math.sqrt(x * x + y * y) / math.sqrt(2.0)
 
@@ -245,95 +195,6 @@ def _initial_step(fun, t, u, v, fu, fv, span, rtol, atol, max_step) -> float:
     else:
         h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
     return min(100.0 * h0, h1, span, max_step)
-
-
-def _dop853_shot(fun, t0, y0, t_max, rtol, atol, max_step):
-    """Integrate (u, v)' = fun(t, u, v) from (t0, y0) with scipy's DOP853
-    algorithm on Python floats, until t_max or the first downward zero of u.
-
-    `fun` is any float right-hand side returning the pair (u', v').  The
-    step controller, error norm, dense output and zero location are scipy's,
-    and the stage sums are `_step` and `_dense`, compiled from the literal
-    tableau, so a shot takes the same steps as `solve_ivp(method="DOP853")`
-    up to roundoff.  Each accepted step appends its row of the dense-output
-    table.  No step is longer than `max_step`, as with `solve_ivp`'s option
-    of that name.  The zero is the first step with u ≥ 0 at its start and
-    u ≤ 0 at its end, polished by `_brentq` on that step's interpolant.
-    Returns the table's arrays (ts, t_old, h, y_old, coef), as
-    `ShotTrajectory` holds them, and the zero (None without one).  A
-    non-finite right-hand side makes every error norm NaN, so each retry
-    shrinks the step by MIN_FACTOR; NumericsError once the step is below
-    10 ulp(t), or is NaN.
-    """
-    t, (u, v) = t0, y0
-    fu, fv = fun(t, u, v)
-    h_abs = _initial_step(fun, t, u, v, fu, fv, t_max - t, rtol, atol, max_step)
-    ts, t_old, hs, y_old, coef = [t], [], [], [], []
-    first_zero = None
-    while t < t_max:
-        min_step = 10.0 * math.ulp(t)
-        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
-        rejected = False
-        while True:
-            # also true for a NaN step, so a bad right-hand side ends the loop
-            if not h_abs >= min_step:
-                raise NumericsError(
-                    "radial integration failed: required step size is less "
-                    f"than spacing between numbers at t={t!r}"
-                )
-            t_new = min(t + h_abs, t_max)
-            h_abs = h = t_new - t
-            u_new, v_new, fu_new, fv_new, e5u, e5v, e3u, e3v, kept = _step(
-                fun, t, u, v, h, fu, fv
-            )
-            scale_u = atol + max(abs(u), abs(u_new)) * rtol
-            scale_v = atol + max(abs(v), abs(v_new)) * rtol
-            err5 = (e5u / scale_u) ** 2 + (e5v / scale_v) ** 2
-            err3 = (e3u / scale_u) ** 2 + (e3v / scale_v) ** 2
-            if err5 == 0.0 and err3 == 0.0:
-                error_norm = 0.0
-            else:
-                error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
-            if error_norm < 1.0:
-                if error_norm == 0.0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_EXPONENT)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_EXPONENT)
-            rejected = True
-
-        delta_u, delta_v = u_new - u, v_new - v
-        rows = _dense(fun, t, u, v, h, kept)
-        rows += [
-            (2.0 * delta_u - h * (fu_new + fu), 2.0 * delta_v - h * (fv_new + fv)),
-            (h * fu - delta_u, h * fv - delta_v),
-            (delta_u, delta_v),
-        ]
-        t_old.append(t)
-        hs.append(h)
-        y_old.append((u, v))
-        coef.append(rows)
-
-        if u >= 0.0 and u_new <= 0.0:
-            first_zero = _brentq(
-                lambda x: _interpolant_u(x, t, h, u, rows), t, t_new,
-                _ZERO_TOL, _ZERO_TOL,
-            )
-            ts.append(first_zero)
-            break
-        ts.append(t_new)
-        t, u, v, fu, fv = t_new, u_new, v_new, fu_new, fv_new
-
-    table = (
-        np.array(ts),
-        np.array(t_old),
-        np.array(hs),
-        np.array(y_old),
-        np.ascontiguousarray(np.array(coef).transpose(1, 0, 2)),
-    )
-    return table, first_zero
 
 
 def _interpolant_u(t, t_old, h, u_old, rows):
@@ -398,7 +259,10 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
                 # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)
+                # C divides an underflowed den to ±inf or NaN, which the
+                # test below refuses; Python raises instead
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             limit = 3.0 * abs(sbis) - delta
             if 2.0 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
                 # good short step
@@ -455,28 +319,39 @@ class ShotTrajectory:
     def evaluate(self, r: np.ndarray) -> np.ndarray:
         """(u, u') at the points of the 1-D array r, shape (2, r.size): the
         origin series below the start radius e^t[0], the dense output at
-        t = log r from there on, with u' = (r u')/r.  A point picks its step
-        as scipy's `OdeSolution` does (the lower step at a step point, the
-        end steps beyond the ends) and runs the nested product of scipy's
-        `Dop853DenseOutput`."""
+        t = log r from there on, with u' = (r u')/r.  Only the points from
+        e^t[0] on read the table: each picks its step as scipy's
+        `OdeSolution` does (the lower step at a step point, the end steps
+        beyond the ends) and runs the nested product of scipy's
+        `Dop853DenseOutput`, from 0.0 as it does."""
         start = math.exp(self.t[0])
-        # the series replaces the points below the start, which read it here
-        r_table = np.maximum(r, start)
-        t = np.log(r_table)
-        seg = np.clip(np.searchsorted(self.t, t, side="left") - 1, 0, self.h.size - 1)
-        x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
-        y = np.zeros((r.size, 2))
-        for i, c in enumerate(self.coef):
-            y += c.take(seg, axis=0)
-            y *= x if i % 2 == 0 else 1 - x
-        y += self.y_old[seg]
-        y[:, 1] /= r_table
         below = r < start
-        if np.any(below):
-            rs = r[below]
-            y[below, 0] = _series_u(rs, self.a, self.n_dim, self.alpha, self.p)
-            y[below, 1] = _series_du(rs, self.a, self.n_dim, self.alpha, self.p)
-        return y.T
+        if not below.any():
+            return self._read_table(r)
+        y = np.empty((2, r.size))
+        rs = r[below]
+        y[0, below] = _series_u(rs, self.a, self.n_dim, self.alpha, self.p)
+        y[1, below] = _series_du(rs, self.a, self.n_dim, self.alpha, self.p)
+        y[:, ~below] = self._read_table(r[~below])
+        return y
+
+    def _read_table(self, r: np.ndarray) -> np.ndarray:
+        """(u, u') at radii r from e^t[0] on, by the dense output."""
+        t = np.log(r)
+        seg = np.clip(np.searchsorted(self.t, t, side="left") - 1, 0, self.h.size - 1)
+        x = (t - self.t_old[seg]) / self.h[seg]
+        factors = (x, 1.0 - x)
+        # gathered component-major, (7, 2, r.size), so each product runs
+        # along the points
+        coef = self.coef.transpose(0, 2, 1).take(seg, axis=2)
+        y = coef[0] + 0.0
+        y *= x
+        for i in range(1, len(coef)):
+            y += coef[i]
+            y *= factors[i % 2]
+        y += self.y_old.T.take(seg, axis=1)
+        y[1] /= r
+        return y
 
 
 def _series_coeffs(a, n_dim, alpha, p):
@@ -508,25 +383,51 @@ def _series_du(r, a, n_dim, alpha, p):
 _MAX_STEP = 0.25
 
 
+# The right-hand side (u_t, w_t) of the t-form at the time {t} and the state
+# ({u}, {w}), as source over the field constants of `_radial_ivp`:
+# damping = N-2, weight = 2+α and p.  The odd extension keeps the vector
+# field smooth through u = 0.  It is the one definition: the callable `_rhs`
+# and the shot kernel `_dop853_shot` below are both compiled from it.
+_RHS = ("{w}", "-damping * {w} - exp(weight * {t}) * copysign(abs({u}) ** p, {u})")
+# the log of the largest float, which `_check_amplitude` holds a**(2p-1) below
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _check_amplitude(a, p) -> None:
+    """DomainError unless 0 < a and a**(2p-1) and its inverse are in the
+    float range: the origin series forms that power for a > 1, and one near
+    its inverse through the start radius for a < 1."""
+    if not a > 0:
+        raise DomainError(f"need a > 0, got {a!r}")
+    if not (2.0 * p - 1.0) * abs(math.log(a)) < _LOG_FLOAT_MAX:
+        raise DomainError(
+            f"the shot amplitude a={a!r} puts a**(2p-1) out of the float range at "
+            f"p={p!r}; the Dirichlet profile does not depend on the amplitude, so "
+            "take one nearer 1"
+        )
+
+
 def _radial_ivp(n_dim, alpha, p, a, tol, r_max):
     """The radial IVP u'' + (N-1)/r u' + r^α u^p = 0, u(0)=a, u'(0)=0 as
     both integrators take it, in t = log r with the state (u, w = r u'):
 
-        u_t = w,    w_t = -(N-2) w - e^((2+α)t) |u|^p sign(u).
+        u_t = w,    w_t = -(N-2) w - e^((2+α)t) |u|^p sign(u),
 
-    Returns (rhs, t0, y0, t_max, rtol, atol, max_step), with rhs(t, u, w)
-    the float pair (u_t, w_t), t0 the log of the series radius, y0 the
+    the right-hand side `_RHS`.  Returns (field, t0, y0, t_max, rtol, atol,
+    max_step), with field = (N-2, 2+α, p, α) the constants of that source
+    and the α an overflow names, t0 the log of the series radius, y0 the
     series values (u, r u') there, t_max = log r_max and max_step the
-    longest step in t, `_MAX_STEP`.  The absolute tolerance is tol*1e-2
-    scaled by the amplitude, on both components.  A power of r in u becomes
-    an exponential in t, and rescaling the amplitude translates the whole
-    problem in t, start, tolerances and step cap included.  DomainError for
-    an input outside the problem."""
+    longest step in t, `_MAX_STEP`.  `_rhs(*field)` is the callable
+    right-hand side and `_dop853_shot(field, ...)` the shot.  The absolute
+    tolerance is tol*1e-2 scaled by the amplitude, on both components.  A
+    power of r in u becomes an exponential in t, and rescaling the amplitude
+    translates the whole problem in t, start, tolerances and step cap
+    included.  DomainError for an input outside the problem, an amplitude
+    whose series powers leave the float range included."""
     p_alpha = threshold_exponent(n_dim, alpha)  # checks N and α
     if not 1.0 < p <= p_alpha:
         raise DomainError(f"need 1 < p <= p_alpha = {p_alpha}, got {p!r}")
-    if not a > 0:
-        raise DomainError(f"need a > 0, got {a!r}")
+    _check_amplitude(a, p)
     if not 0.0 < tol < 1.0:
         raise DomainError(f"need 0 < tol < 1, got {tol!r}")
 
@@ -536,25 +437,184 @@ def _radial_ivp(n_dim, alpha, p, a, tol, r_max):
     r0 = (1e-5 * lead) ** (1.0 / (2.0 + alpha))
     if not r_max > r0:
         raise DomainError(f"need r_max > series radius {r0:.6g}, got {r_max!r}")
-    y0 = (
-        float(_series_u(r0, a, n_dim, alpha, p)),
-        float(r0 * _series_du(r0, a, n_dim, alpha, p)),
-    )
+    try:
+        y0 = (
+            float(_series_u(r0, a, n_dim, alpha, p)),
+            float(r0 * _series_du(r0, a, n_dim, alpha, p)),
+        )
+    except OverflowError:  # r0**(4+2α), at α in the hundreds
+        raise DomainError(
+            f"the origin series overflows at its radius {r0:.6g} with a={a!r}; the "
+            "Dirichlet profile does not depend on the amplitude, so take one nearer 1"
+        ) from None
     damping, weight = n_dim - 2.0, 2.0 + alpha
-    exp, copysign = math.exp, math.copysign
+    field = (damping, weight, p, alpha)
+    return field, math.log(r0), y0, math.log(r_max), tol, tol * 1e-2 * a, _MAX_STEP
 
-    def rhs(t, u, w):
-        # odd extension keeps the vector field smooth through u = 0
-        try:
-            return w, -damping * w - exp(weight * t) * copysign(abs(u) ** p, u)
-        except OverflowError:
-            raise NumericsError(
-                f"radial integration overflows at r={exp(t)!r} with alpha={alpha!r}: "
-                "r**(2+alpha) * |u|**p exceeds the float range before the shot's "
-                "first zero"
-            ) from None
 
-    return rhs, math.log(r0), y0, math.log(r_max), tol, tol * 1e-2 * a, _MAX_STEP
+def _overflow(t, alpha) -> NumericsError:
+    return NumericsError(
+        f"radial integration overflows at r={math.exp(t)!r} with alpha={alpha!r}: "
+        "r**(2+alpha) * |u|**p exceeds the float range before the shot's first zero"
+    )
+
+
+def _zero(t, t_new, h, u, rows) -> float:
+    """The zero in [t, t_new] of u on one step's dense output, by `_brentq`.
+    A function of its own, so that the kernel's lambda-free body keeps t, h
+    and u as fast locals rather than closure cells."""
+    return _brentq(lambda x: _interpolant_u(x, t, h, u, rows), t, t_new,
+                   _ZERO_TOL, _ZERO_TOL)
+
+
+# The shot is generated as straight-line source from the tableau and `_RHS`
+# and compiled once at import, the way `dataclasses` builds `__init__`: each
+# coefficient is a literal, each stage a local and each right-hand side
+# inline, so a step makes no Python call.  Each sum runs left to right from
+# 0.0, `0.0 + c·k_j + …`, so its bits are those of a loop over the sparse
+# row of the tableau.
+def _sum(row, k: str) -> str:
+    return "(0.0" + "".join(f" + {c!r} * {k}{j}" for j, c in row) + ")"
+
+
+def _rhs_at(t: str, u: str, w: str) -> str:
+    return ", ".join(part.format(t=t, u=u, w=w) for part in _RHS)
+
+
+def _stage(s: int) -> list[str]:
+    # the stage time is the local tau, which an overflow names
+    return [
+        f"tau = t + {_C[s]!r} * h",
+        f"us = u + {_sum(_A[s], 'ku')} * h",
+        f"ws = w + {_sum(_A[s], 'kw')} * h",
+        f"ku{s}, kw{s} = {_rhs_at('tau', 'us', 'ws')}",
+    ]
+
+
+def _error(row) -> str:
+    return f"({_sum(row, 'ku')} / scale_u) ** 2 + ({_sum(row, 'kw')} / scale_w) ** 2"
+
+
+def _indent(depth: int, lines) -> list[str]:
+    return ["    " * depth + line for line in lines]
+
+
+def _compile(name: str, args: str, lines):
+    source = f"def {name}({args}):\n" + "".join(_indent(1, [f"{line}\n" for line in lines]))
+    namespace = {}
+    exec(compile(source, f"<radial.{name}>", "exec"), globals(), namespace)
+    return namespace[name]
+
+
+# rhs(t, u, w) = (u_t, w_t) for the field of `_radial_ivp`: the right-hand
+# side that the initial step and `rk45_first_zero` call
+_rhs = _compile("_rhs", "damping, weight, p, alpha", [
+    "exp, copysign = math.exp, math.copysign",
+    "def rhs(t, u, w):",
+    "    try:",
+    f"        return {_rhs_at('t', 'u', 'w')}",
+    "    except OverflowError:",
+    "        raise _overflow(t, alpha) from None",
+    "return rhs",
+])
+
+_ROWS = range(len(_D) + 3)  # the seven rows of a step's dense output
+# _dop853_shot(field, t, y0, t_max, rtol, atol, max_step) integrates the
+# t-form of `_radial_ivp` with the field constants `field` from (t, y0) by
+# scipy's DOP853 algorithm on Python floats, until t_max or the first
+# downward zero of u.  The step controller, error norm, dense output and
+# zero location are scipy's, so a shot takes the same steps as
+# `solve_ivp(method="DOP853")` on `_rhs(*field)` up to roundoff.  Each
+# accepted step appends its row of the dense-output table.  No step is
+# longer than `max_step`, as with `solve_ivp`'s option of that name.  The
+# zero is the first step with u ≥ 0 at its start and u ≤ 0 at its end,
+# polished by `_brentq` on that step's interpolant.  Returns the table's
+# arrays (ts, t_old, h, y_old, coef), as `ShotTrajectory` holds them, and
+# the zero (None without one).  A right-hand side that overflows raises
+# NumericsError naming the stage's radius and α.  A non-finite one makes
+# every error norm NaN, so each retry shrinks the step by MIN_FACTOR;
+# NumericsError once the step is below 10 ulp(t), or is NaN.  Where the
+# controller takes max(a, b) or min(a, b) it is written `b if b > a else a`
+# or `b if b < a else a`, which is the builtin's result, NaN included,
+# without its call.
+_dop853_shot = _compile("_dop853_shot", "field, t, y0, t_max, rtol, atol, max_step", [
+    "damping, weight, p, alpha = field",
+    "exp, copysign, sqrt, ulp = math.exp, math.copysign, math.sqrt, math.ulp",
+    "fun = _rhs(*field)",
+    "u, w = y0",
+    "ku0, kw0 = fun(t, u, w)",
+    "h_abs = _initial_step(fun, t, u, w, ku0, kw0, t_max - t, rtol, atol, max_step)",
+    "ts, t_old, hs, y_old, coef = [t], [], [], [], []",
+    "first_zero = None",
+    "try:",
+    "    while t < t_max:",
+    "        min_step = 10.0 * ulp(t)",
+    "        h_abs = max_step if h_abs > max_step else (min_step if min_step > h_abs else h_abs)",
+    "        abs_u, abs_w = abs(u), abs(w)",
+    "        rejected = False",
+    "        while True:",
+    # also true for a NaN step, so a bad right-hand side ends the loop
+    "            if not h_abs >= min_step:",
+    "                raise NumericsError(",
+    "                    'radial integration failed: required step size is less '",
+    "                    f'than spacing between numbers at t={t!r}'",
+    "                )",
+    "            t_new = t + h_abs",
+    "            t_new = t_max if t_max < t_new else t_new",
+    "            h_abs = h = t_new - t",
+    *_indent(3, [line for s in range(1, _N_STAGES) for line in _stage(s)]),
+    f"            u_new = u + h * {_sum(_B, 'ku')}",
+    f"            w_new = w + h * {_sum(_B, 'kw')}",
+    "            tau = t + h",
+    f"            ku{_N_STAGES}, kw{_N_STAGES} = {_rhs_at('tau', 'u_new', 'w_new')}",
+    "            abs_new = abs(u_new)",
+    "            scale_u = atol + (abs_new if abs_new > abs_u else abs_u) * rtol",
+    "            abs_new = abs(w_new)",
+    "            scale_w = atol + (abs_new if abs_new > abs_w else abs_w) * rtol",
+    f"            err5 = {_error(_E5)}",
+    f"            err3 = {_error(_E3)}",
+    "            if err5 == 0.0 and err3 == 0.0:",
+    "                error_norm = 0.0",
+    "            else:",
+    "                error_norm = h * err5 / sqrt((err5 + 0.01 * err3) * 2.0)",
+    "            if error_norm < 1.0:",
+    "                if error_norm == 0.0:",
+    f"                    factor = {_MAX_FACTOR!r}",
+    "                else:",
+    "                    factor = "
+    f"min({_MAX_FACTOR!r}, {_SAFETY!r} * error_norm ** {_EXPONENT!r})",
+    "                h_abs *= min(1.0, factor) if rejected else factor",
+    "                break",
+    f"            h_abs *= max({_MIN_FACTOR!r}, {_SAFETY!r} * error_norm ** {_EXPONENT!r})",
+    "            rejected = True",
+    # the accepted step's extra stages and dense output, highest power first
+    *_indent(2, [line for s in range(_N_STAGES + 1, len(_A)) for line in _stage(s)]),
+    "        delta_u, delta_w = u_new - u, w_new - w",
+    *(f"        c{i}u, c{i}w = h * {_sum(row, 'ku')}, h * {_sum(row, 'kw')}"
+      for i, row in enumerate(reversed(_D))),
+    f"        c4u = 2.0 * delta_u - h * (ku{_N_STAGES} + ku0)",
+    f"        c4w = 2.0 * delta_w - h * (kw{_N_STAGES} + kw0)",
+    "        c5u, c5w = h * ku0 - delta_u, h * kw0 - delta_w",
+    "        c6u, c6w = delta_u, delta_w",
+    "        t_old.append(t)",
+    "        hs.append(h)",
+    "        y_old += (u, w)",
+    "        coef += (" + ", ".join(f"c{i}u, c{i}w" for i in _ROWS) + ")",
+    "        if u >= 0.0 and u_new <= 0.0:",
+    "            first_zero = _zero(t, t_new, h, u, ("
+    + ", ".join(f"(c{i}u, c{i}w)" for i in _ROWS) + "))",
+    "            ts.append(first_zero)",
+    "            break",
+    "        ts.append(t_new)",
+    f"        t, u, w, ku0, kw0 = t_new, u_new, w_new, ku{_N_STAGES}, kw{_N_STAGES}",
+    "except OverflowError:",
+    "    raise _overflow(tau, alpha) from None",
+    "table = (",
+    "    np.array(ts), np.array(t_old), np.array(hs), np.array(y_old).reshape(-1, 2),",
+    f"    np.ascontiguousarray(np.array(coef).reshape(-1, {len(_ROWS)}, 2).transpose(1, 0, 2)),",
+    ")",
+    "return table, first_zero",
+])
 
 
 def integrate_radial_ivp(
@@ -579,8 +639,8 @@ def integrate_radial_ivp(
     and at N = 3, α = 100 the shot meets r^(2+α) above the float range,
     near r = 1.05e3, before it.
     """
-    rhs, t0, y0, t_max, rtol, atol, max_step = _radial_ivp(n_dim, alpha, p, a, tol, r_max)
-    table, t_zero = _dop853_shot(rhs, t0, y0, t_max, rtol, atol, max_step)
+    field, t0, y0, t_max, rtol, atol, max_step = _radial_ivp(n_dim, alpha, p, a, tol, r_max)
+    table, t_zero = _dop853_shot(field, t0, y0, t_max, rtol, atol, max_step)
     first_zero = None if t_zero is None else math.exp(t_zero)
     return ShotTrajectory(n_dim, alpha, p, a, first_zero, *table)
 
@@ -591,7 +651,8 @@ def rk45_first_zero(n_dim: int, alpha: float, p: float) -> float | None:
     independent check of `integrate_radial_ivp`'s zero."""
     from scipy.integrate import solve_ivp
 
-    rhs, t0, y0, t_max, rtol, atol, max_step = _radial_ivp(n_dim, alpha, p, 1.0, 1e-10, 1e3)
+    field, t0, y0, t_max, rtol, atol, max_step = _radial_ivp(n_dim, alpha, p, 1.0, 1e-10, 1e3)
+    rhs = _rhs(*field)
 
     def hit_zero(t, y):
         return y[0]
@@ -661,10 +722,12 @@ def solve_dirichlet_ball(
     where the sup-norm asymptotics u(0) ~ sqrt(M/ε) put the unit shot's
     zero.  The window only caps the first and last steps, so a wide one
     costs nothing; a shot with no zero inside it raises SupercriticalError.
+    The profile does not depend on the shot amplitude; DomainError for one
+    that is not positive or whose origin series leaves the float range
+    (a**(2p-1), e.g. a = 1e60 or 1e-60 at p = 6.9).
     """
-    if not amplitude > 0:
-        raise DomainError(f"need amplitude > 0, got {amplitude!r}")
     p = params.p
+    _check_amplitude(amplitude, p)
     alpha = params.alpha
     beta = (2.0 + alpha) / (p - 1.0)
 

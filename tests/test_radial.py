@@ -127,6 +127,31 @@ class TestIntegrateRadialIVP:
             with pytest.raises(DomainError):
                 solve_dirichlet_ball(ProblemParams(3, 0.0, 0.05), amplitude=amplitude)
 
+    @pytest.mark.parametrize("amplitude", [math.inf, 1e60, 1e300, 1e-60, 1e-300])
+    def test_amplitude_out_of_float_range_rejected(self, amplitude):
+        # the series forms a**(2p-1); without the check inf failed in math.log,
+        # 1e60 and 1e300 overflowed a**(p-1), 1e-60 divided by its underflow
+        # and 1e-300 overflowed the window's (u0/a)**(1/beta)
+        with pytest.raises(DomainError, match="does not depend on the amplitude"):
+            solve_dirichlet_ball(ProblemParams(3, 1.0, 0.1), amplitude=amplitude)
+
+    @pytest.mark.parametrize("a", [math.inf, 1e300])
+    def test_shot_amplitude_out_of_float_range_rejected(self, a):
+        with pytest.raises(DomainError, match="does not depend on the amplitude"):
+            integrate_radial_ivp(3, 1.0, 2.0, a=a)
+
+    def test_series_overflow_at_the_start_radius_rejected(self):
+        # within the amplitude bound, r0**(4+2α) still overflows at α = 733
+        with pytest.raises(DomainError, match="origin series overflows"):
+            integrate_radial_ivp(5, 732.82, 422.67, a=0.4323, r_max=1e300)
+
+    def test_tiny_amplitude_solves(self):
+        # u is near 1e-112 at the zero, where the polish's extrapolation
+        # divides by an underflowed product
+        params = ProblemParams(6, 0.0, 0.2)
+        tiny = solve_dirichlet_ball(params, amplitude=1e-112)
+        assert tiny.u0 == pytest.approx(solve_dirichlet_ball(params).u0, rel=1e-9)
+
     @pytest.mark.parametrize("tol", [0.0, 1.0, 10.0, 1e300, math.inf, math.nan])
     def test_tolerance_outside_unit_interval_rejected(self, tol):
         # tol = 10 solved (3, 1, 0.1) to u0 = 4.462, against 13.961 at 1e-10
@@ -270,6 +295,28 @@ class TestDenseTable:
         got = shot.evaluate(r[:1])
         assert np.max(np.abs(got - ref_sol(r[:1]))) < 1e-12 * a
 
+    @pytest.mark.parametrize("n_dim, alpha, eps",
+                             [(3, 2.0, 0.05), (4, 0.5, 0.01), (6, 3.5, 0.3),
+                              (3, 0.0, 0.05)])
+    def test_evaluate_is_the_per_point_reference_bit_for_bit(self, n_dim, alpha, eps):
+        shot = integrate_radial_ivp(n_dim, alpha, ProblemParams(n_dim, alpha, eps).p)
+        start = math.exp(shot.t[0])
+        # the radii whose log is a step point exactly, among each e^t and its
+        # neighbours, so that a point picks the lower of two steps
+        near = np.concatenate([shot.r, np.nextafter(shot.r, 0.0), np.nextafter(shot.r, 2e3)])
+        at_steps = near[np.isin(np.log(near), shot.t)]
+        assert at_steps.size >= shot.t.size // 2
+        r = np.concatenate([
+            at_steps, [start, 0.0, np.nextafter(start, 0.0), 0.5 * start],
+            shot.first_zero * np.array([1.0 + 1e-9, 1.5, 3.0]),
+        ])
+        mid = np.exp(np.random.default_rng(2).uniform(shot.t[0], shot.t[-1], 50))
+        r = np.concatenate([r, mid, mid[::3], r[::-2]])  # unsorted, with repeats
+        want = np.array([_evaluate_point(shot, x) for x in r]).T
+        got = shot.evaluate(r)
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
     def test_dop853_shot_runs_no_solve_ivp(self, monkeypatch):
         # only the RK45 cross-check goes through scipy's solve_ivp
         calls = []
@@ -289,14 +336,46 @@ class TestDenseTable:
 
     @pytest.mark.parametrize("bad_from_start", [True, False])
     def test_non_finite_rhs_raises(self, bad_from_start):
-        # a NaN error norm rejects every step (max(0.2, nan) = 0.2 shrinks
-        # it) until the step falls below 10 ulp(r); a NaN first step ends
-        # the loop at once
-        def rhs(r, u, v):
-            return (math.nan, math.nan) if bad_from_start or r > 1.0 else (v, -u)
-
+        # with p = NaN the field is NaN wherever |u| != 1 (1.0 ** nan is
+        # 1.0): from the start at u = 2, from a step's first stage at u = 1,
+        # where w = 1e3 moves u by more than an ulp on any step above the
+        # 10 ulp(t) floor.  A NaN error norm rejects every step
+        # (max(0.2, nan) = 0.2 shrinks it) until the step falls below that
+        # floor; a NaN first step ends the loop at once
+        field = (1.0, 3.0, math.nan, 1.0)
         with pytest.raises(NumericsError, match="radial integration failed"):
-            radial._dop853_shot(rhs, 1.0, (1.0, 0.0), 2.0, 1e-10, 1e-12, math.inf)
+            radial._dop853_shot(field, 1.0, (2.0 if bad_from_start else 1.0, 1e3), 2.0,
+                                1e-10, 1e-12, math.inf)
+
+
+def _evaluate_point(shot, r):
+    """(u, u') of `shot` at the one radius r, as `ShotTrajectory.evaluate`
+    defines it: the origin series below e^t[0]; from there on the step that
+    scipy's `OdeSolution` picks (the lower one at a step point, the end steps
+    beyond the ends) and its nested product from 0.0.  Logs and powers run
+    on a one-point array, so their bits are numpy's array math, which does
+    not depend on the position of a point in the array."""
+    one = np.array([r])
+    args = (shot.a, shot.n_dim, shot.alpha, shot.p)
+    if r < math.exp(shot.t[0]):
+        return radial._series_u(one, *args)[0], radial._series_du(one, *args)[0]
+    t = np.log(one)[0]
+    s = 0
+    while s + 1 < shot.h.size and shot.t[s + 1] < t:
+        s += 1
+    x = (t - shot.t_old[s]) / shot.h[s]
+    u, w = (
+        _nested_product(shot.coef[:, s, k], x) + shot.y_old[s, k] for k in (0, 1)
+    )
+    return u, w / r
+
+
+def _nested_product(rows, x):
+    y = 0.0
+    for i, c in enumerate(rows):
+        y += c
+        y *= x if i % 2 == 0 else 1.0 - x
+    return y
 
 
 def _nonzero(row):
@@ -312,10 +391,10 @@ def _combine(row, ku, kv):
 
 
 def _reference_shot(fun, t0, y0, t_max, rtol, atol, max_step, polishes):
-    """The reference stepper: `radial._dop853_shot` with the tableau read
-    from scipy and each sum a loop over its sparse row, polished by scipy's
-    `brentq`.  Appends the bracket and interpolant of each polish to
-    `polishes`."""
+    """The reference stepper: `radial._dop853_shot` as a loop that calls
+    `fun` at each stage, with the tableau read from scipy and each sum a loop
+    over its sparse row, polished by scipy's `brentq`.  Appends the bracket
+    and interpolant of each polish to `polishes`."""
     a_rows = [_nonzero(row) for row in _dop.A]
     t, (u, v) = t0, y0
     fu, fv = fun(t, u, v)
@@ -412,8 +491,9 @@ def _bits(rows):
 def shot_set():
     """The 192 shots of `solve_dirichlet_ball` at N 3-6, α ∈ {0, 0.5, 1, 2,
     3, 4.5}, ε ∈ {0.005, 0.02, 0.05, 0.2} and amplitude a ∈ {1, 4}: the
-    arguments of each `_dop853_shot` call, with the reference stepper's
-    table, zero and polishes."""
+    arguments of each call of the shot kernel `_dop853_shot`, with the table,
+    zero and polishes of the reference stepper on the callable right-hand
+    side that `radial._rhs` compiles from the same source."""
     calls = []
     real = radial._dop853_shot
     with pytest.MonkeyPatch.context() as mp:
@@ -424,10 +504,10 @@ def shot_set():
                     for a in (1.0, 4.0):
                         solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps), amplitude=a)
     shots = []
-    for args in calls:
+    for field, *args in calls:
         polishes = []
-        table, zero = _reference_shot(*args, polishes)
-        shots.append((args, table, zero, polishes))
+        table, zero = _reference_shot(radial._rhs(*field), *args, polishes)
+        shots.append(((field, *args), table, zero, polishes))
     return shots
 
 
@@ -488,6 +568,24 @@ class TestBrentq:
         got = radial._brentq(counted, lo, hi, xtol, 8.9e-16)
         got_calls, calls[:] = calls[:], []
         want = brentq(counted, lo, hi, xtol=xtol, rtol=8.9e-16)
+        assert repr(got) == repr(want) and got_calls == calls
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: 1e-110 * (x**3 - 2.0 * x - 5.0), 2.0, 3.0),
+        (lambda x: 1e-300 * (x - 0.3) ** 5, -1.0, 2.0),
+    ])
+    def test_underflowed_extrapolation_bisects_as_scipy(self, f, lo, hi):
+        # the extrapolation's denominator, a product of three differences
+        # of f, underflows to 0; C's division gives inf or NaN and bisects
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        got = radial._brentq(counted, lo, hi, 1e-12, 8.9e-16)
+        got_calls, calls[:] = calls[:], []
+        want = brentq(counted, lo, hi, xtol=1e-12, rtol=8.9e-16)
         assert repr(got) == repr(want) and got_calls == calls
 
     def test_matches_scipy_on_random_polynomials(self):

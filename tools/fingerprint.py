@@ -2,6 +2,8 @@
 
 The document holds
 - every verify criterion's measured value, as `float.hex`;
+- fixed `solve_dirichlet_ball` profiles: the shot's first zero, u0 and the
+  SHA-256 of (u, u') on the fine grid that `flux_gap` reads;
 - fixed `find_bifurcation_alpha` points with a `morse_index` on either side
   of each root, fixed two-eigenvalue sweep rows (`solve_eigen` values only,
   as `henonball sweep` runs them) and fixed three-eigenvalue spectrum points
@@ -18,7 +20,7 @@ compare equal:
     # the same command in a checkout of the other tree, > old.json
     cmp old.json new.json
 
-The script needs the standard library and the package alone, and takes a
+The script needs the standard library, numpy and the package alone, and takes a
 few seconds on a 2-core host.
 """
 
@@ -28,6 +30,8 @@ import hashlib
 import json
 import logging
 import sys
+
+import numpy as np
 
 from henonball import bifurcation, spectral
 from henonball.closedform import ProblemParams
@@ -50,6 +54,11 @@ MORSE_OFFSETS = (-0.05, 0.05)
 SWEEP_N = (3, 4, 5, 6)
 SWEEP_ALPHA = (0.5, 1.0, 2.0, 3.0, 4.3, 6.0)
 SWEEP_EPS = (0.01, 0.05, 0.2, 1.0, 2.0)
+# (N, α, ε, amplitude) of the profiles read directly
+PROFILE_POINTS = [
+    (3, 0.0, 0.05, 1.0), (3, 2.0, 0.005, 4.0), (4, 0.5, 0.02, 1.0),
+    (5, 3.0, 0.2, 4.0), (6, 4.5, 0.05, 1.0), (6, 1.0, 0.005, 4.0),
+]
 # (N, α, ε) of three-eigenvalue spectra; at (5, 2, 0.2) and (6, 1, 0.05) Λ₃
 # lies past the Hardy edge and fails its node count
 SPECTRUM_POINTS = [
@@ -106,6 +115,13 @@ def _bifurcate(cache, n_dim, eps, k, bracket) -> dict:
     return out
 
 
+def _profile(n_dim, alpha, eps, amplitude) -> dict:
+    profile = solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps), amplitude=amplitude)
+    grid = np.append(spectral.default_spectral_grid(1.0, 2 * bifurcation.N_POINTS), 1.0)
+    return {"first_zero_raw": _hex(profile.first_zero_raw), "u0": _hex(profile.u0),
+            "evaluate": _digest(np.array(profile.evaluate(grid)))}
+
+
 def _solve(n_dim, alpha, eps, count, n_points, with_vectors) -> dict:
     profile = solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps))
     res = spectral.solve_eigen(spectral.SLProblem.from_profile(profile), count=count,
@@ -125,6 +141,10 @@ def fingerprint() -> dict:
         "bifurcate": {
             f"{n},{e!r},{k},{b!r}": _point(counter, lambda: _bifurcate(cache, n, e, k, b))
             for n, e, k, b in BIFURCATE_POINTS
+        },
+        "profile": {
+            f"{n},{a!r},{e!r},{amp!r}": _point(counter, lambda: _profile(n, a, e, amp))
+            for n, a, e, amp in PROFILE_POINTS
         },
         "sweep": {
             f"{n},{a!r},{e!r}": _point(

@@ -1,4 +1,5 @@
-"""String-replace mutation tests of henonball's certificates, verify gates and shot.
+"""String-replace mutation tests of henonball's certificates, verify gates, shot and
+profile read.
 
 Each mutant names one edit of one file under `src/henonball` (an exact text
 and its replacement) and the pytest selection meant to fail on it.  The
@@ -25,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BIF = "tests/test_bifurcation.py::"
 PLANTED = BIF + "TestFluxIdentity::test_unsettled_certificate_falls_back"
 VER = "tests/test_verify.py::"
+RAD = "tests/test_radial.py::"
 # (what the mutant does, file, text, replacement, pytest selection)
 MUTANTS = [
     ("_fixed_point stops at 1e-7·|δ|", "bifurcation.py", "<= 1e-12 * abs(d)",
@@ -69,6 +71,12 @@ MUTANTS = [
      ["tests/test_radial.py::TestIntegrateRadialIVP::test_critical_shot_matches_closed_form"]),
     ("the log-r shot has no step cap", "radial.py", "_MAX_STEP = 0.25", "_MAX_STEP = math.inf",
      ["tests/test_radial.py::TestLinearizationIdentity::test_z_solves_limit_eigen_equation"]),
+    ("the shot kernel's stages drop their last w term", "radial.py",
+     "f\"ws = w + {_sum(_A[s], 'kw')} * h\",", "f\"ws = w + {_sum(_A[s][:-1], 'kw')} * h\",",
+     [RAD + "TestReferenceStepper::test_stepper_matches_the_loop_reference"]),
+    ("evaluate reads the dense table down to half the start radius", "radial.py",
+     "below = r < start", "below = r < 0.5 * start",
+     [RAD + "TestDenseTable::test_evaluate_is_the_per_point_reference_bit_for_bit"]),
     ("C10's test is b <= a", "verify.py", "all(b < a for a, b in zip(dists, dists[1:]))",
      "all(b <= a for a, b in zip(dists, dists[1:]))", [VER + "test_c10_reads_planted_distances"]),
 ]
