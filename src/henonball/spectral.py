@@ -13,16 +13,18 @@ symmetric tridiagonal (the weight matrix diagonal).  The purely radial
 inertia at 0 does not depend on the positive weight, so it is this pencil's
 count at 0 (see `bifurcation.morse_index`).
 Every eigenvalue comes down one ladder in `Pencil` and passes one
-certificate routine: an inertia certificate from the pencil's own Sturm count
-and, for an eigenvector, a node-count certificate.  A problem may carry
-closed-form guesses `shifts`, the j-th near Λ_j: Λ₁(α) for the unit ball,
+certificate routine: an inertia certificate from the pencil's own count
+(`Pencil.count`: the nonpositive pivots of the LDLᵀ factorization of A - xB
+from LAPACK's pttrf, one O(n) pass plus one pttrf call per eigenvalue
+counted) and, for an eigenvector, a node-count certificate.  A problem may
+carry closed-form guesses `shifts`, the j-th near Λ_j: Λ₁(α) for the unit ball,
 whose Λ₁^ε lies just above it, and Λ₁(α) and 0 for the truncated limit
 problem.  Pair j ≤ len(shifts) comes from shifted inverse iteration with O(n)
 tridiagonal solves (`Pencil.pair`).  The other pairs, every pair of a problem
 without shifts (the expanding ball) and a shifted pair that fails its
 certificate come from LAPACK's bisection and inverse iteration through one
-`eigh_tridiagonal` call; a value that fails there is bisected on the Sturm
-count itself.  `Pencil.eigenvalue_batch(count)` and
+`eigh_tridiagonal` call; a value that fails there is bisected on the
+pencil's count itself.  `Pencil.eigenvalue_batch(count)` and
 `Pencil.eigenvectors(count)` return the lowest `count`.  `solve_eigen`
 extrapolates over two grids and returns one `EigenResult` per eigenvalue.
 
@@ -52,7 +54,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dstebz
+from scipy.linalg.lapack import dgtsv, dpttrf
 
 from . import numerics, rescaling
 from .closedform import henon_constant, lambda1_closed, limit_lambda, threshold_exponent
@@ -82,8 +84,6 @@ __all__ = [
 R_MIN = 1e-6
 # largest log-r spacing of the table prufer_eigen splines the potential on
 PRUFER_DT = 1e-3
-# stebz tolerance that skips bisection: Sturm counts only
-_COUNT_ONLY_TOL = float(np.finfo(float).max)
 # solves of Pencil.pair: the first two at the closed-form shift
 _SHIFTED_SOLVES = 8
 # Pencil.pair stops once its residual is within this many ulps of the terms
@@ -165,8 +165,10 @@ def default_spectral_grid(r_end: float, n_points: int = 2000) -> np.ndarray:
 @dataclass
 class Pencil:
     """Symmetric tridiagonal generalized eigenproblem A z = Λ B z (B diagonal,
-    positive).  `count(x)` is the number of eigenvalues at or below x: LAPACK
-    stebz's Sturm count on the pencil's own A - xB (Sylvester's law, B > 0).
+    positive).  `count(x)` is the number of eigenvalues at or below x: the
+    number of nonpositive pivots of the LDLᵀ factorization of the pencil's
+    own A - xB from LAPACK's pttrf (Sylvester's law, B > 0), at a cost of one
+    O(n) pass plus one pttrf call per eigenvalue counted.
 
     `eigenvalue_batch(count)` and `eigenvectors(count)` return the lowest
     `count` eigenvalues, and eigenvectors with the latter, from one ladder:
@@ -192,23 +194,46 @@ class Pencil:
         return self.grid.size
 
     def count(self, shifts) -> np.ndarray | int:
+        """The number of eigenvalues at or below each shift x: the number of
+        nonpositive pivots of the LDLᵀ factorization of A - xB (Sylvester's
+        law, B > 0), an int for a scalar shift and an int64 array of the
+        shifts' shape otherwise.
+
+        LAPACK's pttrf factors A - xB and stops at the first pivot ≤ 0.  That
+        pivot is counted and, as stebz does, moved to min(pivot, -pivmin),
+        pivmin = tiny·max(1, max e²); its Schur update goes into the next row
+        and pttrf restarts on the trailing rows, the last of which is checked
+        here (pttrf wants two rows).  A shift costs one O(n) pass plus one
+        pttrf call per eigenvalue counted.  +inf counts all n eigenvalues,
+        -inf none, and a NaN shift raises DomainError."""
         x = np.asarray(shifts, dtype=float)
+        if np.isnan(x).any():
+            raise DomainError(f"inertia count needs shifts that are numbers, got {shifts!r}")
+        n, off = self.n, self.a_off
         out = np.empty(x.shape, dtype=np.int64)
-        # f2py wants n-1 >= 1 off-diagonal entries; LAPACK reads none at n = 1
-        off = self.a_off if self.n > 1 else np.zeros(1)
+        pivmin = None
         for i, shift in np.ndenumerate(x):
-            # range 1 selects by value, here (-inf, 0]; a tolerance this coarse
-            # stops stebz after the Sturm counts at the interval ends, so m is
-            # the exact count of nonpositive eigenvalues of A - xB
-            m, _, _, _, info = dstebz(
-                self.a_diag - shift * self.b_diag, off,
-                1, -np.inf, 0.0, 0, 0, _COUNT_ONLY_TOL, b"B",
-            )
-            if info:
-                raise NumericsError(
-                    f"stebz inertia count failed at shift {shift:.9g} (info={info})"
-                )
-            out[i] = m
+            d, e = self.a_diag - shift * self.b_diag, off.copy()
+            found, start = 0, 0
+            while start < n - 1:
+                # pttrf overwrites d[start:] with pivots and leaves the rows
+                # past a failing pivot as they were
+                info = dpttrf(d[start:], e[start:], overwrite_d=1, overwrite_e=1)[2]
+                if info == 0:
+                    break
+                k = start + info - 1
+                found += 1
+                if k == n - 1:
+                    break
+                if pivmin is None:
+                    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(off * off)))
+                # in Python floats, which overflow to inf without a warning
+                pivot, coupling = min(float(d[k]), -pivmin), float(e[k])
+                d[k + 1] = float(d[k + 1]) - coupling * (coupling / pivot)
+                start = k + 1
+            else:
+                found += d[n - 1] <= 0.0
+            out[i] = found
         return int(out) if x.ndim == 0 else out
 
     def gershgorin(self) -> tuple[float, float]:
@@ -330,8 +355,10 @@ class Pencil:
     def _certify(self, js: Sequence[int], vals: np.ndarray, zs=()) -> None:
         """The certificates of every eigenpair: for each j = js[i], at most
         j-1 eigenvalues lie at or below vals[i] - gap and at least j at or
-        below vals[i] + gap (inertia), and the vector zs[i], if given, has
-        j-1 sign changes (node count); NumericsError otherwise."""
+        below vals[i] + gap (inertia, from `count`'s LDLᵀ pivots: two shifts,
+        each one O(n) pttrf pass plus one call per eigenvalue counted), and
+        the vector zs[i], if given, has j-1 sign changes (node count);
+        NumericsError otherwise."""
         gap = 1e-10 * np.maximum(1.0, np.abs(vals))
         counts = self.count(np.concatenate([vals - gap, vals + gap]))
         for j, v, c_lo, c_hi in zip(js, vals, counts[: len(js)], counts[len(js):]):
@@ -350,11 +377,20 @@ class Pencil:
 
     def eigenvalue_bisect(self, j: int) -> float:
         """Self-contained bisection on this pencil's inertia count, to a
-        relative width of 1e-12; slower than stebz but with no external
-        solver in the loop."""
+        relative width of 1e-12; slower than stebz but with no eigensolver
+        in the loop.  The upper end grows from Gershgorin's lower end
+        by doubling steps until it counts j, capped at Gershgorin's upper
+        end, so the counts stay near j: a count costs one pttrf call per
+        eigenvalue it counts (see `count`)."""
         if not 1 <= j <= self.n:
             raise DomainError(f"eigenvalue index out of range 1..{self.n}")
-        lo, hi = self.gershgorin()
+        lo, top = self.gershgorin()
+        step = max(1.0, abs(lo)) / 1024.0
+        hi = lo + step
+        while hi < top and self.count(hi) < j:
+            lo, step = hi, 2.0 * step
+            hi = lo + step
+        hi = min(hi, top)
         for _ in range(300):
             mid = 0.5 * (lo + hi)
             if self.count(mid) < j:

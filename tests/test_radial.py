@@ -347,6 +347,26 @@ class TestDenseTable:
             radial._dop853_shot(field, 1.0, (2.0 if bad_from_start else 1.0, 1e3), 2.0,
                                 1e-10, 1e-12, math.inf)
 
+    def test_step_budget_stops_a_stalled_shot(self):
+        # with p = NaN and (u, w) = (1, 0) the field stays finite only on
+        # steps too short to move u off 1.0, so the shot creeps: without the
+        # budget it crosses this 1.4e-4 window in about 71,000 steps, and a
+        # longer one grows its table without bound
+        field, t0, _, _, rtol, atol, max_step = radial._radial_ivp(3, 2.0, 4.9, 1.0, 1e-10, 1e3)
+        stalled = (*field[:2], math.nan, field[3])
+        with pytest.raises(NumericsError, match=(
+                r"took \d+ steps and reached only r=0\.11\d* with alpha=2\.0")) as err:
+            radial._dop853_shot(stalled, t0, (1.0, 0.0), t0 + 1.4e-4, rtol, atol, max_step)
+        assert f"took {radial._MAX_STEPS} steps" in str(err.value)
+
+    def test_underflowing_error_norm_keeps_stepping(self):
+        # at the critical exponent the shot has no zero and decays to u ~
+        # 1e-163 by r = e^194, where err5 is 0 and 0.01 * err3 underflows;
+        # the error norm is then 0, not 0/0, and the shot runs on to the
+        # overflow of r^(2+α) |u|^p
+        with pytest.raises(NumericsError, match="overflows at r=1.39"):
+            integrate_radial_ivp(6, 0.0, 2.0, 1.0, 1e-12, 1e300)
+
 
 def _evaluate_point(shot, r):
     """(u, u') of `shot` at the one radius r, as `ShotTrajectory.evaluate`

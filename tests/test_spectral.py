@@ -384,26 +384,43 @@ class TestPair:
 
 
 def ldlt_count(pen, shifts):
-    """Reference inertia count: the LDLᵀ pivot recurrence of A - xB written
-    out row by row, vectorized over shifts."""
+    """Reference inertia count with stebz's conventions for a nonpositive
+    pivot: the LDLᵀ pivot recurrence q_i = (a_i - x b_i) - e·(e/q_{i-1}) of
+    A - xB written out row by row, vectorized over shifts, where a pivot
+    q ≤ 0 is counted and moved to min(q, -pivmin), pivmin = tiny·max(1,
+    max e²).  A positive pivot is kept as it is, however small."""
     x = np.atleast_1d(np.asarray(shifts, dtype=float))
     dxb = pen.a_diag[:, None] - x[None, :] * pen.b_diag[:, None]
-    e2 = pen.a_off**2
-    pivmin = 1e-290 * max(1.0, float(np.max(np.abs(pen.a_diag))))
-    q = dxb[0].copy()
-    cnt = (q < 0).astype(np.int64)
-    for i in range(1, pen.n):
-        denom = np.where(np.abs(q) < pivmin, np.where(q < 0, -pivmin, pivmin), q)
-        q = dxb[i] - e2[i - 1] / denom
-        cnt += q < 0
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(pen.a_off**2, initial=0.0)))
+    cnt = np.zeros(x.size, dtype=np.int64)
+    q = dxb[0]
+    for i in range(pen.n):
+        if i:
+            e = pen.a_off[i - 1]
+            with np.errstate(over="ignore"):  # a pivot near pivmin
+                q = dxb[i] - e * (e / q)
+        counted = q <= 0
+        cnt += counted
+        q = np.where(counted, np.minimum(q, -pivmin), q)
     return cnt
+
+
+def dense_count(pen, shifts):
+    """Eigenvalues at or below each shift, from eigvalsh of B^-1/2 A B^-1/2,
+    and the distance of each shift from the nearest eigenvalue."""
+    t = np.diag(pen.a_diag) + np.diag(pen.a_off, 1) + np.diag(pen.a_off, -1)
+    scale = 1.0 / np.sqrt(pen.b_diag)
+    eig = np.linalg.eigvalsh(scale[:, None] * t * scale[None, :])
+    x = np.asarray(shifts, dtype=float)[:, None]
+    return np.sum(eig <= x, axis=1), np.min(np.abs(x - eig), axis=1), eig
 
 
 @st.composite
 def small_pencils(draw):
     """Random symmetric tridiagonal A with a positive diagonal B."""
     n = draw(st.integers(1, 8))
-    entries = st.floats(-5.0, 5.0)
+    # small integers give exactly zero pivots
+    entries = st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0))
     a_diag = draw(st.lists(entries, min_size=n, max_size=n))
     a_off = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
     b_diag = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
@@ -448,14 +465,87 @@ class TestInertiaCount:
         shifts = np.sort(shifts)
         counts = pen.count(shifts)
         assert np.all(np.diff(counts) >= 0)
-        t = np.diag(pen.a_diag) + np.diag(pen.a_off, 1) + np.diag(pen.a_off, -1)
-        scale = 1.0 / np.sqrt(pen.b_diag)
-        eig = np.linalg.eigvalsh(scale[:, None] * t * scale[None, :])
-        expected = np.sum(eig <= shifts[:, None], axis=1)
+        expected, distance, eig = dense_count(pen, shifts)
         # a shift within rounding of an eigenvalue may be counted either way
-        tol = 1e-9 * max(1.0, np.max(np.abs(eig)))
-        clear = np.min(np.abs(shifts[:, None] - eig), axis=1) > tol
+        clear = distance > 1e-9 * max(1.0, np.max(np.abs(eig)))
         assert np.array_equal(counts[clear], expected[clear])
+
+    @settings(max_examples=300, deadline=None)
+    @given(pen=small_pencils(),
+           shifts=st.lists(st.one_of(st.integers(-6, 6).map(float), st.floats(-150.0, 150.0)),
+                           min_size=1, max_size=20))
+    def test_count_is_the_reference_pivot_count(self, pen, shifts):
+        # the same count at every shift, ties and exactly zero pivots included
+        assert pen.count(shifts).tolist() == ldlt_count(pen, shifts).tolist()
+
+    @pytest.mark.parametrize("a_diag, a_off, shift, want", [
+        # pivots 1, 0, -1 + huge: the zero pivot in the middle counts, and its
+        # Schur update lifts the last row, whose own entry is negative
+        ([1.0, 1.0, -1.0], [1.0, 1.0], 0.0, 1),
+        # pivots 1, -1, 0: the last row's zero pivot counts; the spectrum is
+        # 0, ±√3
+        ([1.0, 0.0, -1.0], [1.0, 1.0], 0.0, 2),
+        # a zero coupling: blocks [[1, 1], [1, 1]] and [1], spectrum 0, 2, 1
+        ([1.0, 1.0, 1.0], [1.0, 0.0], 0.0, 1),
+        # pivots 2, 0 in a two-row pencil: spectrum 0 and 2.5
+        ([2.0, 0.5], [1.0], 0.0, 1),
+        # the first pencil, shifted by 1
+        ([2.0, 2.0, 0.0], [1.0, 1.0], 1.0, 1),
+    ])
+    def test_integer_pencils_with_zero_pivots(self, a_diag, a_off, shift, want):
+        pen = Pencil(np.arange(len(a_diag), dtype=float), np.array(a_diag), np.array(a_off),
+                     np.ones(len(a_diag)))
+        assert pen.count(shift) == want
+        assert ldlt_count(pen, shift).tolist() == [want]
+        expected, distance, _ = dense_count(pen, [shift])
+        assert expected[0] == want or distance[0] < 1e-12
+
+    @pytest.mark.parametrize("a_diag, a_off, b_diag", [
+        ([0.5], [], [2.0]),
+        ([2.0, 3.0], [1.0], [1.0, 2.0]),
+        ([-3.0, 2.0], [0.0], [1.0, 4.0]),
+        ([3.0, -1.0, 2.0, 0.5], [0.0, 0.0, 0.0], [1.0, 2.0, 1.0, 4.0]),
+    ])
+    def test_small_pencils_match_eigvalsh(self, a_diag, a_off, b_diag):
+        pen = Pencil(np.arange(len(a_diag), dtype=float), *map(np.array, (a_diag, a_off, b_diag)))
+        _, _, eig = dense_count(pen, [0.0])
+        # below, between and above the eigenvalues, clear of each
+        edges = np.concatenate([[eig[0] - 1.0], eig, [eig[-1] + 1.0]])
+        shifts = 0.5 * (edges[:-1] + edges[1:])
+        expected, _, _ = dense_count(pen, shifts)
+        assert pen.count(shifts).tolist() == expected.tolist() == list(range(pen.n + 1))
+
+    def test_counts_near_n_match_eigvalsh(self):
+        pen = assemble_pencil(SLProblem(3, math.pi, zero_potential),
+                              default_spectral_grid(math.pi, 200))
+        _, _, eig = dense_count(pen, [0.0])
+        shifts = np.concatenate([0.5 * (eig[-4:-1] + eig[-3:]), [2.0 * eig[-1]]])
+        expected, _, _ = dense_count(pen, shifts)
+        assert expected.tolist() == [197, 198, 199, 200]
+        assert pen.count(shifts).tolist() == [197, 198, 199, 200]
+
+    def test_non_finite_shifts(self):
+        pen = assemble_pencil(SLProblem(3, math.pi, zero_potential),
+                              default_spectral_grid(math.pi, 200))
+        # every eigenvalue lies at or below +inf and none at or below -inf
+        assert pen.count(math.inf) == 200 and pen.count(-math.inf) == 0
+        assert pen.count([-math.inf, 0.0, math.inf]).tolist() == [0, 0, 200]
+        with pytest.raises(DomainError, match="nan"):
+            pen.count(math.nan)
+        with pytest.raises(DomainError, match="nan"):
+            pen.count([0.0, math.nan])
+
+    def test_bisection_counts_stay_near_j(self, ball_problem):
+        # the upper end grows from Gershgorin's lower end; started at
+        # Gershgorin's upper end, the first count read 194 of these 400
+        pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 400))
+        seen, count = [], pen.count
+        pen.count = lambda x: seen.append(count(x)) or seen[-1]
+        lam = pen.eigenvalue_batch(3)
+        for j in (1, 2, 3):
+            seen.clear()
+            assert pen.eigenvalue_bisect(j) == pytest.approx(lam[j - 1], rel=1e-10, abs=1e-10)
+            assert max(seen) <= 60
 
     def test_one_row_pencil(self):
         # no off-diagonal at all: the single eigenvalue is 0.5 / 2.0

@@ -7,7 +7,11 @@ The document holds
 - fixed `find_bifurcation_alpha` points with a `morse_index` on either side
   of each root, fixed two-eigenvalue sweep rows (`solve_eigen` values only,
   as `henonball sweep` runs them) and fixed three-eigenvalue spectrum points
-  (`solve_eigen` with vectors, as `henonball spectrum` runs them).
+  (`solve_eigen` with vectors, as `henonball spectrum` runs them);
+- integer inertia counts (`Pencil.count`) of fixed pencils at fixed finite
+  shifts: Λ_j ± gap for j ≤ 3, with the certificate's gap 1e-10·max(1, |Λ_j|),
+  and the Morse windows -σ_k ± 1e-4 for k ≤ 5, so that a change of counting
+  convention shows.
 
 Every float is written with `float.hex`, every eigenvector as the SHA-256 of
 its bytes, and a point that raises as the exception's type name alone, so
@@ -34,7 +38,7 @@ import sys
 import numpy as np
 
 from henonball import bifurcation, spectral
-from henonball.closedform import ProblemParams
+from henonball.closedform import ProblemParams, sphere_eigen
 from henonball.errors import HenonError
 from henonball.radial import solve_dirichlet_ball
 from henonball.verify import run_criteria
@@ -65,6 +69,13 @@ SPECTRUM_POINTS = [
     (3, 2.0, 0.05), (3, 2.0, 0.01), (4, 2.0, 0.05), (5, 2.0, 0.2),
     (6, 1.0, 0.05), (4, 4.0, 0.2), (3, 0.5, 1.0),
 ]
+
+# (N, α, ε) of the unit-ball pencil pairs (N_POINTS and 2·N_POINTS nodes)
+# and (N, α) of the limit pencils (3000 nodes) whose inertia counts are read
+COUNT_BALL_POINTS = [(3, 2.0, 0.05), (4, 4.0, 0.2), (6, 1.0, 0.05), (3, 0.5, 1.0)]
+COUNT_LIMIT_POINTS = [(3, 2.0), (5, 1.0)]
+# the Morse windows read: k = 0..COUNT_MAX_K
+COUNT_MAX_K = 5
 
 
 class _Counter(logging.Handler):
@@ -133,6 +144,30 @@ def _solve(n_dim, alpha, eps, count, n_points, with_vectors) -> dict:
     ]}
 
 
+def _counts(n_dim, pencil) -> list:
+    """`pencil.count` at Λ_j ± gap for j ≤ 3 and at -σ_k ± 1e-4 for
+    k ≤ COUNT_MAX_K."""
+    lam = pencil.eigenvalue_batch(3)
+    gap = 1e-10 * np.maximum(1.0, np.abs(lam))
+    sigma = np.array([sphere_eigen(n_dim, k)[0] for k in range(COUNT_MAX_K + 1)])
+    shifts = np.concatenate([lam - gap, lam + gap, -sigma - 1e-4, -sigma + 1e-4])
+    return pencil.count(shifts).tolist()
+
+
+def _ball_counts(n_dim, alpha, eps) -> dict:
+    problem = spectral.SLProblem.from_profile(
+        solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps)))
+    pair = spectral.pencil_pair(problem, bifurcation.N_POINTS)
+    return {"coarse": _counts(n_dim, pair[0]), "fine": _counts(n_dim, pair[1])}
+
+
+def _limit_counts(n_dim, alpha) -> dict:
+    problem = spectral.limit_problem(n_dim, alpha)
+    pencil = spectral.assemble_pencil(
+        problem, spectral.default_spectral_grid(problem.r_end, 3000))
+    return {"pencil": _counts(n_dim, pencil)}
+
+
 def fingerprint() -> dict:
     counter = _Counter()
     logging.getLogger("henonball").addHandler(counter)
@@ -154,6 +189,12 @@ def fingerprint() -> dict:
         "spectrum": {
             f"{n},{a!r},{e!r}": _point(counter, lambda: _solve(n, a, e, 3, 2000, True))
             for n, a, e in SPECTRUM_POINTS
+        },
+        "counts": {
+            **{f"ball {n},{a!r},{e!r}": _point(counter, lambda: _ball_counts(n, a, e))
+               for n, a, e in COUNT_BALL_POINTS},
+            **{f"limit {n},{a!r}": _point(counter, lambda: _limit_counts(n, a))
+               for n, a in COUNT_LIMIT_POINTS},
         },
     }
     counter.n = 0

@@ -1,5 +1,5 @@
-"""String-replace mutation tests of henonball's certificates, verify gates, shot and
-profile read.
+"""String-replace mutation tests of henonball's certificates, inertia count, verify
+gates, shot and profile read.
 
 Each mutant names one edit of one file under `src/henonball` (an exact text
 and its replacement) and the pytest selection meant to fail on it.  The
@@ -27,6 +27,7 @@ BIF = "tests/test_bifurcation.py::"
 PLANTED = BIF + "TestFluxIdentity::test_unsettled_certificate_falls_back"
 VER = "tests/test_verify.py::"
 RAD = "tests/test_radial.py::"
+SPEC = "tests/test_spectral.py::"
 # (what the mutant does, file, text, replacement, pytest selection)
 MUTANTS = [
     ("_fixed_point stops at 1e-7·|δ|", "bifurcation.py", "<= 1e-12 * abs(d)",
@@ -51,6 +52,11 @@ MUTANTS = [
     ("_RESIDUAL_ULPS is 4096", "spectral.py", "_RESIDUAL_ULPS = 4.0",
      "_RESIDUAL_ULPS = 4096.0",
      ["tests/test_spectral.py::TestLowestPair::test_stops_one_solve_after_the_residual_test"]),
+    ("count skips the Schur update after a nonpositive pivot", "spectral.py",
+     "float(d[k + 1]) - coupling * (coupling / pivot)", "float(d[k + 1])",
+     [SPEC + "TestInertiaCount::test_integer_pencils_with_zero_pivots"]),
+    ("count drops the last row's check", "spectral.py", "found += d[n - 1] <= 0.0",
+     "found += 0", [SPEC + "TestInertiaCount::test_integer_pencils_with_zero_pivots"]),
     ("pencil_pair's coarse rows are [1::2]", "spectral.py", "fine[::2]), qv[::2])",
      "fine[1::2]), qv[1::2])",
      ["tests/test_spectral.py::TestAssembly::test_pair_is_the_assembly_on_both_grids"]),
