@@ -25,11 +25,12 @@ cannot settle (see `find_bifurcation_alpha`).
 
 One α-evaluation is one `flux_gap`: a Dirichlet shoot, one evaluation of
 (u, u') on the fine grid of the N_POINTS/2·N_POINTS pair with r = 1 appended,
-which gives `spectral.pencil_pair` the u it builds both pencils from and the
-identity u'(1), and the lowest eigenpair of each pencil by shifted inverse
-iteration from Λ₁(α).  Profiles and `flux_gap` results are memoized in a
-SolverCache keyed by the exact parameters: the one passed as `cache=`, or
-else a fresh one that lives only as long as the call.
+which gives the pencils of `spectral.pencil_pair` the u they are built from
+and the identity u'(1), and the lowest eigenpair of each pencil by shifted
+inverse iteration from Λ₁(α).  Profiles and `flux_gap` results are memoized
+in a SolverCache keyed by the exact parameters, and the grid pair's stencil
+geometry (`spectral.RadialGrid`) per N: the one passed as `cache=`, or else
+a fresh one that lives only as long as the call.
 """
 
 from __future__ import annotations
@@ -52,10 +53,9 @@ from .closedform import (
 from .errors import BracketError, DegeneratePointError, DomainError
 from .radial import RadialProfile, _brentq, solve_dirichlet_ball
 from .spectral import (
+    RadialGrid,
     SLProblem,
     assemble_pencil,
-    default_spectral_grid,
-    pencil_pair,
     solve_eigen,
 )
 
@@ -81,12 +81,25 @@ SEARCH_EVALUATIONS = 8
 
 class SolverCache:
     """Memo of radial profiles and `flux_gap` results, keyed by (N, α, ε),
-    and of limit spectra (`spectral.limit_eigen`), keyed by (N, α)."""
+    of limit spectra (`spectral.limit_eigen`), keyed by (N, α), and of the
+    unit ball's grid pair (`grids`), keyed by N.  The grids live as long as
+    the cache, so every `flux_gap` and `morse_index` of a search assembles
+    on geometry built once."""
 
     def __init__(self):
         self._profiles: dict = {}
         self._gaps: dict = {}
         self._limits: dict = {}
+        self._grids: dict = {}
+
+    def grids(self, n_dim: int) -> tuple[RadialGrid, RadialGrid]:
+        """The (coarse, fine) unit-ball `RadialGrid`s of N_POINTS and
+        2·N_POINTS nodes in dimension N, the grids of `pencil_pair(problem,
+        N_POINTS)`; the coarse one is the fine one's `coarsen()`."""
+        if n_dim not in self._grids:
+            fine = RadialGrid.log_uniform(n_dim, 1.0, 2 * N_POINTS)
+            self._grids[n_dim] = fine.coarsen(), fine
+        return self._grids[n_dim]
 
     def profile(self, n_dim: int, alpha: float, eps: float) -> RadialProfile:
         key = (n_dim, alpha, eps)
@@ -157,15 +170,17 @@ def flux_gap(
     (u, u') on the fine grid with r = 1 appended: u'(1) is the last entry,
     the pair's q reads u on the grid (the coarse grid is every other fine
     node, see `spectral.pencil_pair`), and z = r^(-α/2) u' reads u' on each
-    pencil's grid.  The result is memoized in `cache`."""
+    pencil's grid.  The pencils are assembled on `cache.grids(n_dim)`, the
+    grids of `spectral.pencil_pair`.  The result is memoized in `cache`."""
     cache = cache or SolverCache()
     key = (n_dim, alpha, eps)
     if key not in cache._gaps:
         profile = cache.profile(n_dim, alpha, eps)
-        u, du = profile.evaluate(np.append(default_spectral_grid(1.0, 2 * N_POINTS), 1.0))
+        grids = cache.grids(n_dim)
+        u, du = profile.evaluate(grids[1].r_with_end)
         u, du, du1 = u[:-1], du[:-1], du[-1]
         fine_u = SimpleNamespace(params=profile.params, evaluate=lambda r: (u, du))
-        pencils = pencil_pair(SLProblem.from_profile(fine_u), N_POINTS)
+        pencils = spectral._pencils_on(SLProblem.from_profile(fine_u), grids)
         values = []
         for pencil, rows in zip(pencils, (slice(None, None, 2), slice(None))):
             lam, phi = pencil.pair(1)
@@ -438,8 +453,9 @@ def morse_index(
     is channel k = 0 of the same r^-2-weighted pencil: by Sylvester's law
     the positive weight does not change the inertia at -σ_k.  Every count
     is an inertia count of the fine pencil (the 2·N_POINTS grid of
-    `lambda_values`, read from the profile directly), exact for the
-    discretized operator; no eigenvalue is solved.  For k = 0, 1, 2, ...
+    `lambda_values`, `cache.grids(n_dim)[1]`, read from the profile
+    directly), exact for the discretized operator; no eigenvalue is
+    solved.  For k = 0, 1, 2, ...
     n_k is the fine pencil's count at -σ_k - 1e-4, and the loop stops at the
     first k with n_k = 0.  When the counts at -σ_k ∓ 1e-4 differ, some
     eigenvalue of the fine pencil lies within 1e-4 of -σ_k, and that raises
@@ -454,7 +470,7 @@ def morse_index(
     degeneracy_tol = 1e-4
     cache = cache or SolverCache()
     fine = assemble_pencil(SLProblem.from_profile(cache.profile(n_dim, alpha, eps)),
-                           default_spectral_grid(1.0, 2 * N_POINTS))
+                           cache.grids(n_dim)[1])
     counts = []  # (k, n_k, N_k)
     for k in itertools.count():
         sigma_k, mult = sphere_eigen(n_dim, k)

@@ -5,10 +5,16 @@ The eigenvalue problem is
     -z'' - (N-1)/r z' - q(r) z = Λ z / r²,   z(0) = z(R) = 0,
 
 discretized in the self-adjoint form -(r^(N-1) z')' - r^(N-1) q z = Λ r^(N-3) z
-by a conservative three-point scheme on a graded grid: one stencil behind
+by a conservative three-point scheme on a graded grid.  A `RadialGrid` holds
+the nodes for one N with everything the stencil takes from the grid alone
+(flux, cell widths, weights), built once and read-only; `RadialGrid.pencil`
+adds the q-dependent diagonal and is the one assembly routine, behind
 `assemble_pencil` (one grid) and `pencil_pair` (the coarse/fine pair of a
-two-grid solve, from one evaluation of q).  Both pencil matrices are
-symmetric tridiagonal (the weight matrix diagonal).  The purely radial
+two-grid solve, from one evaluation of q, the coarse grid being the fine
+one's `coarsen()`).  A grid lives as long as its owner: `pencil_pair` builds
+one per call, `bifurcation.SolverCache` keeps the unit ball's pair for a
+whole search.  Both pencil matrices are symmetric tridiagonal (the weight
+matrix diagonal).  The purely radial
 (k = 0) linearization needs no pencil of its own: by Sylvester's law its
 inertia at 0 does not depend on the positive weight, so it is this pencil's
 count at 0 (see `bifurcation.morse_index`).
@@ -48,8 +54,10 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,6 +74,7 @@ log = logging.getLogger("henonball")
 __all__ = [
     "SLProblem",
     "Pencil",
+    "RadialGrid",
     "EigenResult",
     "LimitEigenResult",
     "assemble_pencil",
@@ -158,8 +167,131 @@ def default_spectral_grid(r_end: float, n_points: int = 2000) -> np.ndarray:
     """Geometric interior grid on (0, r_end): first node R_MIN = 1e-6, last
     node one geometric step inside r_end.  Eigenfunctions of these problems
     are self-similar in log r, so log-uniform nodes resolve every decade
-    alike."""
-    return numerics.log_grid(R_MIN, r_end, n_points + 1)[:-1]
+    alike.  `n_points` must be an integer >= 3 and `r_end` a finite number
+    above R_MIN; DomainError otherwise.  `RadialGrid.log_uniform` builds the
+    stencil geometry on these nodes."""
+    n = _node_count(n_points)
+    if not math.isfinite(r_end):
+        raise DomainError(f"need a finite grid end r_end, got {r_end!r}")
+    return numerics.log_grid(R_MIN, r_end, n + 1)[:-1]
+
+
+def _node_count(n_points) -> int:
+    """`n_points` as an int, if it is an integer >= 3 (the fewest nodes a
+    pencil takes); DomainError otherwise."""
+    try:
+        n = operator.index(n_points)
+    except TypeError:
+        n = None
+    if n is None or n < 3:
+        raise DomainError(f"need an integer n_points >= 3, got {n_points!r}")
+    return n
+
+
+def _pivmin(off: np.ndarray) -> float:
+    """The smallest pivot magnitude of `Pencil.count`: tiny·max(1, max e²),
+    as stebz takes it."""
+    return np.finfo(float).tiny * max(1.0, float(np.max(off * off)))
+
+
+def _geometry():
+    return field(init=False, repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class RadialGrid:
+    """Interior nodes r of (0, r_end) in dimension N, with everything the
+    stencil of `assemble_pencil` needs from the grid alone, computed once,
+    as read-only arrays.  With nodes r_0 = 0, r, r_{n+1} = r_end, gaps
+    h_i = r_i - r_{i-1} and flux F_i = m_i^(N-1)/h_i at the gap midpoints m_i:
+    `flux_sum` = F_i + F_{i+1}, `a_off` = -F_i between nodes, `rn1` = r^(N-1),
+    `cell` = (h_i + h_{i+1})/2 and `b_diag` = r^(N-3)·cell, checked > 0 here;
+    then `abs_off` = |a_off|, `inv_b` = 1/b_diag and `pivmin`, the grid-only
+    operands of `Pencil.pair` and `Pencil.count`, and `r_with_end`, the nodes
+    with r_end appended.  A pencil on the grid costs only its q-dependent
+    diagonal (`pencil`).
+
+    The nodes must be finite, positive and strictly increasing, at least 3
+    of them, below a finite r_end; DomainError otherwise.  They are copied,
+    so the caller's array stays writable."""
+
+    n_dim: int
+    r_end: float
+    r: np.ndarray = field(repr=False)
+    flux_sum: np.ndarray = _geometry()
+    a_off: np.ndarray = _geometry()
+    rn1: np.ndarray = _geometry()
+    cell: np.ndarray = _geometry()
+    b_diag: np.ndarray = _geometry()
+    abs_off: np.ndarray = _geometry()
+    inv_b: np.ndarray = _geometry()
+    pivmin: float = _geometry()
+    r_with_end: np.ndarray = _geometry()
+
+    def __post_init__(self):
+        r, r_end = np.array(self.r, dtype=float), self.r_end
+        if not math.isfinite(r_end):
+            raise DomainError(f"the domain end r_end must be a finite number, got {r_end!r}")
+        if r.ndim != 1 or r.size < 3:
+            raise DomainError("grid must be a 1-d array with at least 3 nodes")
+        if not np.isfinite(r).all():
+            raise DomainError("grid nodes must be finite numbers")
+        if r[0] <= 0.0:
+            raise DomainError("first grid node must be > 0 (the origin is singular)")
+        if np.any(np.diff(r) <= 0) or r[-1] >= r_end:
+            raise DomainError("grid must increase strictly and stay inside the domain")
+        ndm1 = self.n_dim - 1.0
+        nodes = np.concatenate([[0.0], r, [r_end]])
+        gaps = np.diff(nodes)                       # n+1 gaps
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        flux = mids**ndm1 / gaps                    # n+1 couplings
+        cell = 0.5 * (gaps[:-1] + gaps[1:])         # lumped cell widths at nodes
+        b_diag = r ** (ndm1 - 2.0) * cell
+        if np.any(b_diag <= 0):
+            raise NumericsError("weight matrix lost positivity")
+        a_off = -flux[1:-1]
+        geometry = dict(
+            r=r, flux_sum=flux[:-1] + flux[1:], a_off=a_off, rn1=r**ndm1, cell=cell,
+            b_diag=b_diag, abs_off=np.abs(a_off), inv_b=1.0 / b_diag, pivmin=_pivmin(a_off),
+            r_with_end=np.append(r, r_end),
+        )
+        for name, value in geometry.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def log_uniform(cls, n_dim: int, r_end: float, n_points: int) -> "RadialGrid":
+        """The grid on the nodes of `default_spectral_grid(r_end, n_points)`."""
+        return cls(n_dim, r_end, default_spectral_grid(r_end, n_points))
+
+    @property
+    def n(self) -> int:
+        return self.r.size
+
+    def coarsen(self) -> "RadialGrid":
+        """The grid on every other node, r_1, r_3, ..., with its own
+        geometry.  On `log_uniform(N, r_end, 2n)` it is `log_uniform(N,
+        r_end, n)` bit for bit: linspace's step in log r halves exactly."""
+        return RadialGrid(self.n_dim, self.r_end, self.r[::2])
+
+    def pencil(self, qv, shifts: tuple[float, ...] = ()) -> "Pencil":
+        """The pencil of -(r^(N-1) z')' - r^(N-1) q z = Λ r^(N-3) z on this
+        grid, with q = qv at the nodes and the given shifts: the diagonal
+        flux_sum - r^(N-1)·q·cell is its only new array.  A non-finite q
+        raises DomainError naming the first such node."""
+        qv = np.asarray(qv, dtype=float)
+        if not np.isfinite(qv).all():
+            bad = ~np.isfinite(np.broadcast_to(qv, self.r.shape))
+            raise DomainError(
+                f"the potential q is not finite at {np.sum(bad)} of {self.n} grid "
+                f"nodes, the first at r = {self.r[np.argmax(bad)]:.6g}"
+            )
+        pencil = Pencil(grid=self.r, a_diag=self.flux_sum - self.rn1 * qv * self.cell,
+                        a_off=self.a_off, b_diag=self.b_diag, shifts=shifts)
+        # fills Pencil's cached properties with this grid's copies
+        pencil.__dict__.update(abs_off=self.abs_off, inv_b=self.inv_b, pivmin=self.pivmin)
+        return pencil
 
 
 @dataclass
@@ -181,7 +313,11 @@ class Pencil:
     3. a value that fails there, from `eigenvalue_bisect` on the count.
     Every rung passes `_certify`.  Rung 2 works on T, not on A - xB, so the
     count certifies it independently; a vector that fails there raises
-    NumericsError."""
+    NumericsError.
+
+    `abs_off`, `inv_b` and `pivmin`, the operands of `pair` and `count` that
+    do not depend on q, are derived from the fields on first use, unless
+    `RadialGrid.pencil` filled them in from its grid."""
 
     grid: np.ndarray
     a_diag: np.ndarray
@@ -192,6 +328,18 @@ class Pencil:
     @property
     def n(self) -> int:
         return self.grid.size
+
+    @cached_property
+    def abs_off(self) -> np.ndarray:
+        return np.abs(self.a_off)
+
+    @cached_property
+    def inv_b(self) -> np.ndarray:
+        return 1.0 / self.b_diag
+
+    @cached_property
+    def pivmin(self) -> float:
+        return _pivmin(self.a_off)
 
     def count(self, shifts) -> np.ndarray | int:
         """The number of eigenvalues at or below each shift x: the number of
@@ -211,7 +359,6 @@ class Pencil:
             raise DomainError(f"inertia count needs shifts that are numbers, got {shifts!r}")
         n, off = self.n, self.a_off
         out = np.empty(x.shape, dtype=np.int64)
-        pivmin = None
         for i, shift in np.ndenumerate(x):
             d, e = self.a_diag - shift * self.b_diag, off.copy()
             found, start = 0, 0
@@ -225,10 +372,8 @@ class Pencil:
                 found += 1
                 if k == n - 1:
                     break
-                if pivmin is None:
-                    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(off * off)))
                 # in Python floats, which overflow to inf without a warning
-                pivot, coupling = min(float(d[k]), -pivmin), float(e[k])
+                pivot, coupling = min(float(d[k]), -self.pivmin), float(e[k])
                 d[k + 1] = float(d[k + 1]) - coupling * (coupling / pivot)
                 start = k + 1
             else:
@@ -330,12 +475,12 @@ class Pencil:
     def _shifted_iteration(self, sigma: float) -> tuple[float, np.ndarray]:
         """(μ, x) of the iteration in `pair` from σ, x at sup norm 1."""
         a, off, b = self.a_diag, self.a_off, self.b_diag
-        abs_a, abs_off, inv_b = np.abs(a), np.abs(off), 1.0 / b
+        abs_a, abs_off, inv_b = np.abs(a), self.abs_off, self.inv_b
         tol = (_RESIDUAL_ULPS * np.finfo(float).eps) ** 2
-        x, mu, converged = b, sigma, False
+        x, bx, mu, converged = b, b * b, sigma, False
         for solve in range(_SHIFTED_SOLVES):
             shift = sigma if solve < 2 else mu
-            *_, y, info = dgtsv(off, a - shift * b, off, b * x)
+            *_, y, info = dgtsv(off, a - shift * b, off, bx)
             scale = np.max(np.abs(y)) if info == 0 else 0.0
             if not 0.0 < scale < np.inf:
                 raise NumericsError(f"shifted solve failed at {shift:.9g} (info={info})")
@@ -426,54 +571,46 @@ def node_count(z: np.ndarray) -> int:
     return int(np.sum(zz[:-1] * zz[1:] < 0))
 
 
-def assemble_pencil(problem: SLProblem, grid: np.ndarray) -> Pencil:
+def assemble_pencil(problem: SLProblem, grid: np.ndarray | RadialGrid) -> Pencil:
     """Conservative three-point discretization of
     -(r^(N-1) z')' - r^(N-1) q z = Λ r^(N-3) z on the given interior grid,
     with Dirichlet values at both domain ends.  The pencil takes the
     problem's shifts.
 
-    `grid` must be strictly increasing inside (0, r_end); the first node must
-    be positive.
+    `grid` is an array of interior nodes, finite and strictly increasing
+    inside (0, r_end), at least 3 of them, whose stencil geometry is built
+    here (`RadialGrid`), or a RadialGrid already built for the problem's N
+    and r_end, whose geometry is reused; DomainError otherwise, and also
+    for a potential that is not finite at some node.
     """
-    r = np.asarray(grid, dtype=float)
-    if r.ndim != 1 or r.size < 3:
-        raise DomainError("grid must be a 1-d array with at least 3 nodes")
-    if r[0] <= 0.0:
-        raise DomainError("first grid node must be > 0 (the origin is singular)")
-    if np.any(np.diff(r) <= 0) or r[-1] >= problem.r_end:
-        raise DomainError("grid must increase strictly and stay inside the domain")
-    return _stencil(problem, r, np.asarray(problem.q(r), dtype=float))
+    if not isinstance(grid, RadialGrid):
+        grid = RadialGrid(problem.n_dim, problem.r_end, grid)
+    elif (grid.n_dim, grid.r_end) != (problem.n_dim, problem.r_end):
+        raise DomainError(
+            f"grid built for N={grid.n_dim}, r_end={grid.r_end!r}, "
+            f"problem has N={problem.n_dim}, r_end={problem.r_end!r}"
+        )
+    return grid.pencil(problem.q(grid.r), problem.shifts)
 
 
 def pencil_pair(problem: SLProblem, n_points: int) -> tuple[Pencil, Pencil]:
     """The (coarse, fine) pencils of a two-grid solve, each equal to
     `assemble_pencil` on `default_spectral_grid(r_end, n)` for n = n_points
-    and 2·n_points, from one `problem.q` call on the fine grid: the coarse
-    grid is every other fine node, bit for bit, since linspace's step halves
-    exactly."""
-    if n_points < 3:
-        raise DomainError(f"need n_points >= 3, got {n_points!r}")
-    fine = default_spectral_grid(problem.r_end, 2 * n_points)
-    qv = np.asarray(problem.q(fine), dtype=float)
-    return (_stencil(problem, np.ascontiguousarray(fine[::2]), qv[::2]),
-            _stencil(problem, fine, qv))
+    and 2·n_points, from one `problem.q` call on the fine grid.  The fine
+    `RadialGrid` is built here and the coarse one is its `coarsen()`;
+    `bifurcation.SolverCache.grids` keeps the unit ball's pair for a whole
+    search instead."""
+    fine = RadialGrid.log_uniform(problem.n_dim, problem.r_end, 2 * _node_count(n_points))
+    return _pencils_on(problem, (fine.coarsen(), fine))
 
 
-def _stencil(problem: SLProblem, r: np.ndarray, qv: np.ndarray) -> Pencil:
-    """The pencil of `assemble_pencil` on a checked grid r with q(r) = qv."""
-    ndm1 = problem.n_dim - 1.0
-    nodes = np.concatenate([[0.0], r, [problem.r_end]])
-    gaps = np.diff(nodes)                       # n+1 gaps
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    flux = mids**ndm1 / gaps                    # n+1 couplings
-
-    cell = 0.5 * (gaps[:-1] + gaps[1:])         # lumped cell widths at nodes
-    a_diag = flux[:-1] + flux[1:] - r**ndm1 * qv * cell
-    a_off = -flux[1:-1]
-    b_diag = r ** (ndm1 - 2.0) * cell
-    if np.any(b_diag <= 0):
-        raise NumericsError("weight matrix lost positivity")
-    return Pencil(grid=r, a_diag=a_diag, a_off=a_off, b_diag=b_diag, shifts=problem.shifts)
+def _pencils_on(problem: SLProblem, grids: tuple[RadialGrid, RadialGrid]) -> tuple[Pencil, Pencil]:
+    """The pencils of `pencil_pair` on a (coarse, fine) pair whose coarse
+    grid is the fine one's `coarsen()`, from one q read on the fine grid."""
+    coarse, fine = grids
+    qv = np.asarray(problem.q(fine.r), dtype=float)
+    fine_pencil = fine.pencil(qv, problem.shifts)   # checks every q read
+    return coarse.pencil(qv[::2], problem.shifts), fine_pencil
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import logging
 import math
@@ -17,12 +18,14 @@ from scipy.optimize import brentq
 
 from henonball.closedform import ProblemParams, lambda1_closed
 from henonball import spectral
+from henonball.bifurcation import SolverCache
 from henonball.errors import BracketError, DomainError, NumericsError
 from henonball.radial import solve_dirichlet_ball
 from henonball.rescaling import rescale
 from henonball.spectral import (
     EigenResult,
     Pencil,
+    RadialGrid,
     SLProblem,
     assemble_pencil,
     default_spectral_grid,
@@ -82,24 +85,82 @@ class TestAssembly:
         with pytest.raises(DomainError, match="n_points >= 3"):
             spectral.pencil_pair(ball_problem, 2)
 
+    @pytest.mark.parametrize("r_end, n_points", [
+        (1.0, 0), (1.0, 2.5), (1.0, -3), (math.inf, 10)])
+    def test_default_grid_rejects_what_it_cannot_build(self, r_end, n_points):
+        with pytest.raises(DomainError):
+            default_spectral_grid(r_end, n_points)
+
+    def test_pair_needs_an_integer_node_count(self, ball_problem):
+        with pytest.raises(DomainError, match="integer n_points >= 3, got 1500.0"):
+            spectral.pencil_pair(ball_problem, 1500.0)
+
+    def test_grid_nodes_must_be_finite(self, ball_problem):
+        grid = default_spectral_grid(1.0, 10)
+        grid[3] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            assemble_pencil(ball_problem, grid)
+
+    def test_domain_end_must_be_finite(self):
+        for r_end in (math.nan, math.inf):
+            problem = SLProblem(3, r_end, zero_potential)
+            with pytest.raises(DomainError, match="finite"):
+                assemble_pencil(problem, np.array([0.1, 0.2, 0.3]))
+            with pytest.raises(DomainError, match="finite"):
+                spectral.pencil_pair(problem, 5)
+
+    def test_non_finite_potential_names_its_first_radius(self):
+        # one NaN in q: the pair path (solve_eigen) and the one-grid path
+        # (assemble_pencil, whose count would read the NaN pivot as positive)
+        grid = default_spectral_grid(1.0, 100)
+        bad_r = grid[40]
+
+        def q(r):
+            out = np.zeros_like(r)
+            out[r == bad_r] = np.nan
+            return out
+
+        problem = SLProblem(3, 1.0, q)
+        message = f"not finite at 1 of 100 grid nodes, the first at r = {bad_r:.6g}"
+        with pytest.raises(DomainError, match=message):
+            assemble_pencil(problem, grid)
+        with pytest.raises(DomainError, match="not finite at 1 of 100 grid nodes"):
+            solve_eigen(problem, n_points=50)
+
+    def test_grid_must_match_the_problem(self, ball_problem):
+        with pytest.raises(DomainError, match="grid built for N=4"):
+            assemble_pencil(ball_problem, RadialGrid.log_uniform(4, 1.0, 300))
+        with pytest.raises(DomainError, match="r_end=2.0"):
+            assemble_pencil(ball_problem, RadialGrid.log_uniform(3, 2.0, 300))
+
     @pytest.mark.parametrize("kind, n", [
-        ("ball", 1500), ("limit", 3000), ("limit-2e3", 3000), ("expanding", 1500)])
+        ("ball", 1500), ("ball-cache", 1500), ("limit", 3000), ("limit-2e3", 3000),
+        ("expanding", 1500)])
     def test_pair_is_the_assembly_on_both_grids(self, profile_3_2_005, kind, n):
-        # one q read on the fine grid; the coarse pencil takes every other node
+        # one q read on the fine grid; the coarse pencil takes every other
+        # node; "ball-cache" assembles on a SolverCache's grids, as flux_gap does
         problem = {
             "ball": lambda: SLProblem.from_profile(profile_3_2_005),
+            "ball-cache": lambda: SLProblem.from_profile(profile_3_2_005),
             "limit": lambda: limit_problem(3, 2.0, 1e3),
             "limit-2e3": lambda: limit_problem(3, 2.0, 2e3),
             "expanding": lambda: SLProblem.from_rescaled(rescale(profile_3_2_005)),
         }[kind]()
         reads = []
         spied = replace(problem, q=lambda r: reads.append(r.size) or problem.q(r))
-        pair = spectral.pencil_pair(spied, n)
+        if kind == "ball-cache":
+            pair = spectral._pencils_on(spied, SolverCache().grids(3))
+        else:
+            pair = spectral.pencil_pair(spied, n)
         assert reads == [2 * n]
         for pencil, size in zip(pair, (n, 2 * n)):
             ref = assemble_pencil(problem, default_spectral_grid(problem.r_end, size))
-            for name in ("grid", "a_diag", "a_off", "b_diag"):
+            # a Pencil built from the fields derives pair's and count's operands
+            derived = Pencil(ref.grid.copy(), ref.a_diag, ref.a_off.copy(), ref.b_diag.copy())
+            for name in ("grid", "a_diag", "a_off", "b_diag", "abs_off", "inv_b"):
                 assert np.array_equal(getattr(pencil, name), getattr(ref, name)), name
+                assert np.array_equal(getattr(pencil, name), getattr(derived, name)), name
+            assert pencil.pivmin == derived.pivmin
             assert pencil.shifts == ref.shifts
 
     def test_dense_solver_oracle_q0(self):
@@ -121,6 +182,53 @@ class TestAssembly:
         fast = pen.eigenvalue_batch(2)
         slow = [pen.eigenvalue_bisect(1), pen.eigenvalue_bisect(2)]
         assert np.allclose(fast, slow, rtol=1e-10, atol=1e-10)
+
+
+GEOMETRY = ("r", "flux_sum", "a_off", "rn1", "cell", "b_diag", "abs_off", "inv_b",
+            "r_with_end")
+
+
+class TestRadialGrid:
+    @pytest.mark.parametrize("r_end", [1.0, math.pi, 1e3, 2e3])
+    @pytest.mark.parametrize("n", [750, 1500, 3000])
+    def test_coarsen_is_the_coarse_grid_bit_for_bit(self, n, r_end):
+        coarse = RadialGrid.log_uniform(4, r_end, 2 * n).coarsen()
+        ref = RadialGrid.log_uniform(4, r_end, n)
+        assert coarse.r.tobytes() == default_spectral_grid(r_end, n).tobytes()
+        for name in GEOMETRY:
+            assert getattr(coarse, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert coarse.pivmin == ref.pivmin
+
+    def test_geometry_is_read_only(self):
+        nodes = default_spectral_grid(1.0, 50)
+        grid = RadialGrid(3, 1.0, nodes)
+        for name in GEOMETRY:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(grid, name)[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.r = nodes
+        # the grid keeps its own copy; the caller's array stays writable
+        nodes[0] = 2e-6
+        assert grid.r[0] == 1e-6
+        pencil = grid.pencil(np.ones(50))
+        assert pencil.a_off is grid.a_off and pencil.abs_off is grid.abs_off
+        assert pencil.a_diag.flags.writeable
+
+    def test_flux_depends_on_the_dimension(self):
+        # same nodes, N = 3 and N = 4: the couplings are m^(N-1)/h at the
+        # gap midpoints m
+        nodes = default_spectral_grid(1.0, 40)
+        n3, n4 = RadialGrid(3, 1.0, nodes), RadialGrid(4, 1.0, nodes)
+        assert not np.array_equal(n3.a_off, n4.a_off)
+        mids, gaps = 0.5 * (nodes[:-1] + nodes[1:]), np.diff(nodes)
+        for n_dim, grid in ((3, n3), (4, n4)):
+            assert np.allclose(-grid.a_off, mids ** (n_dim - 1) / gaps, rtol=1e-13, atol=0)
+            assert np.allclose(grid.rn1, nodes ** (n_dim - 1), rtol=1e-13, atol=0)
+
+    def test_non_positive_weight_is_a_numerics_error(self):
+        # r^(N-3)·cell underflows to 0 at N = 400 on nodes near 1e-6
+        with pytest.raises(NumericsError, match="positivity"):
+            RadialGrid(400, 1.0, np.array([1e-6, 2e-6, 3e-6]))
 
 
 class TestEigenvalues:

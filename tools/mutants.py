@@ -1,5 +1,5 @@
 """String-replace mutation tests of henonball's certificates, inertia count, verify
-gates, shot and profile read.
+gates, shot, profile read and grid geometry.
 
 Each mutant names one edit of one file under `src/henonball` (an exact text
 and its replacement) and the pytest selection meant to fail on it.  The
@@ -57,9 +57,13 @@ MUTANTS = [
      [SPEC + "TestInertiaCount::test_integer_pencils_with_zero_pivots"]),
     ("count drops the last row's check", "spectral.py", "found += d[n - 1] <= 0.0",
      "found += 0", [SPEC + "TestInertiaCount::test_integer_pencils_with_zero_pivots"]),
-    ("pencil_pair's coarse rows are [1::2]", "spectral.py", "fine[::2]), qv[::2])",
-     "fine[1::2]), qv[1::2])",
-     ["tests/test_spectral.py::TestAssembly::test_pair_is_the_assembly_on_both_grids"]),
+    ("coarsen() keeps the nodes [1::2]", "spectral.py", "self.r_end, self.r[::2])",
+     "self.r_end, self.r[1::2])",
+     [SPEC + "TestAssembly::test_pair_is_the_assembly_on_both_grids",
+      SPEC + "TestRadialGrid::test_coarsen_is_the_coarse_grid_bit_for_bit"]),
+    ("the grid's flux ignores N (exponent fixed at 2)", "spectral.py",
+     "flux = mids**ndm1 / gaps", "flux = mids**2.0 / gaps",
+     [SPEC + "TestRadialGrid::test_flux_depends_on_the_dimension"]),
     ("flux_gap takes u'(1) from du[-2]", "bifurcation.py", "du[:-1], du[-1]",
      "du[:-1], du[-2]", [BIF + "TestFluxIdentity::test_gap_matches_the_pencil"]),
     ("BifurcationPoint.residual is halved", "bifurcation.py",
