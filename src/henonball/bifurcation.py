@@ -25,12 +25,14 @@ cannot settle (see `find_bifurcation_alpha`).
 
 One α-evaluation is one `flux_gap`: a Dirichlet shoot, one evaluation of
 (u, u') on the fine grid of the N_POINTS/2·N_POINTS pair with r = 1 appended,
-which gives the pencils of `spectral.pencil_pair` the u they are built from
-and the identity u'(1), and the lowest eigenpair of each pencil by shifted
-inverse iteration from Λ₁(α).  Profiles and `flux_gap` results are memoized
-in a SolverCache keyed by the exact parameters, and the grid pair's stencil
-geometry (`spectral.RadialGrid`) per N: the one passed as `cache=`, or else
-a fresh one that lives only as long as the call.
+which gives the pencils of `spectral.pencil_pair` the u they are built from,
+the identity's z and u'(1), and the lowest eigenpair of each pencil by
+shifted inverse iteration at Λ₁(α), started from that z.  Profiles and
+`flux_gap` results are memoized in a SolverCache keyed by the exact
+parameters: the one passed as `cache=`, or else a fresh one that lives only
+as long as the call.  The grid pair's stencil geometry
+(`spectral.RadialGrid`) is built once per N in the process
+(`RadialGrid.log_uniform`).
 """
 
 from __future__ import annotations
@@ -81,25 +83,22 @@ SEARCH_EVALUATIONS = 8
 
 class SolverCache:
     """Memo of radial profiles and `flux_gap` results, keyed by (N, α, ε),
-    of limit spectra (`spectral.limit_eigen`), keyed by (N, α), and of the
-    unit ball's grid pair (`grids`), keyed by N.  The grids live as long as
-    the cache, so every `flux_gap` and `morse_index` of a search assembles
-    on geometry built once."""
+    and of limit spectra (`spectral.limit_eigen`), keyed by (N, α).  The
+    unit ball's grid pair (`grids`) comes from `RadialGrid.log_uniform`'s
+    process-wide memo, so every `flux_gap`, `lambda_values` and
+    `morse_index`, on any cache, assembles on geometry built once."""
 
     def __init__(self):
         self._profiles: dict = {}
         self._gaps: dict = {}
         self._limits: dict = {}
-        self._grids: dict = {}
 
     def grids(self, n_dim: int) -> tuple[RadialGrid, RadialGrid]:
         """The (coarse, fine) unit-ball `RadialGrid`s of N_POINTS and
         2·N_POINTS nodes in dimension N, the grids of `pencil_pair(problem,
         N_POINTS)`; the coarse one is the fine one's `coarsen()`."""
-        if n_dim not in self._grids:
-            fine = RadialGrid.log_uniform(n_dim, 1.0, 2 * N_POINTS)
-            self._grids[n_dim] = fine.coarsen(), fine
-        return self._grids[n_dim]
+        fine = RadialGrid.log_uniform(n_dim, 1.0, 2 * N_POINTS)
+        return fine.coarsen(), fine
 
     def profile(self, n_dim: int, alpha: float, eps: float) -> RadialProfile:
         key = (n_dim, alpha, eps)
@@ -126,7 +125,7 @@ def lambda_values(
     """Lowest `count` eigenvalues Λ_j^ε(α), Richardson-extrapolated over the
     N_POINTS/2·N_POINTS pair.  The profile comes from `cache`; the eigen
     solve runs on every call and reads the profile once, on the fine grid
-    (`spectral.pencil_pair`)."""
+    (`spectral.pencil_pair`), for q and both pencils' guesses."""
     profile = (cache or SolverCache()).profile(n_dim, alpha, eps)
     res = solve_eigen(SLProblem.from_profile(profile), count=count,
                       n_points=N_POINTS, with_vectors=False)
@@ -170,8 +169,11 @@ def flux_gap(
     (u, u') on the fine grid with r = 1 appended: u'(1) is the last entry,
     the pair's q reads u on the grid (the coarse grid is every other fine
     node, see `spectral.pencil_pair`), and z = r^(-α/2) u' reads u' on each
-    pencil's grid.  The pencils are assembled on `cache.grids(n_dim)`, the
-    grids of `spectral.pencil_pair`.  The result is memoized in `cache`."""
+    pencil's grid.  That z is also the guess each pencil's `pair(1)` starts
+    from (`SLProblem.from_profile`), formed once per pencil
+    (`Pencil.guess`).  The pencils are assembled on `cache.grids(n_dim)`,
+    the grids of `spectral.pencil_pair`.  The result is memoized in
+    `cache`."""
     cache = cache or SolverCache()
     key = (n_dim, alpha, eps)
     if key not in cache._gaps:
@@ -182,10 +184,9 @@ def flux_gap(
         fine_u = SimpleNamespace(params=profile.params, evaluate=lambda r: (u, du))
         pencils = spectral._pencils_on(SLProblem.from_profile(fine_u), grids)
         values = []
-        for pencil, rows in zip(pencils, (slice(None, None, 2), slice(None))):
+        for pencil in pencils:
             lam, phi = pencil.pair(1)
-            z = pencil.grid ** (-alpha / 2.0) * du[rows]
-            overlap = np.dot(pencil.b_diag * phi, z)
+            overlap = np.dot(pencil.b_diag * phi, pencil.guess(1))
             # φ'(1) from the quartic through the last four nodes and (1, 0)
             dphi1 = _slope_at_one(pencil.grid[-4:], phi[-4:])
             values.append((float(-dphi1 * du1 / overlap), lam))

@@ -11,9 +11,10 @@ the nodes for one N with everything the stencil takes from the grid alone
 adds the q-dependent diagonal and is the one assembly routine, behind
 `assemble_pencil` (one grid) and `pencil_pair` (the coarse/fine pair of a
 two-grid solve, from one evaluation of q, the coarse grid being the fine
-one's `coarsen()`).  A grid lives as long as its owner: `pencil_pair` builds
-one per call, `bifurcation.SolverCache` keeps the unit ball's pair for a
-whole search.  Both pencil matrices are symmetric tridiagonal (the weight
+one's `coarsen()`).  `RadialGrid.log_uniform` keeps the grids of up to
+3000 nodes asked for last, each with its `coarsen()`, so `pencil_pair` and
+`bifurcation.SolverCache.grids` build the unit ball's pair once per process
+while it is in use.  Both pencil matrices are symmetric tridiagonal (the weight
 matrix diagonal).  The purely radial
 (k = 0) linearization needs no pencil of its own: by Sylvester's law its
 inertia at 0 does not depend on the positive weight, so it is this pencil's
@@ -23,12 +24,16 @@ certificate routine: an inertia certificate from the pencil's own count
 (`Pencil.count`: the nonpositive pivots of the LDLᵀ factorization of A - xB
 from LAPACK's pttrf, one O(n) pass plus one pttrf call per eigenvalue
 counted) and, for an eigenvector, a node-count certificate.  A problem may
-carry closed-form guesses `shifts`, the j-th near Λ_j: Λ₁(α) for the unit ball,
-whose Λ₁^ε lies just above it, and Λ₁(α) and 0 for the truncated limit
-problem.  Pair j ≤ len(shifts) comes from shifted inverse iteration with O(n)
-tridiagonal solves (`Pencil.pair`).  The other pairs, every pair of a problem
-without shifts (the expanding ball) and a shifted pair that fails its
-certificate come from LAPACK's bisection and inverse iteration through one
+carry closed-form `shifts`, the j-th near Λ_j, and beside each a closed-form
+guess of its eigenvector (`guesses`): Λ₁(α) and z = r^(-α/2) u' for the
+unit ball, whose Λ₁^ε lies just above Λ₁(α), and Λ₁(α) and 0 with the
+entire-space first eigenfunction and dilation kernel for the truncated
+limit problem.  Pair j ≤ len(shifts) comes from shifted inverse iteration
+with O(n) tridiagonal solves (`Pencil.pair`), started from the guess, which
+a pencil evaluates on its own grid only when a pair is asked for.  The
+other pairs, every pair of a problem without shifts (the expanding ball)
+and a shifted pair that fails its certificate come from LAPACK's bisection
+and inverse iteration through one
 `eigh_tridiagonal` call; a value that fails there is bisected on the
 pencil's count itself.  `Pencil.eigenvalue_batch(count)` and
 `Pencil.eigenvectors(count)` return the lowest `count`.  `solve_eigen`
@@ -55,6 +60,7 @@ from __future__ import annotations
 import logging
 import math
 import operator
+import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -65,7 +71,13 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dpttrf
 
 from . import numerics, rescaling
-from .closedform import henon_constant, lambda1_closed, limit_lambda, threshold_exponent
+from .closedform import (
+    first_eigenfunction_closed,
+    henon_constant,
+    lambda1_closed,
+    limit_lambda,
+    threshold_exponent,
+)
 from .errors import BracketError, DomainError, NumericsError
 from .radial import RadialProfile
 
@@ -93,11 +105,22 @@ __all__ = [
 R_MIN = 1e-6
 # largest log-r spacing of the table prufer_eigen splines the potential on
 PRUFER_DT = 1e-3
-# solves of Pencil.pair: the first two at the closed-form shift
+# solves of Pencil.pair: the first one (from a guess) or two (from B·1) at
+# the closed-form shift
 _SHIFTED_SOLVES = 8
 # Pencil.pair stops once its residual is within this many ulps of the terms
 # it sums; the roundoff floor measured 0.2-0.6 ulps on 750 to 12000 nodes
 _RESIDUAL_ULPS = 4.0
+# fine-grid nodes that RadialGrid.log_uniform keeps, each grid with its
+# coarsening: the unit-ball pairs of N = 3 and 4 (3000 nodes each), about
+# 0.5 MB.  A grid of more than half of them is not kept: the next grid of
+# its size would evict it, as limit_eigen's two 6000-node grids would each
+# other
+_GRID_NODES = 6000
+# RadialGrid.log_uniform's memo, (N, r_end, n) -> grid, least recently used
+# first, and the lock that keeps its updates whole
+_GRIDS: dict = {}
+_GRIDS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -107,12 +130,16 @@ class SLProblem:
     `q` takes a 1-D array of radii and returns q there, an array of the same
     size.  `shifts[j-1]` is a closed-form value near Λ_j; every pencil of the
     problem takes them, and its j-th pair for j ≤ len(shifts) comes from
-    `Pencil.pair(j)`."""
+    `Pencil.pair(j)`.  `guesses[j-1]`, beside a shift, takes a pencil's
+    nodes and returns a closed-form guess of the j-th eigenvector there, the
+    vector that pair starts from; a pencil evaluates it on its own grid, and
+    only when `pair` runs (`Pencil.guess`)."""
 
     n_dim: int
     r_end: float
     q: Callable[[np.ndarray], np.ndarray]
     shifts: tuple[float, ...] = ()
+    guesses: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
 
     @staticmethod
     def from_profile(profile: RadialProfile) -> "SLProblem":
@@ -121,15 +148,36 @@ class SLProblem:
         `params` and that `evaluate` serves).  Its one shift is the
         closed-form limit value Λ₁(α) = -(α+2)(2N+α-2)/4: Λ₁^ε(α) - Λ₁(α) is
         the boundary-flux gap g ≥ 0 (see `bifurcation`), so Λ₁^ε lies just
-        above it."""
+        above it.  Its guess is z = r^(-α/2) u', which solves the eigen
+        equation at Λ₁(α) and fails only the Dirichlet condition at r = 1.
+        q and z share one read: the problem keeps the last (u, u') that
+        `profile.evaluate` gave, and serves it again at the same radii or at
+        every other one of them (a pencil pair's coarse grid), so the guesses
+        of a pair's pencils cost no read of their own."""
         pr = profile.params
         expn = pr.p_alpha - 1.0 - pr.eps
+        last: list = [None]   # (r, u, u') of the last read
+
+        def read(r):
+            if last[0] is not None:
+                nodes, u, du = last[0]
+                if np.array_equal(r, nodes):
+                    return u, du
+                if r.size == (nodes.size + 1) // 2 and np.array_equal(r, nodes[::2]):
+                    return u[::2], du[::2]
+            u, du = profile.evaluate(r)
+            last[0] = np.array(r, dtype=float), u, du
+            return u, du
 
         def q(r):
-            u = np.clip(profile.evaluate(r)[0], 0.0, None)
+            u = np.clip(read(r)[0], 0.0, None)
             return pr.p * r**pr.alpha * u**expn
 
-        return SLProblem(pr.n_dim, 1.0, q, shifts=(lambda1_closed(pr.n_dim, pr.alpha),))
+        def z(r):
+            return r ** (-pr.alpha / 2.0) * read(r)[1]
+
+        return SLProblem(pr.n_dim, 1.0, q, shifts=(lambda1_closed(pr.n_dim, pr.alpha),),
+                         guesses=(z,))
 
     @staticmethod
     def from_rescaled(rescaled: rescaling.RescaledProfile) -> "SLProblem":
@@ -150,7 +198,9 @@ def limit_problem(n_dim: int, alpha: float, r_trunc: float = 1e3) -> SLProblem:
 
     Its shifts are the entire-space values Λ₁(α) = -(α+2)(2N+α-2)/4 and
     Λ₂ = 0 (the bubble's dilation kernel), which the truncation moves only
-    slightly."""
+    slightly, and its guesses the entire-space eigenfunctions: the first,
+    `closedform.first_eigenfunction_closed`, and the dilation kernel
+    (1 - x²)/(1 + x²)^((N+α)/(2+α)), x² = (λr)^(2+α)."""
     p_alpha = threshold_exponent(n_dim, alpha)
     c = henon_constant(n_dim, alpha)
     lam = limit_lambda(n_dim, alpha)
@@ -160,7 +210,15 @@ def limit_problem(n_dim: int, alpha: float, r_trunc: float = 1e3) -> SLProblem:
         x = (lam * r) ** (2.0 + alpha)
         return p_alpha * c * lam ** (2.0 + alpha) * r**alpha / (1.0 + x) ** 2
 
-    return SLProblem(n_dim, float(r_trunc), q, shifts=(lambda1_closed(n_dim, alpha), 0.0))
+    def phi1(r):
+        return first_eigenfunction_closed(r, lam, n_dim, alpha)
+
+    def kernel(r):
+        x2 = (lam * r) ** (2.0 + alpha)
+        return (1.0 - x2) / (1.0 + x2) ** ((n_dim + alpha) / (2.0 + alpha))
+
+    return SLProblem(n_dim, float(r_trunc), q, shifts=(lambda1_closed(n_dim, alpha), 0.0),
+                     guesses=(phi1, kernel))
 
 
 def default_spectral_grid(r_end: float, n_points: int = 2000) -> np.ndarray:
@@ -209,7 +267,9 @@ class RadialGrid:
     then `abs_off` = |a_off|, `inv_b` = 1/b_diag and `pivmin`, the grid-only
     operands of `Pencil.pair` and `Pencil.count`, and `r_with_end`, the nodes
     with r_end appended.  A pencil on the grid costs only its q-dependent
-    diagonal (`pencil`).
+    diagonal (`pencil`).  `log_uniform` keeps the grids of up to 3000
+    nodes it builds, and `coarsen` the coarse grid, so each is built once
+    per process while it is in use.
 
     The nodes must be finite, positive and strictly increasing, at least 3
     of them, below a finite r_end; DomainError otherwise.  They are copied,
@@ -262,8 +322,24 @@ class RadialGrid:
 
     @classmethod
     def log_uniform(cls, n_dim: int, r_end: float, n_points: int) -> "RadialGrid":
-        """The grid on the nodes of `default_spectral_grid(r_end, n_points)`."""
-        return cls(n_dim, r_end, default_spectral_grid(r_end, n_points))
+        """The grid on the nodes of `default_spectral_grid(r_end, n_points)`,
+        one object per (N, r_end, n_points) while it is in use: a later call
+        returns the same grid, built once, and its `coarsen()` with it.  The
+        grids asked for last are kept, up to _GRID_NODES fine nodes in all:
+        the oldest are dropped before a new grid is built, so they never
+        share memory with it.  A grid of more than _GRID_NODES/2 nodes is
+        built on every call and not kept."""
+        key = (n_dim, r_end, _node_count(n_points))
+        if 2 * key[2] > _GRID_NODES:
+            return cls(n_dim, r_end, default_spectral_grid(r_end, key[2]))
+        with _GRIDS_LOCK:
+            grid = _GRIDS.pop(key, None)
+            if grid is None:
+                while _GRIDS and sum(g.n for g in _GRIDS.values()) + key[2] > _GRID_NODES:
+                    del _GRIDS[next(iter(_GRIDS))]
+                grid = cls(n_dim, r_end, default_spectral_grid(r_end, key[2]))
+            _GRIDS[key] = grid
+        return grid
 
     @property
     def n(self) -> int:
@@ -271,15 +347,21 @@ class RadialGrid:
 
     def coarsen(self) -> "RadialGrid":
         """The grid on every other node, r_1, r_3, ..., with its own
-        geometry.  On `log_uniform(N, r_end, 2n)` it is `log_uniform(N,
-        r_end, n)` bit for bit: linspace's step in log r halves exactly."""
+        geometry, built on the first call and kept with this grid.  On
+        `log_uniform(N, r_end, 2n)` it is `log_uniform(N, r_end, n)` bit for
+        bit: linspace's step in log r halves exactly."""
+        return self._coarse
+
+    @cached_property
+    def _coarse(self) -> "RadialGrid":
         return RadialGrid(self.n_dim, self.r_end, self.r[::2])
 
-    def pencil(self, qv, shifts: tuple[float, ...] = ()) -> "Pencil":
+    def pencil(self, qv, shifts: tuple[float, ...] = (),
+               guesses: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()) -> "Pencil":
         """The pencil of -(r^(N-1) z')' - r^(N-1) q z = Λ r^(N-3) z on this
-        grid, with q = qv at the nodes and the given shifts: the diagonal
-        flux_sum - r^(N-1)·q·cell is its only new array.  A non-finite q
-        raises DomainError naming the first such node."""
+        grid, with q = qv at the nodes and the given shifts and guesses: the
+        diagonal flux_sum - r^(N-1)·q·cell is its only new array.  A
+        non-finite q raises DomainError naming the first such node."""
         qv = np.asarray(qv, dtype=float)
         if not np.isfinite(qv).all():
             bad = ~np.isfinite(np.broadcast_to(qv, self.r.shape))
@@ -288,7 +370,7 @@ class RadialGrid:
                 f"nodes, the first at r = {self.r[np.argmax(bad)]:.6g}"
             )
         pencil = Pencil(grid=self.r, a_diag=self.flux_sum - self.rn1 * qv * self.cell,
-                        a_off=self.a_off, b_diag=self.b_diag, shifts=shifts)
+                        a_off=self.a_off, b_diag=self.b_diag, shifts=shifts, guesses=guesses)
         # fills Pencil's cached properties with this grid's copies
         pencil.__dict__.update(abs_off=self.abs_off, inv_b=self.inv_b, pivmin=self.pivmin)
         return pencil
@@ -305,8 +387,10 @@ class Pencil:
     `eigenvalue_batch(count)` and `eigenvectors(count)` return the lowest
     `count` eigenvalues, and eigenvectors with the latter, from one ladder:
     1. pair j ≤ len(shifts) from shifted inverse iteration at `shifts[j-1]`
-       (`pair`), the problem's closed-form value near Λ_j
-       (`SLProblem.shifts`, handed on by `assemble_pencil` and `pencil_pair`);
+       (`pair`), the problem's closed-form value near Λ_j, started from
+       the problem's guess of the j-th eigenvector where it has one
+       (`SLProblem.shifts` and `guesses`, handed on by `assemble_pencil`
+       and `pencil_pair`);
     2. the other pairs, and a shifted pair that fails its certificates, from
        one stebz call on T = B^-1/2 A B^-1/2 over the index range they span,
        with stein's vectors when vectors are asked for (`_stebz`);
@@ -324,10 +408,21 @@ class Pencil:
     a_off: np.ndarray
     b_diag: np.ndarray
     shifts: tuple[float, ...] = ()
+    guesses: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
+    _guessed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.grid.size
+
+    def guess(self, j: int) -> np.ndarray | None:
+        """`guesses[j-1]` on this pencil's grid, evaluated on the first call
+        and kept; None when the pencil has no j-th guess."""
+        if j > len(self.guesses):
+            return None
+        if j not in self._guessed:
+            self._guessed[j] = np.asarray(self.guesses[j - 1](self.grid), dtype=float)
+        return self._guessed[j]
 
     @cached_property
     def abs_off(self) -> np.ndarray:
@@ -445,17 +540,20 @@ class Pencil:
         `eigenvectors`, by shifted inverse iteration from σ = `shifts[j-1]`;
         1 ≤ j ≤ len(shifts).
 
-        Two solves of (A - σB) y = B x from x = B·1 pull x towards the
-        eigenvector nearest σ; Rayleigh-quotient shifts then converge
+        Solves of (A - σB) y = B x pull x towards the eigenvector nearest σ:
+        one from the pencil's guess x = `guess(j)`, or two from x = B·1 on a
+        pencil without one.  Rayleigh-quotient shifts then converge
         cubically.  Each solve is one O(n) LAPACK gtsv.  Once the residual
         |Ax - μBx|, in the B^-1 norm, is within a few ulps of the terms it
         sums, |A||x| + |μ|B|x|, one more solve at that μ settles the entries
         far below the sup norm, such as the tail at r -> 1 that φ'(1) is read
-        from; at most 8 solves in all.  Against stein's vector the tail then
-        agrees to about 1e-12 relative, down to tails 1e-17 of the sup norm.
-        The pair carries both certificates (`_certify`).  When a certificate
-        fails, a solve is singular or an iterate is not finite, one WARNING on
-        the "henonball" logger says so and the pair comes from `_stebz`
+        from; at most 8 solves in all.  On the unit ball's 1500- and
+        3000-node pencils a pair takes 2 or 3 solves from its guess and 4
+        from B·1.  Against stein's vector the tail then agrees to about
+        1e-12 relative, down to tails 1e-17 of the sup norm.  The pair
+        carries both certificates (`_certify`).  When a certificate fails, a
+        solve is singular or an iterate is not finite, one WARNING on the
+        "henonball" logger says so and the pair comes from `_stebz`
         instead."""
         if not 1 <= j <= len(self.shifts):
             raise DomainError(
@@ -463,7 +561,7 @@ class Pencil:
             )
         shift = self.shifts[j - 1]
         try:
-            lam, x = self._shifted_iteration(shift)
+            lam, x = self._shifted_iteration(shift, self.guess(j))
             self._certify([j], np.array([lam]), [x])
         except NumericsError as err:
             log.warning("eigenpair %d from the shift %.9g falls back to stebz: %s",
@@ -472,14 +570,18 @@ class Pencil:
             return float(vals[0]), zs[0]
         return lam, x * _first_hump_sign(x)
 
-    def _shifted_iteration(self, sigma: float) -> tuple[float, np.ndarray]:
-        """(μ, x) of the iteration in `pair` from σ, x at sup norm 1."""
+    def _shifted_iteration(self, sigma: float,
+                           start: np.ndarray | None) -> tuple[float, np.ndarray]:
+        """(μ, x) of the iteration in `pair` from σ and the start vector
+        (None for B·1), x at sup norm 1."""
         a, off, b = self.a_diag, self.a_off, self.b_diag
         abs_a, abs_off, inv_b = np.abs(a), self.abs_off, self.inv_b
         tol = (_RESIDUAL_ULPS * np.finfo(float).eps) ** 2
-        x, bx, mu, converged = b, b * b, sigma, False
+        # the solves at σ: one from a guess, two from B·1
+        x, at_sigma = (b, 2) if start is None else (start, 1)
+        bx, mu, converged = b * x, sigma, False
         for solve in range(_SHIFTED_SOLVES):
-            shift = sigma if solve < 2 else mu
+            shift = sigma if solve < at_sigma else mu
             *_, y, info = dgtsv(off, a - shift * b, off, bx)
             scale = np.max(np.abs(y)) if info == 0 else 0.0
             if not 0.0 < scale < np.inf:
@@ -581,7 +683,8 @@ def assemble_pencil(problem: SLProblem, grid: np.ndarray | RadialGrid) -> Pencil
     inside (0, r_end), at least 3 of them, whose stencil geometry is built
     here (`RadialGrid`), or a RadialGrid already built for the problem's N
     and r_end, whose geometry is reused; DomainError otherwise, and also
-    for a potential that is not finite at some node.
+    for a potential that is not finite at some node.  The pencil takes the
+    problem's guesses too, evaluated on its grid only if `Pencil.pair` runs.
     """
     if not isinstance(grid, RadialGrid):
         grid = RadialGrid(problem.n_dim, problem.r_end, grid)
@@ -590,16 +693,16 @@ def assemble_pencil(problem: SLProblem, grid: np.ndarray | RadialGrid) -> Pencil
             f"grid built for N={grid.n_dim}, r_end={grid.r_end!r}, "
             f"problem has N={problem.n_dim}, r_end={problem.r_end!r}"
         )
-    return grid.pencil(problem.q(grid.r), problem.shifts)
+    return grid.pencil(problem.q(grid.r), problem.shifts, problem.guesses)
 
 
 def pencil_pair(problem: SLProblem, n_points: int) -> tuple[Pencil, Pencil]:
     """The (coarse, fine) pencils of a two-grid solve, each equal to
     `assemble_pencil` on `default_spectral_grid(r_end, n)` for n = n_points
     and 2·n_points, from one `problem.q` call on the fine grid.  The fine
-    `RadialGrid` is built here and the coarse one is its `coarsen()`;
-    `bifurcation.SolverCache.grids` keeps the unit ball's pair for a whole
-    search instead."""
+    `RadialGrid` is `RadialGrid.log_uniform`'s, built once while it is in
+    use, and the coarse one is its `coarsen()`; `bifurcation.SolverCache.grids`
+    reads the unit ball's pair from the same memo."""
     fine = RadialGrid.log_uniform(problem.n_dim, problem.r_end, 2 * _node_count(n_points))
     return _pencils_on(problem, (fine.coarsen(), fine))
 
@@ -609,8 +712,8 @@ def _pencils_on(problem: SLProblem, grids: tuple[RadialGrid, RadialGrid]) -> tup
     grid is the fine one's `coarsen()`, from one q read on the fine grid."""
     coarse, fine = grids
     qv = np.asarray(problem.q(fine.r), dtype=float)
-    fine_pencil = fine.pencil(qv, problem.shifts)   # checks every q read
-    return coarse.pencil(qv[::2], problem.shifts), fine_pencil
+    fine_pencil = fine.pencil(qv, problem.shifts, problem.guesses)   # checks every q read
+    return coarse.pencil(qv[::2], problem.shifts, problem.guesses), fine_pencil
 
 
 @dataclass
@@ -802,8 +905,9 @@ def limit_eigen(n_dim: int, alpha: float) -> LimitEigenResult:
     """Lowest two eigenvalues of the limit linearization truncated at
     r_trunc = 1e3, Richardson-extrapolated over 3000- and 6000-node grids,
     with a mandatory sensitivity re-run at twice the truncation radius.
-    Both come from `Pencil.pair` at the problem's shifts (Λ₁(α), 0), so the
-    four pencils run no bisection unless a certificate fails.  Each call
+    Both come from `Pencil.pair` at the problem's shifts (Λ₁(α), 0), started
+    from its guesses (the entire-space eigenfunctions), so the four pencils
+    run no bisection unless a certificate fails.  Each call
     solves afresh; `bifurcation.SolverCache.limit` keeps one result per
     (N, α)."""
     r_trunc = 1e3

@@ -57,3 +57,13 @@ def test_root_search_and_morse_index_leave_out_scipy_solvers():
         "morse_index(3, 0.01, bp.alpha_k_eps + 0.1)"
     )
     assert loaded_after(code) == []
+
+
+def test_import_builds_no_grid():
+    # RadialGrid.log_uniform's memo fills on first use, not at import
+    env = dict(os.environ, PYTHONPATH=str(Path(henonball.__file__).parents[1]))
+    code = ("import henonball.cli\nfrom henonball import spectral\n"
+            "print(len(spectral._GRIDS))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "0"

@@ -169,31 +169,44 @@ class TestFluxIdentity:
         assert find_bifurcation_alpha(3, 0.01, 2, cache=cache) == first
         assert len(calls) == assembled
 
-    def test_one_geometry_build_per_grid_and_cache(self, monkeypatch):
-        # a search plus two Morse indices per N builds each grid of the pair
-        # once on one cache, and assembles what fresh arrays would give
+    def test_one_geometry_build_per_grid_per_process(self, monkeypatch):
+        # a search, two Morse indices and lambda_values per N, on two caches,
+        # build each grid of the pair once in the process, and assemble what
+        # fresh arrays would give
+        monkeypatch.setattr(spectral, "_GRIDS", {})
         builds, pencils = [], []
         post_init, pencil = spectral.RadialGrid.__post_init__, spectral.RadialGrid.pencil
 
         def spied_init(grid):
             post_init(grid)
-            builds.append((grid.n_dim, grid.n))
+            builds.append((grid.n_dim, grid.r_end, grid.n))
 
         monkeypatch.setattr(spectral.RadialGrid, "__post_init__", spied_init)
         monkeypatch.setattr(spectral.RadialGrid, "pencil",
                             lambda *args: pencils.append(pencil(*args)) or pencils[-1])
-        cache = SolverCache()
-        for n_dim, eps in ((3, 0.05), (4, 0.2)):
-            alpha = find_bifurcation_alpha(n_dim, eps, 2, cache=cache).alpha_k_eps
-            morse_index(n_dim, eps, alpha - 0.05, cache=cache)
-            morse_index(n_dim, eps, alpha + 0.05, cache=cache)
-        assert builds == [(3, 3000), (3, 1500), (4, 3000), (4, 1500)]
+        for cache in (SolverCache(), SolverCache()):
+            for n_dim, eps in ((3, 0.05), (4, 0.2)):
+                alpha = find_bifurcation_alpha(n_dim, eps, 2, cache=cache).alpha_k_eps
+                lambda_values(n_dim, eps, alpha, 2, cache)
+                morse_index(n_dim, eps, alpha - 0.05, cache=cache)
+                morse_index(n_dim, eps, alpha + 0.05, cache=cache)
+        assert builds == [(3, 1.0, 3000), (3, 1.0, 1500), (4, 1.0, 3000), (4, 1.0, 1500)]
         last_morse = pencils[-1]
         problem = spectral.SLProblem.from_profile(cache.profile(4, alpha + 0.05, 0.2))
         ref = spectral.assemble_pencil(problem, default_spectral_grid(1.0, 3000))
         assert ref is not last_morse
         for name in ("grid", "a_diag", "a_off", "b_diag"):
             assert np.array_equal(getattr(last_morse, name), getattr(ref, name)), name
+
+    def test_a_second_lambda_values_call_builds_no_grid(self, monkeypatch):
+        lambda_values(3, 0.05, 2.0, 1)
+        builds = []
+        post_init = spectral.RadialGrid.__post_init__
+        monkeypatch.setattr(spectral.RadialGrid, "__post_init__",
+                            lambda grid: builds.append(grid.n) or post_init(grid))
+        lambda_values(3, 0.05, 2.0, 1)
+        lambda_values(3, 0.05, 2.1, 2, SolverCache())
+        assert builds == []
 
     @pytest.mark.parametrize("n_dim, k, eps", CORNERS)
     def test_agrees_with_the_scan_in_few_evaluations(self, n_dim, k, eps, cache, caplog):

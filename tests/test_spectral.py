@@ -199,6 +199,22 @@ class TestRadialGrid:
             assert getattr(coarse, name).tobytes() == getattr(ref, name).tobytes(), name
         assert coarse.pivmin == ref.pivmin
 
+    def test_log_uniform_keeps_grids_up_to_its_node_budget(self, monkeypatch):
+        # both unit-ball pairs of a search; a limit grid of 6000 nodes is
+        # built per call and evicts nothing; a third pair evicts the oldest
+        monkeypatch.setattr(spectral, "_GRIDS", {})
+        ball3, ball4 = (RadialGrid.log_uniform(n_dim, 1.0, 3000) for n_dim in (3, 4))
+        assert RadialGrid.log_uniform(3, 1.0, 3000) is ball3
+        assert ball3.coarsen() is ball3.coarsen()
+        limit = RadialGrid.log_uniform(3, 1e3, 6000)
+        assert RadialGrid.log_uniform(3, 1e3, 6000) is not limit
+        assert list(spectral._GRIDS.values()) == [ball4, ball3]
+        ball5 = RadialGrid.log_uniform(5, 1.0, 3000)
+        assert list(spectral._GRIDS.values()) == [ball3, ball5]
+        assert RadialGrid.log_uniform(4, 1.0, 3000) is not ball4
+        with pytest.raises(DomainError, match="integer n_points >= 3, got 7000.0"):
+            RadialGrid.log_uniform(3, 1.0, 7000.0)
+
     def test_geometry_is_read_only(self):
         nodes = default_spectral_grid(1.0, 50)
         grid = RadialGrid(3, 1.0, nodes)
@@ -358,13 +374,14 @@ class TestLowestPair:
         assert select == (1, 2) and batch[1:].tolist() == stebz_vals.tolist()
 
     def test_bad_shift_falls_back_to_stebz(self, ball_problem, caplog):
-        # a shift just below Λ₂ draws the iteration to the second pair,
-        # which fails the inertia certificate
+        # a shift just below Λ₂ draws the iteration from B·1 to the second
+        # pair, which fails the inertia certificate (the guess z, close to
+        # φ₁, would hold it at the first)
         pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 1500))
         stebz = replace(pen, shifts=())
         lam2 = stebz.eigenvalue_batch(2)[1]
         with caplog.at_level(logging.WARNING, logger="henonball"):
-            lam, phi = replace(pen, shifts=(lam2 - 1e-3,)).pair(1)
+            lam, phi = replace(pen, shifts=(lam2 - 1e-3,), guesses=()).pair(1)
         [record] = caplog.records
         assert record.levelno == logging.WARNING and "falls back" in record.getMessage()
         (ref_lam,), (ref_phi,) = stebz.eigenvectors(1)
@@ -408,6 +425,63 @@ class TestLowestPair:
 
         first = [passes(x) for x in iterates].index(True)
         assert len(iterates) == first + 2 < spectral._SHIFTED_SOLVES
+
+    @pytest.mark.parametrize("n_dim, k", [(3, 2), (3, 3), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("eps", [0.005, 0.05])
+    def test_at_most_three_solves_from_the_guess(self, n_dim, k, eps, monkeypatch, caplog):
+        # the pencils of a bifurcate op at its corner (N, k): one solve at σ
+        # from z = r^(-α/2) u', then Rayleigh-quotient steps; B·1 takes 4
+        alpha = 2.0 * (k - 1)
+        prob = SLProblem.from_profile(solve_dirichlet_ball(ProblemParams(n_dim, alpha, eps)))
+        solves, gtsv = [], spectral.dgtsv
+        monkeypatch.setattr(spectral, "dgtsv", lambda *a: solves.append(1) or gtsv(*a))
+        for pen in spectral.pencil_pair(prob, 1500):
+            solves.clear()
+            with caplog.at_level(logging.WARNING, logger="henonball"):
+                lam, _ = pen.pair(1)
+            assert caplog.records == []
+            assert 1 <= len(solves) <= 3
+            assert abs(lam - replace(pen, shifts=()).eigenvalue_batch(1)[0]) <= 1e-10
+
+    def test_far_guess_still_gives_the_first_pair(self, caplog):
+        # at (3, 2.4, 6.4) the guess's Rayleigh quotient lies far above Λ₂;
+        # the solve at σ = Λ₁(α) still draws the iterate to the first pair
+        prob = SLProblem.from_profile(solve_dirichlet_ball(ProblemParams(3, 2.4, 6.4)))
+        for n in (1500, 3000):
+            pen = assemble_pencil(prob, default_spectral_grid(1.0, n))
+            z = pen.guess(1)
+            ref = replace(pen, shifts=()).eigenvalue_batch(2)
+            assert z @ (pen.a_diag * z) + 2.0 * (z[:-1] @ (pen.a_off * z[1:])) > (
+                ref[1] * (z @ (pen.b_diag * z)))
+            with caplog.at_level(logging.WARNING, logger="henonball"):
+                lam, phi = pen.pair(1)
+            assert caplog.records == []
+            assert abs(lam - ref[0]) <= 1e-10 and node_count(phi) == 0
+
+    def test_guess_is_evaluated_once_and_only_for_a_pair(self, ball_problem):
+        reads = []
+        [z] = ball_problem.guesses
+        problem = replace(ball_problem, guesses=(lambda r: reads.append(r.size) or z(r),))
+        pen = assemble_pencil(problem, default_spectral_grid(1.0, 300))
+        pen.count(0.0)
+        assert reads == []
+        pen.pair(1)
+        assert pen.guess(1) is pen.guess(1) and reads == [300]
+        assert pen.guess(2) is None
+
+    def test_guesses_share_the_read_of_q(self, profile_3_2_005, monkeypatch):
+        # a pair's q and both pencils' guesses z come from one profile read
+        # on the fine grid, and a single pencil's from one on its grid
+        reads, evaluate = [], type(profile_3_2_005).evaluate
+        monkeypatch.setattr(type(profile_3_2_005), "evaluate",
+                            lambda self, r: reads.append(r.size) or evaluate(self, r))
+        solve_eigen(SLProblem.from_profile(profile_3_2_005), count=2, n_points=750)
+        assert reads == [1500]
+        reads.clear()
+        pen = assemble_pencil(SLProblem.from_profile(profile_3_2_005),
+                              default_spectral_grid(1.0, 300))
+        pen.pair(1)
+        assert reads == [300]
 
     def test_singular_solve_falls_back(self, ball_problem, caplog, monkeypatch):
         pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 300))
@@ -700,6 +774,27 @@ class TestLimitProblem:
         res = limit_eigen(3, alpha)
         assert abs(res.lambda2) < 1e-2
         assert res.lambda2_trunc_shift < 5e-3
+
+    @pytest.mark.parametrize("n_dim", [4, 5, 6])
+    def test_no_fallback_at_alpha_4(self, n_dim, caplog):
+        # started from B·1, these pairs fell back to stebz 1, 4 and 4 times
+        with caplog.at_level(logging.WARNING, logger="henonball"):
+            res = limit_eigen(n_dim, 4.0)
+        assert caplog.records == []
+        assert abs(res.lambda1 - lambda1_closed(n_dim, 4.0)) < 1e-4
+        assert abs(res.lambda2) < 1e-2
+
+    @pytest.mark.parametrize("n_dim, alpha", [(3, 2.0), (5, 1.0)])
+    def test_guesses_are_the_entire_space_eigenfunctions(self, n_dim, alpha):
+        # each guess is close to the truncated pencil's eigenvector: the
+        # B-cosine against stein's vector on 3000 nodes
+        pen = assemble_pencil(limit_problem(n_dim, alpha), default_spectral_grid(1e3, 3000))
+        _, zs = replace(pen, shifts=()).eigenvectors(2)
+        b = pen.b_diag
+        for j, z in enumerate(zs, start=1):
+            g = pen.guess(j)
+            assert abs(g @ (b * z)) / math.sqrt((g @ (b * g)) * (z @ (b * z))) > 0.9999
+        assert node_count(pen.guess(2)) == 1
 
     def test_grid_refinement_second_order(self):
         prob = limit_problem(3, 2.0, 1e3)

@@ -24,6 +24,17 @@ compare equal:
     # the same command in a checkout of the other tree, > old.json
     cmp old.json new.json
 
+Where two trees differ by roundoff, `--compare` says by how much:
+
+    PYTHONPATH=src python tools/fingerprint.py --compare old.json new.json
+
+prints how many floats moved and the largest move, scaled by
+max(1, |old|), the largest relative move of any `delta`, and how many
+eigenvector digests changed (the last column of an `eigen` row), then lists
+every other difference: an integer, boolean, WARNING count, error, other
+digest or the document's shape.  It exits 1 when there is any such
+difference and 0 otherwise.
+
 The script needs the standard library, numpy and the package alone, and takes a
 few seconds on a 2-core host.
 """
@@ -33,6 +44,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
+import re
 import sys
 
 import numpy as np
@@ -207,6 +220,92 @@ def fingerprint() -> dict:
     return doc
 
 
+_FLOAT_HEX = re.compile(r"-?(0x[0-9a-f.]+p[+-]\d+|inf|nan)")
+# the column of an `eigen` row (see _solve) that holds the eigenvector's digest
+_VECTOR_COLUMN = 5
+
+
+def _float(value) -> float | None:
+    """The float a `float.hex` string holds, else None."""
+    if isinstance(value, str) and _FLOAT_HEX.fullmatch(value):
+        return float.fromhex(value)
+    return None
+
+
+def compare(old, new) -> dict:
+    """The moves between two fingerprint documents (see the module)."""
+    out = {"float_move": (0.0, None), "delta_move": (0.0, None), "floats": [0, 0],
+           "vectors": [0, 0], "other": []}
+
+    def walk(a, b, path):
+        if isinstance(a, dict) and isinstance(b, dict):
+            for key in sorted(a.keys() | b.keys()):
+                if key in a and key in b:
+                    walk(a[key], b[key], (*path, key))
+                else:
+                    out["other"].append(((*path, key), a.get(key), b.get(key)))
+        elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            is_vector = path[-1:] == ("eigen",)
+            for i, (x, y) in enumerate(zip(a, b)):
+                if is_vector and isinstance(x, list) and len(x) > _VECTOR_COLUMN:
+                    out["vectors"][1] += 1
+                    out["vectors"][0] += x[_VECTOR_COLUMN] != y[_VECTOR_COLUMN]
+                    x, y = x[:_VECTOR_COLUMN], y[:_VECTOR_COLUMN]
+                walk(x, y, (*path, i))
+        elif _float(a) is not None and _float(b) is not None:
+            x, y = _float(a), _float(b)
+            out["floats"][1] += 1
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                return
+            out["floats"][0] += 1
+            move = abs(y - x) / max(1.0, abs(x))
+            if move > out["float_move"][0] or math.isnan(move):
+                out["float_move"] = (move, path)
+            if path[-1:] == ("delta",):
+                rel = abs(y - x) / abs(x) if x else math.inf
+                if rel > out["delta_move"][0] or math.isnan(rel):
+                    out["delta_move"] = (rel, path)
+        elif a != b or type(a) is not type(b):
+            out["other"].append((path, a, b))
+
+    walk(old, new, ())
+    return out
+
+
+def _where(path) -> str:
+    return " / ".join(map(str, path)) if path else "-"
+
+
+def report(moves: dict) -> list[str]:
+    (fmove, fpath), (dmove, dpath) = moves["float_move"], moves["delta_move"]
+    changed, total = moves["vectors"]
+    lines = [
+        f"floats moved: {moves['floats'][0]} of {moves['floats'][1]}",
+        f"largest float move, scaled by max(1, |x|): {fmove:.3g} at {_where(fpath)}",
+        f"largest relative delta move: {dmove:.3g} at {_where(dpath)}",
+        f"eigenvector digests changed: {changed} of {total}",
+        f"other differences: {len(moves['other'])}",
+    ]
+    lines += [f"  {_where(path)}: {a!r} -> {b!r}" for path, a, b in moves["other"]]
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        json.dump(fingerprint(), sys.stdout, sort_keys=True, indent=1)
+        sys.stdout.write("\n")
+        return 0
+    if len(argv) != 3 or argv[0] != "--compare":
+        sys.stderr.write("usage: fingerprint.py [--compare OLD NEW]\n")
+        return 2
+    docs = []
+    for name in argv[1:]:
+        with open(name, encoding="utf-8") as fh:
+            docs.append(json.load(fh))
+    moves = compare(*docs)
+    print("\n".join(report(moves)))
+    return 1 if moves["other"] else 0
+
+
 if __name__ == "__main__":
-    json.dump(fingerprint(), sys.stdout, sort_keys=True, indent=1)
-    sys.stdout.write("\n")
+    sys.exit(main(sys.argv[1:]))

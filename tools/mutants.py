@@ -1,5 +1,5 @@
-"""String-replace mutation tests of henonball's certificates, inertia count, verify
-gates, shot, profile read and grid geometry.
+"""String-replace mutation tests of henonball's certificates, inertia count, shifted
+eigenpair start, verify gates, shot, profile read and grid geometry.
 
 Each mutant names one edit of one file under `src/henonball` (an exact text
 and its replacement) and the pytest selection meant to fail on it.  The
@@ -52,6 +52,14 @@ MUTANTS = [
     ("_RESIDUAL_ULPS is 4096", "spectral.py", "_RESIDUAL_ULPS = 4.0",
      "_RESIDUAL_ULPS = 4096.0",
      ["tests/test_spectral.py::TestLowestPair::test_stops_one_solve_after_the_residual_test"]),
+    ("pair ignores the problem's guess (starts from B·1)", "spectral.py",
+     "self._shifted_iteration(shift, self.guess(j))", "self._shifted_iteration(shift, None)",
+     [SPEC + "TestLowestPair::test_at_most_three_solves_from_the_guess"]),
+    ("pair starts at the guess's Rayleigh quotient, skipping the solve at σ", "spectral.py",
+     "(start, 1)\n        bx, mu, converged = b * x, sigma, False",
+     "(start, 0)\n        bx, mu, converged = b * x, "
+     "float(x @ _tridiagonal_product(a, off, x) / (x @ (b * x))), False",
+     [SPEC + "TestLowestPair::test_far_guess_still_gives_the_first_pair"]),
     ("count skips the Schur update after a nonpositive pivot", "spectral.py",
      "float(d[k + 1]) - coupling * (coupling / pivot)", "float(d[k + 1])",
      [SPEC + "TestInertiaCount::test_integer_pencils_with_zero_pivots"]),
