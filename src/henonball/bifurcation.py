@@ -30,13 +30,13 @@ the identity's z and u'(1), and the lowest eigenpair of each pencil by
 shifted inverse iteration at Λ₁(α), started from that z.  Profiles and
 `flux_gap` results are memoized in a SolverCache keyed by the exact
 parameters: the one passed as `cache=`, or else a fresh one that lives only
-as long as the call.  The grid pair's stencil geometry
-(`spectral.RadialGrid`) is built once per N in the process
-(`RadialGrid.log_uniform`).
+as long as the call.  The grid pairs of the last two (N, N_POINTS) are kept
+in the process (`SolverCache.grids`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -81,12 +81,18 @@ SCAN_POINTS = 32
 SEARCH_EVALUATIONS = 8
 
 
+@functools.lru_cache(maxsize=2)
+def _unit_ball_grids(n_dim: int, n_points: int) -> tuple[RadialGrid, RadialGrid]:
+    """The (coarse, fine) grids of `pencil_pair(problem, n_points)` on the unit ball."""
+    fine = RadialGrid.log_uniform(n_dim, 1.0, 2 * n_points)
+    return fine.coarsen(), fine
+
+
 class SolverCache:
     """Memo of radial profiles and `flux_gap` results, keyed by (N, α, ε),
-    and of limit spectra (`spectral.limit_eigen`), keyed by (N, α).  The
-    unit ball's grid pair (`grids`) comes from `RadialGrid.log_uniform`'s
-    process-wide memo, so every `flux_gap`, `lambda_values` and
-    `morse_index`, on any cache, assembles on geometry built once."""
+    and of limit spectra (`spectral.limit_eigen`), keyed by (N, α).  Every
+    cache shares the unit ball's last two grid pairs (`grids`), enough for
+    searches at N = 3 and 4."""
 
     def __init__(self):
         self._profiles: dict = {}
@@ -97,8 +103,7 @@ class SolverCache:
         """The (coarse, fine) unit-ball `RadialGrid`s of N_POINTS and
         2·N_POINTS nodes in dimension N, the grids of `pencil_pair(problem,
         N_POINTS)`; the coarse one is the fine one's `coarsen()`."""
-        fine = RadialGrid.log_uniform(n_dim, 1.0, 2 * N_POINTS)
-        return fine.coarsen(), fine
+        return _unit_ball_grids(n_dim, N_POINTS)
 
     def profile(self, n_dim: int, alpha: float, eps: float) -> RadialProfile:
         key = (n_dim, alpha, eps)
@@ -124,8 +129,8 @@ def lambda_values(
 ) -> tuple[float, ...]:
     """Lowest `count` eigenvalues Λ_j^ε(α), Richardson-extrapolated over the
     N_POINTS/2·N_POINTS pair.  The profile comes from `cache`; the eigen
-    solve runs on every call and reads the profile once, on the fine grid
-    (`spectral.pencil_pair`), for q and both pencils' guesses."""
+    solve runs on every call, on grids of its own, and reads the profile
+    once, on the fine grid (`spectral.pencil_pair`), for q and both z."""
     profile = (cache or SolverCache()).profile(n_dim, alpha, eps)
     res = solve_eigen(SLProblem.from_profile(profile), count=count,
                       n_points=N_POINTS, with_vectors=False)
@@ -169,9 +174,8 @@ def flux_gap(
     (u, u') on the fine grid with r = 1 appended: u'(1) is the last entry,
     the pair's q reads u on the grid (the coarse grid is every other fine
     node, see `spectral.pencil_pair`), and z = r^(-α/2) u' reads u' on each
-    pencil's grid.  That z is also the guess each pencil's `pair(1)` starts
-    from (`SLProblem.from_profile`), formed once per pencil
-    (`Pencil.guess`).  The pencils are assembled on `cache.grids(n_dim)`,
+    pencil's grid.  The same z is each pencil's guess for `pair(1)`
+    (`shifts[0]`).  The pencils are assembled on `cache.grids(n_dim)`,
     the grids of `spectral.pencil_pair`.  The result is memoized in
     `cache`."""
     cache = cache or SolverCache()
@@ -186,7 +190,8 @@ def flux_gap(
         values = []
         for pencil in pencils:
             lam, phi = pencil.pair(1)
-            overlap = np.dot(pencil.b_diag * phi, pencil.guess(1))
+            _, z = pencil.shifts[0]
+            overlap = np.dot(pencil.b_diag * phi, z(pencil.grid))
             # φ'(1) from the quartic through the last four nodes and (1, 0)
             dphi1 = _slope_at_one(pencil.grid[-4:], phi[-4:])
             values.append((float(-dphi1 * du1 / overlap), lam))

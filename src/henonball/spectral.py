@@ -11,10 +11,7 @@ the nodes for one N with everything the stencil takes from the grid alone
 adds the q-dependent diagonal and is the one assembly routine, behind
 `assemble_pencil` (one grid) and `pencil_pair` (the coarse/fine pair of a
 two-grid solve, from one evaluation of q, the coarse grid being the fine
-one's `coarsen()`).  `RadialGrid.log_uniform` keeps the grids of up to
-3000 nodes asked for last, each with its `coarsen()`, so `pencil_pair` and
-`bifurcation.SolverCache.grids` build the unit ball's pair once per process
-while it is in use.  Both pencil matrices are symmetric tridiagonal (the weight
+one's `coarsen()`).  Both pencil matrices are symmetric tridiagonal (the weight
 matrix diagonal).  The purely radial
 (k = 0) linearization needs no pencil of its own: by Sylvester's law its
 inertia at 0 does not depend on the positive weight, so it is this pencil's
@@ -24,13 +21,12 @@ certificate routine: an inertia certificate from the pencil's own count
 (`Pencil.count`: the nonpositive pivots of the LDLᵀ factorization of A - xB
 from LAPACK's pttrf, one O(n) pass plus one pttrf call per eigenvalue
 counted) and, for an eigenvector, a node-count certificate.  A problem may
-carry closed-form `shifts`, the j-th near Λ_j, and beside each a closed-form
-guess of its eigenvector (`guesses`): Λ₁(α) and z = r^(-α/2) u' for the
-unit ball, whose Λ₁^ε lies just above Λ₁(α), and Λ₁(α) and 0 with the
+carry closed-form `shifts`, each a pair (σ_j, guess_j): a value near Λ_j and
+a guess of its eigenvector.  They are Λ₁(α) and z = r^(-α/2) u' for the unit
+ball, whose Λ₁^ε lies just above Λ₁(α), and Λ₁(α) and 0 with the
 entire-space first eigenfunction and dilation kernel for the truncated
 limit problem.  Pair j ≤ len(shifts) comes from shifted inverse iteration
-with O(n) tridiagonal solves (`Pencil.pair`), started from the guess, which
-a pencil evaluates on its own grid only when a pair is asked for.  The
+with O(n) tridiagonal solves (`Pencil.pair`), started from the guess.  The
 other pairs, every pair of a problem without shifts (the expanding ball)
 and a shifted pair that fails its certificate come from LAPACK's bisection
 and inverse iteration through one
@@ -60,7 +56,6 @@ from __future__ import annotations
 import logging
 import math
 import operator
-import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -105,22 +100,13 @@ __all__ = [
 R_MIN = 1e-6
 # largest log-r spacing of the table prufer_eigen splines the potential on
 PRUFER_DT = 1e-3
-# solves of Pencil.pair: the first one (from a guess) or two (from B·1) at
-# the closed-form shift
+# solves of Pencil.pair, the first at the closed-form shift
 _SHIFTED_SOLVES = 8
 # Pencil.pair stops once its residual is within this many ulps of the terms
 # it sums; the roundoff floor measured 0.2-0.6 ulps on 750 to 12000 nodes
 _RESIDUAL_ULPS = 4.0
-# fine-grid nodes that RadialGrid.log_uniform keeps, each grid with its
-# coarsening: the unit-ball pairs of N = 3 and 4 (3000 nodes each), about
-# 0.5 MB.  A grid of more than half of them is not kept: the next grid of
-# its size would evict it, as limit_eigen's two 6000-node grids would each
-# other
-_GRID_NODES = 6000
-# RadialGrid.log_uniform's memo, (N, r_end, n) -> grid, least recently used
-# first, and the lock that keeps its updates whole
-_GRIDS: dict = {}
-_GRIDS_LOCK = threading.Lock()
+# the shifts of a problem or pencil: pairs (σ_j, guess_j), see SLProblem
+_Shifts = tuple[tuple[float, Callable[[np.ndarray], np.ndarray]], ...]
 
 
 @dataclass(frozen=True)
@@ -128,18 +114,16 @@ class SLProblem:
     """Potential q ≥ 0 on (0, r_end) for the r^-2-weighted problem above.
 
     `q` takes a 1-D array of radii and returns q there, an array of the same
-    size.  `shifts[j-1]` is a closed-form value near Λ_j; every pencil of the
+    size.  `shifts[j-1]` is a pair (σ_j, guess_j): a closed-form value near
+    Λ_j, and a function that takes a pencil's nodes and returns a
+    closed-form guess of the j-th eigenvector there.  Every pencil of the
     problem takes them, and its j-th pair for j ≤ len(shifts) comes from
-    `Pencil.pair(j)`.  `guesses[j-1]`, beside a shift, takes a pencil's
-    nodes and returns a closed-form guess of the j-th eigenvector there, the
-    vector that pair starts from; a pencil evaluates it on its own grid, and
-    only when `pair` runs (`Pencil.guess`)."""
+    `Pencil.pair(j)`, which starts from the guess on the pencil's grid."""
 
     n_dim: int
     r_end: float
     q: Callable[[np.ndarray], np.ndarray]
-    shifts: tuple[float, ...] = ()
-    guesses: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
+    shifts: _Shifts = ()
 
     @staticmethod
     def from_profile(profile: RadialProfile) -> "SLProblem":
@@ -152,8 +136,8 @@ class SLProblem:
         equation at Λ₁(α) and fails only the Dirichlet condition at r = 1.
         q and z share one read: the problem keeps the last (u, u') that
         `profile.evaluate` gave, and serves it again at the same radii or at
-        every other one of them (a pencil pair's coarse grid), so the guesses
-        of a pair's pencils cost no read of their own."""
+        every other one of them (a pencil pair's coarse grid), so z on a
+        pair's pencils costs no read of its own."""
         pr = profile.params
         expn = pr.p_alpha - 1.0 - pr.eps
         last: list = [None]   # (r, u, u') of the last read
@@ -176,8 +160,7 @@ class SLProblem:
         def z(r):
             return r ** (-pr.alpha / 2.0) * read(r)[1]
 
-        return SLProblem(pr.n_dim, 1.0, q, shifts=(lambda1_closed(pr.n_dim, pr.alpha),),
-                         guesses=(z,))
+        return SLProblem(pr.n_dim, 1.0, q, shifts=((lambda1_closed(pr.n_dim, pr.alpha), z),))
 
     @staticmethod
     def from_rescaled(rescaled: rescaling.RescaledProfile) -> "SLProblem":
@@ -198,7 +181,7 @@ def limit_problem(n_dim: int, alpha: float, r_trunc: float = 1e3) -> SLProblem:
 
     Its shifts are the entire-space values Λ₁(α) = -(α+2)(2N+α-2)/4 and
     Λ₂ = 0 (the bubble's dilation kernel), which the truncation moves only
-    slightly, and its guesses the entire-space eigenfunctions: the first,
+    slightly, each with its entire-space eigenfunction as the guess: the first,
     `closedform.first_eigenfunction_closed`, and the dilation kernel
     (1 - x²)/(1 + x²)^((N+α)/(2+α)), x² = (λr)^(2+α)."""
     p_alpha = threshold_exponent(n_dim, alpha)
@@ -217,8 +200,8 @@ def limit_problem(n_dim: int, alpha: float, r_trunc: float = 1e3) -> SLProblem:
         x2 = (lam * r) ** (2.0 + alpha)
         return (1.0 - x2) / (1.0 + x2) ** ((n_dim + alpha) / (2.0 + alpha))
 
-    return SLProblem(n_dim, float(r_trunc), q, shifts=(lambda1_closed(n_dim, alpha), 0.0),
-                     guesses=(phi1, kernel))
+    return SLProblem(n_dim, float(r_trunc), q,
+                     shifts=((lambda1_closed(n_dim, alpha), phi1), (0.0, kernel)))
 
 
 def default_spectral_grid(r_end: float, n_points: int = 2000) -> np.ndarray:
@@ -267,9 +250,7 @@ class RadialGrid:
     then `abs_off` = |a_off|, `inv_b` = 1/b_diag and `pivmin`, the grid-only
     operands of `Pencil.pair` and `Pencil.count`, and `r_with_end`, the nodes
     with r_end appended.  A pencil on the grid costs only its q-dependent
-    diagonal (`pencil`).  `log_uniform` keeps the grids of up to 3000
-    nodes it builds, and `coarsen` the coarse grid, so each is built once
-    per process while it is in use.
+    diagonal (`pencil`).
 
     The nodes must be finite, positive and strictly increasing, at least 3
     of them, below a finite r_end; DomainError otherwise.  They are copied,
@@ -322,44 +303,23 @@ class RadialGrid:
 
     @classmethod
     def log_uniform(cls, n_dim: int, r_end: float, n_points: int) -> "RadialGrid":
-        """The grid on the nodes of `default_spectral_grid(r_end, n_points)`,
-        one object per (N, r_end, n_points) while it is in use: a later call
-        returns the same grid, built once, and its `coarsen()` with it.  The
-        grids asked for last are kept, up to _GRID_NODES fine nodes in all:
-        the oldest are dropped before a new grid is built, so they never
-        share memory with it.  A grid of more than _GRID_NODES/2 nodes is
-        built on every call and not kept."""
-        key = (n_dim, r_end, _node_count(n_points))
-        if 2 * key[2] > _GRID_NODES:
-            return cls(n_dim, r_end, default_spectral_grid(r_end, key[2]))
-        with _GRIDS_LOCK:
-            grid = _GRIDS.pop(key, None)
-            if grid is None:
-                while _GRIDS and sum(g.n for g in _GRIDS.values()) + key[2] > _GRID_NODES:
-                    del _GRIDS[next(iter(_GRIDS))]
-                grid = cls(n_dim, r_end, default_spectral_grid(r_end, key[2]))
-            _GRIDS[key] = grid
-        return grid
+        """A new grid on the nodes of `default_spectral_grid(r_end, n_points)`."""
+        return cls(n_dim, r_end, default_spectral_grid(r_end, n_points))
 
     @property
     def n(self) -> int:
         return self.r.size
 
     def coarsen(self) -> "RadialGrid":
-        """The grid on every other node, r_1, r_3, ..., with its own
-        geometry, built on the first call and kept with this grid.  On
-        `log_uniform(N, r_end, 2n)` it is `log_uniform(N, r_end, n)` bit for
-        bit: linspace's step in log r halves exactly."""
-        return self._coarse
-
-    @cached_property
-    def _coarse(self) -> "RadialGrid":
+        """A new grid on every other node, r_1, r_3, ..., with its own
+        geometry.  On `log_uniform(N, r_end, 2n)` it is
+        `log_uniform(N, r_end, n)` bit for bit: linspace's step in log r
+        halves exactly."""
         return RadialGrid(self.n_dim, self.r_end, self.r[::2])
 
-    def pencil(self, qv, shifts: tuple[float, ...] = (),
-               guesses: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()) -> "Pencil":
+    def pencil(self, qv, shifts: _Shifts = ()) -> "Pencil":
         """The pencil of -(r^(N-1) z')' - r^(N-1) q z = Λ r^(N-3) z on this
-        grid, with q = qv at the nodes and the given shifts and guesses: the
+        grid, with q = qv at the nodes and the given shifts: the
         diagonal flux_sum - r^(N-1)·q·cell is its only new array.  A
         non-finite q raises DomainError naming the first such node."""
         qv = np.asarray(qv, dtype=float)
@@ -370,7 +330,7 @@ class RadialGrid:
                 f"nodes, the first at r = {self.r[np.argmax(bad)]:.6g}"
             )
         pencil = Pencil(grid=self.r, a_diag=self.flux_sum - self.rn1 * qv * self.cell,
-                        a_off=self.a_off, b_diag=self.b_diag, shifts=shifts, guesses=guesses)
+                        a_off=self.a_off, b_diag=self.b_diag, shifts=shifts)
         # fills Pencil's cached properties with this grid's copies
         pencil.__dict__.update(abs_off=self.abs_off, inv_b=self.inv_b, pivmin=self.pivmin)
         return pencil
@@ -386,11 +346,9 @@ class Pencil:
 
     `eigenvalue_batch(count)` and `eigenvectors(count)` return the lowest
     `count` eigenvalues, and eigenvectors with the latter, from one ladder:
-    1. pair j ≤ len(shifts) from shifted inverse iteration at `shifts[j-1]`
-       (`pair`), the problem's closed-form value near Λ_j, started from
-       the problem's guess of the j-th eigenvector where it has one
-       (`SLProblem.shifts` and `guesses`, handed on by `assemble_pencil`
-       and `pencil_pair`);
+    1. pair j ≤ len(shifts) from shifted inverse iteration (`pair`) at
+       (σ_j, guess_j) = `shifts[j-1]`, the problem's closed-form value near
+       Λ_j and eigenvector guess (`SLProblem.shifts`);
     2. the other pairs, and a shifted pair that fails its certificates, from
        one stebz call on T = B^-1/2 A B^-1/2 over the index range they span,
        with stein's vectors when vectors are asked for (`_stebz`);
@@ -407,22 +365,11 @@ class Pencil:
     a_diag: np.ndarray
     a_off: np.ndarray
     b_diag: np.ndarray
-    shifts: tuple[float, ...] = ()
-    guesses: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
-    _guessed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    shifts: _Shifts = ()
 
     @property
     def n(self) -> int:
         return self.grid.size
-
-    def guess(self, j: int) -> np.ndarray | None:
-        """`guesses[j-1]` on this pencil's grid, evaluated on the first call
-        and kept; None when the pencil has no j-th guess."""
-        if j > len(self.guesses):
-            return None
-        if j not in self._guessed:
-            self._guessed[j] = np.asarray(self.guesses[j - 1](self.grid), dtype=float)
-        return self._guessed[j]
 
     @cached_property
     def abs_off(self) -> np.ndarray:
@@ -486,7 +433,11 @@ class Pencil:
         return float(np.min(center - radius)), float(np.max(center + radius))
 
     def eigenvalue_batch(self, count: int) -> np.ndarray:
-        """The lowest `count` eigenvalues, each inertia-certified."""
+        """The lowest `count` eigenvalues, each inertia-certified.  The
+        certificate counts at 2·count shifts, each count up to `count` pttrf
+        calls, so certifying costs O(count²) calls: at count = 300 on 2000
+        nodes a solve took 1.25 s where stebz's bisection alone took 0.77 s.
+        No package caller asks for more than 4."""
         return self._lowest(count, vectors=False)[0]
 
     def eigenvectors(self, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -537,31 +488,29 @@ class Pencil:
 
     def pair(self, j: int) -> tuple[float, np.ndarray]:
         """The j-th eigenvalue and its eigenvector, scaled as in
-        `eigenvectors`, by shifted inverse iteration from σ = `shifts[j-1]`;
-        1 ≤ j ≤ len(shifts).
+        `eigenvectors`, by shifted inverse iteration from (σ, guess) =
+        `shifts[j-1]`; 1 ≤ j ≤ len(shifts).
 
-        Solves of (A - σB) y = B x pull x towards the eigenvector nearest σ:
-        one from the pencil's guess x = `guess(j)`, or two from x = B·1 on a
-        pencil without one.  Rayleigh-quotient shifts then converge
-        cubically.  Each solve is one O(n) LAPACK gtsv.  Once the residual
-        |Ax - μBx|, in the B^-1 norm, is within a few ulps of the terms it
-        sums, |A||x| + |μ|B|x|, one more solve at that μ settles the entries
-        far below the sup norm, such as the tail at r -> 1 that φ'(1) is read
-        from; at most 8 solves in all.  On the unit ball's 1500- and
-        3000-node pencils a pair takes 2 or 3 solves from its guess and 4
-        from B·1.  Against stein's vector the tail then agrees to about
-        1e-12 relative, down to tails 1e-17 of the sup norm.  The pair
-        carries both certificates (`_certify`).  When a certificate fails, a
-        solve is singular or an iterate is not finite, one WARNING on the
-        "henonball" logger says so and the pair comes from `_stebz`
-        instead."""
+        One solve of (A - σB) y = B x, from x = guess on this pencil's grid,
+        pulls x towards the eigenvector nearest σ.  Rayleigh-quotient shifts
+        then converge cubically.  Each solve is one O(n) LAPACK gtsv.  Once
+        the residual |Ax - μBx|, in the B^-1 norm, is within a few ulps of
+        the terms it sums, |A||x| + |μ|B|x|, one more solve at that μ settles
+        the entries far below the sup norm, such as the tail at r -> 1 that
+        φ'(1) is read from; at most 8 solves in all.  On the unit ball's 1500- and
+        3000-node pencils a pair takes 2 or 3 solves.  Against stein's
+        vector the tail then agrees to about 1e-12 relative, down to tails
+        1e-17 of the sup norm.  The pair carries both certificates
+        (`_certify`).  When a certificate fails, a solve is singular or an
+        iterate is not finite, one WARNING on the "henonball" logger says so
+        and the pair comes from `_stebz` instead."""
         if not 1 <= j <= len(self.shifts):
             raise DomainError(
                 f"pair {j} needs a shift; this pencil has {len(self.shifts)}"
             )
-        shift = self.shifts[j - 1]
+        shift, guess = self.shifts[j - 1]
         try:
-            lam, x = self._shifted_iteration(shift, self.guess(j))
+            lam, x = self._shifted_iteration(shift, np.asarray(guess(self.grid), dtype=float))
             self._certify([j], np.array([lam]), [x])
         except NumericsError as err:
             log.warning("eigenpair %d from the shift %.9g falls back to stebz: %s",
@@ -570,22 +519,18 @@ class Pencil:
             return float(vals[0]), zs[0]
         return lam, x * _first_hump_sign(x)
 
-    def _shifted_iteration(self, sigma: float,
-                           start: np.ndarray | None) -> tuple[float, np.ndarray]:
-        """(μ, x) of the iteration in `pair` from σ and the start vector
-        (None for B·1), x at sup norm 1."""
+    def _shifted_iteration(self, sigma: float, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(μ, x) of the iteration in `pair` from σ and the guess x, x at sup
+        norm 1; the first solve is at σ, the others at the last μ."""
         a, off, b = self.a_diag, self.a_off, self.b_diag
         abs_a, abs_off, inv_b = np.abs(a), self.abs_off, self.inv_b
         tol = (_RESIDUAL_ULPS * np.finfo(float).eps) ** 2
-        # the solves at σ: one from a guess, two from B·1
-        x, at_sigma = (b, 2) if start is None else (start, 1)
         bx, mu, converged = b * x, sigma, False
-        for solve in range(_SHIFTED_SOLVES):
-            shift = sigma if solve < at_sigma else mu
-            *_, y, info = dgtsv(off, a - shift * b, off, bx)
+        for _ in range(_SHIFTED_SOLVES):
+            *_, y, info = dgtsv(off, a - mu * b, off, bx)
             scale = np.max(np.abs(y)) if info == 0 else 0.0
             if not 0.0 < scale < np.inf:
-                raise NumericsError(f"shifted solve failed at {shift:.9g} (info={info})")
+                raise NumericsError(f"shifted solve failed at {mu:.9g} (info={info})")
             x = y / scale
             if converged:
                 break
@@ -683,8 +628,7 @@ def assemble_pencil(problem: SLProblem, grid: np.ndarray | RadialGrid) -> Pencil
     inside (0, r_end), at least 3 of them, whose stencil geometry is built
     here (`RadialGrid`), or a RadialGrid already built for the problem's N
     and r_end, whose geometry is reused; DomainError otherwise, and also
-    for a potential that is not finite at some node.  The pencil takes the
-    problem's guesses too, evaluated on its grid only if `Pencil.pair` runs.
+    for a potential that is not finite at some node.
     """
     if not isinstance(grid, RadialGrid):
         grid = RadialGrid(problem.n_dim, problem.r_end, grid)
@@ -693,16 +637,15 @@ def assemble_pencil(problem: SLProblem, grid: np.ndarray | RadialGrid) -> Pencil
             f"grid built for N={grid.n_dim}, r_end={grid.r_end!r}, "
             f"problem has N={problem.n_dim}, r_end={problem.r_end!r}"
         )
-    return grid.pencil(problem.q(grid.r), problem.shifts, problem.guesses)
+    return grid.pencil(problem.q(grid.r), problem.shifts)
 
 
 def pencil_pair(problem: SLProblem, n_points: int) -> tuple[Pencil, Pencil]:
     """The (coarse, fine) pencils of a two-grid solve, each equal to
     `assemble_pencil` on `default_spectral_grid(r_end, n)` for n = n_points
-    and 2·n_points, from one `problem.q` call on the fine grid.  The fine
-    `RadialGrid` is `RadialGrid.log_uniform`'s, built once while it is in
-    use, and the coarse one is its `coarsen()`; `bifurcation.SolverCache.grids`
-    reads the unit ball's pair from the same memo."""
+    and 2·n_points, from one `problem.q` call on the fine grid.  Both
+    `RadialGrid`s are built on every call: the fine one by
+    `RadialGrid.log_uniform`, the coarse one as its `coarsen()`."""
     fine = RadialGrid.log_uniform(problem.n_dim, problem.r_end, 2 * _node_count(n_points))
     return _pencils_on(problem, (fine.coarsen(), fine))
 
@@ -712,8 +655,8 @@ def _pencils_on(problem: SLProblem, grids: tuple[RadialGrid, RadialGrid]) -> tup
     grid is the fine one's `coarsen()`, from one q read on the fine grid."""
     coarse, fine = grids
     qv = np.asarray(problem.q(fine.r), dtype=float)
-    fine_pencil = fine.pencil(qv, problem.shifts, problem.guesses)   # checks every q read
-    return coarse.pencil(qv[::2], problem.shifts, problem.guesses), fine_pencil
+    fine_pencil = fine.pencil(qv, problem.shifts)   # checks every q read
+    return coarse.pencil(qv[::2], problem.shifts), fine_pencil
 
 
 @dataclass
@@ -751,6 +694,8 @@ def solve_eigen(
     inertia-certified and must increase strictly.  Eigenvectors, if asked
     for, come from the fine grid with their node-count certificate.  The
     n_points/2·n_points pair and its one q read are `pencil_pair`'s.
+    Certifying `count` values costs O(count²) pttrf calls (see
+    `Pencil.eigenvalue_batch`).
     """
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -906,7 +851,7 @@ def limit_eigen(n_dim: int, alpha: float) -> LimitEigenResult:
     r_trunc = 1e3, Richardson-extrapolated over 3000- and 6000-node grids,
     with a mandatory sensitivity re-run at twice the truncation radius.
     Both come from `Pencil.pair` at the problem's shifts (Λ₁(α), 0), started
-    from its guesses (the entire-space eigenfunctions), so the four pencils
+    from the entire-space eigenfunctions beside them, so the four pencils
     run no bisection unless a certificate fails.  Each call
     solves afresh; `bifurcation.SolverCache.limit` keeps one result per
     (N, α)."""

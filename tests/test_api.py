@@ -60,10 +60,10 @@ def test_root_search_and_morse_index_leave_out_scipy_solvers():
 
 
 def test_import_builds_no_grid():
-    # RadialGrid.log_uniform's memo fills on first use, not at import
+    # SolverCache.grids' pairs are built on first use, not at import
     env = dict(os.environ, PYTHONPATH=str(Path(henonball.__file__).parents[1]))
-    code = ("import henonball.cli\nfrom henonball import spectral\n"
-            "print(len(spectral._GRIDS))")
+    code = ("import henonball.cli\nfrom henonball import bifurcation\n"
+            "print(bifurcation._unit_ball_grids.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "0"

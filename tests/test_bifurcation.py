@@ -64,6 +64,29 @@ class TestLambdaCurve:
         assert all(b <= a + floor for a, b in zip(sups, sups[1:]))
 
 
+# (N, α) pairs that share the Lane–Emden dimension m = 2(N+α)/(2+α)
+SHARED_M = {3.0: [(3, 0.0), (4, 2.0), (6, 6.0)], 2.5: [(3, 2.0), (4, 6.0)],
+            4.0: [(4, 0.0), (5, 1.0), (6, 2.0)]}
+
+
+class TestSharedDimension:
+    @pytest.mark.parametrize("m", SHARED_M)
+    @pytest.mark.parametrize("eps", [0.05, 0.01])
+    def test_lambda1_and_gap_depend_on_m_alone(self, m, eps, cache):
+        # s = r^γ, γ = (2+α)/2, maps (N, α) to Lane–Emden in dimension m and
+        # scales the r^-2-weighted spectrum by γ²; the worst spreads were
+        # 8.1e-9 (Λ₁/γ²) and 3.3e-6 relative (g/γ²)
+        lam, gap = [], []
+        for n_dim, alpha in SHARED_M[m]:
+            assert 2.0 * (n_dim + alpha) / (2.0 + alpha) == m
+            gamma2 = ((2.0 + alpha) / 2.0) ** 2
+            g, lam1 = flux_gap(n_dim, eps, alpha, cache)
+            lam.append(lam1 / gamma2)
+            gap.append(g / gamma2)
+        assert np.ptp(lam) <= 2e-8
+        assert np.ptp(gap) <= 1e-5 * min(gap)
+
+
 class TestFindBifurcation:
     def test_k2_small_eps(self, cache):
         bp = find_bifurcation_alpha(3, 0.01, 2, cache=cache)
@@ -170,10 +193,10 @@ class TestFluxIdentity:
         assert len(calls) == assembled
 
     def test_one_geometry_build_per_grid_per_process(self, monkeypatch):
-        # a search, two Morse indices and lambda_values per N, on two caches,
-        # build each grid of the pair once in the process, and assemble what
-        # fresh arrays would give
-        monkeypatch.setattr(spectral, "_GRIDS", {})
+        # a search and two Morse indices per N, on two caches, build each
+        # grid of the pair once in the process, and assemble what fresh
+        # arrays would give
+        bifurcation._unit_ball_grids.cache_clear()
         builds, pencils = [], []
         post_init, pencil = spectral.RadialGrid.__post_init__, spectral.RadialGrid.pencil
 
@@ -187,7 +210,6 @@ class TestFluxIdentity:
         for cache in (SolverCache(), SolverCache()):
             for n_dim, eps in ((3, 0.05), (4, 0.2)):
                 alpha = find_bifurcation_alpha(n_dim, eps, 2, cache=cache).alpha_k_eps
-                lambda_values(n_dim, eps, alpha, 2, cache)
                 morse_index(n_dim, eps, alpha - 0.05, cache=cache)
                 morse_index(n_dim, eps, alpha + 0.05, cache=cache)
         assert builds == [(3, 1.0, 3000), (3, 1.0, 1500), (4, 1.0, 3000), (4, 1.0, 1500)]
@@ -197,16 +219,6 @@ class TestFluxIdentity:
         assert ref is not last_morse
         for name in ("grid", "a_diag", "a_off", "b_diag"):
             assert np.array_equal(getattr(last_morse, name), getattr(ref, name)), name
-
-    def test_a_second_lambda_values_call_builds_no_grid(self, monkeypatch):
-        lambda_values(3, 0.05, 2.0, 1)
-        builds = []
-        post_init = spectral.RadialGrid.__post_init__
-        monkeypatch.setattr(spectral.RadialGrid, "__post_init__",
-                            lambda grid: builds.append(grid.n) or post_init(grid))
-        lambda_values(3, 0.05, 2.0, 1)
-        lambda_values(3, 0.05, 2.1, 2, SolverCache())
-        assert builds == []
 
     @pytest.mark.parametrize("n_dim, k, eps", CORNERS)
     def test_agrees_with_the_scan_in_few_evaluations(self, n_dim, k, eps, cache, caplog):
@@ -398,7 +410,7 @@ class TestMorseIndex:
 
         def recorded(*args, **kwargs):
             pencil = assemble(*args, **kwargs)
-            assembled.append((pencil.n, pencil.shifts))
+            assembled.append((pencil.n, tuple(shift for shift, _ in pencil.shifts)))
             return pencil
 
         monkeypatch.setattr(spectral, "assemble_pencil", recorded)

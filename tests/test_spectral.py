@@ -199,22 +199,6 @@ class TestRadialGrid:
             assert getattr(coarse, name).tobytes() == getattr(ref, name).tobytes(), name
         assert coarse.pivmin == ref.pivmin
 
-    def test_log_uniform_keeps_grids_up_to_its_node_budget(self, monkeypatch):
-        # both unit-ball pairs of a search; a limit grid of 6000 nodes is
-        # built per call and evicts nothing; a third pair evicts the oldest
-        monkeypatch.setattr(spectral, "_GRIDS", {})
-        ball3, ball4 = (RadialGrid.log_uniform(n_dim, 1.0, 3000) for n_dim in (3, 4))
-        assert RadialGrid.log_uniform(3, 1.0, 3000) is ball3
-        assert ball3.coarsen() is ball3.coarsen()
-        limit = RadialGrid.log_uniform(3, 1e3, 6000)
-        assert RadialGrid.log_uniform(3, 1e3, 6000) is not limit
-        assert list(spectral._GRIDS.values()) == [ball4, ball3]
-        ball5 = RadialGrid.log_uniform(5, 1.0, 3000)
-        assert list(spectral._GRIDS.values()) == [ball3, ball5]
-        assert RadialGrid.log_uniform(4, 1.0, 3000) is not ball4
-        with pytest.raises(DomainError, match="integer n_points >= 3, got 7000.0"):
-            RadialGrid.log_uniform(3, 1.0, 7000.0)
-
     def test_geometry_is_read_only(self):
         nodes = default_spectral_grid(1.0, 50)
         grid = RadialGrid(3, 1.0, nodes)
@@ -374,14 +358,13 @@ class TestLowestPair:
         assert select == (1, 2) and batch[1:].tolist() == stebz_vals.tolist()
 
     def test_bad_shift_falls_back_to_stebz(self, ball_problem, caplog):
-        # a shift just below Λ₂ draws the iteration from B·1 to the second
-        # pair, which fails the inertia certificate (the guess z, close to
-        # φ₁, would hold it at the first)
+        # the guess φ₂ at a shift just below Λ₂ draws the iteration to the
+        # second pair, which fails the first pair's inertia certificate
         pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 1500))
         stebz = replace(pen, shifts=())
-        lam2 = stebz.eigenvalue_batch(2)[1]
+        (_, lam2), (_, phi2) = stebz.eigenvectors(2)
         with caplog.at_level(logging.WARNING, logger="henonball"):
-            lam, phi = replace(pen, shifts=(lam2 - 1e-3,), guesses=()).pair(1)
+            lam, phi = replace(pen, shifts=((lam2 - 1e-3, lambda r: phi2),)).pair(1)
         [record] = caplog.records
         assert record.levelno == logging.WARNING and "falls back" in record.getMessage()
         (ref_lam,), (ref_phi,) = stebz.eigenvectors(1)
@@ -449,7 +432,7 @@ class TestLowestPair:
         prob = SLProblem.from_profile(solve_dirichlet_ball(ProblemParams(3, 2.4, 6.4)))
         for n in (1500, 3000):
             pen = assemble_pencil(prob, default_spectral_grid(1.0, n))
-            z = pen.guess(1)
+            z = pen.shifts[0][1](pen.grid)
             ref = replace(pen, shifts=()).eigenvalue_batch(2)
             assert z @ (pen.a_diag * z) + 2.0 * (z[:-1] @ (pen.a_off * z[1:])) > (
                 ref[1] * (z @ (pen.b_diag * z)))
@@ -460,14 +443,13 @@ class TestLowestPair:
 
     def test_guess_is_evaluated_once_and_only_for_a_pair(self, ball_problem):
         reads = []
-        [z] = ball_problem.guesses
-        problem = replace(ball_problem, guesses=(lambda r: reads.append(r.size) or z(r),))
+        [(shift, z)] = ball_problem.shifts
+        problem = replace(ball_problem, shifts=((shift, lambda r: reads.append(r.size) or z(r)),))
         pen = assemble_pencil(problem, default_spectral_grid(1.0, 300))
         pen.count(0.0)
         assert reads == []
         pen.pair(1)
-        assert pen.guess(1) is pen.guess(1) and reads == [300]
-        assert pen.guess(2) is None
+        assert reads == [300]
 
     def test_guesses_share_the_read_of_q(self, profile_3_2_005, monkeypatch):
         # a pair's q and both pencils' guesses z come from one profile read
@@ -555,9 +537,10 @@ class TestPair:
 
     def test_shifts_come_from_the_problem(self, ball_problem, profile_3_2_005):
         grid = default_spectral_grid(1.0, 300)
-        assert assemble_pencil(ball_problem, grid).shifts == (lambda1_closed(3, 2.0),) == (-6.0,)
+        [(shift, _)] = assemble_pencil(ball_problem, grid).shifts
+        assert shift == lambda1_closed(3, 2.0) == -6.0
         limit = assemble_pencil(limit_problem(3, 2.0), grid)
-        assert limit.shifts == (-6.0, 0.0)
+        assert [shift for shift, _ in limit.shifts] == [-6.0, 0.0]
         rescaled = SLProblem.from_rescaled(rescale(profile_3_2_005))
         assert assemble_pencil(rescaled, grid).shifts == ()
         for pen, j in ((limit, 3), (limit, 0), (assemble_pencil(rescaled, grid), 1)):
@@ -791,10 +774,10 @@ class TestLimitProblem:
         pen = assemble_pencil(limit_problem(n_dim, alpha), default_spectral_grid(1e3, 3000))
         _, zs = replace(pen, shifts=()).eigenvectors(2)
         b = pen.b_diag
-        for j, z in enumerate(zs, start=1):
-            g = pen.guess(j)
+        guesses = [guess(pen.grid) for _, guess in pen.shifts]
+        for g, z in zip(guesses, zs, strict=True):
             assert abs(g @ (b * z)) / math.sqrt((g @ (b * g)) * (z @ (b * z))) > 0.9999
-        assert node_count(pen.guess(2)) == 1
+        assert node_count(guesses[1]) == 1
 
     def test_grid_refinement_second_order(self):
         prob = limit_problem(3, 2.0, 1e3)

@@ -1,5 +1,5 @@
 """String-replace mutation tests of henonball's certificates, inertia count, shifted
-eigenpair start, verify gates, shot, profile read and grid geometry.
+eigenpair start, verify gates, shot, profile read, grid geometry and grid cache.
 
 Each mutant names one edit of one file under `src/henonball` (an exact text
 and its replacement) and the pytest selection meant to fail on it.  The
@@ -53,11 +53,12 @@ MUTANTS = [
      "_RESIDUAL_ULPS = 4096.0",
      ["tests/test_spectral.py::TestLowestPair::test_stops_one_solve_after_the_residual_test"]),
     ("pair ignores the problem's guess (starts from B·1)", "spectral.py",
-     "self._shifted_iteration(shift, self.guess(j))", "self._shifted_iteration(shift, None)",
+     "self._shifted_iteration(shift, np.asarray(guess(self.grid), dtype=float))",
+     "self._shifted_iteration(shift, self.b_diag)",
      [SPEC + "TestLowestPair::test_at_most_three_solves_from_the_guess"]),
     ("pair starts at the guess's Rayleigh quotient, skipping the solve at σ", "spectral.py",
-     "(start, 1)\n        bx, mu, converged = b * x, sigma, False",
-     "(start, 0)\n        bx, mu, converged = b * x, "
+     "bx, mu, converged = b * x, sigma, False",
+     "bx, mu, converged = b * x, "
      "float(x @ _tridiagonal_product(a, off, x) / (x @ (b * x))), False",
      [SPEC + "TestLowestPair::test_far_guess_still_gives_the_first_pair"]),
     ("count skips the Schur update after a nonpositive pivot", "spectral.py",
@@ -72,6 +73,9 @@ MUTANTS = [
     ("the grid's flux ignores N (exponent fixed at 2)", "spectral.py",
      "flux = mids**ndm1 / gaps", "flux = mids**2.0 / gaps",
      [SPEC + "TestRadialGrid::test_flux_depends_on_the_dimension"]),
+    ("SolverCache.grids ignores N_POINTS", "bifurcation.py",
+     "_unit_ball_grids(n_dim, N_POINTS)", "_unit_ball_grids(n_dim, 1500)",
+     [BIF + "TestSharedEvaluation::test_gap_converges_at_fourth_order"]),
     ("flux_gap takes u'(1) from du[-2]", "bifurcation.py", "du[:-1], du[-1]",
      "du[:-1], du[-2]", [BIF + "TestFluxIdentity::test_gap_matches_the_pencil"]),
     ("BifurcationPoint.residual is halved", "bifurcation.py",
