@@ -23,14 +23,14 @@ pencil's Λ₁^ε is biased by about 1e-9.  The 32-point scan of Λ₁^ε plus
 Brent's method remains as the fallback for what the identity's certificates
 cannot settle (see `find_bifurcation_alpha`).
 
-One α-evaluation is one `flux_gap`: a Dirichlet shoot, one evaluation of
+One α-evaluation is one `flux_gap`: a Dirichlet shoot; one evaluation of
 (u, u') on the fine grid of the N_POINTS/2·N_POINTS pair with r = 1 appended,
-which gives the pencils of `spectral.pencil_pair` the u they are built from,
-the identity's z and u'(1), and the lowest eigenpair of each pencil by
-shifted inverse iteration at Λ₁(α), started from that z.  Profiles and
-`flux_gap` results are memoized in a SolverCache keyed by the exact
-parameters: the one passed as `cache=`, or else a fresh one that lives only
-as long as the call.  The grid pairs of the last two (N, N_POINTS) are kept
+which gives u'(1) and the q and guess z of the pencils of
+`spectral.pencil_pair`, z being also the identity's z; and the lowest
+eigenpair of each pencil by shifted inverse iteration at Λ₁(α), started from
+that z.  Profiles and `flux_gap` results are memoized in a SolverCache keyed
+by the exact parameters: the one passed as `cache=`, or else a fresh one that
+lives only as long as the call.  The grid pairs of the last two (N, N_POINTS) are kept
 in the process (`SolverCache.grids`).
 """
 
@@ -130,7 +130,7 @@ def lambda_values(
     """Lowest `count` eigenvalues Λ_j^ε(α), Richardson-extrapolated over the
     N_POINTS/2·N_POINTS pair.  The profile comes from `cache`; the eigen
     solve runs on every call, on grids of its own, and reads the profile
-    once, on the fine grid (`spectral.pencil_pair`), for q and both z."""
+    once, on the fine grid (`spectral.pencil_pair`), for q and z."""
     profile = (cache or SolverCache()).profile(n_dim, alpha, eps)
     res = solve_eigen(SLProblem.from_profile(profile), count=count,
                       n_points=N_POINTS, with_vectors=False)
@@ -172,26 +172,24 @@ def flux_gap(
     ∫₀¹ r^(N-3) φ z dr is the pencil's own weight matrix applied to φ z,
     which is the trapezoid rule on [0, grid, 1].  The profile is read once,
     (u, u') on the fine grid with r = 1 appended: u'(1) is the last entry,
-    the pair's q reads u on the grid (the coarse grid is every other fine
-    node, see `spectral.pencil_pair`), and z = r^(-α/2) u' reads u' on each
-    pencil's grid.  The same z is each pencil's guess for `pair(1)`
-    (`shifts[0]`).  The pencils are assembled on `cache.grids(n_dim)`,
-    the grids of `spectral.pencil_pair`.  The result is memoized in
-    `cache`."""
+    and the pair is built from the rest (`spectral.pencil_pair`), q and
+    z = r^(-α/2) u' on the fine nodes, the coarse pencil taking every other
+    one.  The z of the overlap is each pencil's guess for `pair(1)`,
+    `shifts[0]`.  The pencils are assembled on `cache.grids(n_dim)`, the
+    grids of `spectral.pencil_pair`.  The result is memoized in `cache`."""
     cache = cache or SolverCache()
     key = (n_dim, alpha, eps)
     if key not in cache._gaps:
         profile = cache.profile(n_dim, alpha, eps)
         grids = cache.grids(n_dim)
-        u, du = profile.evaluate(grids[1].r_with_end)
+        u, du = profile.evaluate(np.append(grids[1].r, 1.0))
         u, du, du1 = u[:-1], du[:-1], du[-1]
         fine_u = SimpleNamespace(params=profile.params, evaluate=lambda r: (u, du))
         pencils = spectral._pencils_on(SLProblem.from_profile(fine_u), grids)
         values = []
         for pencil in pencils:
             lam, phi = pencil.pair(1)
-            _, z = pencil.shifts[0]
-            overlap = np.dot(pencil.b_diag * phi, z(pencil.grid))
+            overlap = np.dot(pencil.b_diag * phi, pencil.shifts[0][1])
             # φ'(1) from the quartic through the last four nodes and (1, 0)
             dphi1 = _slope_at_one(pencil.grid[-4:], phi[-4:])
             values.append((float(-dphi1 * du1 / overlap), lam))

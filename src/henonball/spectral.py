@@ -10,10 +10,10 @@ the nodes for one N with everything the stencil takes from the grid alone
 (flux, cell widths, weights), built once and read-only; `RadialGrid.pencil`
 adds the q-dependent diagonal and is the one assembly routine, behind
 `assemble_pencil` (one grid) and `pencil_pair` (the coarse/fine pair of a
-two-grid solve, from one evaluation of q, the coarse grid being the fine
-one's `coarsen()`).  Both pencil matrices are symmetric tridiagonal (the weight
-matrix diagonal).  The purely radial
-(k = 0) linearization needs no pencil of its own: by Sylvester's law its
+two-grid solve, from one read of the problem on the fine nodes, the coarse
+grid being the fine one's `coarsen()`).  Both pencil matrices are symmetric
+tridiagonal (the weight matrix diagonal).  The purely radial (k = 0)
+linearization needs no pencil of its own: by Sylvester's law its
 inertia at 0 does not depend on the positive weight, so it is this pencil's
 count at 0 (see `bifurcation.morse_index`).
 Every eigenvalue comes down one ladder in `Pencil` and passes one
@@ -26,7 +26,8 @@ a guess of its eigenvector.  They are Λ₁(α) and z = r^(-α/2) u' for the uni
 ball, whose Λ₁^ε lies just above Λ₁(α), and Λ₁(α) and 0 with the
 entire-space first eigenfunction and dilation kernel for the truncated
 limit problem.  Pair j ≤ len(shifts) comes from shifted inverse iteration
-with O(n) tridiagonal solves (`Pencil.pair`), started from the guess.  The
+with O(n) tridiagonal solves (`Pencil.pair`), started from the guess, which
+each pencil holds evaluated on its nodes.  The
 other pairs, every pair of a problem without shifts (the expanding ball)
 and a shifted pair that fails its certificate come from LAPACK's bisection
 and inverse iteration through one
@@ -105,8 +106,10 @@ _SHIFTED_SOLVES = 8
 # Pencil.pair stops once its residual is within this many ulps of the terms
 # it sums; the roundoff floor measured 0.2-0.6 ulps on 750 to 12000 nodes
 _RESIDUAL_ULPS = 4.0
-# the shifts of a problem or pencil: pairs (σ_j, guess_j), see SLProblem
+# the shifts (σ_j, guess_j) of a problem, guess_j a function (see SLProblem),
+# and of a pencil, guess_j a vector on its nodes (see Pencil)
 _Shifts = tuple[tuple[float, Callable[[np.ndarray], np.ndarray]], ...]
+_Guesses = tuple[tuple[float, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,9 @@ class SLProblem:
     size.  `shifts[j-1]` is a pair (σ_j, guess_j): a closed-form value near
     Λ_j, and a function that takes a pencil's nodes and returns a
     closed-form guess of the j-th eigenvector there.  Every pencil of the
-    problem takes them, and its j-th pair for j ≤ len(shifts) comes from
-    `Pencil.pair(j)`, which starts from the guess on the pencil's grid."""
+    problem takes them with each guess evaluated on its nodes, and its j-th
+    pair for j ≤ len(shifts) comes from `Pencil.pair(j)`, which starts from
+    that guess."""
 
     n_dim: int
     r_end: float
@@ -135,23 +139,17 @@ class SLProblem:
         above it.  Its guess is z = r^(-α/2) u', which solves the eigen
         equation at Λ₁(α) and fails only the Dirichlet condition at r = 1.
         q and z share one read: the problem keeps the last (u, u') that
-        `profile.evaluate` gave, and serves it again at the same radii or at
-        every other one of them (a pencil pair's coarse grid), so z on a
-        pair's pencils costs no read of its own."""
+        `profile.evaluate` gave and serves it again for the same array of
+        radii if that array was read-only then and still is, as a
+        `RadialGrid`'s nodes are, so z on a pencil costs no read of its own."""
         pr = profile.params
         expn = pr.p_alpha - 1.0 - pr.eps
-        last: list = [None]   # (r, u, u') of the last read
+        last: list = [None, None, None]   # r, u, u' of the last read
 
         def read(r):
-            if last[0] is not None:
-                nodes, u, du = last[0]
-                if np.array_equal(r, nodes):
-                    return u, du
-                if r.size == (nodes.size + 1) // 2 and np.array_equal(r, nodes[::2]):
-                    return u[::2], du[::2]
-            u, du = profile.evaluate(r)
-            last[0] = np.array(r, dtype=float), u, du
-            return u, du
+            if last[0] is not r or r.flags.writeable:
+                last[:] = (None if r.flags.writeable else r), *profile.evaluate(r)
+            return last[1], last[2]
 
         def q(r):
             u = np.clip(read(r)[0], 0.0, None)
@@ -229,12 +227,6 @@ def _node_count(n_points) -> int:
     return n
 
 
-def _pivmin(off: np.ndarray) -> float:
-    """The smallest pivot magnitude of `Pencil.count`: tiny·max(1, max e²),
-    as stebz takes it."""
-    return np.finfo(float).tiny * max(1.0, float(np.max(off * off)))
-
-
 def _geometry():
     return field(init=False, repr=False)
 
@@ -246,11 +238,8 @@ class RadialGrid:
     as read-only arrays.  With nodes r_0 = 0, r, r_{n+1} = r_end, gaps
     h_i = r_i - r_{i-1} and flux F_i = m_i^(N-1)/h_i at the gap midpoints m_i:
     `flux_sum` = F_i + F_{i+1}, `a_off` = -F_i between nodes, `rn1` = r^(N-1),
-    `cell` = (h_i + h_{i+1})/2 and `b_diag` = r^(N-3)·cell, checked > 0 here;
-    then `abs_off` = |a_off|, `inv_b` = 1/b_diag and `pivmin`, the grid-only
-    operands of `Pencil.pair` and `Pencil.count`, and `r_with_end`, the nodes
-    with r_end appended.  A pencil on the grid costs only its q-dependent
-    diagonal (`pencil`).
+    `cell` = (h_i + h_{i+1})/2 and `b_diag` = r^(N-3)·cell, checked > 0 here.
+    A pencil on the grid costs only its q-dependent diagonal (`pencil`).
 
     The nodes must be finite, positive and strictly increasing, at least 3
     of them, below a finite r_end; DomainError otherwise.  They are copied,
@@ -264,10 +253,6 @@ class RadialGrid:
     rn1: np.ndarray = _geometry()
     cell: np.ndarray = _geometry()
     b_diag: np.ndarray = _geometry()
-    abs_off: np.ndarray = _geometry()
-    inv_b: np.ndarray = _geometry()
-    pivmin: float = _geometry()
-    r_with_end: np.ndarray = _geometry()
 
     def __post_init__(self):
         r, r_end = np.array(self.r, dtype=float), self.r_end
@@ -290,15 +275,10 @@ class RadialGrid:
         b_diag = r ** (ndm1 - 2.0) * cell
         if np.any(b_diag <= 0):
             raise NumericsError("weight matrix lost positivity")
-        a_off = -flux[1:-1]
-        geometry = dict(
-            r=r, flux_sum=flux[:-1] + flux[1:], a_off=a_off, rn1=r**ndm1, cell=cell,
-            b_diag=b_diag, abs_off=np.abs(a_off), inv_b=1.0 / b_diag, pivmin=_pivmin(a_off),
-            r_with_end=np.append(r, r_end),
-        )
+        geometry = dict(r=r, flux_sum=flux[:-1] + flux[1:], a_off=-flux[1:-1],
+                        rn1=r**ndm1, cell=cell, b_diag=b_diag)
         for name, value in geometry.items():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -317,11 +297,12 @@ class RadialGrid:
         halves exactly."""
         return RadialGrid(self.n_dim, self.r_end, self.r[::2])
 
-    def pencil(self, qv, shifts: _Shifts = ()) -> "Pencil":
+    def pencil(self, qv, shifts: _Guesses = ()) -> "Pencil":
         """The pencil of -(r^(N-1) z')' - r^(N-1) q z = Λ r^(N-3) z on this
-        grid, with q = qv at the nodes and the given shifts: the
-        diagonal flux_sum - r^(N-1)·q·cell is its only new array.  A
-        non-finite q raises DomainError naming the first such node."""
+        grid, with q = qv at the nodes and the given shifts, their guesses
+        evaluated on the nodes (see `Pencil`): the diagonal
+        flux_sum - r^(N-1)·q·cell is its only new array.  A non-finite q
+        raises DomainError naming the first such node."""
         qv = np.asarray(qv, dtype=float)
         if not np.isfinite(qv).all():
             bad = ~np.isfinite(np.broadcast_to(qv, self.r.shape))
@@ -329,11 +310,8 @@ class RadialGrid:
                 f"the potential q is not finite at {np.sum(bad)} of {self.n} grid "
                 f"nodes, the first at r = {self.r[np.argmax(bad)]:.6g}"
             )
-        pencil = Pencil(grid=self.r, a_diag=self.flux_sum - self.rn1 * qv * self.cell,
-                        a_off=self.a_off, b_diag=self.b_diag, shifts=shifts)
-        # fills Pencil's cached properties with this grid's copies
-        pencil.__dict__.update(abs_off=self.abs_off, inv_b=self.inv_b, pivmin=self.pivmin)
-        return pencil
+        return Pencil(grid=self.r, a_diag=self.flux_sum - self.rn1 * qv * self.cell,
+                      a_off=self.a_off, b_diag=self.b_diag, shifts=shifts)
 
 
 @dataclass
@@ -348,7 +326,7 @@ class Pencil:
     `count` eigenvalues, and eigenvectors with the latter, from one ladder:
     1. pair j ≤ len(shifts) from shifted inverse iteration (`pair`) at
        (σ_j, guess_j) = `shifts[j-1]`, the problem's closed-form value near
-       Λ_j and eigenvector guess (`SLProblem.shifts`);
+       Λ_j and its eigenvector guess (`SLProblem.shifts`) evaluated on `grid`;
     2. the other pairs, and a shifted pair that fails its certificates, from
        one stebz call on T = B^-1/2 A B^-1/2 over the index range they span,
        with stein's vectors when vectors are asked for (`_stebz`);
@@ -358,14 +336,13 @@ class Pencil:
     NumericsError.
 
     `abs_off`, `inv_b` and `pivmin`, the operands of `pair` and `count` that
-    do not depend on q, are derived from the fields on first use, unless
-    `RadialGrid.pencil` filled them in from its grid."""
+    do not depend on q, are derived from the fields on first use."""
 
     grid: np.ndarray
     a_diag: np.ndarray
     a_off: np.ndarray
     b_diag: np.ndarray
-    shifts: _Shifts = ()
+    shifts: _Guesses = ()
 
     @property
     def n(self) -> int:
@@ -381,7 +358,9 @@ class Pencil:
 
     @cached_property
     def pivmin(self) -> float:
-        return _pivmin(self.a_off)
+        """The smallest pivot magnitude of `count`: tiny·max(1, max e²), as
+        stebz takes it."""
+        return np.finfo(float).tiny * max(1.0, float(np.max(self.a_off * self.a_off)))
 
     def count(self, shifts) -> np.ndarray | int:
         """The number of eigenvalues at or below each shift x: the number of
@@ -491,9 +470,9 @@ class Pencil:
         `eigenvectors`, by shifted inverse iteration from (σ, guess) =
         `shifts[j-1]`; 1 ≤ j ≤ len(shifts).
 
-        One solve of (A - σB) y = B x, from x = guess on this pencil's grid,
-        pulls x towards the eigenvector nearest σ.  Rayleigh-quotient shifts
-        then converge cubically.  Each solve is one O(n) LAPACK gtsv.  Once
+        One solve of (A - σB) y = B x, from x = guess, pulls x towards the
+        eigenvector nearest σ.  Rayleigh-quotient shifts then converge
+        cubically.  Each solve is one O(n) LAPACK gtsv.  Once
         the residual |Ax - μBx|, in the B^-1 norm, is within a few ulps of
         the terms it sums, |A||x| + |μ|B|x|, one more solve at that μ settles
         the entries far below the sup norm, such as the tail at r -> 1 that
@@ -510,7 +489,7 @@ class Pencil:
             )
         shift, guess = self.shifts[j - 1]
         try:
-            lam, x = self._shifted_iteration(shift, np.asarray(guess(self.grid), dtype=float))
+            lam, x = self._shifted_iteration(shift, guess)
             self._certify([j], np.array([lam]), [x])
         except NumericsError as err:
             log.warning("eigenpair %d from the shift %.9g falls back to stebz: %s",
@@ -622,7 +601,7 @@ def assemble_pencil(problem: SLProblem, grid: np.ndarray | RadialGrid) -> Pencil
     """Conservative three-point discretization of
     -(r^(N-1) z')' - r^(N-1) q z = Λ r^(N-3) z on the given interior grid,
     with Dirichlet values at both domain ends.  The pencil takes the
-    problem's shifts.
+    problem's shifts, each guess evaluated on the grid's nodes.
 
     `grid` is an array of interior nodes, finite and strictly increasing
     inside (0, r_end), at least 3 of them, whose stencil geometry is built
@@ -637,26 +616,35 @@ def assemble_pencil(problem: SLProblem, grid: np.ndarray | RadialGrid) -> Pencil
             f"grid built for N={grid.n_dim}, r_end={grid.r_end!r}, "
             f"problem has N={problem.n_dim}, r_end={problem.r_end!r}"
         )
-    return grid.pencil(problem.q(grid.r), problem.shifts)
+    return grid.pencil(problem.q(grid.r), _guesses(problem, grid.r))
+
+
+def _guesses(problem: SLProblem, r: np.ndarray) -> _Guesses:
+    """The problem's shifts with each guess evaluated at the nodes r."""
+    return tuple((sigma, np.asarray(guess(r), dtype=float)) for sigma, guess in problem.shifts)
 
 
 def pencil_pair(problem: SLProblem, n_points: int) -> tuple[Pencil, Pencil]:
     """The (coarse, fine) pencils of a two-grid solve, each equal to
     `assemble_pencil` on `default_spectral_grid(r_end, n)` for n = n_points
-    and 2·n_points, from one `problem.q` call on the fine grid.  Both
-    `RadialGrid`s are built on every call: the fine one by
-    `RadialGrid.log_uniform`, the coarse one as its `coarsen()`."""
+    and 2·n_points, from one `problem.q` call and one evaluation of each
+    guess on the fine grid.  Both `RadialGrid`s are built on every call: the
+    fine one by `RadialGrid.log_uniform`, the coarse one as its `coarsen()`."""
     fine = RadialGrid.log_uniform(problem.n_dim, problem.r_end, 2 * _node_count(n_points))
     return _pencils_on(problem, (fine.coarsen(), fine))
 
 
 def _pencils_on(problem: SLProblem, grids: tuple[RadialGrid, RadialGrid]) -> tuple[Pencil, Pencil]:
     """The pencils of `pencil_pair` on a (coarse, fine) pair whose coarse
-    grid is the fine one's `coarsen()`, from one q read on the fine grid."""
+    grid is the fine one's `coarsen()`, from one read of the problem on the
+    fine nodes; the coarse pencil takes every other entry, its guesses as
+    contiguous copies, since `np.dot` (`flux_gap`) sums a strided view in
+    another order."""
     coarse, fine = grids
     qv = np.asarray(problem.q(fine.r), dtype=float)
-    fine_pencil = fine.pencil(qv, problem.shifts)   # checks every q read
-    return coarse.pencil(qv[::2], problem.shifts), fine_pencil
+    shifts = _guesses(problem, fine.r)
+    fine_pencil = fine.pencil(qv, shifts)   # checks every q read
+    return coarse.pencil(qv[::2], tuple((s, g[::2].copy()) for s, g in shifts)), fine_pencil
 
 
 @dataclass

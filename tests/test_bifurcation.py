@@ -67,6 +67,9 @@ class TestLambdaCurve:
 # (N, α) pairs that share the Lane–Emden dimension m = 2(N+α)/(2+α)
 SHARED_M = {3.0: [(3, 0.0), (4, 2.0), (6, 6.0)], 2.5: [(3, 2.0), (4, 6.0)],
             4.0: [(4, 0.0), (5, 1.0), (6, 2.0)]}
+# the N ≥ 4 members of each m whose Λ₂ agree
+SHARED_M_LAMBDA2 = {3.0: [(4, 2.0), (5, 4.0), (6, 6.0)], 2.5: [(4, 6.0), (5, 10.0)],
+                    4.0: [(4, 0.0), (5, 1.0), (6, 2.0)]}
 
 
 class TestSharedDimension:
@@ -85,6 +88,19 @@ class TestSharedDimension:
             gap.append(g / gamma2)
         assert np.ptp(lam) <= 2e-8
         assert np.ptp(gap) <= 1e-5 * min(gap)
+
+    @pytest.mark.parametrize("m", SHARED_M_LAMBDA2)
+    @pytest.mark.parametrize("eps", [0.2, 0.05])
+    def test_lambda2_depends_on_m_alone_for_n_at_least_4(self, m, eps, cache):
+        # N = 3 members are left out: a grid from R_MIN reaches s = R_MIN^γ,
+        # so their small γ cuts the s-range closest to the bubble and moves
+        # Λ₂/γ² by 7e-4 relative at ε = 0.2; the worst spread below was
+        # 1.83e-5 relative (m = 2.5, ε = 0.05)
+        lam2 = []
+        for n_dim, alpha in SHARED_M_LAMBDA2[m]:
+            assert 2.0 * (n_dim + alpha) / (2.0 + alpha) == m
+            lam2.append(lambda_values(n_dim, eps, alpha, 2, cache)[1] / ((2.0 + alpha) / 2.0) ** 2)
+        assert np.ptp(lam2) <= 5e-5 * min(np.abs(lam2))
 
 
 class TestFindBifurcation:

@@ -1,5 +1,6 @@
 """String-replace mutation tests of henonball's certificates, inertia count, shifted
-eigenpair start, verify gates, shot, profile read, grid geometry and grid cache.
+eigenpair start, verify gates, shot, profile read, grid geometry, grid cache and
+pencil guesses.
 
 Each mutant names one edit of one file under `src/henonball` (an exact text
 and its replacement) and the pytest selection meant to fail on it.  The
@@ -53,9 +54,15 @@ MUTANTS = [
      "_RESIDUAL_ULPS = 4096.0",
      ["tests/test_spectral.py::TestLowestPair::test_stops_one_solve_after_the_residual_test"]),
     ("pair ignores the problem's guess (starts from B·1)", "spectral.py",
-     "self._shifted_iteration(shift, np.asarray(guess(self.grid), dtype=float))",
-     "self._shifted_iteration(shift, self.b_diag)",
+     "self._shifted_iteration(shift, guess)", "self._shifted_iteration(shift, self.b_diag)",
      [SPEC + "TestLowestPair::test_at_most_three_solves_from_the_guess"]),
+    ("from_profile's read ignores writeable", "spectral.py",
+     "if last[0] is not r or r.flags.writeable:\n"
+     "                last[:] = (None if r.flags.writeable else r),",
+     "if last[0] is not r:\n                last[:] = r,",
+     [SPEC + "TestLowestPair::test_writable_radii_are_read_again"]),
+    ("the coarse guesses are strided views", "spectral.py", "g[::2].copy()", "g[::2]",
+     [SPEC + "TestAssembly::test_pair_is_the_assembly_on_both_grids"]),
     ("pair starts at the guess's Rayleigh quotient, skipping the solve at σ", "spectral.py",
      "bx, mu, converged = b * x, sigma, False",
      "bx, mu, converged = b * x, "
