@@ -20,8 +20,8 @@ which secant steps reach in two to four g-evaluations.  g is a quotient of
 small quantities, not a difference of eigenvalues, so it carries none of the
 pencil's Richardson bias: at N = 3 it resolves shifts δ near 1e-15, where the
 pencil's Λ₁^ε is biased by about 1e-9.  The 32-point scan of Λ₁^ε plus
-Brent's method remains as the fallback for what the identity's certificates
-cannot settle (see `find_bifurcation_alpha`).
+Brent's method, on the same samples, decides what the identity's
+certificates cannot settle; `find_bifurcation_alpha` reports either root.
 
 One α-evaluation is one `flux_gap`: a Dirichlet shoot; one evaluation of
 (u, u') on the fine grid of the N_POINTS/2·N_POINTS pair with r = 1 appended,
@@ -226,17 +226,36 @@ class _Fallback(Exception):
     """The identity search cannot certify its root; the message says why."""
 
 
-class _Samples(dict):
-    """(g, Λ₁^ε) by α for one search, read from `flux_gap` on first use, so
+class _Search(dict):
+    """One root search: N, ε, k (checked by `sphere_eigen`, kept as an int),
+    its constants σ_k, α_k = 2(k-1) and A = N + 2k - 2, the bracket (default
+    α_k ± 0.9), and (g, Λ₁^ε) by α, read from `flux_gap` on first use, so
     len() counts the distinct α-values the search evaluated."""
 
-    def __init__(self, n_dim: int, eps: float, cache: SolverCache):
+    def __init__(self, n_dim: int, eps: float, k: int, bracket: tuple | None, cache: SolverCache):
         super().__init__()
-        self.n_dim, self.eps, self.cache = n_dim, eps, cache
+        self.sigma_k, _ = sphere_eigen(n_dim, k)
+        self.n_dim, self.eps, self.k, self.cache = n_dim, eps, int(k), cache
+        self.alpha_k = bifurcation_alpha(self.k)
+        self.a_lin = n_dim + self.alpha_k
+        if bracket is None:
+            bracket = (self.alpha_k - 0.9, self.alpha_k + 0.9)
+        self.bracket = bracket
+        self.lo, self.hi = bracket
 
     def __missing__(self, alpha: float) -> tuple[float, float]:
         self[alpha] = flux_gap(self.n_dim, self.eps, alpha, self.cache)
         return self[alpha]
+
+    def f(self, alpha: float) -> float:
+        """The pencil's Λ₁^ε(α) + σ_k, whose roots the search reports."""
+        return self[alpha][1] + self.sigma_k
+
+    def neighbours(self):
+        """(l, σ_l) for l = 1 … k+2 but k: the crossings the exclusion rules out."""
+        for l in range(1, self.k + 3):
+            if l != self.k:
+                yield l, sphere_eigen(self.n_dim, l)[0]
 
 
 def find_bifurcation_alpha(
@@ -272,50 +291,51 @@ def find_bifurcation_alpha(
     8 g-evaluations, or a certificate can be neither met nor refuted, a
     WARNING on the "henonball" logger gives the reason and the scan decides:
     32 samples of f locate its sign changes, Brent's method pins each root to
-    1e-10 + 8.9e-16·|α|, and the same samples decide `exclusion_ok` (a
-    warning names each crossed -σ_l) and `unique` (a warning lists the other
-    roots).  The scan reads f from the search's samples, so no α is evaluated
-    twice; `flux_gap` memoizes across searches on one `cache`.
+    1e-10 + 8.9e-16·|α|, and the same samples decide `unique` and
+    `exclusion_ok`, whose warnings (the other roots, each crossed -σ_l) the
+    search logs.  The scan reads f from the search's samples, so no α is
+    evaluated twice; `flux_gap` memoizes across searches on one `cache`.
 
-    A bracket end lo ≤ ((N-2)ε - 4)/2, where ε ≥ p_lo - 1, is a DomainError."""
+    k may be an integral float, as in `sphere_eigen`.  A bracket end
+    lo ≤ ((N-2)ε - 4)/2, where ε ≥ p_lo - 1, is a DomainError."""
     if k < 2:
         raise DomainError("bifurcation search needs k >= 2: k = 1 is not supported yet")
-    sigma_k, _ = sphere_eigen(n_dim, k)
-    alpha_k = bifurcation_alpha(k)
-    if bracket is None:
-        rho = 0.9
-        bracket = (alpha_k - rho, alpha_k + rho)
-    lo, hi = bracket
+    search = _Search(n_dim, eps, k, bracket, cache or SolverCache())
+    lo, hi = search.lo, search.hi
     if not 0.0 < lo < hi < np.inf:
-        raise DomainError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
+        raise DomainError(f"bracket must satisfy 0 < lo < hi < inf, got {search.bracket!r}")
     edge = ((n_dim - 2) * eps - 4.0) / 2.0  # the alpha where eps = p_alpha - 1
     if lo <= edge:
         raise DomainError(f"bracket end lo={lo!r} is inadmissible at eps={eps!r}: "
                           f"need alpha > ((N-2)eps - 4)/2 = {edge:g}")
-    where = f"N={n_dim} k={k} eps={eps!r} bracket={bracket!r}"
-    samples = _Samples(n_dim, eps, cache or SolverCache())
-    f_lo, f_hi = samples[lo][1] + sigma_k, samples[hi][1] + sigma_k
+    where = f"N={n_dim} k={search.k} eps={eps!r} bracket={search.bracket!r}"
+    f_lo, f_hi = search.f(lo), search.f(hi)
     if not f_lo > 0.0 > f_hi:
         raise BracketError(
-            f"bracket endpoints do not straddle -sigma_{k}: "
+            f"bracket endpoints do not straddle -sigma_{search.k}: "
             f"f({lo})={f_lo:.4g}, f({hi})={f_hi:.4g} (eps too large?)"
         )
     try:
-        delta = _fixed_point(n_dim, k, lo, hi, samples)
-        crossed = _certify(n_dim, k, lo, hi, samples)
+        delta = _fixed_point(search)
+        alpha, others, interval = search.alpha_k + delta, [], (float(lo), float(hi))
+        crossed = _certify(search)
     except _Fallback as reason:
         log.warning("%s: flux-identity search falls back to the scan: %s", where, reason)
-        return _scan_search(n_dim, k, lo, hi, samples, where)
+        alpha, others, interval, crossed = _scan_search(search)
+        delta = alpha - search.alpha_k
+    if others:
+        log.warning("%s: not unique, lambda1 = -sigma_%d also at alpha=%s (reporting %r)",
+                    where, search.k, others, alpha)
     if crossed:
         log.warning("%s: exclusion fails, lambda1 also crosses -%s", where, ", -".join(crossed))
     return BifurcationPoint(
-        alpha_k_eps=alpha_k + delta,
+        alpha_k_eps=alpha,
         delta=delta,
-        residual=abs(samples[alpha_k + delta][1] + sigma_k),
-        bracket=(float(lo), float(hi)),
-        unique=True,
+        residual=abs(search.f(alpha)),
+        bracket=interval,
+        unique=not others,
         exclusion_ok=not crossed,
-        evaluations=len(samples),
+        evaluations=len(search),
     )
 
 
@@ -325,16 +345,14 @@ def _shift(a_lin: float, g: float) -> float:
     return 4.0 * g / (a_lin + math.sqrt(a_lin * a_lin + 4.0 * g))
 
 
-def _fixed_point(n_dim, k, lo, hi, samples) -> float:
+def _fixed_point(search: _Search) -> float:
     """δ of the identity's root by secant steps on h(δ) = δ - shift(g)."""
-    alpha_k = bifurcation_alpha(k)
-    a_lin = n_dim + alpha_k
     d, d_prev, h_prev = 0.0, None, None
     for _ in range(SEARCH_EVALUATIONS):
-        alpha = alpha_k + d
-        if not lo <= alpha <= hi:
+        alpha = search.alpha_k + d
+        if not search.lo <= alpha <= search.hi:
             raise _Fallback(f"the search left the bracket at alpha={alpha!r}")
-        h = d - _shift(a_lin, samples[alpha][0])
+        h = d - _shift(search.a_lin, search[alpha][0])
         if h_prev is None or h == h_prev:
             step = -h  # a plain fixed-point step
         else:
@@ -345,30 +363,26 @@ def _fixed_point(n_dim, k, lo, hi, samples) -> float:
     raise _Fallback(f"no convergence after {SEARCH_EVALUATIONS} g-evaluations")
 
 
-def _certify(n_dim, k, lo, hi, samples) -> list[str]:
-    """The -σ_l the pencil provably crosses in [lo, hi]; _Fallback when the
-    samples can neither certify uniqueness nor settle an exclusion."""
-    alpha_k = bifurcation_alpha(k)
-    a_lin = n_dim + alpha_k
-    big_g = max(g for g, _ in samples.values())
-    window = alpha_k + _shift(a_lin, big_g)
+def _certify(search: _Search) -> list[str]:
+    """The -σ_l the pencil provably crosses in the bracket; _Fallback when
+    the samples can neither certify uniqueness nor settle an exclusion."""
+    n_dim, lo, hi, a_lin = search.n_dim, search.lo, search.hi, search.a_lin
+    big_g = max(g for g, _ in search.values())
+    window = search.alpha_k + _shift(a_lin, big_g)
     if not window < hi:
         raise _Fallback(f"the root window up to alpha={window!r} reaches the bracket end")
-    upper = sorted((a, g) for a, (g, _) in samples.items() if a >= alpha_k)
+    upper = sorted((a, g) for a, (g, _) in search.items() if a >= search.alpha_k)
     for (a, ga), (b, gb) in zip(upper, upper[1:]):
         if b - a >= 1e-6 and abs(gb - ga) / (b - a) >= a_lin / 2.0:
             raise _Fallback(f"g changes faster than A/2 = {a_lin / 2.0:g} on [{a!r}, {b!r}]")
     crossed = []
-    for l in range(1, k + 3):
-        if l == k:
-            continue
-        sigma_l, _ = sphere_eigen(n_dim, l)
-        if l > k:
+    for l, sigma_l in search.neighbours():
+        if l > search.k:
             end, excluded = hi, lambda1_closed(n_dim, hi) > -sigma_l
-            proven = samples[hi][1] < -sigma_l
+            proven = search[hi][1] < -sigma_l
         else:
             end, excluded = lo, lambda1_closed(n_dim, lo) + big_g < -sigma_l
-            proven = samples[lo][1] > -sigma_l
+            proven = search[lo][1] > -sigma_l
         if proven:
             crossed.append(f"sigma_{l}={sigma_l:g}")
         elif not excluded:
@@ -376,54 +390,31 @@ def _certify(n_dim, k, lo, hi, samples) -> list[str]:
     return crossed
 
 
-def _scan_search(n_dim, k, lo, hi, samples, where) -> BifurcationPoint:
+def _scan_search(search: _Search) -> tuple[float, list[float], tuple[float, float], list[str]]:
     """The scan reference: sign changes of f = Λ₁^ε + σ_k, read from the
-    `_Samples`, on SCAN_POINTS points, each refined by Brent's method, the
-    port of scipy's `brentq` in `radial._brentq` (see `find_bifurcation_alpha`,
+    search, on SCAN_POINTS points, each refined by Brent's method, the port
+    of scipy's `brentq` in `radial._brentq` (see `find_bifurcation_alpha`,
     which has checked f(lo) > 0 > f(hi)); a refinement that fails raises
-    NumericsError."""
-    alpha_k = bifurcation_alpha(k)
-    sigma_k, _ = sphere_eigen(n_dim, k)
-
-    def f(alpha: float) -> float:
-        return samples[alpha][1] + sigma_k
-
-    alphas = np.linspace(lo, hi, SCAN_POINTS)
-    fs = np.array([f(a) for a in alphas])
+    NumericsError.  Returns the root nearest 2(k-1), the other roots nearest
+    first, the root's sign-change interval, and the -σ_l (l ≠ k up to k+2)
+    that the samples cross; it logs nothing."""
+    alphas = np.linspace(search.lo, search.hi, SCAN_POINTS)
+    fs = np.array([search.f(a) for a in alphas])
     change = np.nonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0)[0]
     if change.size == 0:
-        raise BracketError(f"no sign change of lambda1 + sigma_{k} inside {(lo, hi)!r}")
-
+        raise BracketError(f"no sign change of lambda1 + sigma_{search.k} "
+                           f"inside {(search.lo, search.hi)!r}")
     intervals = [(float(alphas[i]), float(alphas[i + 1])) for i in change]
-    roots = [_brentq(f, a, b, 1e-10, 8.9e-16) for a, b in intervals]
-    order = np.argsort([abs(r - alpha_k) for r in roots])
-    best = int(order[0])
-
+    roots = [_brentq(search.f, a, b, 1e-10, 8.9e-16) for a, b in intervals]
+    best, *others = np.argsort([abs(r - search.alpha_k) for r in roots]).tolist()
     # crossings with neighboring sphere eigenvalues inside the bracket would
     # break the isolation the jump argument needs
     crossed = []
-    for l in range(1, k + 3):
-        if l == k:
-            continue
-        sigma_l, _ = sphere_eigen(n_dim, l)
-        fl = fs + (sigma_l - sigma_k)
+    for l, sigma_l in search.neighbours():
+        fl = fs + (sigma_l - search.sigma_k)
         if np.any(np.sign(fl[:-1]) * np.sign(fl[1:]) < 0):
             crossed.append(f"sigma_{l}={sigma_l:g}")
-    if len(roots) > 1:
-        log.warning("%s: not unique, lambda1 = -sigma_%d also at alpha=%s (reporting %r)",
-                    where, k, [roots[i] for i in order[1:]], roots[best])
-    if crossed:
-        log.warning("%s: exclusion fails, lambda1 also crosses -%s", where, ", -".join(crossed))
-
-    return BifurcationPoint(
-        alpha_k_eps=roots[best],
-        delta=roots[best] - alpha_k,
-        residual=abs(f(roots[best])),
-        bracket=intervals[best],
-        unique=len(roots) == 1,
-        exclusion_ok=not crossed,
-        evaluations=len(samples),
-    )
+    return roots[best], [roots[i] for i in others], intervals[best], crossed
 
 
 @dataclass(frozen=True)

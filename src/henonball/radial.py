@@ -295,7 +295,7 @@ class ShotTrajectory:
     log of the series radius, where the two-term origin series is accurate
     to 1e-10 and the shot starts, the ends of the accepted steps, and the
     zero in place of the last step's end; `r` is their radii.  Step s
-    starts at `t_old[s]` in the state `y_old[s]` = (u, r u') and has length
+    starts at `t[s]` in the state `y_old[s]` = (u, r u') and has length
     `h[s]` in t; `coef[:, s]` holds its seven interpolation coefficients
     (7 × 2, highest power first).
     """
@@ -306,7 +306,6 @@ class ShotTrajectory:
     a: float
     first_zero: float | None
     t: np.ndarray
-    t_old: np.ndarray
     h: np.ndarray
     y_old: np.ndarray
     coef: np.ndarray
@@ -339,7 +338,7 @@ class ShotTrajectory:
         """(u, u') at radii r from e^t[0] on, by the dense output."""
         t = np.log(r)
         seg = np.clip(np.searchsorted(self.t, t, side="left") - 1, 0, self.h.size - 1)
-        x = (t - self.t_old[seg]) / self.h[seg]
+        x = (t - self.t[seg]) / self.h[seg]
         factors = (x, 1.0 - x)
         # gathered component-major, (7, 2, r.size), so each product runs
         # along the points
@@ -545,7 +544,7 @@ _ROWS = range(len(_D) + 3)  # the seven rows of a step's dense output
 # polished by `_brentq` on that step's interpolant.  A shot that would take
 # more than `_MAX_STEPS` accepted steps raises NumericsError naming the
 # radius reached and α.  Returns the table's
-# arrays (ts, t_old, h, y_old, coef), as `ShotTrajectory` holds them, and
+# arrays (ts, h, y_old, coef), as `ShotTrajectory` holds them, and
 # the zero (None without one).  A right-hand side that overflows raises
 # NumericsError naming the stage's radius and α.  A non-finite one makes
 # every error norm NaN, so each retry shrinks the step by MIN_FACTOR;
@@ -560,7 +559,7 @@ _dop853_shot = _compile("_dop853_shot", "field, t, y0, t_max, rtol, atol, max_st
     "u, w = y0",
     "ku0, kw0 = fun(t, u, w)",
     "h_abs = _initial_step(fun, t, u, w, ku0, kw0, t_max - t, rtol, atol, max_step)",
-    "ts, t_old, hs, y_old, coef = [t], [], [], [], []",
+    "ts, hs, y_old, coef = [t], [], [], []",
     "first_zero = None",
     "try:",
     "    while t < t_max:",
@@ -616,7 +615,6 @@ _dop853_shot = _compile("_dop853_shot", "field, t, y0, t_max, rtol, atol, max_st
     f"        c4w = 2.0 * delta_w - h * (kw{_N_STAGES} + kw0)",
     "        c5u, c5w = h * ku0 - delta_u, h * kw0 - delta_w",
     "        c6u, c6w = delta_u, delta_w",
-    "        t_old.append(t)",
     "        hs.append(h)",
     "        y_old += (u, w)",
     "        coef += (" + ", ".join(f"c{i}u, c{i}w" for i in _ROWS) + ")",
@@ -630,7 +628,7 @@ _dop853_shot = _compile("_dop853_shot", "field, t, y0, t_max, rtol, atol, max_st
     "except OverflowError:",
     "    raise _overflow(tau, alpha) from None",
     "table = (",
-    "    np.array(ts), np.array(t_old), np.array(hs), np.array(y_old).reshape(-1, 2),",
+    "    np.array(ts), np.array(hs), np.array(y_old).reshape(-1, 2),",
     f"    np.ascontiguousarray(np.array(coef).reshape(-1, {len(_ROWS)}, 2).transpose(1, 0, 2)),",
     ")",
     "return table, first_zero",

@@ -227,6 +227,13 @@ def _node_count(n_points) -> int:
     return n
 
 
+def _integer(value, name: str) -> int:
+    """An integer or integral float `value` as an int; DomainError naming `name` otherwise."""
+    if not float(value).is_integer():
+        raise DomainError(f"need an integer {name}, got {value!r}")
+    return int(value)
+
+
 def _geometry():
     return field(init=False, repr=False)
 
@@ -333,7 +340,7 @@ class Pencil:
     3. a value that fails there, from `eigenvalue_bisect` on the count.
     Every rung passes `_certify`.  Rung 2 works on T, not on A - xB, so the
     count certifies it independently; a vector that fails there raises
-    NumericsError.
+    NumericsError.  A `count` or index j may be an integral float.
 
     `abs_off`, `inv_b` and `pivmin`, the operands of `pair` and `count` that
     do not depend on q, are derived from the fields on first use."""
@@ -428,6 +435,7 @@ class Pencil:
     def _lowest(self, count: int, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
         """Pairs 1..count down the ladder (see the class); without
         `vectors` the second item is an empty (0, n) array."""
+        count = _integer(count, "count")
         if not 1 <= count <= self.n:
             raise DomainError(f"eigenvalue count out of range 1..{self.n}")
         shifted = [self.pair(j) for j in range(1, min(count, len(self.shifts)) + 1)]
@@ -483,6 +491,7 @@ class Pencil:
         (`_certify`).  When a certificate fails, a solve is singular or an
         iterate is not finite, one WARNING on the "henonball" logger says so
         and the pair comes from `_stebz` instead."""
+        j = _integer(j, "j")
         if not 1 <= j <= len(self.shifts):
             raise DomainError(
                 f"pair {j} needs a shift; this pencil has {len(self.shifts)}"
@@ -553,6 +562,7 @@ class Pencil:
         by doubling steps until it counts j, capped at Gershgorin's upper
         end, so the counts stay near j: a count costs one pttrf call per
         eigenvalue it counts (see `count`)."""
+        j = _integer(j, "j")
         if not 1 <= j <= self.n:
             raise DomainError(f"eigenvalue index out of range 1..{self.n}")
         lo, top = self.gershgorin()
@@ -683,9 +693,9 @@ def solve_eigen(
     for, come from the fine grid with their node-count certificate.  The
     n_points/2·n_points pair and its one q read are `pencil_pair`'s.
     Certifying `count` values costs O(count²) pttrf calls (see
-    `Pencil.eigenvalue_batch`).
+    `Pencil.eigenvalue_batch`).  `count` may be an integral float.
     """
-    if count < 1:
+    if _integer(count, "count") < 1:
         raise DomainError("count must be >= 1")
     coarse, fine = pencil_pair(problem, n_points)
     lam_c = coarse.eigenvalue_batch(count)

@@ -63,6 +63,12 @@ class TestLambdaCurve:
         floor = 5e-9  # spectral discretization reproducibility
         assert all(b <= a + floor for a, b in zip(sups, sups[1:]))
 
+    def test_integral_float_count_is_the_count(self, cache):
+        # count = 2.0 and 1.5 raised a TypeError
+        assert lambda_values(3, 0.05, 2.0, 2.0, cache) == lambda_values(3, 0.05, 2.0, 2, cache)
+        with pytest.raises(DomainError, match="need an integer count, got 1.5"):
+            lambda_values(3, 0.05, 2.0, 1.5, cache)
+
 
 # (N, α) pairs that share the Lane–Emden dimension m = 2(N+α)/(2+α)
 SHARED_M = {3.0: [(3, 0.0), (4, 2.0), (6, 6.0)], 2.5: [(3, 2.0), (4, 6.0)],
@@ -141,6 +147,11 @@ class TestFindBifurcation:
         # refused before any profile is solved
         with pytest.raises(DomainError, match="need integer N >= 3 and k >= 0"):
             find_bifurcation_alpha(3, 0.05, 2.5, cache=cache)
+
+    def test_integral_float_k_is_k(self, cache):
+        # k = 2.0 raised a TypeError in the exclusion loop
+        assert (find_bifurcation_alpha(3, 0.05, 2.0, cache=cache)
+                == find_bifurcation_alpha(3, 0.05, 2, cache=cache))
 
     def test_non_finite_bracket_rejected(self, cache):
         for bracket in ((1.0, math.inf), (math.nan, 2.0)):
@@ -241,11 +252,10 @@ class TestFluxIdentity:
         with caplog.at_level(logging.WARNING, logger="henonball"):
             bp = find_bifurcation_alpha(n_dim, eps, k, cache=cache)
         assert bp.evaluations <= 6 and caplog.records == []
-        alpha_k = bifurcation_alpha(k)
-        ref = bifurcation._scan_search(n_dim, k, alpha_k - 0.9, alpha_k + 0.9,
-                                       bifurcation._Samples(n_dim, eps, cache), "reference")
-        assert abs(bp.alpha_k_eps - ref.alpha_k_eps) <= 1e-8
-        assert (bp.unique, bp.exclusion_ok) == (ref.unique, ref.exclusion_ok) == (True, True)
+        search = bifurcation._Search(n_dim, eps, k, None, cache)
+        root, others, _, crossed = bifurcation._scan_search(search)
+        assert abs(bp.alpha_k_eps - root) <= 1e-8
+        assert (bp.unique, bp.exclusion_ok) == (not others, not crossed) == (True, True)
 
     def test_fallback_returns_the_scan_root(self, cache, caplog, monkeypatch):
         # a bracket that starts above 2(k-1) excludes the search's start point
@@ -259,10 +269,10 @@ class TestFluxIdentity:
         evaluated = set(alphas)
         [record] = caplog.records
         assert "falls back to the scan: the search left the bracket" in record.getMessage()
-        ref = bifurcation._scan_search(4, 2, *bracket, bifurcation._Samples(4, 0.2, cache),
-                                       "reference")
+        search = bifurcation._Search(4, 0.2, 2, bracket, cache)
+        root, _, interval, _ = bifurcation._scan_search(search)
         assert (bp.alpha_k_eps, bp.delta, bp.residual, bp.bracket) == (
-            ref.alpha_k_eps, ref.delta, ref.residual, ref.bracket)
+            root, root - 2.0, abs(search.f(root)), interval)
         assert bp.evaluations == len(evaluated)  # each distinct alpha once
         assert bp.unique and bp.exclusion_ok and bp.residual < 1e-6
 
@@ -303,6 +313,26 @@ class TestFluxIdentity:
         assert "falls back to the scan" in message
         assert re.search(reason, message)
         assert bp.evaluations >= bifurcation.SCAN_POINTS
+
+    def test_scan_reports_every_root(self, caplog, monkeypatch):
+        # a planted f = -(α - 1.5)(α - 2.2)(α - 2.6) with sign changes at all
+        # three roots; g = 10 sends the search out of the bracket, so the
+        # scan decides and reports 2.2, the root nearest 2(k-1) = 2
+        def planted(n_dim, eps, alpha, cache):
+            return 10.0, -6.0 - (alpha - 1.5) * (alpha - 2.2) * (alpha - 2.6)
+
+        monkeypatch.setattr(bifurcation, "flux_gap", planted)
+        with caplog.at_level(logging.WARNING, logger="henonball"):
+            bp = find_bifurcation_alpha(3, 0.01, 2)
+        assert not bp.unique and bp.exclusion_ok
+        assert abs(bp.alpha_k_eps - 2.2) <= 1e-9
+        alphas = np.linspace(1.1, 2.9, bifurcation.SCAN_POINTS).tolist()
+        assert bp.bracket == (alphas[18], alphas[19])
+        fallback, not_unique = (r.getMessage() for r in caplog.records)
+        assert "falls back to the scan: the search left the bracket" in fallback
+        # the other roots, nearest 2 first
+        others = re.search(r"not unique, .* also at alpha=\[(.*)\] \(reporting ", not_unique)
+        assert np.allclose([float(a) for a in others[1].split(",")], [1.5, 2.6], atol=1e-9)
 
     @pytest.mark.parametrize("n_dim, eps, k", [(4, 0.05, 3), (5, 0.2, 2)])
     def test_delta_meets_its_fixed_point(self, n_dim, eps, k, cache):

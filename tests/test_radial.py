@@ -383,7 +383,7 @@ def _evaluate_point(shot, r):
     s = 0
     while s + 1 < shot.h.size and shot.t[s + 1] < t:
         s += 1
-    x = (t - shot.t_old[s]) / shot.h[s]
+    x = (t - shot.t[s]) / shot.h[s]
     u, w = (
         _nested_product(shot.coef[:, s, k], x) + shot.y_old[s, k] for k in (0, 1)
     )
@@ -419,7 +419,7 @@ def _reference_shot(fun, t0, y0, t_max, rtol, atol, max_step, polishes):
     t, (u, v) = t0, y0
     fu, fv = fun(t, u, v)
     h_abs = radial._initial_step(fun, t, u, v, fu, fv, t_max - t, rtol, atol, max_step)
-    ts, t_old, hs, y_old, coef = [t], [], [], [], []
+    ts, hs, y_old, coef = [t], [], [], []
     first_zero = None
     while t < t_max:
         min_step = 10.0 * math.ulp(t)
@@ -476,7 +476,6 @@ def _reference_shot(fun, t0, y0, t_max, rtol, atol, max_step, polishes):
             du, dv = _combine(_nonzero(row), ku, kv)
             rows.append((h * du, h * dv))
         rows.reverse()
-        t_old.append(t)
         hs.append(h)
         y_old.append((u, v))
         coef.append(rows)
@@ -493,7 +492,6 @@ def _reference_shot(fun, t0, y0, t_max, rtol, atol, max_step, polishes):
 
     table = (
         np.array(ts),
-        np.array(t_old),
         np.array(hs),
         np.array(y_old),
         np.ascontiguousarray(np.array(coef).transpose(1, 0, 2)),
@@ -547,7 +545,7 @@ class TestReferenceStepper:
         for args, ref, ref_zero, _ in shot_set:
             table, zero = radial._dop853_shot(*args)
             assert zero is not None and repr(zero) == repr(ref_zero)
-            for name, got, want in zip(("ts", "t_old", "h", "y_old", "coef"), table, ref):
+            for name, got, want in zip(("ts", "h", "y_old", "coef"), table, ref):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     def test_brentq_matches_scipy_on_the_polishes(self, shot_set):

@@ -318,6 +318,31 @@ class TestLadder:
             with pytest.raises(DomainError, match="count out of range 1..300"):
                 call()
 
+    def test_integral_float_count_and_index_accepted(self, ball_problem):
+        # count = 2.0 and j = 1.0 raised a TypeError
+        pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 300))
+        assert pen.eigenvalue_batch(2.0).tobytes() == pen.eigenvalue_batch(2).tobytes()
+        assert [a.tobytes() for a in pen.eigenvectors(2.0)] == [
+            a.tobytes() for a in pen.eigenvectors(2)]
+        assert [a.tobytes() for a in np.atleast_1d(*pen.pair(1.0))] == [
+            a.tobytes() for a in np.atleast_1d(*pen.pair(1))]
+        assert pen.eigenvalue_bisect(2.0) == pen.eigenvalue_bisect(2)
+        values = [[r.extrapolated for r in solve_eigen(ball_problem, count, n_points=300)]
+                  for count in (2.0, 2)]
+        assert values[0] == values[1]
+
+    @pytest.mark.parametrize("bad", [1.5, math.nan])
+    def test_non_integral_count_or_index_is_named(self, ball_problem, bad):
+        # eigenvalue_bisect(1.5) returned a value, the others a TypeError
+        pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 300))
+        calls = {"count": [pen.eigenvalue_batch, pen.eigenvectors,
+                           lambda c: solve_eigen(ball_problem, c, n_points=300)],
+                 "j": [pen.pair, pen.eigenvalue_bisect]}
+        for name, fns in calls.items():
+            for fn in fns:
+                with pytest.raises(DomainError, match=f"need an integer {name}, got {bad!r}$"):
+                    fn(bad)
+
 
 # (N, α, ε) of the lowest-pair tests; the second to fourth lie near the
 # admissible edge, and (3, 4.0, 0.002) has φ(1-h) near 1e-17 of the sup norm

@@ -1,6 +1,6 @@
-"""String-replace mutation tests of henonball's certificates, inertia count, shifted
-eigenpair start, verify gates, shot, profile read, grid geometry, grid cache and
-pencil guesses.
+"""String-replace mutation tests of henonball's certificates, root-search report,
+inertia count, shifted eigenpair start, verify gates, shot, profile read, grid
+geometry, grid cache and pencil guesses.
 
 Each mutant names one edit of one file under `src/henonball` (an exact text
 and its replacement) and the pytest selection meant to fail on it.  The
@@ -35,12 +35,8 @@ MUTANTS = [
      "<= 1e-7 * abs(d)", [BIF + "TestFluxIdentity::test_delta_meets_its_fixed_point"]),
     ("_certify's chord-slope bound is 2A", "bifurcation.py", ">= a_lin / 2.0:",
      ">= 2.0 * a_lin:", [PLANTED + "[chord-slope]"]),
-    ("_certify's exclusion loop stops at k+1", "bifurcation.py",
-     "range(1, k + 3):\n        if l == k:\n            continue\n"
-     "        sigma_l, _ = sphere_eigen(n_dim, l)\n        if l > k:",
-     "range(1, k + 2):\n        if l == k:\n            continue\n"
-     "        sigma_l, _ = sphere_eigen(n_dim, l)\n        if l > k:",
-     [PLANTED + "[exclusion-above]"]),
+    ("the exclusion's neighbours stop at k+1", "bifurcation.py",
+     "range(1, self.k + 3):", "range(1, self.k + 2):", [PLANTED + "[exclusion-above]"]),
     ("_certify's low-side exclusion drops + G", "bifurcation.py",
      "lambda1_closed(n_dim, lo) + big_g < -sigma_l", "lambda1_closed(n_dim, lo) < -sigma_l",
      [PLANTED + "[exclusion-below]"]),
@@ -86,9 +82,10 @@ MUTANTS = [
     ("flux_gap takes u'(1) from du[-2]", "bifurcation.py", "du[:-1], du[-1]",
      "du[:-1], du[-2]", [BIF + "TestFluxIdentity::test_gap_matches_the_pencil"]),
     ("BifurcationPoint.residual is halved", "bifurcation.py",
-     "residual=abs(samples[alpha_k + delta][1] + sigma_k),",
-     "residual=abs(samples[alpha_k + delta][1] + sigma_k) / 2,",
+     "residual=abs(search.f(alpha)),", "residual=abs(search.f(alpha)) / 2,",
      [BIF + "TestFluxIdentity::test_residual_is_the_recomputed_crossing_gap"]),
+    ("the report ignores the scan's other roots", "bifurcation.py", "unique=not others,",
+     "unique=True,", [BIF + "TestFluxIdentity::test_scan_reports_every_root"]),
     ("C4.trend's test is b < a", "verify.py", "all(b <= a for a, b in zip(errs, errs[1:]))",
      "all(b < a for a, b in zip(errs, errs[1:]))", [VER + "test_c4_trend_reads_planted_deltas"]),
     ("C4.trend measures max(a - b)", "verify.py",
