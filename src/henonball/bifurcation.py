@@ -16,8 +16,11 @@ first Dirichlet eigenfunction φ then gives the gap
 and g ≥ 0 by Sturm comparison (Pryce, Numerical Solution of Sturm-Liouville
 Problems, 1993).  With δ = α - 2(k-1) and A = N + 2k - 2 the crossing
 condition Λ₁(α) + g(α) = -σ_k is the fixed point δ = 4g/(A + √(A² + 4g)),
-which secant steps reach in two to four g-evaluations.  g is a quotient of
-small quantities, not a difference of eigenvalues, so it carries none of the
+which secant steps from δ = 0 reach in one to four g-evaluations for
+ε ≤ 0.05 (up to 8 before the search gives up).  Below 2(k-1) the closed
+form alone puts Λ₁^ε above -σ_k, so a default search evaluates nothing
+there; past its iterates it evaluates g once more, at the padded end of the
+window that holds every root.  g is a quotient of small quantities, not a difference of eigenvalues, so it carries none of the
 pencil's Richardson bias: at N = 3 it resolves shifts δ near 1e-15, where the
 pencil's Λ₁^ε is biased by about 1e-9.  The 32-point scan of Λ₁^ε plus
 Brent's method, on the same samples, decides what the identity's
@@ -204,14 +207,17 @@ class BifurcationPoint:
 
     `delta` is the shift α_k^ε - 2(k-1) as computed; it keeps the digits that
     `alpha_k_eps` rounds away near 2(k-1).  `bracket` is the interval the root
-    was certified in (the search bracket, or on the scan fallback the
-    sign-change interval); the pencil's Λ₁^ε + σ_k is positive at its lower
-    end and negative at its upper end.  `residual` is the pencil's
-    |Λ₁^ε + σ_k| at the returned point.  `unique` is False when several roots
-    were found (the returned root is the one closest to the limit value
-    2(k-1); the warning lists the others), and `exclusion_ok` is False when
-    Λ₁^ε also crosses another -σ_l inside the bracket.  `evaluations` counts
-    the distinct α-values at which the search read `flux_gap`."""
+    was certified in: the explicit bracket, by default [2(k-1), W] with W the
+    identity's window end, or on the scan fallback the sign-change interval.
+    The pencil's Λ₁^ε + σ_k is positive at its lower end and negative at its
+    upper end; at the default's lower end 2(k-1) the sign comes from the
+    identity (Λ₁^ε + σ_k = g ≥ 0 there), not from a test of the search.
+    `residual` is the pencil's |Λ₁^ε + σ_k| at the returned point.  `unique`
+    is False when several roots were found (the returned root is the one
+    closest to the limit value 2(k-1); the warning lists the others), and
+    `exclusion_ok` is False when Λ₁^ε also crosses another -σ_l inside the
+    bracket.  `evaluations` counts the distinct α-values at which the search
+    read `flux_gap`."""
 
     alpha_k_eps: float
     delta: float
@@ -229,8 +235,9 @@ class _Fallback(Exception):
 class _Search(dict):
     """One root search: N, ε, k (checked by `sphere_eigen`, kept as an int),
     its constants σ_k, α_k = 2(k-1) and A = N + 2k - 2, the bracket (default
-    α_k ± 0.9), and (g, Λ₁^ε) by α, read from `flux_gap` on first use, so
-    len() counts the distinct α-values the search evaluated."""
+    α_k ± 0.9, where the default search's scan runs), the ends [lo, hi] the
+    search works in, and (g, Λ₁^ε) by α, read from `flux_gap` on first use,
+    so len() counts the distinct α-values the search evaluated."""
 
     def __init__(self, n_dim: int, eps: float, k: int, bracket: tuple | None, cache: SolverCache):
         super().__init__()
@@ -257,6 +264,27 @@ class _Search(dict):
             if l != self.k:
                 yield l, sphere_eigen(self.n_dim, l)[0]
 
+    def admit(self):
+        """DomainError unless 0 < lo < hi < inf and ε < p_lo - 1."""
+        lo, hi = self.lo, self.hi
+        if not 0.0 < lo < hi < np.inf:
+            raise DomainError(f"bracket must satisfy 0 < lo < hi < inf, got {self.bracket!r}")
+        edge = ((self.n_dim - 2) * self.eps - 4.0) / 2.0  # the alpha where eps = p_alpha - 1
+        if lo <= edge:
+            raise DomainError(f"bracket end lo={lo!r} is inadmissible at eps={self.eps!r}: "
+                              f"need alpha > ((N-2)eps - 4)/2 = {edge:g}")
+
+    def straddle(self):
+        """`admit`, then evaluate f at both ends: BracketError unless
+        f(lo) > 0 > f(hi)."""
+        self.admit()
+        f_lo, f_hi = self.f(self.lo), self.f(self.hi)
+        if not f_lo > 0.0 > f_hi:
+            raise BracketError(
+                f"bracket endpoints do not straddle -sigma_{self.k}: "
+                f"f({self.lo})={f_lo:.4g}, f({self.hi})={f_hi:.4g} (eps too large?)"
+            )
+
 
 def find_bifurcation_alpha(
     n_dim: int,
@@ -265,62 +293,75 @@ def find_bifurcation_alpha(
     bracket: tuple[float, float] | None = None,
     cache: SolverCache | None = None,
 ) -> BifurcationPoint:
-    """Locate α_k^ε in the bracket (default 2(k-1) ± 0.9).
+    """Locate α_k^ε in the bracket (default: from 2(k-1) to the identity's
+    window end).
 
-    Search.  `flux_gap` is evaluated at both bracket ends, where the pencil's
-    f(α) = Λ₁^ε(α) + σ_k must satisfy f(lo) > 0 > f(hi) (BracketError
-    otherwise).  From δ = 0 the fixed point δ = 4g/(A + √(A² + 4g)), with
-    g = g(2(k-1) + δ) and A = N + 2k - 2, is iterated with secant steps until
-    a step is at most 1e-12·|δ|.  The last evaluated point is returned, and
-    `residual` is the pencil's |f| there.
+    Search.  From δ = 0 the fixed point δ = shift(g) = 4g/(A + √(A² + 4g)),
+    with g = g(2(k-1) + δ) and A = N + 2k - 2, is iterated with secant steps
+    until a step is at most 1e-12·|δ|; the iterates must stay in the bracket.
+    The last evaluated point is returned, and `residual` is the pencil's |f|
+    there, f(α) = Λ₁^ε(α) + σ_k.  An explicit bracket's ends are evaluated
+    first, and f(lo) > 0 > f(hi) must hold (BracketError otherwise).  The
+    default search evaluates no end below its root.  Its lower end is 2(k-1):
+    Λ₁(α) ≥ -σ_k for α ≤ 2(k-1) and g ≥ 0 put f ≥ 0 there exactly.  Its
+    iterates must stay below 2(k-1) + 0.9.  After them it evaluates once, at
+    W = 2(k-1) + max(2·shift(G), 0.05), where G is the largest g sampled; the
+    pencil must give f(W) < 0, and W is the upper end.
 
     Certificates.  g ≥ 0 is exact, so no root lies below 2(k-1).  With G the
-    largest g over the ends and the iterates, every root lies in the window
-    [2(k-1), 2(k-1) + 4G/(A + √(A² + 4G))].  `unique` needs that window
-    inside the bracket, and the chord slopes of g between evaluated points
-    of [2(k-1), hi] at least 1e-6 apart below A/2, the closed-form curve's
-    slope at 2(k-1), so that f decreases on the window.  Exclusion, for each
-    l ≠ k up to k+2: for l > k, Λ₁(hi) > -σ_l rules out a crossing with
-    -σ_l exactly; for l < k, Λ₁(lo) + G < -σ_l rules it out.  A pencil value
-    past -σ_l at the near end (Λ₁^ε(hi) < -σ_l for l > k, Λ₁^ε(lo) > -σ_l for
+    largest g over the evaluated points, every root lies in the window
+    [2(k-1), 2(k-1) + shift(G)].  `unique` needs that window inside the
+    bracket, and the chord slopes of g between evaluated points of
+    [2(k-1), hi] at least 1e-6 apart below A/2, the closed-form curve's slope
+    at 2(k-1), so that f decreases on the window.  Exclusion, for each l ≠ k
+    up to k+2: for l > k, Λ₁(hi) > -σ_l rules out a crossing with -σ_l
+    exactly; for l < k, Λ₁(lo) + G < -σ_l rules it out.  A pencil value past
+    -σ_l at the near end (Λ₁^ε(hi) < -σ_l for l > k, Λ₁^ε(lo) > -σ_l for
     l < k) proves a crossing: `exclusion_ok` is False and a warning on the
-    "henonball" logger names it.  G is a maximum over samples, so, like the
-    scan's sign counts, the certificates are sampled evidence.
+    "henonball" logger names it.  The default search reads both at its own
+    ends, lo = 2(k-1), its first iterate, and hi = W.  G is a maximum over
+    samples, so, like the scan's sign counts, the certificates are sampled
+    evidence.
 
     Fallback.  When the search leaves the bracket, has not converged after
-    8 g-evaluations, or a certificate can be neither met nor refuted, a
-    WARNING on the "henonball" logger gives the reason and the scan decides:
-    32 samples of f locate its sign changes, Brent's method pins each root to
+    8 g-evaluations, the default's f(W) is not negative, or a certificate can
+    be neither met nor refuted, a WARNING on the "henonball" logger gives the
+    reason and the scan decides.  A default search first takes the bracket
+    2(k-1) ± 0.9 and checks it as an explicit one.  32 samples of f locate
+    its sign changes, Brent's method pins each root to
     1e-10 + 8.9e-16·|α|, and the same samples decide `unique` and
     `exclusion_ok`, whose warnings (the other roots, each crossed -σ_l) the
     search logs.  The scan reads f from the search's samples, so no α is
     evaluated twice; `flux_gap` memoizes across searches on one `cache`.
 
     k may be an integral float, as in `sphere_eigen`.  A bracket end
-    lo ≤ ((N-2)ε - 4)/2, where ε ≥ p_lo - 1, is a DomainError."""
+    lo ≤ ((N-2)ε - 4)/2, where ε ≥ p_lo - 1, is a DomainError; the default
+    search tests 2(k-1), and 2(k-1) - 0.9 only when it falls back.  So at
+    (N, ε, k) = (3, 6.4, 2) the default search certifies α ≈ 2.41784 on
+    [2, 3.43], while on the explicit bracket (1.3, 2.9) the scan decides and
+    reports `exclusion_ok` False: Λ₁^ε crosses -σ₁ near α = 1.61, inside that
+    bracket but below 2(k-1), outside the window."""
     if k < 2:
         raise DomainError("bifurcation search needs k >= 2: k = 1 is not supported yet")
     search = _Search(n_dim, eps, k, bracket, cache or SolverCache())
-    lo, hi = search.lo, search.hi
-    if not 0.0 < lo < hi < np.inf:
-        raise DomainError(f"bracket must satisfy 0 < lo < hi < inf, got {search.bracket!r}")
-    edge = ((n_dim - 2) * eps - 4.0) / 2.0  # the alpha where eps = p_alpha - 1
-    if lo <= edge:
-        raise DomainError(f"bracket end lo={lo!r} is inadmissible at eps={eps!r}: "
-                          f"need alpha > ((N-2)eps - 4)/2 = {edge:g}")
+    if bracket is None:
+        # f > 0 below 2(k-1) follows from the closed form and g >= 0
+        search.lo = search.alpha_k
+        search.admit()
+    else:
+        search.straddle()
     where = f"N={n_dim} k={search.k} eps={eps!r} bracket={search.bracket!r}"
-    f_lo, f_hi = search.f(lo), search.f(hi)
-    if not f_lo > 0.0 > f_hi:
-        raise BracketError(
-            f"bracket endpoints do not straddle -sigma_{search.k}: "
-            f"f({lo})={f_lo:.4g}, f({hi})={f_hi:.4g} (eps too large?)"
-        )
     try:
         delta = _fixed_point(search)
-        alpha, others, interval = search.alpha_k + delta, [], (float(lo), float(hi))
+        if bracket is None:
+            _window_end(search)
+        alpha, others, interval = search.alpha_k + delta, [], (float(search.lo), float(search.hi))
         crossed = _certify(search)
     except _Fallback as reason:
         log.warning("%s: flux-identity search falls back to the scan: %s", where, reason)
+        # the scan's bracket, whose ends a default search checks only now
+        search.lo, search.hi = search.bracket
+        search.straddle()
         alpha, others, interval, crossed = _scan_search(search)
         delta = alpha - search.alpha_k
     if others:
@@ -361,6 +402,17 @@ def _fixed_point(search: _Search) -> float:
             return d
         d_prev, h_prev, d = d, h, d + step
     raise _Fallback(f"no convergence after {SEARCH_EVALUATIONS} g-evaluations")
+
+
+def _window_end(search: _Search) -> None:
+    """Evaluate the default search's upper end W = α_k + max(2·shift(G), 0.05),
+    G the largest g sampled, and make it hi; _Fallback unless the pencil's
+    f(W) < 0."""
+    big_g = max(g for g, _ in search.values())
+    end = search.alpha_k + max(2.0 * _shift(search.a_lin, big_g), 0.05)
+    if not search.f(end) < 0.0:
+        raise _Fallback(f"lambda1 + sigma_{search.k} >= 0 at the window end alpha={end!r}")
+    search.hi = end
 
 
 def _certify(search: _Search) -> list[str]:

@@ -259,7 +259,8 @@ OPTIONS = {
     "format": {"choices": ["csv", "json"], "default": "csv"},
     "k": {"type": int, "required": True},
     "eps_list": {"type": float_list, "required": True, "help": "e.g. 0.05,0.04"},
-    "bracket": {"type": bracket, "help": "lo:hi"},
+    "bracket": {"type": bracket,
+                "help": "lo:hi (default: 2(k-1) to the identity's window end)"},
     "alpha_grid": {"type": alpha_grid, "required": True, "help": "lo:hi:n"},
     "jobs": {"type": int_at_least(1), "default": 1},
     "criteria": {"type": id_list,

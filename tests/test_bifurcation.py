@@ -127,12 +127,16 @@ class TestFindBifurcation:
             assert side * (lam1 + sigma2) > 0
 
     def test_sign_change_bracket_certificate(self, cache):
-        bp = find_bifurcation_alpha(3, 0.05, 2, cache=cache)
-        lo, hi = bp.bracket
-        sigma2, _ = sphere_eigen(3, 2)
-        f_lo = lambda_values(3, 0.05, lo, 1, cache=cache)[0] + sigma2
-        f_hi = lambda_values(3, 0.05, hi, 1, cache=cache)[0] + sigma2
-        assert f_lo > 0 > f_hi
+        # the default bracket is [2(k-1), W]; the pencil's sign at 2(k-1) is
+        # the identity's, not a value the search read
+        for n_dim, k, eps in [*CORNERS, (4, 2, 2.0)]:
+            bp = find_bifurcation_alpha(n_dim, eps, k, cache=cache)
+            lo, hi = bp.bracket
+            assert lo == bifurcation_alpha(k)
+            sigma_k, _ = sphere_eigen(n_dim, k)
+            f_lo = lambda_values(n_dim, eps, lo, 1, cache=cache)[0] + sigma_k
+            f_hi = lambda_values(n_dim, eps, hi, 1, cache=cache)[0] + sigma_k
+            assert f_lo > 0 > f_hi, (n_dim, k, eps)
 
     def test_k1_rejected(self, cache):
         with pytest.raises(DomainError):
@@ -251,11 +255,63 @@ class TestFluxIdentity:
     def test_agrees_with_the_scan_in_few_evaluations(self, n_dim, k, eps, cache, caplog):
         with caplog.at_level(logging.WARNING, logger="henonball"):
             bp = find_bifurcation_alpha(n_dim, eps, k, cache=cache)
-        assert bp.evaluations <= 6 and caplog.records == []
+        assert bp.evaluations <= 4 and caplog.records == []
         search = bifurcation._Search(n_dim, eps, k, None, cache)
         root, others, _, crossed = bifurcation._scan_search(search)
         assert abs(bp.alpha_k_eps - root) <= 1e-8
         assert (bp.unique, bp.exclusion_ok) == (not others, not crossed) == (True, True)
+
+    @pytest.mark.parametrize("n_dim, k, eps", CORNERS)
+    def test_default_search_evaluates_one_point_past_its_iterates(self, n_dim, k, eps,
+                                                                   cache, monkeypatch):
+        # nothing below 2(k-1), where f > 0 follows from the closed form; the
+        # iterates, the last of them the root; then the window end W alone,
+        # above every iterate
+        alphas = []
+        gap = bifurcation.flux_gap
+        monkeypatch.setattr(bifurcation, "flux_gap",
+                            lambda n, e, a, c: alphas.append(a) or gap(n, e, a, c))
+        bp = find_bifurcation_alpha(n_dim, eps, k, cache=cache)
+        *iterates, end = alphas
+        assert min(alphas) == bifurcation_alpha(k) == bp.bracket[0]
+        assert iterates[-1] == bp.alpha_k_eps
+        assert end == bp.bracket[1] > max(iterates)
+        assert bp.evaluations == len(set(iterates)) + 1 == len(alphas)
+
+    # a planted g = 0.51 up to the root 2.2 (shift(5, 0.51) = 0.2), then
+    # rising at `slope` up to 2.4, then flat: the window end is W = 2.4; each
+    # row is a check on [2, W] that fails, so the scan decides on 2 ± 0.9 and
+    # finds the root where g = `g_root`
+    @pytest.mark.parametrize("slope, reason, g_root", [
+        # f(W) = -0.015 < 0 and the window [2, 2.394] fits, but the chord on
+        # [2.2, 2.4] is 2.575 > A/2 = 2.5
+        (2.575, r"g changes faster than A/2 = 2\.5 on \[2\.2.*, 2\.4.*\]", 0.51),
+        # f(W) = 0.07: f rises past 2.2 and crosses near 2.426
+        (3.0, r"lambda1 \+ sigma_2 >= 0 at the window end alpha=2\.4", 1.11),
+    ], ids=["chord-slope", "window-end-sign"])
+    def test_default_window_failure_falls_back_to_the_default_bracket(
+            self, slope, reason, g_root, caplog, monkeypatch):
+        alphas = []
+
+        def planted(n_dim, eps, alpha, cache):
+            alphas.append(alpha)
+            g = 0.51 + slope * min(max(alpha - 2.2, 0.0), 0.2)
+            return g, lambda1_closed(n_dim, alpha) + g
+
+        monkeypatch.setattr(bifurcation, "flux_gap", planted)
+        with caplog.at_level(logging.WARNING, logger="henonball"):
+            bp = find_bifurcation_alpha(3, 0.01, 2)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        message = record.getMessage()
+        assert "bracket=(1.1, 2.9): flux-identity search falls back to the scan: " in message
+        assert re.search(reason + "$", message)
+        assert (min(alphas), max(alphas)) == (1.1, 2.9)
+        assert bp.evaluations >= bifurcation.SCAN_POINTS
+        # Lambda1(alpha) + g_root = -6, i.e. (alpha + 3)^2 = 1 + 4 (6 + g_root)
+        root = math.sqrt(1.0 + 4.0 * (6.0 + g_root)) - 3.0
+        assert abs(bp.alpha_k_eps - root) <= 1e-9 and bp.unique and bp.exclusion_ok
+        assert 1.1 < bp.bracket[0] < root < bp.bracket[1] < 2.9
 
     def test_fallback_returns_the_scan_root(self, cache, caplog, monkeypatch):
         # a bracket that starts above 2(k-1) excludes the search's start point
@@ -278,8 +334,8 @@ class TestFluxIdentity:
 
     def test_fallback_past_an_exclusion_failure(self, caplog):
         # at eps = 6.4 the crossing sits near 2.42 and lambda1 also crosses
-        # -sigma_1 inside the bracket; the search cannot settle that and the
-        # scan decides
+        # -sigma_1 near 1.61, inside the bracket but below 2(k-1); the search
+        # cannot settle that and the scan decides
         with caplog.at_level(logging.WARNING, logger="henonball"):
             bp = find_bifurcation_alpha(3, 6.4, 2, bracket=(1.3, 2.9))
         assert "falls back to the scan" in caplog.records[0].getMessage()
@@ -343,10 +399,22 @@ class TestFluxIdentity:
         assert abs(bp.delta - shift) <= 1e-10 * abs(bp.delta)
 
     def test_inadmissible_bracket_end_is_named(self, cache):
-        # eps = 6.4 needs alpha > (6.4 - 4)/2 = 1.2 at N = 3; the default
-        # bracket starts at 1.1
+        # eps = 6.4 needs alpha > (6.4 - 4)/2 = 1.2 at N = 3
         with pytest.raises(DomainError, match=r"bracket end lo=1\.1.* = 1\.2$"):
-            find_bifurcation_alpha(3, 6.4, 2, cache=cache)
+            find_bifurcation_alpha(3, 6.4, 2, bracket=(1.1, 2.9), cache=cache)
+
+    def test_default_search_starts_at_an_admissible_alpha_k(self, cache):
+        # the edge test reads the default search's lower end 2(k-1), not
+        # 2(k-1) - 0.9 = 1.1: eps = 6.4 is admissible above 1.2, and the
+        # identity certifies the root on [2, W] without the scan
+        bp = find_bifurcation_alpha(3, 6.4, 2, cache=cache)
+        assert abs(bp.alpha_k_eps - 2.4178395191) <= 1e-9 and bp.residual < 1e-6
+        assert bp.unique and bp.exclusion_ok
+        assert bp.bracket[0] == 2.0 and 2.42 < bp.bracket[1] < 3.43
+        assert bp.evaluations <= bifurcation.SEARCH_EVALUATIONS
+        # at eps = 8 the edge is 2(k-1) itself
+        with pytest.raises(DomainError, match=r"bracket end lo=2\.0 is inadmissible.* = 2$"):
+            find_bifurcation_alpha(3, 8.0, 2, cache=cache)
 
     def test_bracket_end_at_the_edge_is_inadmissible(self, cache):
         # lo exactly at the edge, where eps = p_lo - 1: the search refuses it

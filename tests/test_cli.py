@@ -153,7 +153,7 @@ INVALID_PARAMETERS = [
     (["bifurcate", "--N", "3", "--k", "1", "--eps", "0.05"], "k >= 2"),
     (["bifurcate", "--N", "2", "--k", "2", "--eps", "0.05"], "N >= 3"),
     (["bifurcate", *REQUIRED["bifurcate"], "--bracket", "2:1"], "bracket"),
-    (["bifurcate", "--N", "3", "--k", "2", "--eps", "6.4"], "bracket"),
+    (["bifurcate", "--N", "3", "--k", "2", "--eps", "6.4", "--bracket", "1.1:2.9"], "bracket"),
     (["sweep", "--N", "2", "--alpha-grid", "1:2:2", "--eps-list", "0.05"], "N >= 3"),
     (["solve", "--N", "3", "--alpha", "inf", "--eps", "0.05"], "alpha >= 0, got inf"),
     (["solve", "--N", "3", "--alpha", "nan", "--eps", "0.05"], "alpha >= 0, got nan"),
@@ -279,6 +279,16 @@ def test_bifurcate_exits_0_with_a_certified_root(capsys):
     assert row["error"] is None and row["unique"] and row["exclusion_ok"]
     assert abs(row["alpha_k_eps"] - 2.0) < 1e-4
     assert 0.0 <= row["delta"] < 1e-4 and row["alpha_k_eps"] == 2.0 + row["delta"]
+
+
+def test_bifurcate_default_bracket_starts_at_2_k_minus_1(capsys):
+    # exited 2: the lower end 1.1 of the old default bracket 2 ± 0.9 is
+    # inadmissible at eps = 6.4
+    argv = ["bifurcate", "--N", "3", "--k", "2", "--eps", "6.4", "--format", "json"]
+    assert cli.main(argv) == cli.EXIT_OK
+    [row] = json.loads(capsys.readouterr().out)["rows"]
+    assert row["error"] is None and row["unique"] and row["exclusion_ok"]
+    assert row["bracket_lo"] == 2.0 < row["alpha_k_eps"] < row["bracket_hi"]
 
 
 def test_spectrum_json_rows_match_csv(capsys):

@@ -40,6 +40,12 @@ MUTANTS = [
     ("_certify's low-side exclusion drops + G", "bifurcation.py",
      "lambda1_closed(n_dim, lo) + big_g < -sigma_l", "lambda1_closed(n_dim, lo) < -sigma_l",
      [PLANTED + "[exclusion-below]"]),
+    ("the window end is not padded (2·shift(G) becomes shift(G))", "bifurcation.py",
+     "max(2.0 * _shift(search.a_lin, big_g), 0.05)", "max(_shift(search.a_lin, big_g), 0.05)",
+     [BIF + "TestFluxIdentity::test_default_window_failure_falls_back_to_the_default_bracket"]),
+    ("the default search evaluates α_k - 0.9", "bifurcation.py",
+     "search.lo = search.alpha_k\n", "search.lo = search.alpha_k - 0.9\n",
+     [BIF + "TestFluxIdentity::test_default_search_evaluates_one_point_past_its_iterates"]),
     ("the bracket edge test is lo < edge", "bifurcation.py", "if lo <= edge:",
      "if lo < edge:", [BIF + "TestFluxIdentity::test_bracket_end_at_the_edge_is_inadmissible"]),
     ("index_invariant = 1 + Σ_{k≥1} n_k", "bifurcation.py",
