@@ -26,15 +26,15 @@ pencil's Λ₁^ε is biased by about 1e-9.  The 32-point scan of Λ₁^ε plus
 Brent's method, on the same samples, decides what the identity's
 certificates cannot settle; `find_bifurcation_alpha` reports either root.
 
-One α-evaluation is one `flux_gap`: a Dirichlet shoot; one evaluation of
-(u, u') on the fine grid of the N_POINTS/2·N_POINTS pair with r = 1 appended,
-which gives u'(1) and the q and guess z of the pencils of
-`spectral.pencil_pair`, z being also the identity's z; and the lowest
-eigenpair of each pencil by shifted inverse iteration at Λ₁(α), started from
-that z.  Profiles and `flux_gap` results are memoized in a SolverCache keyed
-by the exact parameters: the one passed as `cache=`, or else a fresh one that
-lives only as long as the call.  The grid pairs of the last two (N, N_POINTS) are kept
-in the process (`SolverCache.grids`).
+One α-evaluation is one `flux_gap`: a Dirichlet shoot; one `SLProblem.read`
+(one evaluation of (u, u')) on the fine grid of the N_POINTS/2·N_POINTS pair
+with r = 1 appended, which gives u'(1) = z(1) and the q and guess z of the
+pencils of `spectral.pencil_pair`, z being also the identity's z; and the
+lowest eigenpair of each pencil by shifted inverse iteration at Λ₁(α),
+started from that z.  Profiles and `flux_gap` results are memoized in a
+SolverCache keyed by the exact parameters: the one passed as `cache=`, or
+else a fresh one that lives only as long as the call.  The grid pairs of the
+last two (N, N_POINTS) are kept in the process (`SolverCache.grids`).
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -174,21 +173,21 @@ def flux_gap(
     (4·fine - coarse)/3 cancels all of the leading error of g, and
     ∫₀¹ r^(N-3) φ z dr is the pencil's own weight matrix applied to φ z,
     which is the trapezoid rule on [0, grid, 1].  The profile is read once,
-    (u, u') on the fine grid with r = 1 appended: u'(1) is the last entry,
-    and the pair is built from the rest (`spectral.pencil_pair`), q and
-    z = r^(-α/2) u' on the fine nodes, the coarse pencil taking every other
-    one.  The z of the overlap is each pencil's guess for `pair(1)`,
-    `shifts[0]`.  The pencils are assembled on `cache.grids(n_dim)`, the
-    grids of `spectral.pencil_pair`.  The result is memoized in `cache`."""
+    one `SLProblem.read` of q and z = r^(-α/2) u' on the fine grid with
+    r = 1 appended: u'(1) is z's last entry, exactly, since 1^(-α/2) = 1,
+    and the pair is built from the rest (`spectral.pencil_pair`), the coarse
+    pencil taking every other node.  The z of the overlap is each pencil's
+    guess for `pair(1)`, `shifts[0]`.  The pencils are assembled on
+    `cache.grids(n_dim)`, the grids of `spectral.pencil_pair`.  The result
+    is memoized in `cache`."""
     cache = cache or SolverCache()
     key = (n_dim, alpha, eps)
     if key not in cache._gaps:
-        profile = cache.profile(n_dim, alpha, eps)
         grids = cache.grids(n_dim)
-        u, du = profile.evaluate(np.append(grids[1].r, 1.0))
-        u, du, du1 = u[:-1], du[:-1], du[-1]
-        fine_u = SimpleNamespace(params=profile.params, evaluate=lambda r: (u, du))
-        pencils = spectral._pencils_on(SLProblem.from_profile(fine_u), grids)
+        problem = SLProblem.from_profile(cache.profile(n_dim, alpha, eps))
+        q, ((sigma, z),) = problem.read(np.append(grids[1].r, 1.0))
+        du1 = z[-1]   # u'(1), since 1^(-α/2) = 1
+        pencils = spectral._pencils_on(grids, q[:-1], ((sigma, z[:-1]),))
         values = []
         for pencil in pencils:
             lam, phi = pencil.pair(1)
@@ -235,9 +234,10 @@ class _Fallback(Exception):
 class _Search(dict):
     """One root search: N, ε, k (checked by `sphere_eigen`, kept as an int),
     its constants σ_k, α_k = 2(k-1) and A = N + 2k - 2, the bracket (default
-    α_k ± 0.9, where the default search's scan runs), the ends [lo, hi] the
-    search works in, and (g, Λ₁^ε) by α, read from `flux_gap` on first use,
-    so len() counts the distinct α-values the search evaluated."""
+    [α_k, α_k + 0.9]: no root lies below α_k, where g ≥ 0 puts f ≥ 0), the
+    ends [lo, hi] the search works in, and (g, Λ₁^ε) by α, read from
+    `flux_gap` on first use, so len() counts the distinct α-values the
+    search evaluated."""
 
     def __init__(self, n_dim: int, eps: float, k: int, bracket: tuple | None, cache: SolverCache):
         super().__init__()
@@ -246,7 +246,7 @@ class _Search(dict):
         self.alpha_k = bifurcation_alpha(self.k)
         self.a_lin = n_dim + self.alpha_k
         if bracket is None:
-            bracket = (self.alpha_k - 0.9, self.alpha_k + 0.9)
+            bracket = (self.alpha_k, self.alpha_k + 0.9)
         self.bracket = bracket
         self.lo, self.hi = bracket
 
@@ -327,7 +327,8 @@ def find_bifurcation_alpha(
     8 g-evaluations, the default's f(W) is not negative, or a certificate can
     be neither met nor refuted, a WARNING on the "henonball" logger gives the
     reason and the scan decides.  A default search first takes the bracket
-    2(k-1) ± 0.9 and checks it as an explicit one.  32 samples of f locate
+    [2(k-1), 2(k-1) + 0.9], no root lying below 2(k-1), and checks it as an
+    explicit one, the pencil's f(2(k-1)) included.  32 samples of f locate
     its sign changes, Brent's method pins each root to
     1e-10 + 8.9e-16·|α|, and the same samples decide `unique` and
     `exclusion_ok`, whose warnings (the other roots, each crossed -σ_l) the
@@ -336,17 +337,17 @@ def find_bifurcation_alpha(
 
     k may be an integral float, as in `sphere_eigen`.  A bracket end
     lo ≤ ((N-2)ε - 4)/2, where ε ≥ p_lo - 1, is a DomainError; the default
-    search tests 2(k-1), and 2(k-1) - 0.9 only when it falls back.  So at
+    search tests 2(k-1), its lower end also when it falls back.  So at
     (N, ε, k) = (3, 6.4, 2) the default search certifies α ≈ 2.41784 on
     [2, 3.43], while on the explicit bracket (1.3, 2.9) the scan decides and
     reports `exclusion_ok` False: Λ₁^ε crosses -σ₁ near α = 1.61, inside that
-    bracket but below 2(k-1), outside the window."""
+    bracket but below 2(k-1), outside the window.  At (4, 4.8, 3) the
+    iterates leave 4.9 and the scan on [4, 4.9] returns α ≈ 4.82680 with
+    `exclusion_ok` True, clear of the crossings with -σ₁ and -σ₂ below 4."""
     if k < 2:
         raise DomainError("bifurcation search needs k >= 2: k = 1 is not supported yet")
     search = _Search(n_dim, eps, k, bracket, cache or SolverCache())
     if bracket is None:
-        # f > 0 below 2(k-1) follows from the closed form and g >= 0
-        search.lo = search.alpha_k
         search.admit()
     else:
         search.straddle()

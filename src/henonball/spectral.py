@@ -10,7 +10,7 @@ the nodes for one N with everything the stencil takes from the grid alone
 (flux, cell widths, weights), built once and read-only; `RadialGrid.pencil`
 adds the q-dependent diagonal and is the one assembly routine, behind
 `assemble_pencil` (one grid) and `pencil_pair` (the coarse/fine pair of a
-two-grid solve, from one read of the problem on the fine nodes, the coarse
+two-grid solve, from one `SLProblem.read` on the fine nodes, the coarse
 grid being the fine one's `coarsen()`).  Both pencil matrices are symmetric
 tridiagonal (the weight matrix diagonal).  The purely radial (k = 0)
 linearization needs no pencil of its own: by Sylvester's law its
@@ -21,13 +21,13 @@ certificate routine: an inertia certificate from the pencil's own count
 (`Pencil.count`: the nonpositive pivots of the LDLᵀ factorization of A - xB
 from LAPACK's pttrf, one O(n) pass plus one pttrf call per eigenvalue
 counted) and, for an eigenvector, a node-count certificate.  A problem may
-carry closed-form `shifts`, each a pair (σ_j, guess_j): a value near Λ_j and
-a guess of its eigenvector.  They are Λ₁(α) and z = r^(-α/2) u' for the unit
-ball, whose Λ₁^ε lies just above Λ₁(α), and Λ₁(α) and 0 with the
-entire-space first eigenfunction and dilation kernel for the truncated
-limit problem.  Pair j ≤ len(shifts) comes from shifted inverse iteration
-with O(n) tridiagonal solves (`Pencil.pair`), started from the guess, which
-each pencil holds evaluated on its nodes.  The
+carry closed-form `shifts` σ_j, values near Λ_j, and its `sample` gives a
+guess of the j-th eigenvector with q in one call.  They are Λ₁(α) with
+z = r^(-α/2) u' for the unit ball, whose Λ₁^ε lies just above Λ₁(α), and
+Λ₁(α) and 0 with the entire-space first eigenfunction and dilation kernel
+for the truncated limit problem.  Pair j ≤ len(shifts) comes from shifted
+inverse iteration with O(n) tridiagonal solves (`Pencil.pair`), started
+from the guess, which each pencil holds as a vector on its nodes.  The
 other pairs, every pair of a problem without shifts (the expanding ball)
 and a shifted pair that fails its certificate come from LAPACK's bisection
 and inverse iteration through one
@@ -106,59 +106,55 @@ _SHIFTED_SOLVES = 8
 # Pencil.pair stops once its residual is within this many ulps of the terms
 # it sums; the roundoff floor measured 0.2-0.6 ulps on 750 to 12000 nodes
 _RESIDUAL_ULPS = 4.0
-# the shifts (σ_j, guess_j) of a problem, guess_j a function (see SLProblem),
-# and of a pencil, guess_j a vector on its nodes (see Pencil)
-_Shifts = tuple[tuple[float, Callable[[np.ndarray], np.ndarray]], ...]
-_Guesses = tuple[tuple[float, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
 class SLProblem:
     """Potential q ≥ 0 on (0, r_end) for the r^-2-weighted problem above.
 
-    `q` takes a 1-D array of radii and returns q there, an array of the same
-    size.  `shifts[j-1]` is a pair (σ_j, guess_j): a closed-form value near
-    Λ_j, and a function that takes a pencil's nodes and returns a
-    closed-form guess of the j-th eigenvector there.  Every pencil of the
-    problem takes them with each guess evaluated on its nodes, and its j-th
-    pair for j ≤ len(shifts) comes from `Pencil.pair(j)`, which starts from
-    that guess."""
+    `sample` takes a 1-D array of radii r and returns (q, guesses) from one
+    call: q at r, an array of the same size, and one array per shift, the
+    closed-form guess of the j-th eigenvector at r.  `shifts[j-1]` is σ_j, a
+    closed-form value near Λ_j.  Every pencil of the problem takes the pairs
+    (σ_j, guess_j on its nodes) of `read`, and its j-th pair for
+    j ≤ len(shifts) comes from `Pencil.pair(j)`, which starts from that
+    guess."""
 
     n_dim: int
     r_end: float
-    q: Callable[[np.ndarray], np.ndarray]
-    shifts: _Shifts = ()
+    sample: Callable[[np.ndarray], tuple[np.ndarray, Sequence[np.ndarray]]]
+    shifts: tuple[float, ...] = ()
+
+    def read(self, r: np.ndarray) -> tuple[np.ndarray, tuple[tuple[float, np.ndarray], ...]]:
+        """(q, ((σ_j, guess_j), …)) at the radii r, as float arrays, from one
+        `sample` call.  A sample that gives a guess count other than
+        len(shifts) raises DomainError naming both counts."""
+        q, guesses = self.sample(r)
+        if len(guesses) != len(self.shifts):
+            raise DomainError(f"sample gave {len(guesses)} guesses for "
+                              f"{len(self.shifts)} shifts")
+        return np.asarray(q, dtype=float), tuple(
+            (sigma, np.asarray(guess, dtype=float)) for sigma, guess in zip(self.shifts, guesses))
 
     @staticmethod
     def from_profile(profile: RadialProfile) -> "SLProblem":
         """Unit-ball form: q(r) = (p_α-ε) r^α u^(p_α-1-ε)(r), u read from
-        the pair (u, u') of `profile.evaluate` (anything with RadialProfile's
-        `params` and that `evaluate` serves).  Its one shift is the
+        the pair (u, u') of `profile.evaluate`.  Its one shift is the
         closed-form limit value Λ₁(α) = -(α+2)(2N+α-2)/4: Λ₁^ε(α) - Λ₁(α) is
         the boundary-flux gap g ≥ 0 (see `bifurcation`), so Λ₁^ε lies just
         above it.  Its guess is z = r^(-α/2) u', which solves the eigen
         equation at Λ₁(α) and fails only the Dirichlet condition at r = 1.
-        q and z share one read: the problem keeps the last (u, u') that
-        `profile.evaluate` gave and serves it again for the same array of
-        radii if that array was read-only then and still is, as a
-        `RadialGrid`'s nodes are, so z on a pencil costs no read of its own."""
+        Each `sample` call reads the profile once, with one
+        `profile.evaluate(r)`, and forms q and z from that read."""
         pr = profile.params
         expn = pr.p_alpha - 1.0 - pr.eps
-        last: list = [None, None, None]   # r, u, u' of the last read
 
-        def read(r):
-            if last[0] is not r or r.flags.writeable:
-                last[:] = (None if r.flags.writeable else r), *profile.evaluate(r)
-            return last[1], last[2]
+        def sample(r):
+            u, du = profile.evaluate(r)
+            q = pr.p * r**pr.alpha * np.clip(u, 0.0, None)**expn
+            return q, (r ** (-pr.alpha / 2.0) * du,)
 
-        def q(r):
-            u = np.clip(read(r)[0], 0.0, None)
-            return pr.p * r**pr.alpha * u**expn
-
-        def z(r):
-            return r ** (-pr.alpha / 2.0) * read(r)[1]
-
-        return SLProblem(pr.n_dim, 1.0, q, shifts=((lambda1_closed(pr.n_dim, pr.alpha), z),))
+        return SLProblem(pr.n_dim, 1.0, sample, shifts=(lambda1_closed(pr.n_dim, pr.alpha),))
 
     @staticmethod
     def from_rescaled(rescaled: rescaling.RescaledProfile) -> "SLProblem":
@@ -167,11 +163,11 @@ class SLProblem:
         expn = pr.p_alpha - 1.0 - pr.eps
         c = pr.henon_c
 
-        def q(r):
+        def sample(r):
             w = np.clip(rescaled.evaluate(r)[0], 0.0, None)
-            return pr.p * c * r**pr.alpha * w**expn
+            return pr.p * c * r**pr.alpha * w**expn, ()
 
-        return SLProblem(pr.n_dim, rescaled.rho_eps, q)
+        return SLProblem(pr.n_dim, rescaled.rho_eps, sample)
 
 
 def limit_problem(n_dim: int, alpha: float, r_trunc: float = 1e3) -> SLProblem:
@@ -179,27 +175,21 @@ def limit_problem(n_dim: int, alpha: float, r_trunc: float = 1e3) -> SLProblem:
 
     Its shifts are the entire-space values Λ₁(α) = -(α+2)(2N+α-2)/4 and
     Λ₂ = 0 (the bubble's dilation kernel), which the truncation moves only
-    slightly, each with its entire-space eigenfunction as the guess: the first,
-    `closedform.first_eigenfunction_closed`, and the dilation kernel
-    (1 - x²)/(1 + x²)^((N+α)/(2+α)), x² = (λr)^(2+α)."""
+    slightly, and `sample` gives each one's entire-space eigenfunction as
+    its guess: the first, `closedform.first_eigenfunction_closed`, and the
+    dilation kernel (1 - x²)/(1 + x²)^((N+α)/(2+α)), x² = (λr)^(2+α)."""
     p_alpha = threshold_exponent(n_dim, alpha)
     c = henon_constant(n_dim, alpha)
     lam = limit_lambda(n_dim, alpha)
 
-    def q(r):
+    def sample(r):
         r = np.asarray(r, dtype=float)
-        x = (lam * r) ** (2.0 + alpha)
-        return p_alpha * c * lam ** (2.0 + alpha) * r**alpha / (1.0 + x) ** 2
-
-    def phi1(r):
-        return first_eigenfunction_closed(r, lam, n_dim, alpha)
-
-    def kernel(r):
         x2 = (lam * r) ** (2.0 + alpha)
-        return (1.0 - x2) / (1.0 + x2) ** ((n_dim + alpha) / (2.0 + alpha))
+        q = p_alpha * c * lam ** (2.0 + alpha) * r**alpha / (1.0 + x2) ** 2
+        kernel = (1.0 - x2) / (1.0 + x2) ** ((n_dim + alpha) / (2.0 + alpha))
+        return q, (first_eigenfunction_closed(r, lam, n_dim, alpha), kernel)
 
-    return SLProblem(n_dim, float(r_trunc), q,
-                     shifts=((lambda1_closed(n_dim, alpha), phi1), (0.0, kernel)))
+    return SLProblem(n_dim, float(r_trunc), sample, shifts=(lambda1_closed(n_dim, alpha), 0.0))
 
 
 def default_spectral_grid(r_end: float, n_points: int = 2000) -> np.ndarray:
@@ -304,7 +294,7 @@ class RadialGrid:
         halves exactly."""
         return RadialGrid(self.n_dim, self.r_end, self.r[::2])
 
-    def pencil(self, qv, shifts: _Guesses = ()) -> "Pencil":
+    def pencil(self, qv, shifts: tuple[tuple[float, np.ndarray], ...] = ()) -> "Pencil":
         """The pencil of -(r^(N-1) z')' - r^(N-1) q z = Λ r^(N-3) z on this
         grid, with q = qv at the nodes and the given shifts, their guesses
         evaluated on the nodes (see `Pencil`): the diagonal
@@ -333,7 +323,7 @@ class Pencil:
     `count` eigenvalues, and eigenvectors with the latter, from one ladder:
     1. pair j ≤ len(shifts) from shifted inverse iteration (`pair`) at
        (σ_j, guess_j) = `shifts[j-1]`, the problem's closed-form value near
-       Λ_j and its eigenvector guess (`SLProblem.shifts`) evaluated on `grid`;
+       Λ_j and its eigenvector guess on `grid` (`SLProblem.read`);
     2. the other pairs, and a shifted pair that fails its certificates, from
        one stebz call on T = B^-1/2 A B^-1/2 over the index range they span,
        with stein's vectors when vectors are asked for (`_stebz`);
@@ -349,7 +339,7 @@ class Pencil:
     a_diag: np.ndarray
     a_off: np.ndarray
     b_diag: np.ndarray
-    shifts: _Guesses = ()
+    shifts: tuple[tuple[float, np.ndarray], ...] = ()
 
     @property
     def n(self) -> int:
@@ -610,8 +600,8 @@ def node_count(z: np.ndarray) -> int:
 def assemble_pencil(problem: SLProblem, grid: np.ndarray | RadialGrid) -> Pencil:
     """Conservative three-point discretization of
     -(r^(N-1) z')' - r^(N-1) q z = Λ r^(N-3) z on the given interior grid,
-    with Dirichlet values at both domain ends.  The pencil takes the
-    problem's shifts, each guess evaluated on the grid's nodes.
+    with Dirichlet values at both domain ends, from one `problem.read` of q
+    and the guesses on the grid's nodes.
 
     `grid` is an array of interior nodes, finite and strictly increasing
     inside (0, r_end), at least 3 of them, whose stencil geometry is built
@@ -626,33 +616,27 @@ def assemble_pencil(problem: SLProblem, grid: np.ndarray | RadialGrid) -> Pencil
             f"grid built for N={grid.n_dim}, r_end={grid.r_end!r}, "
             f"problem has N={problem.n_dim}, r_end={problem.r_end!r}"
         )
-    return grid.pencil(problem.q(grid.r), _guesses(problem, grid.r))
-
-
-def _guesses(problem: SLProblem, r: np.ndarray) -> _Guesses:
-    """The problem's shifts with each guess evaluated at the nodes r."""
-    return tuple((sigma, np.asarray(guess(r), dtype=float)) for sigma, guess in problem.shifts)
+    return grid.pencil(*problem.read(grid.r))
 
 
 def pencil_pair(problem: SLProblem, n_points: int) -> tuple[Pencil, Pencil]:
     """The (coarse, fine) pencils of a two-grid solve, each equal to
     `assemble_pencil` on `default_spectral_grid(r_end, n)` for n = n_points
-    and 2·n_points, from one `problem.q` call and one evaluation of each
-    guess on the fine grid.  Both `RadialGrid`s are built on every call: the
-    fine one by `RadialGrid.log_uniform`, the coarse one as its `coarsen()`."""
+    and 2·n_points, from one `problem.read` on the fine grid.  Both
+    `RadialGrid`s are built on every call: the fine one by
+    `RadialGrid.log_uniform`, the coarse one as its `coarsen()`."""
     fine = RadialGrid.log_uniform(problem.n_dim, problem.r_end, 2 * _node_count(n_points))
-    return _pencils_on(problem, (fine.coarsen(), fine))
+    return _pencils_on((fine.coarsen(), fine), *problem.read(fine.r))
 
 
-def _pencils_on(problem: SLProblem, grids: tuple[RadialGrid, RadialGrid]) -> tuple[Pencil, Pencil]:
+def _pencils_on(grids: tuple[RadialGrid, RadialGrid], qv: np.ndarray,
+                shifts: tuple[tuple[float, np.ndarray], ...]) -> tuple[Pencil, Pencil]:
     """The pencils of `pencil_pair` on a (coarse, fine) pair whose coarse
-    grid is the fine one's `coarsen()`, from one read of the problem on the
-    fine nodes; the coarse pencil takes every other entry, its guesses as
-    contiguous copies, since `np.dot` (`flux_gap`) sums a strided view in
-    another order."""
+    grid is the fine one's `coarsen()`, from the fine sample: q and the
+    shifts (σ_j, guess_j) of `SLProblem.read` on the fine nodes.  The coarse
+    pencil takes every other entry, its guesses as contiguous copies, since
+    `np.dot` (`flux_gap`) sums a strided view in another order."""
     coarse, fine = grids
-    qv = np.asarray(problem.q(fine.r), dtype=float)
-    shifts = _guesses(problem, fine.r)
     fine_pencil = fine.pencil(qv, shifts)   # checks every q read
     return coarse.pencil(qv[::2], tuple((s, g[::2].copy()) for s, g in shifts)), fine_pencil
 
@@ -740,7 +724,7 @@ def prufer_eigen(problem: SLProblem, j: int, bracket: tuple[float, float]) -> fl
     A shot that the Fortran code abandons raises NumericsError with its
     return code.
 
-    V is tabulated once per call, with one array call of `problem.q`, on a
+    V is tabulated once per call, from the q of one `problem.sample` call, on a
     uniform grid in t from log 1e-7 to log r_end with spacing at most
     PRUFER_DT = 1e-3 (~16k nodes on the unit ball), and the right-hand side
     evaluates the cubic spline of that table.  A table with a non-finite
@@ -763,7 +747,7 @@ def prufer_eigen(problem: SLProblem, j: int, bracket: tuple[float, float]) -> fl
     cells = math.ceil((t1 - t0) / PRUFER_DT)
     nodes = np.linspace(t0, t1, cells + 1)
     r = np.exp(nodes)
-    v_tab = r * r * np.asarray(problem.q(r), dtype=float)
+    v_tab = r * r * np.asarray(problem.sample(r)[0], dtype=float)
     bad = ~np.isfinite(v_tab)
     if np.any(bad):
         raise DomainError(

@@ -280,7 +280,7 @@ class TestFluxIdentity:
 
     # a planted g = 0.51 up to the root 2.2 (shift(5, 0.51) = 0.2), then
     # rising at `slope` up to 2.4, then flat: the window end is W = 2.4; each
-    # row is a check on [2, W] that fails, so the scan decides on 2 ± 0.9 and
+    # row is a check on [2, W] that fails, so the scan decides on [2, 2.9] and
     # finds the root where g = `g_root`
     @pytest.mark.parametrize("slope, reason, g_root", [
         # f(W) = -0.015 < 0 and the window [2, 2.394] fits, but the chord on
@@ -304,14 +304,33 @@ class TestFluxIdentity:
         [record] = caplog.records
         assert record.levelno == logging.WARNING
         message = record.getMessage()
-        assert "bracket=(1.1, 2.9): flux-identity search falls back to the scan: " in message
+        assert "bracket=(2.0, 2.9): flux-identity search falls back to the scan: " in message
         assert re.search(reason + "$", message)
-        assert (min(alphas), max(alphas)) == (1.1, 2.9)
+        assert (min(alphas), max(alphas)) == (2.0, 2.9)
         assert bp.evaluations >= bifurcation.SCAN_POINTS
         # Lambda1(alpha) + g_root = -6, i.e. (alpha + 3)^2 = 1 + 4 (6 + g_root)
         root = math.sqrt(1.0 + 4.0 * (6.0 + g_root)) - 3.0
         assert abs(bp.alpha_k_eps - root) <= 1e-9 and bp.unique and bp.exclusion_ok
-        assert 1.1 < bp.bracket[0] < root < bp.bracket[1] < 2.9
+        assert 2.0 < bp.bracket[0] < root < bp.bracket[1] < 2.9
+
+    # the iterates leave 2(k-1) + 0.9, and the scan on [2(k-1), 2(k-1) + 0.9]
+    # decides as on that explicit bracket; from 2(k-1) - 0.9 it raised a
+    # DomainError at (3, 7.9, 2), where 1.1 is inadmissible, and at
+    # (4, 4.8, 3) it spanned the crossings with -sigma_1 and -sigma_2 below 4
+    @pytest.mark.parametrize("n_dim, eps, k, root, exclusion_ok", [
+        (3, 7.9, 2, 2.8700665824, False), (4, 4.8, 3, 4.8267952751, True)])
+    def test_default_fallback_scans_from_2_k_minus_1(self, n_dim, eps, k, root, exclusion_ok,
+                                                     cache, caplog):
+        lo, hi = bifurcation_alpha(k), bifurcation_alpha(k) + 0.9
+        with caplog.at_level(logging.WARNING, logger="henonball"):
+            bp = find_bifurcation_alpha(n_dim, eps, k, cache=cache)
+        [fallback] = [m for m in map(logging.LogRecord.getMessage, caplog.records)
+                      if "falls back to the scan" in m]
+        assert f"bracket={(lo, hi)!r}: " in fallback
+        assert abs(bp.alpha_k_eps - root) <= 1e-9 and bp.residual < 1e-6
+        assert bp.unique and bp.exclusion_ok == exclusion_ok
+        assert lo < bp.bracket[0] < bp.alpha_k_eps < bp.bracket[1] < hi
+        assert find_bifurcation_alpha(n_dim, eps, k, bracket=(lo, hi), cache=cache) == bp
 
     def test_fallback_returns_the_scan_root(self, cache, caplog, monkeypatch):
         # a bracket that starts above 2(k-1) excludes the search's start point
@@ -372,14 +391,15 @@ class TestFluxIdentity:
 
     def test_scan_reports_every_root(self, caplog, monkeypatch):
         # a planted f = -(α - 1.5)(α - 2.2)(α - 2.6) with sign changes at all
-        # three roots; g = 10 sends the search out of the bracket, so the
-        # scan decides and reports 2.2, the root nearest 2(k-1) = 2
+        # three roots in the bracket (1.1, 2.9); g = 10 sends the search out
+        # of it, so the scan decides and reports 2.2, the root nearest
+        # 2(k-1) = 2
         def planted(n_dim, eps, alpha, cache):
             return 10.0, -6.0 - (alpha - 1.5) * (alpha - 2.2) * (alpha - 2.6)
 
         monkeypatch.setattr(bifurcation, "flux_gap", planted)
         with caplog.at_level(logging.WARNING, logger="henonball"):
-            bp = find_bifurcation_alpha(3, 0.01, 2)
+            bp = find_bifurcation_alpha(3, 0.01, 2, bracket=(1.1, 2.9))
         assert not bp.unique and bp.exclusion_ok
         assert abs(bp.alpha_k_eps - 2.2) <= 1e-9
         alphas = np.linspace(1.1, 2.9, bifurcation.SCAN_POINTS).tolist()

@@ -291,6 +291,17 @@ def test_bifurcate_default_bracket_starts_at_2_k_minus_1(capsys):
     assert row["bracket_lo"] == 2.0 < row["alpha_k_eps"] < row["bracket_hi"]
 
 
+def test_bifurcate_default_fallback_scans_from_2_k_minus_1(capsys):
+    # exited 2: the default search's fallback scanned 2 ± 0.9, and 1.1 is
+    # inadmissible at eps = 7.9; the scan on [2, 2.9] reports the root
+    argv = ["bifurcate", "--N", "3", "--k", "2", "--eps", "7.9", "--format", "json"]
+    assert cli.main(argv) == cli.EXIT_OK
+    [row] = json.loads(capsys.readouterr().out)["rows"]
+    assert row["error"] is None and row["unique"] and not row["exclusion_ok"]
+    assert abs(row["alpha_k_eps"] - 2.8700665824) <= 1e-9
+    assert 2.0 < row["bracket_lo"] < row["alpha_k_eps"] < row["bracket_hi"] < 2.9
+
+
 def test_spectrum_json_rows_match_csv(capsys):
     argv = ["spectrum", *POINT, "--count", "2", "--grid-points", "400"]
     assert cli.main(argv) == cli.EXIT_OK

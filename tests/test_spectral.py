@@ -41,7 +41,13 @@ from henonball.spectral import (
 
 
 def zero_potential(r):
-    return np.zeros_like(np.asarray(r, dtype=float))
+    """The sample of q = 0 with no shifts."""
+    return np.zeros_like(np.asarray(r, dtype=float)), ()
+
+
+def constant_potential(value):
+    """The sample of q = value with no shifts."""
+    return lambda r: (np.full(np.shape(r), value), ())
 
 
 @pytest.fixture(scope="module")
@@ -115,12 +121,12 @@ class TestAssembly:
         grid = default_spectral_grid(1.0, 100)
         bad_r = grid[40]
 
-        def q(r):
+        def sample(r):
             out = np.zeros_like(r)
             out[r == bad_r] = np.nan
-            return out
+            return out, ()
 
-        problem = SLProblem(3, 1.0, q)
+        problem = SLProblem(3, 1.0, sample)
         message = f"not finite at 1 of 100 grid nodes, the first at r = {bad_r:.6g}"
         with pytest.raises(DomainError, match=message):
             assemble_pencil(problem, grid)
@@ -148,9 +154,10 @@ class TestAssembly:
             "expanding": lambda: SLProblem.from_rescaled(rescale(profile_3_2_005)),
         }[kind]()
         reads = []
-        spied = replace(problem, q=lambda r: reads.append(r.size) or problem.q(r))
+        spied = replace(problem, sample=lambda r: reads.append(r.size) or problem.sample(r))
         if kind == "ball-cache":
-            pair = spectral._pencils_on(spied, SolverCache().grids(3))
+            grids = SolverCache().grids(3)
+            pair = spectral._pencils_on(grids, *spied.read(grids[1].r))
         else:
             pair = spectral.pencil_pair(spied, n)
         assert reads == [2 * n]
@@ -469,11 +476,11 @@ class TestLowestPair:
             assert abs(lam - ref[0]) <= 1e-10 and node_count(phi) == 0
 
     def test_guess_is_evaluated_once_on_the_fine_nodes(self, ball_problem):
-        # assembling a pair evaluates each guess once, on the fine nodes,
-        # a single pencil once on its nodes, and pair evaluates none
+        # assembling a pair samples q and each guess once, on the fine nodes,
+        # a single pencil once on its nodes, and pair samples none
         reads = []
-        [(shift, z)] = ball_problem.shifts
-        problem = replace(ball_problem, shifts=((shift, lambda r: reads.append(r.size) or z(r)),))
+        problem = replace(ball_problem,
+                          sample=lambda r: reads.append(r.size) or ball_problem.sample(r))
         pencils = [*spectral.pencil_pair(problem, 150),
                    assemble_pencil(problem, default_spectral_grid(1.0, 200))]
         assert reads == [300, 200]
@@ -496,24 +503,37 @@ class TestLowestPair:
         assert reads == [300]
 
     def test_writable_radii_are_read_again(self, profile_3_2_005, monkeypatch):
-        # a read is served again only for the same array, read-only when it
-        # was read and still: radii written in place between two calls of q
-        # are read anew, also when they are made read-only after the write
+        # each sample call reads the profile afresh: radii written in place
+        # between two calls are read anew, also when they are made read-only
+        # after the write
         reads, evaluate = [], type(profile_3_2_005).evaluate
         monkeypatch.setattr(type(profile_3_2_005), "evaluate",
                             lambda self, r: reads.append(r.size) or evaluate(self, r))
-        q = SLProblem.from_profile(profile_3_2_005).q
+        sample = SLProblem.from_profile(profile_3_2_005).sample
         r = default_spectral_grid(1.0, 300)
-        q(r)
+        sample(r)
         r *= 0.5
-        q_half = q(r)
+        q_half = sample(r)[0]
         r *= 0.5
         r.flags.writeable = False
-        q_quarter = q(r)
+        q_quarter = sample(r)[0]
         assert reads == [300, 300, 300]
-        fresh = SLProblem.from_profile(profile_3_2_005).q
-        assert q_half.tobytes() == fresh(2.0 * r).tobytes()
-        assert q_quarter.tobytes() == fresh(r).tobytes()
+        fresh = SLProblem.from_profile(profile_3_2_005).sample
+        assert q_half.tobytes() == fresh(2.0 * r)[0].tobytes()
+        assert q_quarter.tobytes() == fresh(r)[0].tobytes()
+
+    @pytest.mark.parametrize("guesses", [0, 2])
+    def test_guess_count_must_match_the_shifts(self, ball_problem, guesses):
+        # a bare zip would drop the one shift, or the second guess
+        def sample(r):
+            return ball_problem.sample(r)[0], (np.ones(r.size),) * guesses
+
+        problem = replace(ball_problem, sample=sample)
+        message = f"sample gave {guesses} guesses for 1 shifts"
+        with pytest.raises(DomainError, match=message):
+            assemble_pencil(problem, default_spectral_grid(1.0, 300))
+        with pytest.raises(DomainError, match=message):
+            spectral.pencil_pair(problem, 150)
 
     def test_singular_solve_falls_back(self, ball_problem, caplog, monkeypatch):
         pen = assemble_pencil(ball_problem, default_spectral_grid(1.0, 300))
@@ -855,7 +875,7 @@ class TestPrufer:
         # problem with Λ₁ = -2 and no interior node.  V = k²r² peaks at
         # r_end, so the matching point is clamped one node inside it.
         k = brentq(lambda x: math.sin(x) - x * math.cos(x), 4.0, 4.6)
-        prob = SLProblem(3, 1.0, lambda r: np.full(np.shape(r), k * k))
+        prob = SLProblem(3, 1.0, constant_potential(k * k))
         assert abs(prufer_eigen(prob, 1, (-2.05, -1.95)) + 2.0) < 1e-9
 
     def test_integrations_stop_at_the_matching_point(self, ball_problem, monkeypatch):
@@ -873,7 +893,7 @@ class TestPrufer:
         t0, t1 = math.log(1e-7), 0.0
         nodes = np.linspace(t0, t1, math.ceil((t1 - t0) / spectral.PRUFER_DT) + 1)
         r = np.exp(nodes)
-        t_m = nodes[np.argmax(r * r * ball_problem.q(r))]
+        t_m = nodes[np.argmax(r * r * ball_problem.sample(r)[0])]
         assert t0 < t_m < t1
         assert 2 <= len(spans) <= 20
         assert all(end == t_m for _, end, _ in spans)
@@ -903,7 +923,7 @@ class TestPrufer:
 
     def test_abandoned_integration_is_a_numerics_error(self):
         # θ' ~ 1e200: the Fortran code stops at once, step size too small
-        prob = SLProblem(3, 1.0, lambda r: np.full(np.shape(r), 1e200))
+        prob = SLProblem(3, 1.0, constant_potential(1e200))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(NumericsError, match="Prüfer integration failed.*-3"):
@@ -911,13 +931,13 @@ class TestPrufer:
         assert caught == []
 
     def test_non_finite_potential_is_named(self):
-        def q(r):
+        def sample(r):
             out = np.ones_like(np.asarray(r, dtype=float))
             out[100] = np.nan
-            return out
+            return out, ()
 
         with pytest.raises(DomainError, match="potential table .* not finite at 1 of"):
-            prufer_eigen(SLProblem(3, 1.0, q), 1, (-2.05, -1.95))
+            prufer_eigen(SLProblem(3, 1.0, sample), 1, (-2.05, -1.95))
 
     def test_oscillation_count_monotone(self):
         # the matching mismatch θ_L(t_m) - θ_R(t_m) increases with the
@@ -974,11 +994,11 @@ class TestPrufer:
         prob = limit_problem(3, 2.0, 1e3)
         calls = []
 
-        def q(r):
+        def sample(r):
             calls.append(r)
-            return prob.q(r)
+            return prob.sample(r)
 
-        prufer_eigen(replace(prob, q=q), 1, (-6.0 - 1e-7, -6.0 + 1e-7))
+        prufer_eigen(replace(prob, sample=sample), 1, (-6.0 - 1e-7, -6.0 + 1e-7))
         assert len(calls) == 1
         assert isinstance(calls[0], np.ndarray) and calls[0].size > 1
 
@@ -1010,7 +1030,8 @@ def reference_miss(problem, j, lam, r_min=1e-7, rtol=1e-11):
     shift = ((problem.n_dim - 2.0) / 2.0) ** 2
 
     def rhs(t, theta):
-        v = lam - shift + math.exp(2.0 * t) * float(problem.q(np.array([math.exp(t)]))[0])
+        q = problem.sample(np.array([math.exp(t)]))[0]
+        v = lam - shift + math.exp(2.0 * t) * float(q[0])
         s, c = math.sin(theta[0]), math.cos(theta[0])
         return [c * c + v * s * s]
 

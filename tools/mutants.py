@@ -1,6 +1,6 @@
-"""String-replace mutation tests of henonball's certificates, root-search report,
-inertia count, shifted eigenpair start, verify gates, shot, profile read, grid
-geometry, grid cache and pencil guesses.
+"""String-replace mutation tests of henonball's certificates, root-search
+bracket and report, inertia count, shifted eigenpair start, verify gates,
+shot, profile read, grid geometry, grid cache and pencil guesses.
 
 Each mutant names one edit of one file under `src/henonball` (an exact text
 and its replacement) and the pytest selection meant to fail on it.  The
@@ -44,8 +44,14 @@ MUTANTS = [
      "max(2.0 * _shift(search.a_lin, big_g), 0.05)", "max(_shift(search.a_lin, big_g), 0.05)",
      [BIF + "TestFluxIdentity::test_default_window_failure_falls_back_to_the_default_bracket"]),
     ("the default search evaluates α_k - 0.9", "bifurcation.py",
-     "search.lo = search.alpha_k\n", "search.lo = search.alpha_k - 0.9\n",
+     "bracket = (self.alpha_k, self.alpha_k + 0.9)",
+     "bracket = (self.alpha_k - 0.9, self.alpha_k + 0.9)",
      [BIF + "TestFluxIdentity::test_default_search_evaluates_one_point_past_its_iterates"]),
+    ("the default fallback scans from 2(k-1) - 0.9", "bifurcation.py",
+     "search.lo, search.hi = search.bracket\n",
+     "search.lo, search.hi = search.bracket[0] - 0.9, search.bracket[1]\n",
+     [BIF + "TestFluxIdentity::test_default_fallback_scans_from_2_k_minus_1",
+      "tests/test_cli.py::test_bifurcate_default_fallback_scans_from_2_k_minus_1"]),
     ("the bracket edge test is lo < edge", "bifurcation.py", "if lo <= edge:",
      "if lo < edge:", [BIF + "TestFluxIdentity::test_bracket_end_at_the_edge_is_inadmissible"]),
     ("index_invariant = 1 + Σ_{k≥1} n_k", "bifurcation.py",
@@ -58,11 +64,6 @@ MUTANTS = [
     ("pair ignores the problem's guess (starts from B·1)", "spectral.py",
      "self._shifted_iteration(shift, guess)", "self._shifted_iteration(shift, self.b_diag)",
      [SPEC + "TestLowestPair::test_at_most_three_solves_from_the_guess"]),
-    ("from_profile's read ignores writeable", "spectral.py",
-     "if last[0] is not r or r.flags.writeable:\n"
-     "                last[:] = (None if r.flags.writeable else r),",
-     "if last[0] is not r:\n                last[:] = r,",
-     [SPEC + "TestLowestPair::test_writable_radii_are_read_again"]),
     ("the coarse guesses are strided views", "spectral.py", "g[::2].copy()", "g[::2]",
      [SPEC + "TestAssembly::test_pair_is_the_assembly_on_both_grids"]),
     ("pair starts at the guess's Rayleigh quotient, skipping the solve at σ", "spectral.py",
@@ -85,8 +86,8 @@ MUTANTS = [
     ("SolverCache.grids ignores N_POINTS", "bifurcation.py",
      "_unit_ball_grids(n_dim, N_POINTS)", "_unit_ball_grids(n_dim, 1500)",
      [BIF + "TestSharedEvaluation::test_gap_converges_at_fourth_order"]),
-    ("flux_gap takes u'(1) from du[-2]", "bifurcation.py", "du[:-1], du[-1]",
-     "du[:-1], du[-2]", [BIF + "TestFluxIdentity::test_gap_matches_the_pencil"]),
+    ("flux_gap takes u'(1) from z[-2]", "bifurcation.py", "du1 = z[-1]",
+     "du1 = z[-2]", [BIF + "TestFluxIdentity::test_gap_matches_the_pencil"]),
     ("BifurcationPoint.residual is halved", "bifurcation.py",
      "residual=abs(search.f(alpha)),", "residual=abs(search.f(alpha)) / 2,",
      [BIF + "TestFluxIdentity::test_residual_is_the_recomputed_crossing_gap"]),
