@@ -31,10 +31,10 @@ One α-evaluation is one `flux_gap`: a Dirichlet shoot; one `SLProblem.read`
 with r = 1 appended, which gives u'(1) = z(1) and the q and guess z of the
 pencils of `spectral.pencil_pair`, z being also the identity's z; and the
 lowest eigenpair of each pencil by shifted inverse iteration at Λ₁(α),
-started from that z.  Profiles and `flux_gap` results are memoized in a
-SolverCache keyed by the exact parameters: the one passed as `cache=`, or
-else a fresh one that lives only as long as the call.  The grid pairs of the
-last two (N, N_POINTS) are kept in the process (`SolverCache.grids`).
+started from that z.  Profiles are memoized in a SolverCache keyed by the
+exact parameters: the one passed as `cache=`, or else a fresh one that lives
+only as long as the call; a search keeps its own g-samples.  The grid pairs
+of the last two (N, N_POINTS) are kept in the process (`_unit_ball_grids`).
 """
 
 from __future__ import annotations
@@ -91,21 +91,14 @@ def _unit_ball_grids(n_dim: int, n_points: int) -> tuple[RadialGrid, RadialGrid]
 
 
 class SolverCache:
-    """Memo of radial profiles and `flux_gap` results, keyed by (N, α, ε),
-    and of limit spectra (`spectral.limit_eigen`), keyed by (N, α).  Every
-    cache shares the unit ball's last two grid pairs (`grids`), enough for
-    searches at N = 3 and 4."""
+    """Memo of radial profiles, keyed by (N, α, ε), and of limit spectra
+    (`spectral.limit_eigen`), keyed by (N, α).  The unit ball's grids are
+    not kept here: every caller shares the process's last two grid pairs
+    (`_unit_ball_grids`), enough for searches at N = 3 and 4."""
 
     def __init__(self):
         self._profiles: dict = {}
-        self._gaps: dict = {}
         self._limits: dict = {}
-
-    def grids(self, n_dim: int) -> tuple[RadialGrid, RadialGrid]:
-        """The (coarse, fine) unit-ball `RadialGrid`s of N_POINTS and
-        2·N_POINTS nodes in dimension N, the grids of `pencil_pair(problem,
-        N_POINTS)`; the coarse one is the fine one's `coarsen()`."""
-        return _unit_ball_grids(n_dim, N_POINTS)
 
     def profile(self, n_dim: int, alpha: float, eps: float) -> RadialProfile:
         key = (n_dim, alpha, eps)
@@ -178,26 +171,23 @@ def flux_gap(
     and the pair is built from the rest (`spectral.pencil_pair`), the coarse
     pencil taking every other node.  The z of the overlap is each pencil's
     guess for `pair(1)`, `shifts[0]`.  The pencils are assembled on
-    `cache.grids(n_dim)`, the grids of `spectral.pencil_pair`.  The result
-    is memoized in `cache`."""
+    `_unit_ball_grids(n_dim, N_POINTS)`, the grids of `spectral.pencil_pair`;
+    only the profile is memoized, in `cache`."""
     cache = cache or SolverCache()
-    key = (n_dim, alpha, eps)
-    if key not in cache._gaps:
-        grids = cache.grids(n_dim)
-        problem = SLProblem.from_profile(cache.profile(n_dim, alpha, eps))
-        q, ((sigma, z),) = problem.read(np.append(grids[1].r, 1.0))
-        du1 = z[-1]   # u'(1), since 1^(-α/2) = 1
-        pencils = spectral._pencils_on(grids, q[:-1], ((sigma, z[:-1]),))
-        values = []
-        for pencil in pencils:
-            lam, phi = pencil.pair(1)
-            overlap = np.dot(pencil.b_diag * phi, pencil.shifts[0][1])
-            # φ'(1) from the quartic through the last four nodes and (1, 0)
-            dphi1 = _slope_at_one(pencil.grid[-4:], phi[-4:])
-            values.append((float(-dphi1 * du1 / overlap), lam))
-        (g_c, lam_c), (g_f, lam_f) = values
-        cache._gaps[key] = (4.0 * g_f - g_c) / 3.0, (4.0 * lam_f - lam_c) / 3.0
-    return cache._gaps[key]
+    grids = _unit_ball_grids(n_dim, N_POINTS)
+    problem = SLProblem.from_profile(cache.profile(n_dim, alpha, eps))
+    q, ((sigma, z),) = problem.read(np.append(grids[1].r, 1.0))
+    du1 = z[-1]   # u'(1), since 1^(-α/2) = 1
+    pencils = spectral._pencils_on(grids, q[:-1], ((sigma, z[:-1]),))
+    values = []
+    for pencil in pencils:
+        lam, phi = pencil.pair(1)
+        overlap = np.dot(pencil.b_diag * phi, pencil.shifts[0][1])
+        # φ'(1) from the quartic through the last four nodes and (1, 0)
+        dphi1 = _slope_at_one(pencil.grid[-4:], phi[-4:])
+        values.append((float(-dphi1 * du1 / overlap), lam))
+    (g_c, lam_c), (g_f, lam_f) = values
+    return (4.0 * g_f - g_c) / 3.0, (4.0 * lam_f - lam_c) / 3.0
 
 
 @dataclass(frozen=True)
@@ -248,7 +238,7 @@ class _Search(dict):
         if bracket is None:
             bracket = (self.alpha_k, self.alpha_k + 0.9)
         self.bracket = bracket
-        self.lo, self.hi = bracket
+        self.lo, self.hi = spectral._pair(bracket, "bracket")
 
     def __missing__(self, alpha: float) -> tuple[float, float]:
         self[alpha] = flux_gap(self.n_dim, self.eps, alpha, self.cache)
@@ -333,10 +323,12 @@ def find_bifurcation_alpha(
     1e-10 + 8.9e-16·|α|, and the same samples decide `unique` and
     `exclusion_ok`, whose warnings (the other roots, each crossed -σ_l) the
     search logs.  The scan reads f from the search's samples, so no α is
-    evaluated twice; `flux_gap` memoizes across searches on one `cache`.
+    evaluated twice in one search; a repeated search evaluates them again,
+    on the profiles in `cache`.
 
-    k may be an integral float, as in `sphere_eigen`.  A bracket end
-    lo ≤ ((N-2)ε - 4)/2, where ε ≥ p_lo - 1, is a DomainError; the default
+    k may be an integral float, as in `sphere_eigen`.  A bracket that is not
+    a (lo, hi) pair of numbers is a DomainError, before any α is evaluated,
+    and so is an end lo ≤ ((N-2)ε - 4)/2, where ε ≥ p_lo - 1; the default
     search tests 2(k-1), its lower end also when it falls back.  So at
     (N, ε, k) = (3, 6.4, 2) the default search certifies α ≈ 2.41784 on
     [2, 3.43], while on the explicit bracket (1.3, 2.9) the scan decides and
@@ -501,8 +493,8 @@ def morse_index(
     is channel k = 0 of the same r^-2-weighted pencil: by Sylvester's law
     the positive weight does not change the inertia at -σ_k.  Every count
     is an inertia count of the fine pencil (the 2·N_POINTS grid of
-    `lambda_values`, `cache.grids(n_dim)[1]`, read from the profile
-    directly), exact for the discretized operator; no eigenvalue is
+    `lambda_values`, `_unit_ball_grids(n_dim, N_POINTS)[1]`, read from the
+    profile directly), exact for the discretized operator; no eigenvalue is
     solved.  For k = 0, 1, 2, ...
     n_k is the fine pencil's count at -σ_k - 1e-4, and the loop stops at the
     first k with n_k = 0.  When the counts at -σ_k ∓ 1e-4 differ, some
@@ -518,7 +510,7 @@ def morse_index(
     degeneracy_tol = 1e-4
     cache = cache or SolverCache()
     fine = assemble_pencil(SLProblem.from_profile(cache.profile(n_dim, alpha, eps)),
-                           cache.grids(n_dim)[1])
+                           _unit_ball_grids(n_dim, N_POINTS)[1])
     counts = []  # (k, n_k, N_k)
     for k in itertools.count():
         sigma_k, mult = sphere_eigen(n_dim, k)

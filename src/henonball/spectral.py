@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -224,6 +225,18 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _pair(value, name: str) -> tuple:
+    """The ends of a (lo, hi) pair of real numbers `value`, as given;
+    DomainError naming `name` and `value` otherwise."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        lo = hi = None
+    if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)):
+        raise DomainError(f"{name} must be a (lo, hi) pair of numbers, got {value!r}")
+    return lo, hi
+
+
 def _geometry():
     return field(init=False, repr=False)
 
@@ -332,8 +345,8 @@ class Pencil:
     count certifies it independently; a vector that fails there raises
     NumericsError.  A `count` or index j may be an integral float.
 
-    `abs_off`, `inv_b` and `pivmin`, the operands of `pair` and `count` that
-    do not depend on q, are derived from the fields on first use."""
+    `pivmin`, the operand of every `count` that does not depend on q, is
+    derived from the fields on first use."""
 
     grid: np.ndarray
     a_diag: np.ndarray
@@ -344,14 +357,6 @@ class Pencil:
     @property
     def n(self) -> int:
         return self.grid.size
-
-    @cached_property
-    def abs_off(self) -> np.ndarray:
-        return np.abs(self.a_off)
-
-    @cached_property
-    def inv_b(self) -> np.ndarray:
-        return 1.0 / self.b_diag
 
     @cached_property
     def pivmin(self) -> float:
@@ -501,7 +506,7 @@ class Pencil:
         """(μ, x) of the iteration in `pair` from σ and the guess x, x at sup
         norm 1; the first solve is at σ, the others at the last μ."""
         a, off, b = self.a_diag, self.a_off, self.b_diag
-        abs_a, abs_off, inv_b = np.abs(a), self.abs_off, self.inv_b
+        abs_a, abs_e, b_inv = np.abs(a), np.abs(off), 1.0 / b
         tol = (_RESIDUAL_ULPS * np.finfo(float).eps) ** 2
         bx, mu, converged = b * x, sigma, False
         for _ in range(_SHIFTED_SOLVES):
@@ -515,11 +520,11 @@ class Pencil:
             ax, bx = _tridiagonal_product(a, off, x), b * x
             mu = float(np.dot(x, ax) / np.dot(x, bx))
             residual = ax - mu * bx
-            terms = _tridiagonal_product(abs_a, abs_off, np.abs(x)) + abs(mu) * np.abs(bx)
+            terms = _tridiagonal_product(abs_a, abs_e, np.abs(x)) + abs(mu) * np.abs(bx)
             # a norm is blind to the tail; the solve after this test
             # settles it (see pair)
-            converged = (np.dot(residual * residual, inv_b)
-                         <= tol * np.dot(terms * terms, inv_b))
+            converged = (np.dot(residual * residual, b_inv)
+                         <= tol * np.dot(terms * terms, b_inv))
         return mu, x
 
     def _certify(self, js: Sequence[int], vals: np.ndarray, zs=()) -> None:
@@ -731,10 +736,12 @@ def prufer_eigen(problem: SLProblem, j: int, bracket: tuple[float, float]) -> fl
     entry raises DomainError.  For the bracket Λ₁ ± 0.05 at N=3, α=2,
     ε=0.05 the call takes 6 mismatch evaluations, 12 half-length
     integrations.  The index j must be an integer ≥ 1 (an integral float
-    is accepted, as in `ProblemParams`); DomainError otherwise.
+    is accepted, as in `ProblemParams`) and the bracket a (lo, hi) pair of
+    numbers; DomainError otherwise, before q is sampled.
     """
     if not (float(j).is_integer() and j >= 1):
         raise DomainError(f"need an integer eigenvalue index j >= 1, got {j!r}")
+    lo, hi = _pair(bracket, "bracket")
     # imported here to keep scipy.integrate, scipy.interpolate and
     # scipy.optimize out of the CLI's start-up
     from scipy.integrate import ode
@@ -795,7 +802,6 @@ def prufer_eigen(problem: SLProblem, j: int, bracket: tuple[float, float]) -> fl
     def mismatch(lam: float) -> float:
         return angle(lam, t0, 0.0) - angle(lam, t1, j * math.pi)
 
-    lo, hi = bracket
     try:
         m_lo, m_hi = mismatch(lo), mismatch(hi)
         if not (m_lo < 0.0 < m_hi):

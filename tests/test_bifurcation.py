@@ -162,6 +162,15 @@ class TestFindBifurcation:
             with pytest.raises(DomainError, match="bracket"):
                 find_bifurcation_alpha(3, 0.05, 2, bracket=bracket, cache=cache)
 
+    @pytest.mark.parametrize("bracket", [(1.5,), 2.5, ("a", "b"), (1.5, 2.5, 3.5), "ab"])
+    def test_malformed_bracket_is_named_before_any_evaluation(self, bracket, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bifurcation, "flux_gap", lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match=r"bracket must be a \(lo, hi\) pair of numbers, got "
+                                              + re.escape(repr(bracket))):
+            find_bifurcation_alpha(3, 0.01, 2, bracket=bracket)
+        assert calls == []
+
     def test_hopeless_bracket_raises(self, cache):
         with pytest.raises(BracketError):
             find_bifurcation_alpha(3, 0.05, 2, bracket=(0.2, 0.6), cache=cache)
@@ -211,17 +220,18 @@ class TestFluxIdentity:
         _, lam1 = flux_gap(3, 0.05, 2.0, cache)
         assert lam1 == lambda_values(3, 0.05, 2.0, 1, cache)[0]
 
-    def test_a_repeated_search_reuses_the_cached_gaps(self, monkeypatch):
+    def test_a_repeated_search_solves_no_profile_again(self, monkeypatch):
+        # the search evaluates its points again; the cache's profiles serve them
         calls = []
-        pencil = spectral.RadialGrid.pencil
-        monkeypatch.setattr(spectral.RadialGrid, "pencil",
-                            lambda *args: calls.append(args) or pencil(*args))
+        solve = bifurcation.solve_dirichlet_ball
+        monkeypatch.setattr(bifurcation, "solve_dirichlet_ball",
+                            lambda *args: calls.append(args) or solve(*args))
         cache = SolverCache()
         first = find_bifurcation_alpha(3, 0.01, 2, cache=cache)
-        assembled = len(calls)
-        assert assembled > 0
+        solved = len(calls)
+        assert solved == first.evaluations
         assert find_bifurcation_alpha(3, 0.01, 2, cache=cache) == first
-        assert len(calls) == assembled
+        assert len(calls) == solved
 
     def test_one_geometry_build_per_grid_per_process(self, monkeypatch):
         # a search and two Morse indices per N, on two caches, build each
@@ -414,7 +424,7 @@ class TestFluxIdentity:
     def test_delta_meets_its_fixed_point(self, n_dim, eps, k, cache):
         # the search stops on a secant step of at most 1e-12 |delta|
         bp = find_bifurcation_alpha(n_dim, eps, k, cache=cache)
-        g = cache._gaps[(n_dim, bp.alpha_k_eps, eps)][0]
+        g = flux_gap(n_dim, eps, bp.alpha_k_eps, cache)[0]
         shift = bifurcation._shift(n_dim + 2 * k - 2, g)
         assert abs(bp.delta - shift) <= 1e-10 * abs(bp.delta)
 

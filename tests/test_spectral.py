@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import logging
 import math
+import re
 import warnings
 import weakref
 from dataclasses import replace
@@ -17,8 +18,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from henonball.closedform import ProblemParams, lambda1_closed
-from henonball import spectral
-from henonball.bifurcation import SolverCache
+from henonball import bifurcation, spectral
 from henonball.errors import BracketError, DomainError, NumericsError
 from henonball.radial import solve_dirichlet_ball
 from henonball.rescaling import rescale
@@ -145,7 +145,7 @@ class TestAssembly:
     def test_pair_is_the_assembly_on_both_grids(self, profile_3_2_005, kind, n):
         # one q read on the fine grid; the coarse pencil takes every other
         # node, and a contiguous copy of every other entry of each guess;
-        # "ball-cache" assembles on a SolverCache's grids, as flux_gap does
+        # "ball-cache" assembles on the process's unit-ball grids, as flux_gap does
         problem = {
             "ball": lambda: SLProblem.from_profile(profile_3_2_005),
             "ball-cache": lambda: SLProblem.from_profile(profile_3_2_005),
@@ -156,16 +156,16 @@ class TestAssembly:
         reads = []
         spied = replace(problem, sample=lambda r: reads.append(r.size) or problem.sample(r))
         if kind == "ball-cache":
-            grids = SolverCache().grids(3)
+            grids = bifurcation._unit_ball_grids(3, bifurcation.N_POINTS)
             pair = spectral._pencils_on(grids, *spied.read(grids[1].r))
         else:
             pair = spectral.pencil_pair(spied, n)
         assert reads == [2 * n]
         for pencil, size in zip(pair, (n, 2 * n)):
             ref = assemble_pencil(problem, default_spectral_grid(problem.r_end, size))
-            # a Pencil built from the fields derives pair's and count's operands
+            # a Pencil built from the fields derives count's pivmin
             derived = Pencil(ref.grid.copy(), ref.a_diag, ref.a_off.copy(), ref.b_diag.copy())
-            for name in ("grid", "a_diag", "a_off", "b_diag", "abs_off", "inv_b"):
+            for name in ("grid", "a_diag", "a_off", "b_diag"):
                 assert np.array_equal(getattr(pencil, name), getattr(ref, name)), name
                 assert np.array_equal(getattr(pencil, name), getattr(derived, name)), name
             assert pencil.pivmin == derived.pivmin
@@ -909,6 +909,16 @@ class TestPrufer:
         # BracketError
         with pytest.raises(DomainError, match="integer eigenvalue index"):
             prufer_eigen(limit_problem(3, 2.0), j, (-6.5, 0.5))
+
+    @pytest.mark.parametrize("bracket", [(-6.5,), -6.5, ("a", "b"), (-6.5, -5.5, 0.5), "ab"])
+    def test_malformed_bracket_is_named_before_q_is_sampled(self, bracket):
+        prob = limit_problem(3, 2.0)
+        calls = []
+        spied = replace(prob, sample=lambda r: calls.append(r) or prob.sample(r))
+        with pytest.raises(DomainError, match=r"bracket must be a \(lo, hi\) pair of numbers, got "
+                                              + re.escape(repr(bracket))):
+            prufer_eigen(spied, 1, bracket)
+        assert calls == []
 
     def test_integral_float_index_accepted(self):
         prob = limit_problem(3, 2.0, 1e3)

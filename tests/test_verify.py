@@ -16,6 +16,17 @@ def test_oracle_criteria_pass():
     assert report.results[1].measured < 1e-6
 
 
+def test_oracles_shoot_only_the_amplitude_4_profile(monkeypatch):
+    # C8.e compares the cached amplitude-1 profile with one new shot
+    calls = []
+    solve = verify.solve_dirichlet_ball
+    monkeypatch.setattr(verify, "solve_dirichlet_ball",
+                        lambda params, **kw: calls.append((params, kw)) or solve(params, **kw))
+    assert run_criteria(["C8"]).overall_pass
+    assert [((p.n_dim, p.alpha, p.eps), kw) for p, kw in calls] == [
+        ((3, 2.0, 0.05), {"amplitude": 4.0})]
+
+
 def test_selection_is_by_prefix():
     report = run_criteria(["C1.a"])
     assert [r.id for r in report.results] == ["C1.a", "C1.b", "C1.c"]

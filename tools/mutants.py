@@ -1,6 +1,6 @@
 """String-replace mutation tests of henonball's certificates, root-search
-bracket and report, inertia count, shifted eigenpair start, verify gates,
-shot, profile read, grid geometry, grid cache and pencil guesses.
+bracket, samples and report, inertia count, shifted eigenpair start, verify
+gates, shot, profile read, grid geometry, grid cache and pencil guesses.
 
 Each mutant names one edit of one file under `src/henonball` (an exact text
 and its replacement) and the pytest selection meant to fail on it.  The
@@ -52,6 +52,10 @@ MUTANTS = [
      "search.lo, search.hi = search.bracket[0] - 0.9, search.bracket[1]\n",
      [BIF + "TestFluxIdentity::test_default_fallback_scans_from_2_k_minus_1",
       "tests/test_cli.py::test_bifurcate_default_fallback_scans_from_2_k_minus_1"]),
+    ("the root search stores no sample", "bifurcation.py",
+     "self[alpha] = flux_gap(self.n_dim, self.eps, alpha, self.cache)\n        return self[alpha]",
+     "return flux_gap(self.n_dim, self.eps, alpha, self.cache)",
+     [BIF + "TestFluxIdentity::test_default_search_evaluates_one_point_past_its_iterates"]),
     ("the bracket edge test is lo < edge", "bifurcation.py", "if lo <= edge:",
      "if lo < edge:", [BIF + "TestFluxIdentity::test_bracket_end_at_the_edge_is_inadmissible"]),
     ("index_invariant = 1 + Σ_{k≥1} n_k", "bifurcation.py",
@@ -83,8 +87,8 @@ MUTANTS = [
     ("the grid's flux ignores N (exponent fixed at 2)", "spectral.py",
      "flux = mids**ndm1 / gaps", "flux = mids**2.0 / gaps",
      [SPEC + "TestRadialGrid::test_flux_depends_on_the_dimension"]),
-    ("SolverCache.grids ignores N_POINTS", "bifurcation.py",
-     "_unit_ball_grids(n_dim, N_POINTS)", "_unit_ball_grids(n_dim, 1500)",
+    ("flux_gap's grids ignore N_POINTS", "bifurcation.py",
+     "grids = _unit_ball_grids(n_dim, N_POINTS)", "grids = _unit_ball_grids(n_dim, 1500)",
      [BIF + "TestSharedEvaluation::test_gap_converges_at_fourth_order"]),
     ("flux_gap takes u'(1) from z[-2]", "bifurcation.py", "du1 = z[-1]",
      "du1 = z[-2]", [BIF + "TestFluxIdentity::test_gap_matches_the_pencil"]),
